@@ -406,7 +406,7 @@ class FieldModel:
             return val
         xs = np.linspace(-m.h_tilde, m.h_tilde, n)
         vals = [self.a3((r, 0.0, s)) for s in xs]
-        return float(np.trapz(vals, xs))
+        return float(np.trapezoid(vals, xs))
 
     # -- gauge function outside the magnet ------------------------------
 
@@ -434,20 +434,6 @@ class FieldModel:
             )
         # above the slab, or beside it outside the outer radius
         return self.cfg.flux
-
-    def path_integral_a(self, points: Sequence[Sequence[float]], n: int = 4001) -> float:
-        """integral of A . dl along a polyline, by composite Simpson."""
-        total = 0.0
-        for p, q in zip(points[:-1], points[1:]):
-            p = np.asarray(p, dtype=float)
-            q = np.asarray(q, dtype=float)
-            dz = q[2] - p[2]
-            if dz == 0.0:
-                continue  # A has only a z component
-            ts = np.linspace(0.0, 1.0, n)
-            vals = np.array([self.a3(p + t * (q - p)) for t in ts])
-            total += float(np.trapz(vals, ts)) * dz
-        return total
 
     # -- space cutoff ----------------------------------------------------
 

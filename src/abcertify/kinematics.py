@@ -127,9 +127,24 @@ def z_crossing(
             f"need 0 < omega_inv < sigma*mv, got omega_inv={omega_inv!r}, "
             f"sigma*mv={smv!r}"
         )
-    z0 = _crossing_closed_form(omega_inv, smv, sigma, float(zeta))
-    z = _newton_polish(np.asarray([z0]), omega_inv, sigma, mv, zeta)[0]
-    return float(z)
+    # the operations of _crossing_closed_form and _newton_polish, in the
+    # same order, on Python floats: bit-identical to z_crossing_vec
+    zeta = float(zeta)
+    A = smv * smv
+    D = A - omega_inv * omega_inv
+    if not D > 0.0:  # (sigma*mv)^2 underflowed
+        raise ValueError(f"omega_inv={omega_inv!r} too close to sigma*mv={smv!r}")
+    z = (A * zeta + smv * omega_inv * math.sqrt(sigma * sigma * D + zeta * zeta)) / D
+    s2mv = sigma * sigma * mv
+    den2 = s2mv * s2mv + z * z
+    r = smv / math.sqrt(den2)
+    f0 = (z - zeta) * r - omega_inv
+    fp = r * (1.0 - (z - zeta) * z / den2)
+    if not fp > 0.0:
+        return float(z)
+    z1 = z - f0 / fp
+    f1 = (z1 - zeta) * (smv / math.sqrt(s2mv * s2mv + z1 * z1)) - omega_inv
+    return float(z1 if abs(f1) <= abs(f0) else z)
 
 
 def _newton_polish(z, omega_inv, sigma, mv, zeta):

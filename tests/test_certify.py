@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abcertify import certify
 from abcertify.certify import (
     CSV_COLUMNS,
     DEFAULT_NODE_CAP,
@@ -53,6 +54,29 @@ def _random_window_tuples(n, seed):
         if hi_cap <= lo_t + 0.1:
             continue
         hi_t = rng.uniform(lo_t + 0.1, hi_cap)
+        s = z_crossing(lo_t, sigma, mv, zeta)
+        z_cap = z_crossing(hi_t, sigma, mv, zeta)
+        delta0 = rng.uniform(0.05, 1.0)
+        r1 = (1.0 + rng.uniform(0.05, 1.5)) / rho(sigma, mv, z_cap)
+        out.append((sigma, mv, zeta, s, z_cap, delta0, r1))
+    return out
+
+
+def _long_window_tuples(n, seed):
+    """Like :func:`_random_window_tuples`, but the rescaled window runs
+    out to (12, 25): its cells decay by far more than 2^-60, so a grid
+    built for one kind stops well before the window's end."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        sigma = rng.uniform(0.5, 3.0)
+        mv = rng.uniform(10.0, 40.0)
+        zeta = rng.uniform(0.01, 0.3)
+        lo_t = rng.uniform(0.2, 1.2)
+        hi_cap = min(25.0, 0.9 * sigma * mv)
+        if hi_cap <= 12.0:
+            continue
+        hi_t = rng.uniform(12.0, hi_cap)
         s = z_crossing(lo_t, sigma, mv, zeta)
         z_cap = z_crossing(hi_t, sigma, mv, zeta)
         delta0 = rng.uniform(0.05, 1.0)
@@ -160,12 +184,59 @@ def test_grid_majorant_none_is_zero():
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_grid_majorant_dominates_quadrature(kind):
-    for sigma, mv, zeta, s, z_cap, delta0, r1 in _random_window_tuples(40, 711):
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
-        bound = grid_majorant(win, r1, kind)
+    windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         truth = window_integral_quad(kind, sigma, mv, zeta, s, z_cap, r1=r1)
-        assert not bound.is_zero
-        assert bound.log_mag >= math.log(truth), (kind, sigma, mv, zeta, s, z_cap)
+        # the full grid, and the grid truncated for this kind
+        for extra in ((), (r1, kind)):
+            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, *extra)
+            bound = grid_majorant(win, r1, kind)
+            assert not bound.is_zero
+            assert bound.log_mag >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_truncated_majorant_matches_full_grid(kind):
+    stopped = 0
+    windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
+        full = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
+        cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, r1, kind)
+        # the truncated grid is a prefix of the full one
+        assert np.array_equal(cut.nodes, full.nodes[: cut.nodes.size])
+        assert np.array_equal(cut.x, full.x[: cut.x.size])
+        stopped += cut.nodes.size < full.nodes.size
+        lm_full = grid_majorant(full, r1, kind).log_mag
+        lm_cut = grid_majorant(cut, r1, kind).log_mag
+        assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
+    # the stop test fires on the long windows
+    assert stopped >= 20
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_floored_window_solves_no_node(kind, monkeypatch):
+    # the rescaled window starts at 50: exp(-50^2/2) is below 1e-500
+    sigma, mv, zeta, delta0 = 1.0, 100.0, 0.1, 0.5
+    s = z_crossing(50.0, sigma, mv, zeta)
+    z_cap = z_crossing(80.0, sigma, mv, zeta)
+    r1 = 1.5 / rho(sigma, mv, z_cap)
+    calls = []
+    solve = certify.z_crossing_vec
+
+    def counting(*args):
+        calls.append(np.size(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, r1, kind)
+    assert calls == []
+    assert win.nodes.size == 0 and win.x.size == 0
+    lm = _single_interval_log(win, r1, kind)
+    assert lm <= -500.0 * math.log(10.0)
+    assert grid_majorant(win, r1, kind).log_mag == lm
+    # without a kind the same window solves its whole grid
+    full = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
+    assert sum(calls) == full.nodes.size > 0
 
 
 def test_refinement_approaches_truth():
@@ -243,6 +314,34 @@ def test_first_pair_certificate(cfg):
     assert row[4] == "ok"
     assert row[9] == "6284.861165"
     assert row[10] == "pass"
+
+
+# the smallest margin of each set before the grid was truncated, and
+# the pair that has it
+PARENT_WORST_PAIRS = [
+    ("sigma1", 2670, 6284.855755512995),
+    ("sigma2", 2368, 6284.84820044284),
+    ("sigma3", 15129, 0.003108325685662981),
+    ("sigma4", 0, 0.010992089997943098),
+    ("sigma5", 0, 0.005020855593048203),
+    ("sigma6", 0, 0.001599718822335887),
+    ("sigma7", 0, 0.004730882354507357),
+    ("sigma8", 0, 0.0017201235221977217),
+    ("sigma9", 0, 6284.116485461278),
+    ("sigma10", 0, 620.1093662379835),
+    ("sigma11", 0, 2.1519704927003227),
+]
+
+
+@pytest.mark.parametrize(
+    "set_name,index,margin", PARENT_WORST_PAIRS, ids=[p[0] for p in PARENT_WORST_PAIRS]
+)
+def test_worst_pair_margin_not_lower(cfg, set_name, index, margin):
+    job = sweep_pairs(cfg, [set_name])[index]
+    assert job[:2] == (set_name, index)
+    res = check_pair(cfg, *job)
+    assert res.passed and res.flags == "ok"
+    assert res.margin_log10 >= margin
 
 
 def test_tightest_family_still_passes(cfg):

@@ -156,7 +156,9 @@ def test_flux_linked_plateaus(field_model, cfg):
         assert abs(field_model.flux_linked(float(r))) <= tol
 
 
-def test_flux_line_integral_matches_linked(field_model, cfg):
+@pytest.mark.parametrize("model", ["field_model", "field_model_fixed"])
+def test_flux_line_integral_matches_linked(model, cfg, request):
+    field_model = request.getfixturevalue(model)
     tol = 1e-9 * max(1.0, abs(cfg.flux))
     for r in (1e-5, 1e-4, cfg.magnet.r1_tilde):
         assert abs(field_model.flux_line_integral(r) - cfg.flux) <= tol

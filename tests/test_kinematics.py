@@ -145,6 +145,26 @@ def test_crossing_domain_errors():
     for bad in (0.0, -1.0, 10.0, 15.0):
         with pytest.raises(ValueError):
             z_crossing(bad, 2.0, 5.0, 0.3)
+    # (sigma*mv)^2 underflows: no crossing can be computed
+    with pytest.raises(ValueError):
+        z_crossing(0.5e-170, 1e-170, 1.0, 0.3)
+
+
+def test_scalar_crossing_bit_identical_to_vec():
+    # widths, momenta and offsets over the sweep's magnitudes and beyond
+    rng = np.random.default_rng(33)
+    checked = 0
+    for _ in range(3000):
+        sigma = 10.0 ** rng.uniform(-10.0, 0.5)
+        mv = 10.0 ** rng.uniform(0.0, 12.0)
+        zeta = 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
+        omegas = rng.uniform(1e-6, 1.0 - 1e-9, 4) * sigma * mv
+        omegas = omegas[(omegas > 0.0) & (omegas < sigma * mv)]
+        vec = z_crossing_vec(omegas, sigma, mv, zeta)
+        for w, zv in zip(omegas, vec):
+            assert z_crossing(float(w), sigma, mv, zeta) == zv, (w, sigma, mv, zeta)
+            checked += 1
+    assert checked >= 10_000
 
 
 def test_crossing_envelope_in_sigma():
