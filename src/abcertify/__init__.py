@@ -16,7 +16,7 @@ provides
 """
 
 from .config import ExperimentConfig, get_config, parse_config_file
-from .xreal import XReal, FOLD_BACKEND, fold_add_logs, fold_add_logs_py, sum_xreals
+from .xreal import XReal, fold_add_logs, sum_xreals
 from .kinematics import (
     capture_fraction,
     gaussian_window,
@@ -57,9 +57,7 @@ __all__ = [
     "get_config",
     "parse_config_file",
     "XReal",
-    "FOLD_BACKEND",
     "fold_add_logs",
-    "fold_add_logs_py",
     "sum_xreals",
     "capture_fraction",
     "gaussian_window",

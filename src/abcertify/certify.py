@@ -38,7 +38,10 @@ larger, never invalid.
   under 2^-60 of it; in practice it shrinks, because the fold takes
   ~20x fewer one-ulp rounding steps (no pair of the full sweep lost
   margin).
-* Grids larger than ``node_cap`` are thinned by a uniform stride.
+* Grids larger than ``NODE_CAP`` nodes are thinned by a uniform stride.
+  The cap is a fixed input guard: it bounds the nodes solved for any
+  user ``delta0`` (``verify --delta0``).  No window of the full sweep
+  reaches it.
 
 Without a kind, ``_build_window`` solves the whole grid, so the stop
 test never fires.
@@ -80,7 +83,9 @@ _INF = math.inf
 _FLOOR_LOG10 = -500.0
 _FLOOR_LOG = _FLOOR_LOG10 * math.log(10.0)
 
-DEFAULT_NODE_CAP = 30_000
+# grid nodes solved per window, at most (a uniform stride thins larger
+# grids)
+NODE_CAP = 30_000
 
 # a grid built for one majorant kind ends at the first node whose
 # remaining cell is below 2^-60 of the running sum; nodes are solved in
@@ -122,7 +127,6 @@ def _build_window(
     s: float,
     z_cap: float,
     delta0: float,
-    node_cap: int,
     r1: Optional[float] = None,
     kind: Optional[str] = None,
 ) -> Optional[majorant_window]:
@@ -157,7 +161,7 @@ def _build_window(
         return win
 
     count = n_end - n_start + 1
-    stride = max(1, math.ceil(count / node_cap))
+    stride = max(1, math.ceil(count / NODE_CAP))
     total = (count - 1) // stride + 1
     chunk = total if kind is None else _FIRST_CHUNK
     done = 0
@@ -278,7 +282,7 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     w_right = np.append(nodes, win.hi)
     L = _cell_logs(gaps, decay, x_right, w_right, win.sigma, win.mv, r1, kind)
 
-    total = fold_add_logs(np.ascontiguousarray(L))
+    total = fold_add_logs(L)
     if total == -_INF:
         return XReal.zero()
     return XReal.from_log(total).mul(XReal.from_f64(_prefactor(kind)))
@@ -386,7 +390,6 @@ def check_pair(
     mu2: float,
     mu3: float,
     delta0: Optional[float] = None,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> PairResult:
     """Certify one width pair; never raises on a well-formed config."""
     mv = cfg.mv
@@ -451,18 +454,18 @@ def check_pair(
     int_b6 = XReal.zero()   # hole-weighted with the extra r1*rho factor
     int_b3_tail = XReal.zero()  # past the pair scale (usually empty)
     for m in (nu, mu3):
-        win4 = _build_window(m, mv, h2, z2, z_cap, delta0, node_cap, r1, "b4")
+        win4 = _build_window(m, mv, h2, z2, z_cap, delta0, r1, "b4")
         int_b4 = int_b4.add(grid_majorant(win4, r1, "b4"))
         if b6_end >= z_cap:
             # the b4 grid also serves b6: its extra r1*rho factor is
             # smallest in the last cell, so b4's stop test covers b6
             int_b6 = int_b6.add(grid_majorant(win4, r1, "b6"))
         else:
-            win6 = _build_window(m, mv, h2, z2, b6_end, delta0, node_cap, r1, "b6")
+            win6 = _build_window(m, mv, h2, z2, b6_end, delta0, r1, "b6")
             int_b6 = int_b6.add(grid_majorant(win6, r1, "b6"))
-            tail = _build_window(m, mv, h2, b6_end, z_cap, delta0, node_cap, r1, "b3")
+            tail = _build_window(m, mv, h2, b6_end, z_cap, delta0, r1, "b3")
             int_b3_tail = int_b3_tail.add(grid_majorant(tail, r1, "b3"))
-        win5 = _build_window(m, mv, h2, z23, z_cap, delta0, node_cap, r1, "b5")
+        win5 = _build_window(m, mv, h2, z23, z_cap, delta0, r1, "b5")
         int_b5 = int_b5.add(grid_majorant(win5, r1, "b5"))
 
     # ---- boundary terms ----------------------------------------------
@@ -563,9 +566,9 @@ def check_pair(
 
 
 def _run_job(args) -> Tuple[Tuple[str, int], PairResult]:
-    cfg, job, delta0, node_cap = args
+    cfg, job, delta0 = args
     set_name, index, mu1, mu2, mu3 = job
-    res = check_pair(cfg, set_name, index, mu1, mu2, mu3, delta0, node_cap)
+    res = check_pair(cfg, set_name, index, mu1, mu2, mu3, delta0)
     return ((set_name, index), res)
 
 
@@ -574,7 +577,6 @@ def sweep(
     set_names: Optional[Sequence[str]] = None,
     delta0: Optional[float] = None,
     jobs: int = 1,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> List[PairResult]:
     """Certify every pair of the requested sets (default: all eleven).
 
@@ -583,7 +585,7 @@ def sweep(
     """
     names = list(set_names) if set_names else list(SET_NAMES)
     job_list = sweep_pairs(cfg, names)
-    args = [(cfg, job, delta0, node_cap) for job in job_list]
+    args = [(cfg, job, delta0) for job in job_list]
     results: Dict[Tuple[str, int], PairResult] = {}
     if jobs <= 1:
         for a in args:
@@ -613,19 +615,3 @@ def discrepancy_map(results: Sequence[PairResult]) -> List[PairResult]:
     """The failing pairs, ordered by how badly they miss."""
     fails = [r for r in results if not r.passed]
     return sorted(fails, key=lambda r: r.margin_log10)
-
-
-def refine_pair(
-    cfg: ExperimentConfig,
-    res: PairResult,
-    delta0_seq: Sequence[float] = (0.5, 0.2, 0.1, 0.05),
-) -> List[PairResult]:
-    """Re-check one pair on successively finer grids (refinement demo)."""
-    out = []
-    for d0 in delta0_seq:
-        out.append(
-            check_pair(
-                cfg, res.set_name, res.index, res.mu1, res.mu2, res.mu3, d0
-            )
-        )
-    return out

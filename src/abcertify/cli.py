@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    REGIMES,
     final_bound,
     interaction_probability,
     params_sweep,
@@ -43,9 +44,17 @@ from .certify import CSV_COLUMNS, discrepancy_map, sweep, write_csv
 from .config import ExperimentConfig, get_config, parse_config_file
 from .fields import FieldModel, supnorm_constants
 from .partition import SET_NAMES
-from .xreal import FOLD_BACKEND
 
-REGIMES = ("incoming", "interacting", "outgoing", "scattering", "uniform", "detailed")
+
+def _positive_float(text: str) -> float:
+    """argparse type for widths and grid steps: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
@@ -76,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="bound breakdown at one width")
     _add_common(p)
-    p.add_argument("--sigma", type=float, required=True, help="beam width in cm")
+    p.add_argument("--sigma", type=_positive_float, required=True, help="beam width in cm")
     p.add_argument("--regime", choices=REGIMES, default="uniform")
 
     p = sub.add_parser("verify", help="pairwise certification sweep")
     _add_common(p)
     p.add_argument("--set", dest="sets", action="append", default=None,
                    metavar="NAME", help="sigma1..sigma11 or all (repeatable)")
-    p.add_argument("--delta0", type=float, default=None,
+    p.add_argument("--delta0", type=_positive_float, default=None,
                    help="grid fineness override (default: per-pair rule)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -105,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bound components over a width range")
     _add_common(p)
-    p.add_argument("--from", dest="lo", type=float, required=True)
-    p.add_argument("--to", dest="hi", type=float, required=True)
+    p.add_argument("--from", dest="lo", type=_positive_float, required=True)
+    p.add_argument("--to", dest="hi", type=_positive_float, required=True)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--scale", choices=("log", "linear"), default="log")
 
@@ -164,7 +173,6 @@ def _cmd_eval(args, cfg: ExperimentConfig) -> int:
             "poly_value": rep.poly_value,
             "components": {k: v for k, v in rep.rows()},
             "interaction_probability": prob.to_sci_string(),
-            "fold_backend": FOLD_BACKEND,
         }
         _emit(args, _json_text(payload))
         return 0
@@ -396,7 +404,7 @@ def _cmd_threshold(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    if not (args.lo > 0.0 and args.hi > args.lo and args.points >= 2):
+    if not (args.hi > args.lo and args.points >= 2):
         print("need 0 < --from < --to and --points >= 2", file=sys.stderr)
         return 2
     rows = sweep_rows(cfg, args.lo, args.hi, args.points, args.scale)

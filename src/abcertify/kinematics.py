@@ -9,14 +9,14 @@ function of the inverse transverse width
 evaluated at the packet centre's travelled distance z.  The module
 provides the spread profile itself, axis-window Gaussian integrals in
 the co-moving frame, the distance at which the spread crosses a given
-threshold, and the pointwise quantities (density at the ring, miss
-probability, 99%-mass radius, opening angle) used by the report tables.
+threshold, and the pointwise quantities (miss probability, 99%-mass
+radius, opening angle) used by the report tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
@@ -30,16 +30,11 @@ __all__ = [
     "weighted_window",
     "z_crossing",
     "z_crossing_vec",
-    "z_crossing_pair",
-    "r_pair",
     "z_of_sigma",
-    "evolved_density",
     "hole_miss_probability",
     "packet_radius",
     "capture_fraction",
     "opening_angle_deg",
-    "tail_exp_bound",
-    "tail_sq_bound",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -174,26 +169,6 @@ def z_crossing_vec(
     return _newton_polish(z0, omega_inv, sigma, mv, zeta)
 
 
-def z_crossing_pair(
-    omega_inv: float, sigma_a: float, sigma_b: float, mv: float, zeta: float
-) -> float:
-    """Larger of the two single-width crossings (covers both widths)."""
-    return max(
-        z_crossing(omega_inv, sigma_a, mv, zeta),
-        z_crossing(omega_inv, sigma_b, mv, zeta),
-    )
-
-
-def r_pair(sigma_a: float, sigma_b: float, r1: float, mv: float) -> float:
-    """min over the two widths of sigma*mv*sqrt(r1^2 - sigma^2)."""
-    vals = []
-    for s in (sigma_a, sigma_b):
-        if s >= r1:
-            raise ValueError(f"width {s:g} must be below the hole radius {r1:g}")
-        vals.append(s * mv * math.sqrt(r1 * r1 - s * s))
-    return min(vals)
-
-
 def z_of_sigma(sigma: float, cfg: ExperimentConfig) -> float:
     """Capped-threshold crossing distance for a packet of width sigma."""
     return z_crossing(cfg.omega_inv(sigma), sigma, cfg.mv, cfg.h(sigma))
@@ -202,16 +177,6 @@ def z_of_sigma(sigma: float, cfg: ExperimentConfig) -> float:
 # ----------------------------------------------------------------------
 # pointwise packet quantities
 # ----------------------------------------------------------------------
-
-
-def evolved_density(
-    sigma: float, mv: float, zeta: float, x: Union[Tuple[float, float, float], np.ndarray]
-) -> float:
-    """|psi|^2 of the freely spread packet, centre at (0, 0, zeta)."""
-    r = rho(sigma, mv, zeta)
-    x = np.asarray(x, dtype=np.float64)
-    d2 = float((x[0]) ** 2 + (x[1]) ** 2 + (x[2] - zeta) ** 2)
-    return math.pi ** (-1.5) * r ** 3 * math.exp(-d2 * r * r)
 
 
 def hole_miss_probability(
@@ -238,22 +203,3 @@ def opening_angle_deg(sigma: float, mv: float) -> Optional[float]:
     if arg > 1.0:
         return None
     return math.degrees(2.0 * math.asin(arg))
-
-
-# ----------------------------------------------------------------------
-# elementary Gaussian tail bounds (all limits nonpositive, c3 <= c2 <= c1)
-# ----------------------------------------------------------------------
-
-
-def tail_exp_bound(c1: float, c2: float, c3: float) -> float:
-    """Bound exp(-c1^2) * sqrt(pi)/2 for the tail integral of exp(-z^2)."""
-    if not (c3 <= c2 <= c1 <= 0.0):
-        raise ValueError("need c3 <= c2 <= c1 <= 0")
-    return math.exp(-c1 * c1) * _SQRT_PI / 2.0
-
-
-def tail_sq_bound(c1: float, c2: float, c3: float) -> float:
-    """Bound exp(-c1^2) * (-c2/2 + sqrt(pi)/4) for the z^2 exp(-z^2) tail."""
-    if not (c3 <= c2 <= c1 <= 0.0):
-        raise ValueError("need c3 <= c2 <= c1 <= 0")
-    return math.exp(-c1 * c1) * (-c2 / 2.0 + _SQRT_PI / 4.0)

@@ -31,9 +31,7 @@ import numpy as np
 
 __all__ = [
     "XReal",
-    "FOLD_BACKEND",
     "fold_add_logs",
-    "fold_add_logs_py",
     "sum_xreals",
 ]
 
@@ -259,17 +257,16 @@ _ONE = XReal(False, 0.0)
 # bulk folding of log-domain terms
 # ----------------------------------------------------------------------
 #
-# The grid majorants sum tens of thousands of terms per check.  The sum
-# is a strict left fold of XReal.add over the term logs (zeros encoded
-# as -inf), so the result is bit-identical to the scalar loop; a small
-# compiled kernel performs the same operation sequence when available.
+# The grid majorants sum a window's cells in one call.  The sum is a
+# strict left fold of XReal.add over the term logs (zeros encoded as
+# -inf), so for finite and -inf terms the result is bit-identical to
+# the scalar loop.
 
 
-def fold_add_logs_py(logs: Union[Sequence[float], np.ndarray]) -> float:
+def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
     """Left fold of upward-rounded log-sum-exp; -inf encodes zero terms.
 
     Returns the log magnitude of the sum (-inf if every term is zero).
-    Reference implementation; the compiled kernel mirrors it exactly.
     """
     acc = -_INF
     for lm in logs:
@@ -287,22 +284,8 @@ def fold_add_logs_py(logs: Union[Sequence[float], np.ndarray]) -> float:
     return acc
 
 
-try:  # compiled accelerator is optional
-    from . import _xsum as _xsum_mod
-
-    def _fold_compiled(logs):
-        arr = np.ascontiguousarray(logs, dtype=np.float64)
-        return _xsum_mod.fold_logs(arr)
-
-    fold_add_logs = _fold_compiled
-    FOLD_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    fold_add_logs = fold_add_logs_py
-    FOLD_BACKEND = "python"
-
-
 def sum_xreals(items: Iterable[XReal]) -> XReal:
-    """Upper-bound sum of XReal values via the active fold backend."""
+    """Upper-bound sum of XReal values via :func:`fold_add_logs`."""
     logs = [(-_INF if x.is_zero else x.log_mag) for x in items]
     lm = fold_add_logs(np.asarray(logs, dtype=np.float64))
     if lm == -_INF:

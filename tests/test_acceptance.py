@@ -25,7 +25,7 @@ from abcertify.bounds import (
     size_table,
     ten_pow,
 )
-from abcertify.certify import DEFAULT_NODE_CAP, _build_window, grid_majorant, sweep
+from abcertify.certify import _build_window, grid_majorant, sweep
 from abcertify.config import get_config
 from abcertify.fields import FieldModel, supnorm_constants
 from abcertify.kinematics import (
@@ -161,7 +161,7 @@ def test_criterion_08_grid_majorants_dominate_quadrature():
         z_cap = z_crossing(hi_t, sigma, mv, zeta)
         delta0 = rng.uniform(0.05, 1.0)
         r1 = (1.0 + rng.uniform(0.05, 1.5)) / rho(sigma, mv, z_cap)
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
+        win = _build_window(sigma, mv, zeta, s, z_cap, delta0)
         for kind in ("b3", "b4", "b5", "b6"):
             bound = grid_majorant(win, r1, kind)
             truth = window_integral_quad(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from abcertify import certify
 from abcertify.certify import (
     CSV_COLUMNS,
-    DEFAULT_NODE_CAP,
     PairResult,
     _build_window,
     _down_add,
@@ -22,7 +21,6 @@ from abcertify.certify import (
     check_pair,
     discrepancy_map,
     grid_majorant,
-    refine_pair,
     sweep,
     write_csv,
 )
@@ -91,15 +89,15 @@ def _long_window_tuples(n, seed):
 
 
 def test_build_window_empty_interval():
-    assert _build_window(1.0, 5.0, 0.1, 2.0, 2.0, 0.5, 100) is None
-    assert _build_window(1.0, 5.0, 0.1, 2.0, 1.5, 0.5, 100) is None
+    assert _build_window(1.0, 5.0, 0.1, 2.0, 2.0, 0.5) is None
+    assert _build_window(1.0, 5.0, 0.1, 2.0, 1.5, 0.5) is None
 
 
 def test_build_window_degenerate_orientation():
     # a strongly negative offset puts the interval past the turning
     # point of (z - zeta) * rho(z): the rescaled window inverts and the
     # builder falls back to the single-interval majorant
-    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 1000)
+    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     assert win is not None
     assert win.hi <= win.lo
     assert win.nodes.size == 0 and win.x.size == 0
@@ -110,7 +108,7 @@ def test_build_window_degenerate_orientation():
 def test_build_window_node_layout(cfg):
     sigma, delta0 = 1e-7, 1.0
     zeta = cfg.h(sigma)
-    win = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, delta0, DEFAULT_NODE_CAP)
+    win = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, delta0)
     assert win.nodes.size > 0
     assert np.all(win.nodes >= win.lo) and np.all(win.nodes <= win.hi)
     assert np.all(win.nodes < sigma * cfg.mv)
@@ -122,11 +120,12 @@ def test_build_window_node_layout(cfg):
     assert np.all(np.diff(win.x) >= 0.0)
 
 
-def test_build_window_node_cap(cfg):
+def test_build_window_node_cap(cfg, monkeypatch):
     sigma = 1e-7
     zeta = cfg.h(sigma)
-    full = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0, DEFAULT_NODE_CAP)
-    capped = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0, 50)
+    full = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0)
+    monkeypatch.setattr(certify, "NODE_CAP", 50)
+    capped = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0)
     assert full.nodes.size > 50
     assert 0 < capped.nodes.size <= 50
     # striding keeps the endpoints of the covered range, only thins it
@@ -138,13 +137,31 @@ def test_build_window_node_cap(cfg):
     assert g_capped.log_mag >= g_full.log_mag - 1e-12
 
 
+def test_fine_user_delta0_chunks_stay_within_cap(cfg, monkeypatch):
+    # delta0 = 1e-9 would put ~1e9 nodes in a window; the fixed cap
+    # strides the grid so no solver call sees more than NODE_CAP nodes
+    chunks = []
+    solve = certify.z_crossing_vec
+
+    def counting(*args):
+        chunks.append(np.size(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    set_name, index, mu1, mu2, mu3 = sweep_pairs(cfg, ["sigma6"])[0]
+    res = check_pair(cfg, set_name, index, mu1, mu2, mu3, delta0=1e-9)
+    assert chunks
+    assert max(chunks) <= certify.NODE_CAP
+    assert res.passed
+
+
 # ----------------------------------------------------------------------
 # single-interval majorant: kind structure
 # ----------------------------------------------------------------------
 
 
 def test_single_interval_kind_relations():
-    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 1000)
+    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     r1 = 2.0
     rho_end = rho(win.sigma, win.mv, win.z_cap)
     b3 = _single_interval_log(win, r1, "b3")
@@ -189,7 +206,7 @@ def test_grid_majorant_dominates_quadrature(kind):
         truth = window_integral_quad(kind, sigma, mv, zeta, s, z_cap, r1=r1)
         # the full grid, and the grid truncated for this kind
         for extra in ((), (r1, kind)):
-            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, *extra)
+            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
             bound = grid_majorant(win, r1, kind)
             assert not bound.is_zero
             assert bound.log_mag >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
@@ -200,8 +217,8 @@ def test_truncated_majorant_matches_full_grid(kind):
     stopped = 0
     windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
-        full = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
-        cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, r1, kind)
+        full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
+        cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         # the truncated grid is a prefix of the full one
         assert np.array_equal(cut.nodes, full.nodes[: cut.nodes.size])
         assert np.array_equal(cut.x, full.x[: cut.x.size])
@@ -228,14 +245,14 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(certify, "z_crossing_vec", counting)
-    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP, r1, kind)
+    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert calls == []
     assert win.nodes.size == 0 and win.x.size == 0
     lm = _single_interval_log(win, r1, kind)
     assert lm <= -500.0 * math.log(10.0)
     assert grid_majorant(win, r1, kind).log_mag == lm
     # without a kind the same window solves its whole grid
-    full = _build_window(sigma, mv, zeta, s, z_cap, delta0, DEFAULT_NODE_CAP)
+    full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
     assert sum(calls) == full.nodes.size > 0
 
 
@@ -247,7 +264,7 @@ def test_refinement_approaches_truth():
     truth = math.log(window_integral_quad("b4", sigma, mv, zeta, s, z_cap, r1=r1))
     logs = []
     for delta0 in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, 10 ** 6)
+        win = _build_window(sigma, mv, zeta, s, z_cap, delta0)
         logs.append(grid_majorant(win, r1, "b4").log_mag)
     # halving delta0 refines the grid (old nodes survive), so the upper
     # sum can only shrink; it stays above the true integral throughout
@@ -383,17 +400,6 @@ def test_inequality_failure_without_flags(cfg):
     assert not res.passed
     assert res.margin_log10 < 0.0
     assert res.csv_row()[10] == "FAIL"
-
-
-def test_refine_pair_sequence(cfg):
-    set_name, index, mu1, mu2, mu3 = sweep_pairs(cfg, ["sigma1"])[0]
-    base = check_pair(cfg, set_name, index, mu1, mu2, mu3)
-    seq = refine_pair(cfg, base)
-    assert [r.delta0 for r in seq] == [0.5, 0.2, 0.1, 0.05]
-    assert all(r.passed for r in seq)
-    # this pair's margin is driven by the boundary terms, not the grid
-    for r in seq:
-        assert r.margin_log10 == pytest.approx(base.margin_log10, abs=1e-3)
 
 
 def test_pair_result_pickles(cfg):

@@ -41,6 +41,24 @@ def test_bad_choice_exits_2(capsys):
     assert exc.value.code == 2
 
 
+_WIDTH_FLAGS = {
+    "sigma": ["eval", "--sigma", "{}"],
+    "delta0": ["verify", "--set", "sigma11", "--delta0", "{}"],
+    "from": ["sweep", "--from", "{}", "--to", "1e-6"],
+    "to": ["sweep", "--from", "1e-8", "--to", "{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("flag", sorted(_WIDTH_FLAGS))
+def test_bad_width_exits_2_naming_the_flag(capsys, flag, value):
+    argv = [a.format(value) for a in _WIDTH_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --{flag}:" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------
@@ -65,7 +83,6 @@ def test_eval_json_report(capsys):
     assert payload["interaction_probability"] == "1.0000×10^-200"
     assert set(payload["components"]) == {"size_term", "spread_term", "additive", "total"}
     assert payload["components"]["total"] == "1.0000×10^-101"
-    assert payload["fold_backend"] in ("compiled", "python")
     assert isinstance(payload["poly_value"], float)
 
 
@@ -280,7 +297,7 @@ def test_sweep_csv(capsys):
 
 def test_sweep_validation(capsys):
     code, out, err = run(
-        capsys, ["sweep", "--from", "0", "--to", "1e-6", "--points", "3"]
+        capsys, ["sweep", "--from", "1e-6", "--to", "1e-8", "--points", "3"]
     )
     assert code == 2
     assert "need 0 < --from" in err

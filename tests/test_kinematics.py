@@ -1,4 +1,4 @@
-"""Wave-packet kinematics: windows, crossings, densities, tail bounds."""
+"""Wave-packet kinematics: windows, crossings, derived probabilities."""
 
 import math
 
@@ -8,25 +8,19 @@ import pytest
 from abcertify.kinematics import (
     RADIUS_FACTOR,
     capture_fraction,
-    evolved_density,
     gaussian_window,
     hole_miss_probability,
     opening_angle_deg,
     packet_radius,
-    r_pair,
     rho,
-    tail_exp_bound,
-    tail_sq_bound,
     weighted_window,
     z_crossing,
-    z_crossing_pair,
     z_crossing_vec,
     z_of_sigma,
 )
 from oracles import (
     capture_fraction_quad,
     gaussian_window_quad,
-    quad_tight,
     rho_ref,
     weighted_window_quad,
 )
@@ -182,18 +176,6 @@ def test_crossing_envelope_in_sigma():
         assert z_mid <= z_ends * (1.0 + 1e-9)
 
 
-def test_pair_helpers():
-    assert z_crossing_pair(1.5, 2.0, 2.5, 5.0, 0.3) == max(
-        z_crossing(1.5, 2.0, 5.0, 0.3), z_crossing(1.5, 2.5, 5.0, 0.3)
-    )
-    expect = min(
-        5.0 * 1.0 * math.sqrt(4.0 - 1.0), 5.0 * 1.5 * math.sqrt(4.0 - 2.25)
-    )
-    assert r_pair(1.0, 1.5, 2.0, 5.0) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(ValueError):
-        r_pair(3.0, 1.0, 2.0, 5.0)
-
-
 def test_z_of_sigma_solves_config_crossing(cfg):
     for s in (1e-8, 1e-7, 1e-6, 1e-5):
         z = z_of_sigma(s, cfg)
@@ -203,27 +185,8 @@ def test_z_of_sigma_solves_config_crossing(cfg):
 
 
 # ----------------------------------------------------------------------
-# densities and derived probabilities
+# derived probabilities
 # ----------------------------------------------------------------------
-
-
-def test_evolved_density_point_value():
-    got = evolved_density(2.0, 5.0, 1.0, (0.3, 0.1, 1.2))
-    r = rho(2.0, 5.0, 1.0)
-    d2 = 0.09 + 0.01 + 0.04
-    expect = math.pi ** -1.5 * r**3 * math.exp(-d2 * r * r)
-    assert got == pytest.approx(expect, rel=1e-14)
-
-
-def test_evolved_density_normalises():
-    for sigma, zeta in ((1.0, 0.0), (2.0, 3.0), (0.5, 8.0)):
-        r = rho(sigma, 5.0, zeta)
-        mass = 4.0 * math.pi * quad_tight(
-            lambda u: u * u * evolved_density(sigma, 5.0, zeta, (u, 0.0, zeta)),
-            0.0,
-            14.0 / r,
-        )
-        assert mass == pytest.approx(1.0, rel=1e-10)
 
 
 def test_hole_miss_probability(cfg):
@@ -248,24 +211,3 @@ def test_opening_angle(cfg):
     assert angle == pytest.approx(2.0 * half, rel=1e-12)
     assert opening_angle_deg(1e-10, cfg.mv) is None
 
-
-# ----------------------------------------------------------------------
-# one-sided tail bounds
-# ----------------------------------------------------------------------
-
-
-def test_tail_bounds_dominate_quadrature():
-    rng = np.random.default_rng(41)
-    for _ in range(300):
-        c3, c2, c1 = np.sort(rng.uniform(-6.0, 0.0, 3))
-        exp_val = quad_tight(lambda t: math.exp(-t * t), c3, c2)
-        sq_val = quad_tight(lambda t: t * t * math.exp(-t * t), c3, c2)
-        assert exp_val <= tail_exp_bound(c1, c2, c3) * (1.0 + 1e-12)
-        assert sq_val <= tail_sq_bound(c1, c2, c3) * (1.0 + 1e-12)
-
-
-def test_tail_bounds_reject_bad_ordering():
-    with pytest.raises(ValueError):
-        tail_exp_bound(-1.0, -0.5, -1.5)
-    with pytest.raises(ValueError):
-        tail_sq_bound(0.5, -1.0, -1.5)
