@@ -41,7 +41,8 @@ larger, never invalid.
 * Grids larger than ``NODE_CAP`` nodes are thinned by a uniform stride.
   The cap is a fixed input guard: it bounds the nodes solved for any
   user ``delta0`` (``verify --delta0``).  No window of the full sweep
-  reaches it.
+  reaches it.  A ``delta0`` so fine that the index Z^2/delta0 overflows
+  a float raises ValueError.
 
 Without a kind, ``_build_window`` solves the whole grid, so the stop
 test never fires.
@@ -148,6 +149,10 @@ def _build_window(
         return win
     if kind is not None and _single_interval_log(win, r1, kind) <= _FLOOR_LOG:
         return win
+    if not math.isfinite(hi * hi / delta0):
+        raise ValueError(
+            f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
+        )
 
     n_start = math.ceil(lo * lo / delta0)
     while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
@@ -391,7 +396,11 @@ def check_pair(
     mu3: float,
     delta0: Optional[float] = None,
 ) -> PairResult:
-    """Certify one width pair; never raises on a well-formed config."""
+    """Certify one width pair; never raises on a well-formed config.
+
+    The one exception is a user ``delta0`` too fine to index the grid
+    (ValueError, see ``_build_window``).
+    """
     mv = cfg.mv
     r1 = cfg.r1
     sigma0 = cfg.sigma0

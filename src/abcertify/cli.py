@@ -198,7 +198,11 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
                 print(f"unknown set(s): {', '.join(bad)}", file=sys.stderr)
                 return 2
             sets = names
-    results = sweep(cfg, sets, delta0=args.delta0, jobs=max(1, args.jobs))
+    try:
+        results = sweep(cfg, sets, delta0=args.delta0, jobs=max(1, args.jobs))
+    except ValueError as exc:  # only a --delta0 too fine to index the grid
+        print(f"argument --delta0: {exc}", file=sys.stderr)
+        return 2
     failures = discrepancy_map(results)
     if args.as_json:
         payload = {

@@ -10,6 +10,17 @@ plateau functions that are exactly 1 well inside their interval and
 exactly 0 outside; all the support/flux statements below are therefore
 algebraically exact, not approximate.
 
+On a ramp the plateau is F((z-a)/eps) - F((z-b)/eps), with F the CDF of
+psi, and a profile mass is eps times a difference of G, the integral of
+F.  F and G are Chebyshev series on the left half [-1, 0], built once at
+import from a degree-128 interpolant of the bump and summed by a scalar
+Clenshaw loop; the right half follows from F(t) = 1 - F(-t).  Their
+error is ~1e-16 (``tests/test_fields.py`` holds them to 1e-14 against
+30-digit mpmath at 401 points, and the table's own mass to iota), so no
+pointwise evaluator runs a quadrature.  iota, which enters every
+certified constant, is scipy's quadrature of the bump frozen to the
+bit, so the module needs no scipy at run time.
+
 Alongside the pointwise evaluators this module carries the closed-form
 sup-norm constants of the field, potential and cutoff, the derived
 norm bundle used by the bound engine, and the ring-tail factor.
@@ -18,13 +29,11 @@ norm bundle used by the bound engine, and the ring-tail factor.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .config import ExperimentConfig
 from .xreal import XReal
@@ -33,7 +42,10 @@ __all__ = [
     "bump",
     "iota",
     "curvature_constant",
+    "bump_cdf",
+    "bump_cdf_integral",
     "plateau",
+    "plateau_mass",
     "plateau_d1",
     "plateau_d2",
     "FieldModel",
@@ -61,16 +73,18 @@ def bump(t: float) -> float:
     return math.exp(-1.0 / (1.0 - t * t))
 
 
-@lru_cache(maxsize=1)
+# The bump's mass to the bit as scipy's adaptive quadrature gives it,
+# quad(bump, -1, 1, epsabs=1e-15, epsrel=1e-14, limit=200) with an error
+# estimate below 1e-13.  Every certified constant divides by it, so it
+# is frozen rather than recomputed, and the field layer needs no scipy
+# at run time.  tests/test_fields.py recomputes it and checks it
+# against mpmath.
+_IOTA = float.fromhex("0x1.c6a650a045c5bp-2")
+
+
 def iota() -> float:
     """Normalisation of the bump: integral of exp(-1/(1-t^2)) over [-1, 1]."""
-    with warnings.catch_warnings():
-        # the explicit error check below is stricter than the default alarm
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(bump, -1.0, 1.0, epsabs=1e-15, epsrel=1e-14, limit=200)
-    if err > 1e-13:
-        raise RuntimeError(f"bump normalisation quadrature too loose: err={err:g}")
-    return val
+    return _IOTA
 
 
 @lru_cache(maxsize=1)
@@ -97,49 +111,93 @@ def _psi_d1(t: float) -> float:
 
 
 # ----------------------------------------------------------------------
+# the tabulated bump CDF
+# ----------------------------------------------------------------------
+
+_CDF_DEGREE = 128
+_Table = Tuple[float, List[float]]  # c0, then the rest highest first
+
+
+def _left_half_tables() -> Tuple[_Table, _Table, float]:
+    """Chebyshev series of F and G = int F on the left half t in [-1, 0].
+
+    x = 2t + 1 maps the half onto [-1, 1].  The bump is interpolated
+    there (its Chebyshev points stay inside (-1, 1), so 1 - t^2 > 0),
+    integrated from t = -1 and divided by its own mass, twice the half
+    mass since the bump is even: that is F.  Integrating once more gives
+    G.  The tables are stored in the order Clenshaw's recurrence takes
+    the coefficients.
+    """
+    cheb = np.polynomial.chebyshev
+
+    def half_bump(x: np.ndarray) -> np.ndarray:
+        t = (x - 1.0) / 2.0
+        return np.exp(-1.0 / (1.0 - t * t))
+
+    mass_left = cheb.chebint(cheb.chebinterpolate(half_bump, _CDF_DEGREE), lbnd=-1, scl=0.5)
+    mass = 2.0 * float(cheb.chebval(1.0, mass_left))
+    f_coef = mass_left / mass
+    g_coef = cheb.chebint(f_coef, lbnd=-1, scl=0.5)
+    f_table, g_table = (
+        (float(c[0]), [float(v) for v in c[:0:-1]]) for c in (f_coef, g_coef)
+    )
+    return f_table, g_table, mass
+
+
+def _clenshaw(table: _Table, s: float) -> float:
+    """A left-half table at t = s <= 0 (Clenshaw recurrence in x = 2s + 1)."""
+    c0, rest = table
+    x = s + s + 1.0
+    x2 = x + x
+    b1 = b2 = 0.0
+    for c in rest:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return c0 + x * b1 - b2
+
+
+def bump_cdf(t: float) -> float:
+    """F(t): mass of the normalised bump on [-1, t]; 0 below -1, 1 above 1.
+
+    The right half comes from the left one by F(t) = 1 - F(-t), so
+    F(t) + F(-t) = 1 up to one rounding, and the value is clipped into
+    [0, 1] against the table's ~1e-16 noise near t = -1.
+    """
+    if t <= -1.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    if t <= 0.0:
+        return max(0.0, _clenshaw(_F_TABLE, t))
+    return 1.0 - max(0.0, _clenshaw(_F_TABLE, -t))
+
+
+def bump_cdf_integral(t: float) -> float:
+    """G(t) = integral of F over [-1, t]; 0 below -1 and t above 1."""
+    if t <= -1.0:
+        return 0.0
+    if t >= 1.0:
+        return t
+    if t <= 0.0:
+        return _clenshaw(_G_TABLE, t)
+    # G(t) = G(0) + int_0^t (1 - F(-s)) ds = t + G(-t)
+    return t + _clenshaw(_G_TABLE, -t)
+
+
+_F_TABLE, _G_TABLE, BUMP_CDF_MASS = _left_half_tables()
+
+
+# ----------------------------------------------------------------------
 # plateau (smoothed indicator) functions
 # ----------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
-
-def _mollifier_window_integral(
-    z: float, lo: float, hi: float, eps: float, method: str
-) -> float:
-    """integral over [lo, hi] of psi((z-y)/eps)/eps dy."""
-    if hi <= lo:
-        return 0.0
-    if method == "adaptive":
-        val, _ = quad(
-            lambda y: _psi((z - y) / eps) / eps,
-            lo,
-            hi,
-            epsabs=1e-13,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return val
-    # fixed: composite Gauss-Legendre, 4 panels x 48 nodes
-    total = 0.0
-    edges = np.linspace(lo, hi, 5)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        y = mid + half * _GL_NODES
-        t = (z - y) / eps
-        vals = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ti = t[inside]
-        vals[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-        total += half * float(np.dot(_GL_WEIGHTS, vals)) / (iota() * eps)
-    return total
-
-
-def plateau(z: float, a: float, b: float, eps: float, method: str = "adaptive") -> float:
+def plateau(z: float, a: float, b: float, eps: float) -> float:
     """Smoothed indicator of [a, b]: exactly 1 on [a+eps, b-eps], 0 outside
     [a-eps, b+eps], monotone mollifier ramps in between.
 
-    Requires eps < (b - a)/2 so the two ramps cannot overlap.
+    It is the box convolved with psi_eps, F((z-a)/eps) - F((z-b)/eps).
+    Requires eps < (b - a)/2, so the two ramps cannot overlap and on
+    each ramp one of the two terms is exactly 0 or 1.
     """
     if eps <= 0.0 or eps >= (b - a) / 2.0:
         raise ValueError(f"need 0 < eps < (b-a)/2, got eps={eps!r}, a={a!r}, b={b!r}")
@@ -147,9 +205,31 @@ def plateau(z: float, a: float, b: float, eps: float, method: str = "adaptive") 
         return 0.0
     if a + eps <= z <= b - eps:
         return 1.0
-    lo = max(a, z - eps)
-    hi = min(b, z + eps)
-    return _mollifier_window_integral(z, lo, hi, eps, method)
+    if z < a + eps:
+        return bump_cdf((z - a) / eps)
+    return bump_cdf((b - z) / eps)  # 1 - F((z-b)/eps)
+
+
+def plateau_mass(lo: float, hi: float, a: float, b: float, eps: float) -> float:
+    """integral of plateau(., a, b, eps) over [lo, hi], in closed form.
+
+    The exact plateau middle plus eps times a difference of G on each
+    ramp the interval meets.
+    """
+    if hi <= lo:
+        return 0.0
+    G = bump_cdf_integral
+    total = 0.0
+    mid_lo, mid_hi = max(lo, a + eps), min(hi, b - eps)
+    if mid_hi > mid_lo:
+        total += mid_hi - mid_lo
+    seg_lo, seg_hi = max(lo, a - eps), min(hi, a + eps)
+    if seg_hi > seg_lo:
+        total += eps * (G((seg_hi - a) / eps) - G((seg_lo - a) / eps))
+    seg_lo, seg_hi = max(lo, b - eps), min(hi, b + eps)
+    if seg_hi > seg_lo:
+        total += eps * (G((b - seg_lo) / eps) - G((b - seg_hi) / eps))
+    return total
 
 
 def plateau_d1(z: float, a: float, b: float, eps: float) -> float:
@@ -196,19 +276,22 @@ def potential_ratio(cfg: ExperimentConfig) -> float:
 class FieldModel:
     """Pointwise evaluators for the field, potential, gauge and cutoff.
 
-    ``method`` selects the ramp quadrature: "adaptive" (scipy, default)
-    or "fixed" (composite Gauss-Legendre, faster for dense sampling).
+    Every profile value is a :func:`plateau` and every profile mass a
+    :func:`plateau_mass`, both read off the tabulated bump CDF, so no
+    evaluator below runs a quadrature (``tests/test_fields.py`` checks
+    that evaluating them never imports scipy).  Only
+    :meth:`flux_line_integral`, an independent check of
+    :meth:`flux_linked`, integrates numerically.
     """
 
     cfg: ExperimentConfig
-    method: str = "adaptive"
 
     # -- 1-d profiles -------------------------------------------------
 
     def profile_radial(self, r: float) -> float:
         m = self.cfg.magnet
         e = self.cfg.eps_tilde
-        return plateau(r, m.r1_tilde + e, m.r2_tilde - e, e, self.method)
+        return plateau(r, m.r1_tilde + e, m.r2_tilde - e, e)
 
     def profile_radial_d1(self, r: float) -> float:
         m = self.cfg.magnet
@@ -218,7 +301,7 @@ class FieldModel:
     def profile_axial(self, x3: float) -> float:
         m = self.cfg.magnet
         d = self.cfg.delta_tilde
-        return plateau(x3, -m.h_tilde + d, m.h_tilde - d, d, self.method)
+        return plateau(x3, -m.h_tilde + d, m.h_tilde - d, d)
 
     def profile_axial_d1(self, x3: float) -> float:
         m = self.cfg.magnet
@@ -230,74 +313,29 @@ class FieldModel:
     @cached_property
     def w_radial(self) -> float:
         """integral of the radial profile over its support."""
-        return self._profile_integral_radial(self.cfg.magnet.r1_tilde)
+        m = self.cfg.magnet
+        e = self.cfg.eps_tilde
+        return plateau_mass(m.r1_tilde, m.r2_tilde, m.r1_tilde + e, m.r2_tilde - e, e)
 
     @cached_property
     def w_axial(self) -> float:
         """integral of the axial profile over its support."""
         m = self.cfg.magnet
         d = self.cfg.delta_tilde
-        return self._cdf(
-            -m.h_tilde, m.h_tilde, -m.h_tilde + d, m.h_tilde - d, d, upper=m.h_tilde
-        )
+        return plateau_mass(-m.h_tilde, m.h_tilde, -m.h_tilde + d, m.h_tilde - d, d)
 
     @cached_property
     def normalisation(self) -> float:
         """Product of the two profile masses; divides the flux."""
         return self.w_radial * self.w_axial
 
-    def _cdf(self, lo: float, hi: float, a: float, b: float, eps: float, upper: float) -> float:
-        """integral of plateau(., a, b, eps) over [lo, min(hi, upper)].
-
-        Split into exact plateau middle plus quadrature on the ramps.
-        """
-        hi = min(hi, upper)
-        if hi <= lo:
-            return 0.0
-        total = 0.0
-        # plateau == 1 on [a+eps, b-eps]
-        p_lo, p_hi = a + eps, b - eps
-        mid_lo, mid_hi = max(lo, p_lo), min(hi, p_hi)
-        if mid_hi > mid_lo:
-            total += mid_hi - mid_lo
-        for seg_lo, seg_hi in ((max(lo, a - eps), min(hi, p_lo)), (max(lo, p_hi), min(hi, b + eps))):
-            if seg_hi > seg_lo:
-                if self.method == "adaptive":
-                    val, _ = quad(
-                        lambda u: plateau(u, a, b, eps, self.method),
-                        seg_lo,
-                        seg_hi,
-                        epsabs=1e-14,
-                        epsrel=1e-13,
-                        limit=200,
-                    )
-                else:
-                    half = 0.5 * (seg_hi - seg_lo)
-                    mid = 0.5 * (seg_lo + seg_hi)
-                    vals = [
-                        plateau(float(mid + half * t), a, b, eps, self.method)
-                        for t in _GL_NODES
-                    ]
-                    val = half * float(np.dot(_GL_WEIGHTS, vals))
-                total += val
-        return total
-
-    def _profile_integral_radial(self, r: float) -> float:
-        """integral of the radial profile over [r, r2~]."""
-        m = self.cfg.magnet
-        e = self.cfg.eps_tilde
-        if r >= m.r2_tilde:
-            return 0.0
-        return self._cdf(
-            max(r, m.r1_tilde), m.r2_tilde, m.r1_tilde + e, m.r2_tilde - e, e,
-            upper=m.r2_tilde,
-        )
-
     def radial_mass_above(self, r: float) -> float:
         """integral of the radial profile over [r, r2~] (cached full mass below r1~)."""
-        if r <= self.cfg.magnet.r1_tilde:
+        m = self.cfg.magnet
+        e = self.cfg.eps_tilde
+        if r <= m.r1_tilde:
             return self.w_radial
-        return self._profile_integral_radial(r)
+        return plateau_mass(r, m.r2_tilde, m.r1_tilde + e, m.r2_tilde - e, e)
 
     def axial_mass_below(self, x3: float) -> float:
         """integral of the axial profile over [-h~, min(x3, h~)]."""
@@ -305,7 +343,7 @@ class FieldModel:
         d = self.cfg.delta_tilde
         if x3 >= m.h_tilde:
             return self.w_axial
-        return self._cdf(-m.h_tilde, x3, -m.h_tilde + d, m.h_tilde - d, d, upper=m.h_tilde)
+        return plateau_mass(-m.h_tilde, x3, -m.h_tilde + d, m.h_tilde - d, d)
 
     # -- magnetic field -----------------------------------------------
 
@@ -391,22 +429,20 @@ class FieldModel:
             * self.w_axial
         )
 
-    def flux_line_integral(self, r: float, n: int = 2001) -> float:
+    def flux_line_integral(self, r: float) -> float:
         """Direct quadrature of a3 along a vertical line at radius r."""
+        from scipy.integrate import quad  # the only quadrature left, a check
+
         m = self.cfg.magnet
-        if self.method == "adaptive":
-            val, _ = quad(
-                lambda s: self.a3((r, 0.0, s)),
-                -m.h_tilde,
-                m.h_tilde,
-                epsabs=1e-13 * max(1.0, abs(self.cfg.flux)),
-                epsrel=1e-11,
-                limit=200,
-            )
-            return val
-        xs = np.linspace(-m.h_tilde, m.h_tilde, n)
-        vals = [self.a3((r, 0.0, s)) for s in xs]
-        return float(np.trapezoid(vals, xs))
+        val, _ = quad(
+            lambda s: self.a3((r, 0.0, s)),
+            -m.h_tilde,
+            m.h_tilde,
+            epsabs=1e-13 * max(1.0, abs(self.cfg.flux)),
+            epsrel=1e-11,
+            limit=200,
+        )
+        return val
 
     # -- gauge function outside the magnet ------------------------------
 
@@ -451,14 +487,14 @@ class FieldModel:
         x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
-        return 1.0 - plateau(r, ra, rb, re, self.method) * plateau(x3, za, zb, ze, self.method)
+        return 1.0 - plateau(r, ra, rb, re) * plateau(x3, za, zb, ze)
 
     def chi_partials(self, x: Sequence[float], sigma: float) -> np.ndarray:
         x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
-        P = plateau(r, ra, rb, re, self.method)
-        Q = plateau(x3, za, zb, ze, self.method)
+        P = plateau(r, ra, rb, re)
+        Q = plateau(x3, za, zb, ze)
         P1 = plateau_d1(r, ra, rb, re)
         Q1 = plateau_d1(x3, za, zb, ze)
         if r == 0.0:
@@ -472,8 +508,8 @@ class FieldModel:
         x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
-        P = plateau(r, ra, rb, re, self.method)
-        Q = plateau(x3, za, zb, ze, self.method)
+        P = plateau(r, ra, rb, re)
+        Q = plateau(x3, za, zb, ze)
         P1 = plateau_d1(r, ra, rb, re)
         P2 = plateau_d2(r, ra, rb, re)
         Q2 = plateau_d2(x3, za, zb, ze)

@@ -42,13 +42,6 @@ def field_model(cfg):
     return FieldModel(cfg)
 
 
-@pytest.fixture(scope="session")
-def field_model_fixed(cfg):
-    from abcertify.fields import FieldModel
-
-    return FieldModel(cfg, method="fixed")
-
-
 @pytest.fixture
 def config_file(tmp_path):
     """Write a key = value config file and return its path."""

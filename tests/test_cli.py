@@ -59,6 +59,14 @@ def test_bad_width_exits_2_naming_the_flag(capsys, flag, value):
     assert f"argument --{flag}:" in capsys.readouterr().err
 
 
+def test_too_fine_delta0_exits_2_naming_the_flag(capsys):
+    # 1e-320 passes the finite-and-positive check, but Z^2/delta0 overflows
+    code, out, err = run(capsys, ["verify", "--set", "sigma6", "--delta0", "1e-320"])
+    assert code == 2
+    assert err.startswith("argument --delta0: delta0=1e-320 is too fine")
+    assert out == ""
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------

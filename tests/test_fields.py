@@ -1,13 +1,26 @@
 """Field model: mollified profiles, potentials, gauge function, norms."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
+from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import (
+    BUMP_CDF_MASS,
     FieldModel,
     bump,
+    bump_cdf,
+    bump_cdf_integral,
     coupling_constants,
     curvature_constant,
     geometry_inverse,
@@ -49,6 +62,15 @@ def test_iota_value():
     assert iota() == pytest.approx(published.PUBLISHED_IOTA, rel=2e-4)
 
 
+def test_iota_is_the_scipy_quadrature_to_the_bit():
+    with warnings.catch_warnings():
+        # the error check below is stricter than the default alarm
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(bump, -1.0, 1.0, epsabs=1e-15, epsrel=1e-14, limit=200)
+    assert err <= 1e-13
+    assert iota() == val
+
+
 def test_curvature_constant_closed_form():
     q = 1.5 + math.sqrt(0.75)
     expect = 2.0 * math.exp(-q) * q * q * math.sqrt(1.0 - 1.0 / q)
@@ -69,19 +91,112 @@ def test_plateau_regions():
         assert plateau(z, a, b, eps) == 1.0
     for z in (0.1, 0.19999, 1.00001, 2.0):
         assert plateau(z, a, b, eps) == 0.0
-    assert plateau(a, a, b, eps) == pytest.approx(0.5, abs=1e-12)
-    assert plateau(b, a, b, eps) == pytest.approx(0.5, abs=1e-12)
+    assert plateau(a, a, b, eps) == pytest.approx(0.5, abs=1e-15)
+    assert plateau(b, a, b, eps) == pytest.approx(0.5, abs=1e-15)
     ramp = [plateau(z, a, b, eps) for z in np.linspace(a - eps, a + eps, 41)]
     assert all(0.0 <= v <= 1.0 for v in ramp)
     assert all(y >= x for x, y in zip(ramp, ramp[1:]))
 
 
-def test_plateau_methods_agree():
-    a, b, eps = 0.3, 0.9, 0.1
-    for z in np.linspace(a - eps, b + eps, 37):
-        assert plateau(z, a, b, eps, method="adaptive") == pytest.approx(
-            plateau(z, a, b, eps, method="fixed"), abs=1e-13
-        )
+def test_bump_cdf_tables_match_mpmath():
+    # 401 Chebyshev-Lobatto points of [-1, 1], clustered near both ends;
+    # F and the first moment are accumulated cell by cell at 30 digits,
+    # and G(t) = t F(t) - int_{-1}^t s psi(s) ds
+    with mpmath.workdps(30):
+        psi = lambda s: mpmath.exp(-1 / (1 - s * s))
+        mass = mpmath.quad(psi, [-1, 0, 1])
+        prev = mpmath.mpf(-1)
+        cdf = moment = mpmath.mpf(0)
+        for k in range(401):
+            t = -math.cos(math.pi * k / 400)
+            tm = mpmath.mpf(t)
+            if k:
+                cdf += mpmath.quadgl(psi, [prev, tm])
+                moment += mpmath.quadgl(lambda s: s * psi(s), [prev, tm])
+            prev = tm
+            assert abs(bump_cdf(t) - float(cdf / mass)) <= 1e-14
+            assert abs(bump_cdf_integral(t) - float((tm * cdf - moment) / mass)) <= 1e-14
+        assert iota() == pytest.approx(float(mass), rel=1e-15)
+    assert BUMP_CDF_MASS == pytest.approx(iota(), rel=1e-14)
+
+
+def _ramp_profiles():
+    """(a, b, eps) of the radial, axial and cutoff plateaus of every config."""
+    out = []
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        c = get_config(magnet, beam)
+        m, e, d = c.magnet, c.eps_tilde, c.delta_tilde
+        out.append((m.r1_tilde + e, m.r2_tilde - e, e))
+        out.append((-m.h_tilde + d, m.h_tilde - d, d))
+        for sigma in (1e-8, 1e-7, 1e-6):
+            out.extend(FieldModel(c)._chi_profiles(sigma))
+    return out
+
+
+@given(
+    profile=st.sampled_from(_ramp_profiles()),
+    f=st.floats(0.0, 1.0),
+    g=st.floats(0.0, 1.0),
+)
+def test_plateau_ramp_properties(profile, f, g):
+    a, b, eps = profile
+    lo, hi = min(f, g), max(f, g)
+    for centre, inward in ((a, 1.0), (b, -1.0)):
+        # a fraction of the way across the ramp, towards the plateau
+        v_lo = plateau(centre + inward * eps * (2.0 * lo - 1.0), a, b, eps)
+        v_hi = plateau(centre + inward * eps * (2.0 * hi - 1.0), a, b, eps)
+        assert 0.0 <= v_lo <= 1.0 and 0.0 <= v_hi <= 1.0
+        # monotone up to the table's rounding, twice the float spacing below 1
+        assert v_lo <= v_hi + 2.0**-52
+        # F(t) + F(-t) = 1, at offsets the floats hold exactly
+        s = (centre + eps * f) - centre
+        assume(centre - (centre - s) == s)
+        total = plateau(centre + s, a, b, eps) + plateau(centre - s, a, b, eps)
+        assert abs(total - 1.0) <= 1e-15
+
+
+_NO_QUADRATURE_PROBE = """
+import math, sys
+from abcertify.config import get_config
+from abcertify.fields import (
+    FieldModel, coupling_constants, iota, norm_bundle, supnorm_constants,
+)
+
+cfg = get_config("k2", "e1")
+model = FieldModel(cfg)
+m, e, d = cfg.magnet, cfg.eps_tilde, cfg.delta_tilde
+sigma = 1e-7
+(ra, _, re), (_, zb, ze) = model._chi_profiles(sigma)
+points = [
+    (m.r1_tilde + 0.7 * e, 0.0, 0.1 * m.h_tilde),  # inner radial ramp
+    (0.0, m.r2_tilde - 1.3 * e, -0.2 * m.h_tilde),  # outer radial ramp
+    (2.2e-4, 1e-5, m.h_tilde - 0.6 * d),  # axial ramp
+    (ra + 0.4 * re, 0.0, zb + 0.3 * ze),  # both cutoff ramps
+]
+iota(), supnorm_constants(cfg, sigma), norm_bundle(cfg, sigma=sigma)
+coupling_constants(cfg, sigma)
+for x in points:
+    model.b_field(x)
+    model.b_partials(x)
+    model.a3(x)
+    model.a3_partials(x)
+    model.chi_curvature(x, sigma)
+    model.radial_mass_above(math.hypot(x[0], x[1]))
+    model.axial_mass_below(x[2])
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_field_evaluators_run_no_quadrature():
+    # in a fresh interpreter the field layer, evaluated on every ramp,
+    # never imports the module a quadrature would come from
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_QUADRATURE_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_plateau_validation():
@@ -156,7 +271,7 @@ def test_flux_linked_plateaus(field_model, cfg):
         assert abs(field_model.flux_linked(float(r))) <= tol
 
 
-@pytest.mark.parametrize("model", ["field_model", "field_model_fixed"])
+@pytest.mark.parametrize("model", ["field_model"])
 def test_flux_line_integral_matches_linked(model, cfg, request):
     field_model = request.getfixturevalue(model)
     tol = 1e-9 * max(1.0, abs(cfg.flux))
