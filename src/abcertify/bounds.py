@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,18 +110,18 @@ def assembled_norms(w: Sequence[float], mv: float) -> Tuple[float, float, float,
     return (a1, a2, a3, a4, a5)
 
 
-def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...]]:
-    """Signed coefficient vectors over POWERS for the three base regimes.
+@lru_cache(maxsize=64)
+def _floor_norms(cfg: ExperimentConfig) -> Tuple[float, float, float, float, float]:
+    """The assembled constants at the axial floor (delta = h_tilde)."""
+    return assembled_norms(norm_bundle(cfg, delta=cfg.magnet.h_tilde), cfg.mv)
 
-    The operator norms are evaluated at the floor of the axial
-    fattening (= the ring half-thickness), which dominates every width,
-    so one vector serves the whole sweep range.
-    """
+
+@lru_cache(maxsize=64)
+def _calibrated(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
+    """(incoming, interacting, outgoing) vectors of one config."""
     mv = cfg.mv
     ht = cfg.magnet.h_tilde
-    a1, a2, a3, a4, a5 = assembled_norms(
-        norm_bundle(cfg, delta=ht), mv
-    )
+    a1, a2, a3, a4, a5 = _floor_norms(cfg)
     m5 = 2.0 * potential_ratio(cfg)
     r1, r2 = cfg.r1, cfg.r2
 
@@ -144,7 +145,18 @@ def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...
         3.0 * neg_half + _Z_OVER_H_CAP * ht * a5,
         0.0,
     )
-    return {"incoming": incoming, "interacting": interacting, "outgoing": outgoing}
+    return (incoming, interacting, outgoing)
+
+
+def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...]]:
+    """Signed coefficient vectors over POWERS for the three base regimes.
+
+    The operator norms are evaluated at the floor of the axial
+    fattening (= the ring half-thickness), which dominates every width,
+    so one vector serves the whole sweep range.  The vectors are
+    computed once per config; each call returns a new dict.
+    """
+    return dict(zip(("incoming", "interacting", "outgoing"), _calibrated(cfg)))
 
 
 def calibrated_poly(coeffs: Sequence[float], sigma: float) -> float:
@@ -182,9 +194,7 @@ def tail_payload(regime: str, z: float, sigma: float, cfg: ExperimentConfig) -> 
     Nonnegative for all z > 0; the calibrated polynomial dominates it
     (times the width exponential) across the certified width range.
     """
-    a1, a2, a3, a4, a5 = assembled_norms(
-        norm_bundle(cfg, delta=cfg.magnet.h_tilde), cfg.mv
-    )
+    a1, a2, a3, a4, a5 = _floor_norms(cfg)
     s1 = cfg.s1(sigma)
     zs = max(z, s1)
     smv = sigma * cfg.mv
@@ -446,7 +456,12 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
 def _bisect_log_sigma(
     f: Callable[[float], int], lo: float, hi: float, iters: int = 80
 ) -> float:
-    """Bisection on log(sigma); f returns sign (+1 above target, -1 below)."""
+    """Bisection on log(sigma); f returns sign (+1 above target, -1 below).
+
+    Runs at most ``iters`` steps, and stops early once a step leaves the
+    bracket unchanged: f is deterministic, so every later step would
+    repeat it, and the result is the one the full loop returns.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo
@@ -458,8 +473,12 @@ def _bisect_log_sigma(
     for _ in range(iters):
         lmid = 0.5 * (llo + lhi)
         if f(math.exp(lmid)) == flo:
+            if lmid == llo:
+                break
             llo = lmid
         else:
+            if lmid == lhi:
+                break
             lhi = lmid
     return math.exp(0.5 * (llo + lhi))
 

@@ -590,19 +590,21 @@ def sweep(
     """Certify every pair of the requested sets (default: all eleven).
 
     Results come back in deterministic (set, index) order regardless of
-    ``jobs``.
+    ``jobs``.  The worker count is ``jobs`` clamped to the CPU count and
+    the number of pairs; with one worker the pairs run in this process.
     """
     names = list(set_names) if set_names else list(SET_NAMES)
     job_list = sweep_pairs(cfg, names)
     args = [(cfg, job, delta0) for job in job_list]
     results: Dict[Tuple[str, int], PairResult] = {}
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(args))
+    if workers <= 1:
         for a in args:
             key, res = _run_job(a)
             results[key] = res
     else:
-        chunk = max(1, len(args) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(args) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, res in pool.map(_run_job, args, chunksize=chunk):
                 results[key] = res
     order = {name: i for i, name in enumerate(names)}

@@ -57,6 +57,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for worker counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, root: bool = False) -> None:
     # subparsers suppress defaults so a root-level flag survives; the
     # root parser supplies the real fallbacks
@@ -94,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="NAME", help="sigma1..sigma11 or all (repeatable)")
     p.add_argument("--delta0", type=_positive_float, default=None,
                    help="grid fineness override (default: per-pair rule)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (at most the CPU count)")
 
     p = sub.add_parser("field", help="field-model spot checks")
     _add_common(p)
@@ -199,7 +211,7 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
                 return 2
             sets = names
     try:
-        results = sweep(cfg, sets, delta0=args.delta0, jobs=max(1, args.jobs))
+        results = sweep(cfg, sets, delta0=args.delta0, jobs=args.jobs)
     except ValueError as exc:  # only a --delta0 too fine to index the grid
         print(f"argument --delta0: {exc}", file=sys.stderr)
         return 2

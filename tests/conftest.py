@@ -52,3 +52,19 @@ def config_file(tmp_path):
         return str(p)
 
     return _write
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """The log magnitudes XReal.to_sci_string hands its Decimal fallback."""
+    from abcertify import xreal
+
+    calls = []
+    slow = xreal._sci_string_decimal
+
+    def counting(lm):
+        calls.append(lm)
+        return slow(lm)
+
+    monkeypatch.setattr(xreal, "_sci_string_decimal", counting)
+    return calls

@@ -2,10 +2,13 @@
 
 import math
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
 
+from abcertify import bounds
 from abcertify.bounds import (
     POWERS,
     REGIMES,
@@ -107,6 +110,31 @@ def test_calibrated_coefficients_frozen(cfg, cfg_k1e1):
             else:
                 assert got == pytest.approx(want, rel=1e-6)
         assert co["incoming"][0] == pytest.approx(lead_ref, rel=1e-6)
+
+
+def test_calibrated_coefficients_cached_per_config(cfg, monkeypatch):
+    calls = []
+    real = bounds.norm_bundle
+    monkeypatch.setattr(bounds, "norm_bundle", lambda *a, **k: calls.append(a) or real(*a, **k))
+    bounds._calibrated.cache_clear()
+    bounds._floor_norms.cache_clear()
+    first = calibrated_coefficients(cfg)
+    payload = tail_payload("outgoing", 0.3, 1e-7, cfg)
+    assert len(calls) == 1
+    for _ in range(3):
+        assert calibrated_coefficients(cfg) == first
+        assert tail_payload("outgoing", 0.3, 1e-7, cfg) == payload
+    assert len(calls) == 1
+    # each caller gets its own dict; changing it leaks into no other call
+    again = calibrated_coefficients(cfg)
+    assert again is not first
+    again["outgoing"] = (0.0,) * 5
+    assert calibrated_coefficients(cfg) == first
+    # an equal config hits the cache, a different one gets its own vectors
+    assert calibrated_coefficients(replace(cfg)) == first
+    assert len(calls) == 1
+    assert calibrated_coefficients(replace(cfg, eps_scale=2.0)) != first
+    assert len(calls) == 2
 
 
 def test_coefficient_structure(cfg):
@@ -323,6 +351,54 @@ def test_threshold_round_trip(cfg):
         target = final_bound(cfg, s).total
         back = threshold_sigma(cfg, target, "small")
         assert back == pytest.approx(s, rel=1e-5)
+
+
+def _bisect_80(f, lo, hi, iters=80):
+    """The bisection before its early exit: always ``iters`` steps."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if flo == fhi:
+        raise ValueError("bound does not cross the target in the given bracket")
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(iters):
+        lmid = 0.5 * (llo + lhi)
+        if f(math.exp(lmid)) == flo:
+            llo = lmid
+        else:
+            lhi = lmid
+    return math.exp(0.5 * (llo + lhi))
+
+
+def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch):
+    calls = [0]
+    real = bounds.final_bound
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "final_bound", counting)
+    targets = [*range(1, 11), 1.5, 7.25]
+
+    def tables():
+        return (
+            size_table(any_cfg, "big", targets),
+            size_table(any_cfg, "small", targets),
+            plateau_interval(any_cfg, -99),
+            plateau_interval(any_cfg, -50),
+            angle_table(any_cfg),
+            radius_table(any_cfg),
+        )
+
+    early = tables()
+    early_calls, calls[0] = calls[0], 0
+    monkeypatch.setattr(bounds, "_bisect_log_sigma", _bisect_80)
+    assert tables() == early
+    # 48 bisections; the bracket stops moving after 51-53 of the 80 steps
+    assert early_calls <= calls[0] - 20 * 48
 
 
 def test_threshold_requires_crossing(cfg):

@@ -1,5 +1,6 @@
 """Per-pair certificates: window grids, majorants, flags, sweep plumbing."""
 
+import hashlib
 import math
 import pickle
 
@@ -440,6 +441,60 @@ def test_write_csv_round_trip(cfg, tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(results) + 1
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+# sha256 of write_csv(sweep(cfg, SETS)) for the headline config, as printed
+# by the 50-digit Decimal rendering alone (before its float fast path)
+_GOLDEN_CSV_SHA256 = {
+    ("sigma10",): "5e4b1bde3ea54b279800d7cd604571457398ced821dec8a1fd1286a7f87800b5",
+    ("sigma10", "sigma11"): "d0cccc3f7a33018ebb67e8561d7d21137bbedcbf82b76f00368b58518570a3be",
+}
+
+
+@pytest.mark.parametrize("sets", sorted(_GOLDEN_CSV_SHA256), ids="+".join)
+def test_write_csv_matches_golden_digest(cfg, tmp_path, decimal_calls, sets):
+    path = tmp_path / "pairs.csv"
+    write_csv(sweep(cfg, list(sets), jobs=1), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_CSV_SHA256[sets]
+    assert decimal_calls == []  # no cell sits in the rounding-tie band
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, want",
+    [
+        (5000, 2, [2]),  # clamped to the CPU count
+        (5000, 64, [3]),  # clamped to sigma10's 3 pairs
+        (2, 64, [2]),
+        (5000, 1, []),  # one worker: no pool at all
+        (5000, None, []),  # unknown CPU count counts as one
+        (1, 64, []),
+    ],
+)
+def test_sweep_clamps_workers(cfg, monkeypatch, jobs, cpus, want):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
+    rows = [r.csv_row() for r in sweep(cfg, ["sigma10"], jobs=jobs)]
+    assert _RecordingPool.made == want
+    assert len(rows) == FROZEN_PAIR_COUNTS["sigma10"]
 
 
 def test_discrepancy_map_orders_failures(cfg):

@@ -59,6 +59,15 @@ def test_bad_width_exits_2_naming_the_flag(capsys, flag, value):
     assert f"argument --{flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+def test_bad_jobs_exits_2_naming_the_flag(capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--set", "sigma10", "--jobs", value])
+    assert exc.value.code == 2
+    assert "argument --jobs:" in capsys.readouterr().err
+
+
 def test_too_fine_delta0_exits_2_naming_the_flag(capsys):
     # 1e-320 passes the finite-and-positive check, but Z^2/delta0 overflows
     code, out, err = run(capsys, ["verify", "--set", "sigma6", "--delta0", "1e-320"])

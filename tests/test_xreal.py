@@ -3,11 +3,13 @@
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcertify.bounds import ten_pow
 from abcertify.xreal import XReal, fold_add_logs, sum_xreals
 from oracles import mp_logsumexp, mp_sci_string
 
@@ -175,9 +177,90 @@ def test_round_trip_within_one_ulp(v):
 # ----------------------------------------------------------------------
 
 
-@given(st.floats(min_value=-2000.0, max_value=2000.0))
+# log magnitudes of size 1e-6 to ~3e11 (the bounds carry Gaussian tails
+# like exp(-5e10)), spread evenly over the decades, plus the range near 0
+sweep_log_mags = st.one_of(
+    st.floats(min_value=-2000.0, max_value=2000.0),
+    st.builds(
+        lambda u, neg: -(10.0 ** u) if neg else 10.0 ** u,
+        st.floats(min_value=-6.0, max_value=11.5),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(sweep_log_mags)
 def test_sci_string_matches_reference(lm):
     assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+
+
+def test_ten_pow_sci_string_is_exact(decimal_calls):
+    # every power of ten, rounded either way and moved by one more ulp,
+    # prints as 1.0000×10^k on the float path
+    for k in range(-3000, 3001):
+        want = f"1.0000×10^{k:+d}"
+        for direction in ("up", "down"):
+            lm = ten_pow(k, direction).log_mag
+            for x in (lm, math.nextafter(lm, -math.inf), math.nextafter(lm, math.inf)):
+                assert XReal.from_log(x).to_sci_string() == want
+    assert decimal_calls == []
+
+
+@pytest.mark.parametrize("k", [-130_000_000_017, -2_718_281_829, -31_415_927, 4_000_000_007])
+def test_sci_string_around_large_powers_of_ten(k):
+    # at |log_mag| ~ 3e11 one ulp moves log10 by ~2.5e-5, so these steps
+    # cross the integer k and test both sides of the carry
+    with mpmath.workdps(40):
+        lm = float(k * mpmath.log(10))
+    for _ in range(40):
+        lm = math.nextafter(lm, -math.inf)
+    for _ in range(80):
+        assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+        lm = math.nextafter(lm, math.inf)
+
+
+@pytest.mark.parametrize(
+    "lm",
+    [
+        -177341249954.35114,
+        -207225427234.5295,
+        -84680439506.92581,
+        651637544820974.1,
+        -854145627054886.4,
+    ],
+)
+def test_sci_string_below_a_power_of_ten(lm):
+    # lm * log10(e) rounds onto an integer k while the exact value sits
+    # 3e-6 to 0.035 below it: the mantissa is 9.2 to 9.9999 at k - 1
+    s = XReal.from_log(lm).to_sci_string()
+    assert s == mp_sci_string(lm)
+    assert s.startswith("9.")
+
+
+def test_sci_string_near_tie_takes_decimal_fallback(decimal_calls):
+    # exp(lm) = 1.23455e7 to ~1e-17 relative: the mantissa sits on a
+    # half-even tie to within the float path's error band
+    with mpmath.workdps(40):
+        lm = float(mpmath.log(mpmath.mpf("1.23455e7")))
+        m4 = mpmath.exp(mpmath.mpf(lm)) / 10**3
+        assert abs(m4 - mpmath.mpf("12345.5")) < 1e-6
+    assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+    assert decimal_calls == [lm]
+
+
+def test_sci_string_ordinary_values_stay_on_float_path(decimal_calls):
+    rng = np.random.default_rng(17)
+    mags = 10.0 ** rng.uniform(-6.0, 11.5, 500)
+    for lm in np.concatenate([mags, -mags]):
+        assert XReal.from_log(float(lm)).to_sci_string() == mp_sci_string(float(lm))
+    assert decimal_calls == []
+
+
+def test_sci_string_huge_magnitudes_take_decimal_fallback(decimal_calls):
+    for lm in (1e15, -2.5e16, 7e20):
+        assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm, dps=80)
+    assert decimal_calls == [1e15, -2.5e16, 7e20]
 
 
 def test_sci_string_carry():
