@@ -16,11 +16,10 @@ provides
 """
 
 from .config import ExperimentConfig, get_config, parse_config_file
-from .xreal import XReal, fold_add_logs, sum_xreals
+from .xreal import XReal, fold_add_logs
 from .kinematics import (
     capture_fraction,
     gaussian_window,
-    hole_miss_probability,
     opening_angle_deg,
     packet_radius,
     rho,
@@ -58,10 +57,8 @@ __all__ = [
     "parse_config_file",
     "XReal",
     "fold_add_logs",
-    "sum_xreals",
     "capture_fraction",
     "gaussian_window",
-    "hole_miss_probability",
     "opening_angle_deg",
     "packet_radius",
     "rho",

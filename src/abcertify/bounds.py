@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
-from .kinematics import z_of_sigma
+from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
 from .xreal import XReal
 
 __all__ = [
@@ -55,8 +55,6 @@ log = logging.getLogger(__name__)
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 _PI4 = math.pi ** 0.25
-
-REGIMES = ("incoming", "interacting", "outgoing", "scattering", "uniform", "detailed")
 
 # Powers of sigma carried by the calibrated coefficient vectors.
 POWERS = (1.0, 0.5, 0.0, -0.5, -1.0)
@@ -241,8 +239,7 @@ def envelope_sides(
     elif regime in ("outgoing", "scattering", "uniform"):
         lhs = lhs.add(ring_tail(cfg, sigma, 0.0, z))
 
-    key = "outgoing" if regime in ("scattering", "uniform") else regime
-    coeffs = calibrated_coefficients(cfg)[key]
+    coeffs = calibrated_coefficients(cfg)[_REGIME_TABLE[regime].poly]
     rhs = XReal.exp_neg(cfg.rate_exponent(sigma)).mul(
         XReal.from_f64(_poly_nonneg(coeffs, sigma))
     ).add(ten_pow(-420, "down"))
@@ -353,99 +350,98 @@ class BoundReport:
         ]
 
 
-def _size_exponent(cfg: ExperimentConfig, sigma: float) -> float:
-    r1 = cfg.r1
-    return r1 * r1 / (2.0 * sigma * sigma)
-
+# The published allowance 4 e^{-r1^2/2mu1^2} + c e^{-rate(mu2)} P(mu2) +
+# 10^-101 of a width pair: its size factor, the spread scale c of the
+# interacting and outgoing families, and the exponent of its slack.
+ALLOWANCE_SIZE = 4.0
+ALLOWANCE_SCALE = {"interacting": 1e-3, "outgoing": 1e-7}
+ALLOWANCE_SLACK_EXP = -101
+_ALLOWANCE_SIZE = XReal.from_f64(ALLOWANCE_SIZE)
+_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP)
 
 # Frozen display coefficients of the detailed single-line bound; kept
 # verbatim from the published table so reports match it digit for digit.
 _DETAILED = (1.04e14, 3.91e8, -1.41e3, -1.14e-2, 0.0)
 
 
-def regime_bound(
-    cfg: ExperimentConfig,
-    sigma: float,
-    regime: str,
-    integral_terms: Optional[XReal] = None,
-) -> BoundReport:
-    """Certified bound for one width and regime.
+class _Row(NamedTuple):
+    """One bound of the form :func:`_bound` evaluates."""
 
-    ``integral_terms`` replaces the blanket spread-term allowance with
-    an explicitly computed grid value (as produced by the sweep); when
-    omitted, the published blanket is used.
+    poly: Union[str, Tuple[float, ...]]  # a name picks the calibrated vector
+    size: XReal
+    offset: float
+    additive: XReal
+    allowance: float  # the published allowance's scale c, 0 for none
+
+
+_SEVEN = XReal.from_f64(7.0)
+_TWICE_1E420 = ten_pow(-420).mul(XReal.from_f64(2.0))
+_OUTGOING = _Row(
+    "outgoing", XReal.from_f64(3.0), _SQRT_2, _TWICE_1E420, ALLOWANCE_SCALE["outgoing"]
+)
+_REGIME_TABLE: Dict[str, _Row] = {
+    "incoming": _Row("incoming", XReal.zero(), _SQRT_2, ten_pow(-419), 0.0),
+    "interacting": _Row("interacting", XReal.from_f64(2.0031), 2.0,
+                        ten_pow(-420).add(ten_pow(-456)), ALLOWANCE_SCALE["interacting"]),
+    "outgoing": _OUTGOING,
+    "scattering": _OUTGOING,
+    "uniform": _OUTGOING,
+    "detailed": _Row(_DETAILED, _SEVEN, 0.0, ten_pow(-101).add(_TWICE_1E420), 0.0),
+}
+REGIMES = tuple(_REGIME_TABLE)
+# the headline bound 7 e^{-r1^2/2s^2} + 177e3 e^{-rate} + 1e-100, and the
+# envelope whose square bounds the interaction probability
+_FINAL = _Row((0.0, 0.0, 177e3, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
+_ENVELOPE = _Row((0.0, 0.0, 177001.0, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
+
+
+def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundReport:
+    """size e^{-r1^2/2sigma^2} + e^{-rate}(p + offset) + additive for one row.
+
+    p = max(0, P(sigma)) for the row's polynomial P.  A row with c > 0
+    adds the published allowance 4 e^{-r1^2/2sigma^2} + c e^{-rate} p +
+    10^-101, reported inside the additive term.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    rate = XReal.exp_neg(cfg.rate_exponent(sigma))
-    size1 = XReal.exp_neg(_size_exponent(cfg, sigma))
-
-    if regime == "detailed":
-        poly = calibrated_poly(_DETAILED, sigma)
-        spread = rate.mul(XReal.from_f64(max(0.0, poly)))
-        additive = ten_pow(-101).add(ten_pow(-420).mul(XReal.from_f64(2.0)))
-        size = size1.mul(XReal.from_f64(7.0))
-        total = size.add(spread).add(additive)
-        return BoundReport(regime, sigma, size, spread, additive, total, poly)
-
-    coeffs_map = calibrated_coefficients(cfg)
-
-    if regime == "incoming":
-        poly = calibrated_poly(coeffs_map["incoming"], sigma)
-        spread = rate.mul(XReal.from_f64(max(0.0, poly) + _SQRT_2))
-        additive = ten_pow(-419)
-        total = spread.add(additive)
-        return BoundReport(regime, sigma, XReal.zero(), spread, additive, total, poly)
-
-    if regime == "interacting":
-        coeffs = coeffs_map["interacting"]
-        poly = calibrated_poly(coeffs, sigma)
-        base_size = size1.mul(XReal.from_f64(2.0031))
-        spread = rate.mul(XReal.from_f64(max(0.0, poly) + 2.0))
-        additive = ten_pow(-420).add(ten_pow(-456))
-        if integral_terms is None:
-            integral_terms = (
-                size1.mul(XReal.from_f64(4.0))
-                .add(rate.mul(XReal.from_f64(1e-3 * max(0.0, poly))))
-                .add(ten_pow(-101))
-            )
-        size = base_size
-        total = size.add(spread).add(additive).add(integral_terms)
-        return BoundReport(regime, sigma, size, spread, additive.add(integral_terms), total, poly)
-
-    # outgoing / scattering / uniform share the worst-case vector
-    coeffs = coeffs_map["outgoing"]
+    coeffs, size_factor, offset, additive, scale = row
+    if isinstance(coeffs, str):
+        coeffs = calibrated_coefficients(cfg)[coeffs]
     poly = calibrated_poly(coeffs, sigma)
-    base_size = size1.mul(XReal.from_f64(3.0))
-    spread = rate.mul(XReal.from_f64(max(0.0, poly) + _SQRT_2))
-    additive = ten_pow(-420).mul(XReal.from_f64(2.0))
-    if integral_terms is None:
-        integral_terms = (
-            size1.mul(XReal.from_f64(4.0))
-            .add(rate.mul(XReal.from_f64(1e-7 * max(0.0, poly))))
-            .add(ten_pow(-101))
+    p = max(0.0, poly)
+    r1 = cfg.r1
+    rate = XReal.exp_neg(cfg.rate_exponent(sigma))
+    size1 = XReal.exp_neg(r1 * r1 / (2.0 * sigma * sigma))
+    size = size1.mul(size_factor)
+    spread = rate.mul(XReal.from_f64(p + offset))
+    total = size.add(spread).add(additive)
+    if scale:
+        allowance = (
+            size1.mul(_ALLOWANCE_SIZE)
+            .add(rate.mul(XReal.from_f64(scale * p)))
+            .add(_ALLOWANCE_SLACK)
         )
-    total = base_size.add(spread).add(additive).add(integral_terms)
-    return BoundReport(
-        regime, sigma, base_size, spread, additive.add(integral_terms), total, poly
-    )
+        total, additive = total.add(allowance), additive.add(allowance)
+    return BoundReport(name, sigma, size, spread, additive, total, poly)
+
+
+def regime_bound(cfg: ExperimentConfig, sigma: float, regime: str) -> BoundReport:
+    """Certified bound for one width and regime, read off the regime table.
+
+    The interacting and outgoing families (scattering and uniform share
+    the outgoing row) carry the published allowance.
+    """
+    if regime not in _REGIME_TABLE:
+        raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
+    return _bound(cfg, sigma, regime, _REGIME_TABLE[regime])
 
 
 def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:
     """The headline two-exponential bound: 7 e^{-r1^2/2s^2} + 177e3 e^{-rate} + 1e-100."""
-    size = XReal.exp_neg(_size_exponent(cfg, sigma)).mul(XReal.from_f64(7.0))
-    spread = XReal.exp_neg(cfg.rate_exponent(sigma)).mul(XReal.from_f64(177e3))
-    additive = ten_pow(-100)
-    total = size.add(spread).add(additive)
-    return BoundReport("final", sigma, size, spread, additive, total, 177e3)
+    return _bound(cfg, sigma, "final", _FINAL)
 
 
 def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
     """Upper bound on the interaction probability: the squared envelope."""
-    size = XReal.exp_neg(_size_exponent(cfg, sigma)).mul(XReal.from_f64(7.0))
-    spread = XReal.exp_neg(cfg.rate_exponent(sigma)).mul(XReal.from_f64(177001.0))
-    inner = size.add(spread).add(ten_pow(-100))
-    return inner.pow(2)
+    return _bound(cfg, sigma, "final", _ENVELOPE).total.pow(2)
 
 
 # ----------------------------------------------------------------------
@@ -493,8 +489,7 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
     """
 
     def sign(s: float) -> int:
-        c = XReal.cmp(final_bound(cfg, s).total, target)
-        return c if c != 0 else 0
+        return XReal.cmp(final_bound(cfg, s).total, target)
 
     if branch == "big":
         return _bisect_log_sigma(sign, 1e-7, 0.999 * cfg.r1)
@@ -523,8 +518,6 @@ def size_table(cfg: ExperimentConfig, branch: str, targets: Iterable[int] = rang
 
 def angle_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
     """Opening angle (degrees) at the small-branch threshold widths."""
-    from .kinematics import opening_angle_deg
-
     rows = []
     for k, ratio in size_table(cfg, "small", targets):
         sigma = ratio * cfg.r1
@@ -535,8 +528,6 @@ def angle_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
 
 def radius_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
     """99%-mass packet radius over hole radius at big-branch thresholds."""
-    from .kinematics import packet_radius
-
     rows = []
     for k, ratio in size_table(cfg, "big", targets):
         rows.append((k, packet_radius(ratio * cfg.r1) / cfg.r1))
@@ -579,8 +570,6 @@ def params_sweep(
     Infeasible geometry combinations are reported with status
     "rejected" instead of aborting the sweep.
     """
-    from dataclasses import replace
-
     if probe_sigmas is None:
         # stay inside the plateau-like region where the bound is
         # informative; near sigma_max every variant degenerates to ~1

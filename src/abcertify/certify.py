@@ -55,11 +55,18 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import calibrated_coefficients, calibrated_poly, ten_pow
+from .bounds import (
+    ALLOWANCE_SCALE,
+    ALLOWANCE_SIZE,
+    ALLOWANCE_SLACK_EXP,
+    calibrated_coefficients,
+    calibrated_poly,
+    ten_pow,
+)
 from .config import ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
@@ -519,26 +526,18 @@ def check_pair(
         .add(XReal.from_f64(c_sp + c_ss).mul(i_sp))
     )
 
+    # the published allowance of each family, rounded down
     coeffs = calibrated_coefficients(cfg)
     size1 = XReal.exp_neg(r1 * r1 / (2.0 * mu1 * mu1))
+    size = _down_mul(_down_f64(ALLOWANCE_SIZE), size1)
     rate2 = XReal.exp_neg(cfg.rate_exponent(mu2))
-    p0 = max(0.0, calibrated_poly(coeffs["interacting"], mu2))
-    p_inf = max(0.0, calibrated_poly(coeffs["outgoing"], mu2))
-    slack = ten_pow(-101, "down")
-    rhs1 = _down_add(
-        _down_add(
-            _down_mul(_down_f64(4.0), size1),
-            _down_mul(_down_mul(_down_f64(1e-3), rate2), _down_f64(p0)),
-        ),
-        slack,
-    )
-    rhs2 = _down_add(
-        _down_add(
-            _down_mul(_down_f64(4.0), size1),
-            _down_mul(_down_mul(_down_f64(1e-7), rate2), _down_f64(p_inf)),
-        ),
-        slack,
-    )
+    slack = ten_pow(ALLOWANCE_SLACK_EXP, "down")
+    rhs = []
+    for regime in ("interacting", "outgoing"):
+        p = max(0.0, calibrated_poly(coeffs[regime], mu2))
+        spread = _down_mul(_down_mul(_down_f64(ALLOWANCE_SCALE[regime]), rate2), _down_f64(p))
+        rhs.append(_down_add(_down_add(size, spread), slack))
+    rhs1, rhs2 = rhs
 
     ok1 = XReal.cmp(lhs1, rhs1) <= 0
     ok2 = XReal.cmp(lhs2, rhs2) <= 0
@@ -574,11 +573,9 @@ def check_pair(
 # ----------------------------------------------------------------------
 
 
-def _run_job(args) -> Tuple[Tuple[str, int], PairResult]:
+def _run_job(args) -> PairResult:
     cfg, job, delta0 = args
-    set_name, index, mu1, mu2, mu3 = job
-    res = check_pair(cfg, set_name, index, mu1, mu2, mu3, delta0)
-    return ((set_name, index), res)
+    return check_pair(cfg, *job, delta0)
 
 
 def sweep(
@@ -589,29 +586,19 @@ def sweep(
 ) -> List[PairResult]:
     """Certify every pair of the requested sets (default: all eleven).
 
-    Results come back in deterministic (set, index) order regardless of
+    A set named twice runs once, at its first mention.  Results come
+    back in (set, index) order, sets as first named, regardless of
     ``jobs``.  The worker count is ``jobs`` clamped to the CPU count and
     the number of pairs; with one worker the pairs run in this process.
     """
-    names = list(set_names) if set_names else list(SET_NAMES)
-    job_list = sweep_pairs(cfg, names)
-    args = [(cfg, job, delta0) for job in job_list]
-    results: Dict[Tuple[str, int], PairResult] = {}
+    names = list(dict.fromkeys(set_names or SET_NAMES))
+    args = [(cfg, job, delta0) for job in sweep_pairs(cfg, names)]
     workers = min(jobs, os.cpu_count() or 1, len(args))
     if workers <= 1:
-        for a in args:
-            key, res = _run_job(a)
-            results[key] = res
-    else:
-        chunk = max(1, len(args) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, res in pool.map(_run_job, args, chunksize=chunk):
-                results[key] = res
-    order = {name: i for i, name in enumerate(names)}
-    return [
-        results[k]
-        for k in sorted(results, key=lambda k: (order[k[0]], k[1]))
-    ]
+        return [_run_job(a) for a in args]
+    chunk = max(1, len(args) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_job, args, chunksize=chunk))
 
 
 def write_csv(results: Iterable[PairResult], path: str) -> None:

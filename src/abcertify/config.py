@@ -9,8 +9,8 @@ built in; every number can be overridden through a config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, Optional
 
 __all__ = [
     "Magnet",
@@ -88,15 +88,12 @@ class ExperimentConfig:
     flux: float = math.pi          # enclosed flux (modulo 2*pi), |flux| < 2*pi
     eps_scale: float = 1.0         # multiplies eps (fattening of the ring)
     delta_scale: float = 1.0       # multiplies delta(sigma) (axial cutoff width)
-    log_ten: float = field(default_factory=lambda: math.log(10.0))
 
     def __post_init__(self):
         if not abs(self.flux) < 2.0 * math.pi:
             raise ValueError(f"|flux| must be < 2*pi, got {self.flux!r}")
         if self.eps_scale <= 0.0 or self.delta_scale <= 0.0:
             raise ValueError("eps_scale and delta_scale must be positive")
-        if self.log_ten <= 0.0:
-            raise ValueError("log_ten must be positive")
         if self.eps >= self.magnet.r1_tilde:
             raise ValueError(
                 f"eps={self.eps:g} swallows the hole (r1_tilde="
@@ -224,7 +221,6 @@ _FLOAT_KEYS = {
     "flux",
     "params.eps_scale",
     "params.delta_scale",
-    "partition.log_ten",
 }
 
 
@@ -249,8 +245,6 @@ def apply_overrides(
             beam_kw[leaf] = value
         elif section == "params":
             top_kw[leaf] = value
-        elif section == "partition":
-            top_kw["log_ten"] = value
         else:  # flux
             top_kw["flux"] = value
     mag = replace(cfg.magnet, name=cfg.magnet.name + "*", **mag_kw) if mag_kw else cfg.magnet

@@ -19,7 +19,8 @@ error is ~1e-16 (``tests/test_fields.py`` holds them to 1e-14 against
 30-digit mpmath at 401 points, and the table's own mass to iota), so no
 pointwise evaluator runs a quadrature.  iota, which enters every
 certified constant, is scipy's quadrature of the bump frozen to the
-bit, so the module needs no scipy at run time.
+bit, so nothing in the package imports scipy; only the tests use it,
+as an independent check.
 
 Alongside the pointwise evaluators this module carries the closed-form
 sup-norm constants of the field, potential and cutoff, the derived
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,9 +280,8 @@ class FieldModel:
     Every profile value is a :func:`plateau` and every profile mass a
     :func:`plateau_mass`, both read off the tabulated bump CDF, so no
     evaluator below runs a quadrature (``tests/test_fields.py`` checks
-    that evaluating them never imports scipy).  Only
-    :meth:`flux_line_integral`, an independent check of
-    :meth:`flux_linked`, integrates numerically.
+    that evaluating them never imports scipy).  The tests check
+    :meth:`flux_linked` against a direct quadrature of :meth:`a3`.
     """
 
     cfg: ExperimentConfig
@@ -356,13 +356,6 @@ class FieldModel:
             return np.zeros(3)
         return np.array([-g * x2 / r, g * x1 / r, 0.0])
 
-    def b_magnitude(self, r: float, x3: float) -> float:
-        return abs(
-            (self.cfg.flux / self.normalisation)
-            * self.profile_radial(r)
-            * self.profile_axial(x3)
-        )
-
     def b_partials(self, x: Sequence[float]) -> np.ndarray:
         """Jacobian d B_i / d x_j (3x3), analytic."""
         x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
@@ -428,21 +421,6 @@ class FieldModel:
             * self.radial_mass_above(r)
             * self.w_axial
         )
-
-    def flux_line_integral(self, r: float) -> float:
-        """Direct quadrature of a3 along a vertical line at radius r."""
-        from scipy.integrate import quad  # the only quadrature left, a check
-
-        m = self.cfg.magnet
-        val, _ = quad(
-            lambda s: self.a3((r, 0.0, s)),
-            -m.h_tilde,
-            m.h_tilde,
-            epsabs=1e-13 * max(1.0, abs(self.cfg.flux)),
-            epsrel=1e-11,
-            limit=200,
-        )
-        return val
 
     # -- gauge function outside the magnet ------------------------------
 
@@ -522,6 +500,18 @@ class FieldModel:
 # ----------------------------------------------------------------------
 
 
+def _chi_p2(cfg: ExperimentConfig, delta: float) -> float:
+    """Sup-norm of the momentum-squared on the cutoff at axial fattening delta."""
+    io = iota()
+    N = curvature_constant()
+    eps = cfg.eps
+    return (
+        8.0 * N / (io * eps * eps)
+        + 2.0 / (io * eps * cfg.r1 * _E)
+        + 8.0 * N / (io * delta * delta)
+    )
+
+
 def supnorm_constants(cfg: ExperimentConfig, sigma: float) -> Dict[str, float]:
     """Certified sup-norms of field/potential/cutoff and their derivatives.
 
@@ -534,11 +524,9 @@ def supnorm_constants(cfg: ExperimentConfig, sigma: float) -> Dict[str, float]:
     I = geometry_inverse(cfg)
     J = potential_ratio(cfg)
     io = iota()
-    N = curvature_constant()
     et, dt = cfg.eps_tilde, cfg.delta_tilde
     eps = cfg.eps
     delta = cfg.delta(sigma)
-    r1 = cfg.r1
     return {
         "b": 1.0 / I,
         "b_perp": (1.0 / I) * (1.0 / (io * _E * et) + 1.0 / m.r1_tilde),
@@ -549,9 +537,7 @@ def supnorm_constants(cfg: ExperimentConfig, sigma: float) -> Dict[str, float]:
         "chi": 1.0,
         "chi_perp": 2.0 / (io * _E * eps),
         "chi_axial": 2.0 / (io * _E * delta),
-        "chi_p2": 8.0 * N / (io * eps * eps)
-        + 2.0 / (_E * r1 * io * eps)
-        + 8.0 * N / (io * delta * delta),
+        "chi_p2": _chi_p2(cfg, delta),
     }
 
 
@@ -578,17 +564,11 @@ def norm_bundle(
     I = geometry_inverse(cfg)
     J = potential_ratio(cfg)
     io = iota()
-    N = curvature_constant()
     eps = cfg.eps
-    r1 = cfg.r1
     dr = m.r2_tilde - m.r1_tilde
     dt = cfg.delta_tilde
 
-    chi_p2 = (
-        8.0 * N / (io * eps * eps)
-        + 2.0 / (io * eps * r1 * _E)
-        + 8.0 * N / (io * delta * delta)
-    )
+    chi_p2 = _chi_p2(cfg, delta)
     field_block = (2.0 + dr / (io * dt * _E)) / I
     m1 = chi_p2 + field_block + (4.0 / (io * delta * _E)) * J + J * J
     m2 = 2.0 * (4.0 / (io * eps * _E) + 2.0 / (io * delta * _E)) + 2.0 * J
@@ -609,19 +589,13 @@ def coupling_constants(
     m = cfg.magnet
     I = geometry_inverse(cfg)
     io = iota()
-    N = curvature_constant()
     eps = cfg.eps
     delta = cfg.delta(sigma)
-    r1 = cfg.r1
     mv = cfg.mv
     pi4 = math.pi ** 0.25
     ht = m.h_tilde
 
-    chi_p2 = (
-        8.0 * N / (io * eps * eps)
-        + 2.0 / (io * eps * r1 * _E)
-        + 8.0 * N / (io * delta * delta)
-    )
+    chi_p2 = _chi_p2(cfg, delta)
     c_pp = (chi_p2 + (4.0 * ht / I) * (4.0 / (io * eps * _E))) / (pi4 * mv) + 4.0 / (
         pi4 * io * delta * _E
     )

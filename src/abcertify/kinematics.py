@@ -9,8 +9,8 @@ function of the inverse transverse width
 evaluated at the packet centre's travelled distance z.  The module
 provides the spread profile itself, axis-window Gaussian integrals in
 the co-moving frame, the distance at which the spread crosses a given
-threshold, and the pointwise quantities (miss probability, 99%-mass
-radius, opening angle) used by the report tables.
+threshold, and the pointwise quantities (99%-mass radius, capture
+fraction, opening angle) used by the report tables.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .xreal import XReal
 
 __all__ = [
     "rho",
@@ -31,7 +30,6 @@ __all__ = [
     "z_crossing",
     "z_crossing_vec",
     "z_of_sigma",
-    "hole_miss_probability",
     "packet_radius",
     "capture_fraction",
     "opening_angle_deg",
@@ -177,14 +175,6 @@ def z_of_sigma(sigma: float, cfg: ExperimentConfig) -> float:
 # ----------------------------------------------------------------------
 # pointwise packet quantities
 # ----------------------------------------------------------------------
-
-
-def hole_miss_probability(
-    sigma: float, mv: float, zeta: float, r1: float
-) -> XReal:
-    """Upper bound on the mass outside radius r1 at centre height zeta."""
-    a = r1 * rho(sigma, mv, zeta)
-    return XReal.exp_neg(a * a)
 
 
 def packet_radius(sigma: float) -> float:

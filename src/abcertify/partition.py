@@ -80,7 +80,7 @@ def sigma_sets(cfg: ExperimentConfig) -> Dict[str, List[float]]:
     pairs cover [4.5/mv, r1_tilde/2] without gaps.
     """
     r1 = cfg.r1
-    L = cfg.log_ten
+    L = math.log(10.0)
     sets = {
         "sigma1": decade_partition(r1 / (L * 250.0), r1 / (L * 197.0), 0.0003),
         "sigma2": decade_partition(r1 / (L * 197.0), r1 / (L * 150.0), 0.0005),

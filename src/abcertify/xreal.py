@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "XReal",
     "fold_add_logs",
-    "sum_xreals",
 ]
 
 _INF = math.inf
@@ -355,12 +354,3 @@ def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
             hi, lo = lm, acc
         acc = math.nextafter(hi + math.log1p(math.exp(lo - hi)), _INF)
     return acc
-
-
-def sum_xreals(items: Iterable[XReal]) -> XReal:
-    """Upper-bound sum of XReal values via :func:`fold_add_logs`."""
-    logs = [(-_INF if x.is_zero else x.log_mag) for x in items]
-    lm = fold_add_logs(np.asarray(logs, dtype=np.float64))
-    if lm == -_INF:
-        return _ZERO
-    return XReal(False, lm)

@@ -180,6 +180,20 @@ def bump_integral_quad(rel=1e-12):
     return quad_tight(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0, rel=rel)
 
 
+def flux_line_integral(model, r):
+    """Direct quadrature of ``model.a3`` along a vertical line at radius r."""
+    m = model.cfg.magnet
+    val, _ = quad(
+        lambda s: model.a3((r, 0.0, s)),
+        -m.h_tilde,
+        m.h_tilde,
+        epsabs=1e-13 * max(1.0, abs(model.cfg.flux)),
+        epsrel=1e-11,
+        limit=200,
+    )
+    return val
+
+
 # ----------------------------------------------------------------------
 # finite differences
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Bound engine: calibration, regimes, certificates, tables, thresholds."""
 
+import hashlib
+import itertools
 import math
 
 from dataclasses import replace
@@ -31,7 +33,7 @@ from abcertify.bounds import (
     ten_pow,
     threshold_sigma,
 )
-from abcertify.config import get_config
+from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import norm_bundle
 from abcertify.xreal import XReal
 
@@ -250,6 +252,31 @@ def test_regime_report_reassembles(cfg):
             assert ulps(re.log_mag, rep.total.log_mag) <= 2.0
             labels = [k for k, _ in rep.rows()]
             assert labels == ["size_term", "spread_term", "additive", "total"]
+
+
+# sha256 over the bits of every regime_bound component, final_bound and
+# interaction_probability for the six configs at 40 widths each, as
+# printed by the four hand-written regime branches the table replaced
+_GOLDEN_BOUND_SHA256 = "30ce58424432d478b41df001598201eca67d4f6249b4131630d4be1fd1048ff2"
+
+
+def test_bounds_match_golden_digest():
+    def bits(x):
+        return f"{x.is_zero}:{x.log_mag.hex()}"
+
+    digest = hashlib.sha256()
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        cfg = get_config(magnet, beam)
+        for s in np.geomspace(1e-10, cfg.sigma_max, 40):
+            s = float(s)
+            reports = [regime_bound(cfg, s, regime) for regime in REGIMES]
+            for rep in reports + [final_bound(cfg, s)]:
+                parts = [rep.size_term, rep.spread_term, rep.additive_term, rep.total]
+                if rep.regime == "final":
+                    parts.append(interaction_probability(cfg, s))
+                line = " ".join([rep.poly_value.hex()] + [bits(t) for t in parts])
+                digest.update(line.encode())
+    assert digest.hexdigest() == _GOLDEN_BOUND_SHA256
 
 
 def test_worst_case_regimes_coincide(cfg):

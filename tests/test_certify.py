@@ -25,6 +25,7 @@ from abcertify.certify import (
     sweep,
     write_csv,
 )
+from abcertify.config import ExperimentConfig
 from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import sweep_pairs
 from abcertify.xreal import XReal
@@ -403,6 +404,45 @@ def test_inequality_failure_without_flags(cfg):
     assert res.csv_row()[10] == "FAIL"
 
 
+def test_pair_scale_tail_branch(cfg, monkeypatch):
+    # No built-in pair reaches this branch (r_pair / z_cap >= 4.9), so
+    # the crossover scale S1 is pinned halfway into the b4 window: the
+    # b6 window must end there and a b3 window carry the rest.
+    job = sweep_pairs(cfg, ["sigma10"])[0]
+    windows = []
+    build = certify._build_window
+
+    def recording(*args):
+        windows.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(certify, "_build_window", recording)
+    base = check_pair(cfg, *job)
+    assert "b3" not in [w[7] for w in windows]
+    z2, z_cap = next((w[3], w[4]) for w in windows if w[7] == "b4")
+    cut = 0.5 * (z2 + z_cap)
+    monkeypatch.setattr(ExperimentConfig, "s1", lambda self, sigma: cut)
+    windows.clear()
+    res = check_pair(cfg, *job)
+    for kind, span in (("b6", (z2, cut)), ("b3", (cut, z_cap))):
+        built = [(w[0], (w[3], w[4])) for w in windows if w[7] == kind]
+        assert len(built) == 2 and {b[1] for b in built} == {span}
+    assert res.passed and res.flags == "ok"
+    assert res.margin_log10 < base.margin_log10
+
+    # zeroing the b3 tail drops the e^{-1/2} tail term from both sides
+    majorant = certify.grid_majorant
+
+    def no_tail(win, r1, kind):
+        return XReal.zero() if kind == "b3" else majorant(win, r1, kind)
+
+    monkeypatch.setattr(certify, "grid_majorant", no_tail)
+    cut_off = check_pair(cfg, *job)
+    assert res.lhs_interacting.log_mag > cut_off.lhs_interacting.log_mag + 1.0
+    assert res.lhs_outgoing.log_mag > cut_off.lhs_outgoing.log_mag + 1.0
+    assert res.rhs_interacting == cut_off.rhs_interacting
+
+
 def test_pair_result_pickles(cfg):
     set_name, index, mu1, mu2, mu3 = sweep_pairs(cfg, ["sigma11"])[0]
     res = check_pair(cfg, set_name, index, mu1, mu2, mu3)
@@ -427,6 +467,17 @@ def test_sweep_small_sets_deterministic_across_jobs(cfg):
     # deterministic (set, index) order
     keys = [(r.set_name, r.index) for r in serial]
     assert keys == sorted(keys, key=lambda k: (k[0] != "sigma9", k[1]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_runs_a_repeated_set_once(cfg, jobs):
+    got = sweep(cfg, ["sigma10", "sigma9", "sigma10"], jobs=jobs)
+    keys = [(r.set_name, r.index) for r in got]
+    assert keys == [
+        (name, i) for name in ("sigma10", "sigma9") for i in range(FROZEN_PAIR_COUNTS[name])
+    ]
+    want = sweep(cfg, ["sigma10", "sigma9"], jobs=1)
+    assert [r.csv_row() for r in got] == [r.csv_row() for r in want]
 
 
 def test_write_csv_round_trip(cfg, tmp_path):

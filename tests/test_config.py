@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abcertify.cli import main
 from abcertify.config import (
     BEAMS,
     MAGNETS,
@@ -179,9 +180,12 @@ def test_apply_overrides(cfg):
     assert cfg.beam.mv == 1.9842e10
 
 
-def test_apply_overrides_log_ten(cfg):
-    out = apply_overrides(cfg, {"partition.log_ten": "2.5"})
-    assert out.log_ten == 2.5
+def test_config_file_rejects_log_ten(capsys, config_file):
+    # the sigma sets are fixed at ln 10; the key is no longer an option
+    path = config_file("partition.log_ten = 2.302585092994046\n")
+    assert main(["eval", "--sigma", "1e-7", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "partition.log_ten" in err
 
 
 def test_apply_overrides_unknown_key(cfg):

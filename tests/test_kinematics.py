@@ -9,7 +9,6 @@ from abcertify.kinematics import (
     RADIUS_FACTOR,
     capture_fraction,
     gaussian_window,
-    hole_miss_probability,
     opening_angle_deg,
     packet_radius,
     rho,
@@ -187,12 +186,6 @@ def test_z_of_sigma_solves_config_crossing(cfg):
 # ----------------------------------------------------------------------
 # derived probabilities
 # ----------------------------------------------------------------------
-
-
-def test_hole_miss_probability(cfg):
-    out = hole_miss_probability(1e-6, cfg.mv, 0.01, cfg.r1)
-    expect = -((cfg.r1 * rho(1e-6, cfg.mv, 0.01)) ** 2)
-    assert out.log_mag == expect
 
 
 def test_packet_radius_and_capture():

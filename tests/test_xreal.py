@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcertify.bounds import ten_pow
-from abcertify.xreal import XReal, fold_add_logs, sum_xreals
+from abcertify.xreal import XReal, fold_add_logs
 from oracles import mp_logsumexp, mp_sci_string
 
 # strategy spanning the full 600-decade working range
@@ -312,10 +312,3 @@ def test_fold_dominates_true_logsumexp():
         assert got >= ref - 1e-13 * max(1.0, abs(ref))
         assert got <= ref + 1e-9 * max(1.0, abs(ref))
 
-
-def test_sum_xreals_matches_fold():
-    rng = np.random.default_rng(5)
-    logs = rng.uniform(-300.0, 300.0, 64)
-    total = sum_xreals(XReal.from_log(l) for l in logs)
-    assert total.log_mag == pytest.approx(fold_add_logs(logs), rel=0, abs=1e-10)
-    assert sum_xreals([]).is_zero
