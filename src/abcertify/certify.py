@@ -13,7 +13,10 @@ square-root grid: nodes Z_j = sqrt(delta0 * n) partition the packet's
 co-moving window, the matching distances x_j are recovered with the
 crossing solver, and each subinterval contributes its sup.  All sums
 are folded in the extended-range log domain with upward rounding, so
-every reported left-hand side is a certified upper bound.
+every reported left-hand side is a certified upper bound.  The
+allowance is assembled with the down-rounded helpers of ``xreal``
+(``_down_f64``, ``_down_mul``, ``_down_add``), so every reported
+right-hand side is a certified lower bound of the published one.
 
 The pair certificate builds each window for one majorant kind, and only
 solves the nodes that can move that kind's bound.  All three reductions
@@ -71,7 +74,7 @@ from .config import ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
-from .xreal import XReal, fold_add_logs
+from .xreal import XReal, _down_add, _down_f64, _down_mul, fold_add_logs
 
 __all__ = [
     "PairResult",
@@ -277,8 +280,7 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     if win is None:
         return XReal.zero()
     if win.nodes.size == 0:
-        lm = _single_interval_log(win, r1, kind)
-        return XReal.zero() if lm == -_INF else XReal.from_log(lm)
+        return XReal.from_log(_single_interval_log(win, r1, kind))
 
     nodes, x = win.nodes, win.x
     gaps = np.empty(nodes.size + 1)
@@ -293,38 +295,7 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     x_right = np.append(x, win.z_cap)
     w_right = np.append(nodes, win.hi)
     L = _cell_logs(gaps, decay, x_right, w_right, win.sigma, win.mv, r1, kind)
-
-    total = fold_add_logs(L)
-    if total == -_INF:
-        return XReal.zero()
-    return XReal.from_log(total).mul(XReal.from_f64(_prefactor(kind)))
-
-
-# ----------------------------------------------------------------------
-# down-rounded helpers for the allowance (right-hand) side
-# ----------------------------------------------------------------------
-
-
-def _down_f64(v: float) -> XReal:
-    if v <= 0.0:
-        return XReal.zero()
-    return XReal.from_log(math.nextafter(math.log(v), -_INF))
-
-
-def _down_mul(a: XReal, b: XReal) -> XReal:
-    if a.is_zero or b.is_zero:
-        return XReal.zero()
-    return XReal.from_log(math.nextafter(a.log_mag + b.log_mag, -_INF))
-
-
-def _down_add(a: XReal, b: XReal) -> XReal:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    hi, lo = (a.log_mag, b.log_mag) if a.log_mag >= b.log_mag else (b.log_mag, a.log_mag)
-    lm = hi + math.log1p(math.exp(lo - hi))
-    return XReal.from_log(math.nextafter(math.nextafter(lm, -_INF), -_INF))
+    return XReal.from_log(fold_add_logs(L)).mul(XReal.from_f64(_prefactor(kind)))
 
 
 # ----------------------------------------------------------------------
@@ -545,8 +516,6 @@ def check_pair(
     def _margin(lhs: XReal, rhs: XReal) -> float:
         if lhs.is_zero:
             return math.inf
-        if rhs.is_zero:
-            return -math.inf
         return (rhs.log_mag - lhs.log_mag) / math.log(10.0)
 
     margin = min(_margin(lhs1, rhs1), _margin(lhs2, rhs2))

@@ -40,7 +40,7 @@ from .bounds import (
     ten_pow,
     threshold_sigma,
 )
-from .certify import CSV_COLUMNS, discrepancy_map, sweep, write_csv
+from .certify import CSV_COLUMNS, discrepancy_map, sweep
 from .config import ExperimentConfig, get_config, parse_config_file
 from .fields import FieldModel, supnorm_constants
 from .partition import SET_NAMES
@@ -224,11 +224,8 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
             "rows": [dict(zip(CSV_COLUMNS, r.csv_row())) for r in results],
         }
         _emit(args, _json_text(payload))
-    elif args.out:
-        write_csv(results, args.out)
     else:
-        rows = [r.csv_row() for r in results]
-        _emit(args, _csv_text(CSV_COLUMNS, rows))
+        _emit(args, _csv_text(CSV_COLUMNS, [r.csv_row() for r in results]))
     print(
         f"checked {len(results)} pairs: "
         f"{len(results) - len(failures)} passed, {len(failures)} failed",

@@ -9,7 +9,7 @@ built in; every number can be overridden through a config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional
 
 __all__ = [
@@ -27,6 +27,14 @@ _SQRT_2000 = math.sqrt(2000.0)
 _RATE = 33.0 / 34.0  # decay-rate factor in the width-dependent exponential
 
 
+def _require_finite(obj) -> None:
+    """Reject a NaN or infinite float field of a config dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Magnet:
     """Toroidal magnet: inner/outer hole radii and half-height."""
@@ -37,6 +45,7 @@ class Magnet:
     h_tilde: float   # half the ring thickness along the beam axis, cm
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 < self.r1_tilde < self.r2_tilde):
             raise ValueError(
                 f"need 0 < r1_tilde < r2_tilde, got {self.r1_tilde!r}, {self.r2_tilde!r}"
@@ -55,6 +64,7 @@ class Beam:
     mv: float  # relativistic momentum, 1/cm
 
     def __post_init__(self):
+        _require_finite(self)
         if self.v <= 0.0 or self.mv <= 0.0:
             raise ValueError("beam speed and momentum must be positive")
 
@@ -90,6 +100,7 @@ class ExperimentConfig:
     delta_scale: float = 1.0       # multiplies delta(sigma) (axial cutoff width)
 
     def __post_init__(self):
+        _require_finite(self)
         if not abs(self.flux) < 2.0 * math.pi:
             raise ValueError(f"|flux| must be < 2*pi, got {self.flux!r}")
         if self.eps_scale <= 0.0 or self.delta_scale <= 0.0:
@@ -238,6 +249,8 @@ def apply_overrides(
             value = float(raw)
         except (TypeError, ValueError):
             raise ValueError(f"config key {key!r}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"config key {key!r}: expected a finite number, got {raw!r}")
         section, _, leaf = key.partition(".")
         if section == "magnet":
             mag_kw[leaf] = value

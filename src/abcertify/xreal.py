@@ -1,16 +1,19 @@
-"""Extended-range nonnegative arithmetic for certified upper bounds.
+"""Extended-range nonnegative arithmetic for certified bounds.
 
 The certification pipeline multiplies Gaussian tails like exp(-5e10) by
 polynomial prefactors around 1e14.  IEEE binary64 underflows at
 ~1e-308, so such quantities are carried in the log domain: a value is
-either exactly zero or ``exp(log_mag)`` for a binary64 ``log_mag``
-(natural log).  That representation is comfortable for magnitudes down
-to 10**(-10**8) and beyond.
+``exp(log_mag)`` for a binary64 ``log_mag`` (natural log), and zero is
+``log_mag == -inf``.  That representation is comfortable for magnitudes
+down to 10**(-10**8) and beyond.
 
-Every operation that rounds is rounded *upward* (one ulp on the log
-magnitude), so any chain of ``add``/``mul``/``pow`` starting from exact
-inputs yields a machine-checked upper bound of the true real-number
-result.  The one deliberate boundary: ``exp_neg(x)`` treats its
+Every ``XReal`` operation that rounds is rounded *upward* (one ulp on
+the log magnitude), so any chain of ``add``/``mul``/``pow`` starting
+from exact inputs yields a machine-checked upper bound of the true
+real-number result.  The helpers ``_down_f64``, ``_down_mul`` and
+``_down_add`` round *downward*, for lower bounds (the certificate's
+allowance side); both directions share the one log-sum step
+``_log_add``.  The one deliberate boundary: ``exp_neg(x)`` treats its
 binary64 argument ``x`` as exact.  Callers are expected to build ``x``
 with ordinary float arithmetic rounded in the safe direction before
 crossing into this module.
@@ -18,7 +21,8 @@ crossing into this module.
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the
 like) stay in plain binary64 until their final nonnegative combination
-is lifted via ``from_f64``.
+is lifted via ``from_f64``.  There are no operators: values combine
+through the named methods and order through ``XReal.cmp``.
 
 Rendering (``to_sci_string``) certifies nothing; it prints a value's
 five significant digits.  It runs in plain floats: a double-double
@@ -82,27 +86,48 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
+def _down(x: float) -> float:
+    """Round a log magnitude one ulp toward -inf."""
+    return math.nextafter(x, -_INF)
+
+
+def _log_add(a: float, b: float) -> float:
+    """log(e^a + e^b) before rounding: the one log-sum step.
+
+    A -inf side (zero) returns the other side and a +inf side absorbs,
+    both exactly.  Callers round the result in their own direction.
+    """
+    if a < b:
+        a, b = b, a
+    if b == -_INF or a == _INF:
+        return a
+    # shifted log-sum-exp; exp(b - a) <= 1 so no overflow
+    return a + math.log1p(math.exp(b - a))
+
+
 class XReal:
     """A nonnegative extended-range scalar, stored as a natural log.
 
-    Instances are immutable.  Arithmetic is available both as methods
-    (``a.add(b)``) and operators (``a + b``); comparisons order by true
-    value.  All rounding is upward, so results are certified upper
-    bounds of the exact real arithmetic.
+    Instances are immutable; zero is ``log_mag == -inf``.  All rounding
+    is upward, so results are certified upper bounds of the exact real
+    arithmetic.
     """
 
-    __slots__ = ("is_zero", "log_mag")
+    __slots__ = ("log_mag",)
 
-    def __init__(self, is_zero: bool, log_mag: float):
-        object.__setattr__(self, "is_zero", bool(is_zero))
-        object.__setattr__(self, "log_mag", 0.0 if is_zero else float(log_mag))
+    def __init__(self, log_mag: float):
+        object.__setattr__(self, "log_mag", log_mag)
 
     def __setattr__(self, name, value):
         raise AttributeError("XReal instances are immutable")
 
     def __reduce__(self):
         # immutability breaks the default slot-based pickling
-        return (XReal, (self.is_zero, self.log_mag))
+        return (XReal, (self.log_mag,))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.log_mag == -_INF
 
     # ------------------------------------------------------------------
     # constructors
@@ -118,10 +143,10 @@ class XReal:
 
     @staticmethod
     def from_log(log_mag: float) -> "XReal":
-        """The value exp(log_mag), exactly (no inflation)."""
+        """The value exp(log_mag), exactly (no inflation); -inf is zero."""
         if math.isnan(log_mag):
             raise ValueError("log magnitude must not be NaN")
-        return XReal(False, log_mag)
+        return XReal(float(log_mag))
 
     @staticmethod
     def from_f64(value: float) -> "XReal":
@@ -134,9 +159,7 @@ class XReal:
             raise ValueError(f"expected a nonnegative value, got {value!r}")
         if value == 0.0:
             return _ZERO
-        if math.isinf(value):
-            return XReal(False, _INF)
-        return XReal(False, _up(math.log(value)))
+        return XReal(_up(math.log(value)))
 
     @staticmethod
     def exp_neg(x: float) -> "XReal":
@@ -147,55 +170,36 @@ class XReal:
         """
         if math.isnan(x) or x < 0.0:
             raise ValueError(f"exp_neg expects x >= 0, got {x!r}")
-        if math.isinf(x):
-            return _ZERO
-        return XReal(False, -x)
+        return XReal(-x)
 
     # ------------------------------------------------------------------
     # arithmetic (all upward-rounded)
     # ------------------------------------------------------------------
 
     def add(self, other: "XReal") -> "XReal":
-        if self.is_zero:
+        # adding zero is exact, so it skips the rounding step
+        if self.log_mag == -_INF:
             return other
-        if other.is_zero:
+        if other.log_mag == -_INF:
             return self
-        a, b = self.log_mag, other.log_mag
-        if a >= b:
-            hi, lo = a, b
-        else:
-            hi, lo = b, a
-        if math.isinf(hi):
-            return XReal(False, hi)
-        # shifted log-sum-exp; exp(lo-hi) <= 1 so no overflow
-        return XReal(False, _up(hi + math.log1p(math.exp(lo - hi))))
+        return XReal(_up(_log_add(self.log_mag, other.log_mag)))
 
     def mul(self, other: "XReal") -> "XReal":
-        if self.is_zero or other.is_zero:
+        if self.log_mag == -_INF or other.log_mag == -_INF:
             return _ZERO
-        return XReal(False, _up(self.log_mag + other.log_mag))
+        return XReal(_up(self.log_mag + other.log_mag))
 
     def pow(self, p: float) -> "XReal":
-        if self.is_zero:
+        if self.log_mag == -_INF:
             if p > 0:
                 return _ZERO
             raise ValueError("0 cannot be raised to a nonpositive power")
-        return XReal(False, _up(self.log_mag * p))
+        return XReal(_up(self.log_mag * p))
 
     @staticmethod
     def cmp(a: "XReal", b: "XReal") -> int:
         """-1, 0 or +1 as a <, ==, > b (by represented value)."""
-        if a.is_zero and b.is_zero:
-            return 0
-        if a.is_zero:
-            return -1
-        if b.is_zero:
-            return 1
-        if a.log_mag < b.log_mag:
-            return -1
-        if a.log_mag > b.log_mag:
-            return 1
-        return 0
+        return (a.log_mag > b.log_mag) - (a.log_mag < b.log_mag)
 
     # ------------------------------------------------------------------
     # conversions
@@ -203,8 +207,6 @@ class XReal:
 
     def to_f64_clamped(self) -> float:
         """Nearest binary64, saturating to 0.0 / inf out of range."""
-        if self.is_zero:
-            return 0.0
         try:
             return math.exp(self.log_mag)  # underflows to 0.0 gracefully
         except OverflowError:
@@ -231,8 +233,6 @@ class XReal:
         Ties and |log_mag| >= 1e15 go to the 50-digit ``Decimal``
         fallback, so the string is the ``Decimal`` one for every input.
         """
-        if self.is_zero:
-            return "0"
         lm = self.log_mag
         if math.isinf(lm):
             return "inf" if lm > 0 else "0"
@@ -270,87 +270,49 @@ class XReal:
         digits = str(n)
         return f"{digits[0]}.{digits[1:]}×10^{e:+d}"
 
-    # ------------------------------------------------------------------
-    # operators / protocol glue
-    # ------------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, XReal):
-            return self.add(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, XReal):
-            return self.mul(other)
-        return NotImplemented
-
-    def __pow__(self, p):
-        if isinstance(p, (int, float)):
-            return self.pow(p)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, XReal):
-            return XReal.cmp(self, other) == 0
-        return NotImplemented
-
-    def __lt__(self, other):
-        return XReal.cmp(self, other) < 0
-
-    def __le__(self, other):
-        return XReal.cmp(self, other) <= 0
-
-    def __gt__(self, other):
-        return XReal.cmp(self, other) > 0
-
-    def __ge__(self, other):
-        return XReal.cmp(self, other) >= 0
-
-    def __hash__(self):
-        return hash((self.is_zero, self.log_mag))
-
-    def __bool__(self):
-        return not self.is_zero
-
     def __repr__(self):
         if self.is_zero:
             return "XReal.zero()"
         return f"XReal.from_log({self.log_mag!r})"
 
-    def __str__(self):
-        return self.to_sci_string()
 
-
-_ZERO = XReal(True, 0.0)
-_ONE = XReal(False, 0.0)
-
-
-# ----------------------------------------------------------------------
-# bulk folding of log-domain terms
-# ----------------------------------------------------------------------
-#
-# The grid majorants sum a window's cells in one call.  The sum is a
-# strict left fold of XReal.add over the term logs (zeros encoded as
-# -inf), so for finite and -inf terms the result is bit-identical to
-# the scalar loop.
+_ZERO = XReal(-_INF)
+_ONE = XReal(0.0)
 
 
 def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
-    """Left fold of upward-rounded log-sum-exp; -inf encodes zero terms.
+    """Log magnitude of a sum of terms given by their logs (-inf is zero).
 
-    Returns the log magnitude of the sum (-inf if every term is zero).
+    A strict left fold of ``XReal.add``, bit for bit; the grid
+    majorants sum a window's cells with it.  -inf if every term is zero.
     """
     acc = -_INF
-    for lm in logs:
-        lm = float(lm)
-        if lm == -_INF:
-            continue
-        if acc == -_INF:
-            acc = lm
-            continue
-        if acc >= lm:
-            hi, lo = acc, lm
-        else:
-            hi, lo = lm, acc
-        acc = math.nextafter(hi + math.log1p(math.exp(lo - hi)), _INF)
+    for lm in np.asarray(logs, dtype=np.float64).tolist():
+        if lm != -_INF:  # _up inlined: this loop runs per grid cell
+            acc = lm if acc == -_INF else math.nextafter(_log_add(acc, lm), _INF)
     return acc
+
+
+# down-rounded helpers, for lower bounds (the allowance side)
+
+
+def _down_f64(v: float) -> XReal:
+    """Lower bound of a binary64 value; nonpositive values give zero."""
+    if v <= 0.0:
+        return _ZERO
+    return XReal.from_log(_down(math.log(v)))
+
+
+def _down_mul(a: XReal, b: XReal) -> XReal:
+    if a.log_mag == -_INF or b.log_mag == -_INF:
+        return _ZERO
+    return XReal(_down(a.log_mag + b.log_mag))
+
+
+def _down_add(a: XReal, b: XReal) -> XReal:
+    # adding zero is exact; otherwise two downward steps
+    if a.log_mag == -_INF:
+        return b
+    if b.log_mag == -_INF:
+        return a
+    return XReal(_down(_down(_log_add(a.log_mag, b.log_mag))))

@@ -358,6 +358,16 @@ def test_params_rejected_scale(capsys):
     assert "swallows the hole" in row[3]
 
 
+def test_params_rejects_non_finite_scale(capsys):
+    code, out, err = run(
+        capsys, ["params", "--sweep", "--eps-scales", "1", "--delta-scales", "nan"]
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[2] == "rejected"
+    assert "delta_scale must be finite" in row[3]
+
+
 def test_params_bad_scale_list(capsys):
     code, out, err = run(
         capsys, ["params", "--sweep", "--eps-scales", "a,b", "--delta-scales", "1"]

@@ -1,6 +1,7 @@
 """Experiment data sets: literals, derived geometry, and overrides."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,37 @@ def test_config_file_rejects_log_ten(capsys, config_file):
     assert main(["eval", "--sigma", "1e-7", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "partition.log_ten" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("magnet.h_tilde", "inf"),
+        ("beam.mv", "nan"),
+        ("params.delta_scale", "nan"),
+        ("params.eps_scale", "inf"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["eval", "--sigma", "1e-7"], ["verify", "--set", "sigma10"]])
+def test_config_file_rejects_non_finite(capsys, config_file, key, value, argv):
+    path = config_file(f"{key} = {value}\n")
+    assert main(argv + ["--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "configuration error" in captured.err and key in captured.err
+
+
+def test_non_finite_fields_rejected(cfg):
+    with pytest.raises(ValueError, match="h_tilde must be finite"):
+        replace(cfg.magnet, h_tilde=math.inf)
+    with pytest.raises(ValueError, match="r2_tilde must be finite"):
+        replace(cfg.magnet, r2_tilde=math.inf)
+    with pytest.raises(ValueError, match="energy_kev must be finite"):
+        replace(cfg.beam, energy_kev=math.nan)
+    with pytest.raises(ValueError, match="v must be finite"):
+        replace(cfg.beam, v=math.nan)
+    with pytest.raises(ValueError, match="delta_scale must be finite"):
+        replace(cfg, delta_scale=math.nan)
 
 
 def test_apply_overrides_unknown_key(cfg):

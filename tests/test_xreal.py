@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcertify.bounds import ten_pow
-from abcertify.xreal import XReal, fold_add_logs
+from abcertify.xreal import XReal, _down_add, _down_f64, _down_mul, _log_add, fold_add_logs
 from oracles import mp_logsumexp, mp_sci_string
 
 # strategy spanning the full 600-decade working range
@@ -58,6 +58,21 @@ def test_exp_neg_is_exact():
     x = XReal.exp_neg(230.2585093)
     assert x.log_mag == -230.2585093
     assert x.to_sci_string() == "1.0000×10^-100"
+
+
+def test_log_minus_inf_is_zero():
+    z = XReal.from_log(-math.inf)
+    assert z.is_zero
+    with pytest.raises(AttributeError):
+        z.is_zero = False
+    assert XReal.cmp(z, XReal.zero()) == 0 and XReal.cmp(XReal.zero(), z) == 0
+    assert XReal.cmp(z, XReal.from_log(-1e300)) == -1
+    assert z.add(z).is_zero
+    assert z.mul(XReal.one()).is_zero and XReal.from_f64(3.0).mul(z).is_zero
+    assert z.pow(2).is_zero
+    assert z.to_sci_string() == "0" and z.to_f64_clamped() == 0.0
+    assert XReal.exp_neg(math.inf).is_zero
+    assert pickle.loads(pickle.dumps(z)).is_zero
 
 
 def test_immutable_and_picklable():
@@ -145,7 +160,7 @@ def test_add_and_mul_are_monotone(la, lb, lc, ld):
 # ----------------------------------------------------------------------
 
 
-def test_cmp_and_operators():
+def test_cmp_orders_by_value():
     small = XReal.from_log(-500.0)
     big = XReal.from_log(500.0)
     z = XReal.zero()
@@ -153,9 +168,8 @@ def test_cmp_and_operators():
     assert XReal.cmp(small, XReal.from_log(-500.0)) == 0
     assert XReal.cmp(z, small) == -1 and XReal.cmp(small, z) == 1
     assert XReal.cmp(z, XReal.zero()) == 0
-    assert small < big and big > small and small != big
-    assert XReal.from_log(1.0) == XReal.from_log(1.0)
-    assert (XReal.one() == 1.0) is False
+    assert XReal.cmp(small, big) != 0
+    assert XReal.cmp(XReal.from_log(1.0), XReal.from_log(1.0)) == 0
 
 
 def test_to_f64_clamped_edges():
@@ -280,8 +294,8 @@ def left_fold_add(logs):
     """The scalar loop the fold stands for: XReal.add over the terms."""
     acc = XReal.zero()
     for lm in logs:
-        acc = acc.add(XReal.zero() if lm == -math.inf else XReal.from_log(float(lm)))
-    return -math.inf if acc.is_zero else acc.log_mag
+        acc = acc.add(XReal.from_log(float(lm)))
+    return acc.log_mag
 
 
 def test_fold_is_left_fold_of_add():
@@ -312,3 +326,57 @@ def test_fold_dominates_true_logsumexp():
         assert got >= ref - 1e-13 * max(1.0, abs(ref))
         assert got <= ref + 1e-9 * max(1.0, abs(ref))
 
+
+# ----------------------------------------------------------------------
+# down-rounded helpers (lower bounds)
+# ----------------------------------------------------------------------
+
+
+@given(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_down_helpers_never_exceed_truth(a, b):
+    xa, xb = _down_f64(a), _down_f64(b)
+    assert xa.log_mag <= math.log(a)
+    with mpmath.workdps(50):
+        true_mul = float(mpmath.log(mpmath.mpf(a) * mpmath.mpf(b)))
+        true_add = float(
+            mpmath.log(
+                mpmath.exp(mpmath.mpf(xa.log_mag))
+                + mpmath.exp(mpmath.mpf(xb.log_mag))
+            )
+        )
+    # down-rounding may land exactly on the correctly rounded value, so
+    # allow the comparison itself one representable step of slack
+    assert _down_mul(xa, xb).log_mag <= true_mul + math.ulp(max(1.0, abs(true_mul)))
+    assert _down_add(xa, xb).log_mag <= true_add + math.ulp(max(1.0, abs(true_add)))
+
+
+def test_down_helpers_zero_and_tightness():
+    assert _down_f64(0.0).is_zero
+    assert _down_f64(-3.0).is_zero
+    z = XReal.zero()
+    one = _down_f64(1.0)
+    assert _down_add(z, one).log_mag == one.log_mag
+    assert _down_add(one, z).log_mag == one.log_mag
+    assert _down_mul(z, one).is_zero
+    # down-rounding costs at most a few ulps
+    x = _down_f64(math.pi)
+    assert math.log(math.pi) - x.log_mag <= 4 * math.ulp(math.log(math.pi))
+
+
+def test_log_add_infinities_are_exact():
+    inf = math.inf
+    assert _log_add(-inf, 2.5) == 2.5 and _log_add(2.5, -inf) == 2.5
+    assert _log_add(-inf, -inf) == -inf
+    assert _log_add(inf, 2.5) == inf and _log_add(inf, inf) == inf
+    assert _log_add(inf, -inf) == inf
+
+
+@given(log_mags, log_mags)
+def test_up_and_down_add_bracket_the_step(la, lb):
+    step = _log_add(la, lb)
+    up = XReal.from_log(la).add(XReal.from_log(lb)).log_mag
+    down = _down_add(XReal.from_log(la), XReal.from_log(lb)).log_mag
+    assert down < step < up
