@@ -18,7 +18,6 @@ provides
 from .config import ExperimentConfig, get_config, parse_config_file
 from .xreal import XReal, fold_add_logs
 from .kinematics import (
-    capture_fraction,
     gaussian_window,
     opening_angle_deg,
     packet_radius,
@@ -57,7 +56,6 @@ __all__ = [
     "parse_config_file",
     "XReal",
     "fold_add_logs",
-    "capture_fraction",
     "gaussian_window",
     "opening_angle_deg",
     "packet_radius",

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
 from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
 from .xreal import XReal
@@ -53,8 +53,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
-_PI4 = math.pi ** 0.25
 
 # Powers of sigma carried by the calibrated coefficient vectors.
 POWERS = (1.0, 0.5, 0.0, -0.5, -1.0)
@@ -204,14 +202,11 @@ def tail_payload(regime: str, z: float, sigma: float, cfg: ExperimentConfig) -> 
         - z * a1 / 2.0
         - (z / math.sqrt(sigma)) * a3 / 2.0
     )
-    if regime == "incoming":
+    family = _envelope_family(regime)
+    if family == "incoming":
         return base
     extra = z * a4 + (z / math.sqrt(sigma)) * a5
-    if regime == "interacting":
-        return base + extra
-    if regime in ("outgoing", "scattering", "uniform"):
-        return 3.0 * base + extra
-    raise ValueError(f"unknown regime {regime!r}")
+    return base + extra if family == "interacting" else 3.0 * base + extra
 
 
 def envelope_sides(
@@ -233,13 +228,14 @@ def envelope_sides(
     lhs = XReal.exp_neg(w * w / 2.0).mul(
         XReal.from_f64(max(0.0, tail_payload(regime, z, sigma, cfg)))
     )
-    if regime == "interacting":
+    family = _envelope_family(regime)
+    if family == "interacting":
         zz = z if zeta is None else zeta
         lhs = lhs.add(ring_tail(cfg, sigma, zz, z).mul(XReal.from_f64(0.5)))
-    elif regime in ("outgoing", "scattering", "uniform"):
+    elif family == "outgoing":
         lhs = lhs.add(ring_tail(cfg, sigma, 0.0, z))
 
-    coeffs = calibrated_coefficients(cfg)[_REGIME_TABLE[regime].poly]
+    coeffs = calibrated_coefficients(cfg)[family]
     rhs = XReal.exp_neg(cfg.rate_exponent(sigma)).mul(
         XReal.from_f64(_poly_nonneg(coeffs, sigma))
     ).add(ten_pow(-420, "down"))
@@ -306,7 +302,7 @@ def interval_certificates(
     record("ring_factor_cap", 2.9127e5 - ring, ring)
 
     spread = np.sqrt((hi_grid * hi_grid * mv) ** 2 + z_hi ** 2) / (hi_grid * mv)
-    mid = np.sqrt(hi_grid ** 2 + (33.0 / 34.0) * z_hi ** 2 / 2000.0)
+    mid = np.sqrt(hi_grid ** 2 + _RATE * z_hi ** 2 / _RATE_CAP)
     record(
         "spread_ratio_cap",
         np.minimum(mid - spread, 0.0015 - mid),
@@ -395,6 +391,20 @@ _FINAL = _Row((0.0, 0.0, 177e3, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
 _ENVELOPE = _Row((0.0, 0.0, 177001.0, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
 
 
+def _regime_row(regime: str) -> _Row:
+    if regime not in _REGIME_TABLE:
+        raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
+    return _REGIME_TABLE[regime]
+
+
+def _envelope_family(regime: str) -> str:
+    """The calibrated family (incoming, interacting, outgoing) of a regime."""
+    family = _regime_row(regime).poly
+    if not isinstance(family, str):
+        raise ValueError(f"regime {regime!r} has no envelope certificate")
+    return family
+
+
 def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundReport:
     """size e^{-r1^2/2sigma^2} + e^{-rate}(p + offset) + additive for one row.
 
@@ -429,9 +439,7 @@ def regime_bound(cfg: ExperimentConfig, sigma: float, regime: str) -> BoundRepor
     The interacting and outgoing families (scattering and uniform share
     the outgoing row) carry the published allowance.
     """
-    if regime not in _REGIME_TABLE:
-        raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    return _bound(cfg, sigma, regime, _REGIME_TABLE[regime])
+    return _bound(cfg, sigma, regime, _regime_row(regime))
 
 
 def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:

@@ -26,10 +26,13 @@ node merges two cells and the merged cell takes the larger of their
 sups.  So each reduction can only make the certified left-hand side
 larger, never invalid.
 
-* Floor first: the single-interval majorant needs only the window's
-  ends, so it is computed before any node is solved.  When it already
-  sits below 1e-500 -- hundreds of orders below every right-hand side
-  -- the window keeps no nodes and nothing is solved or folded.
+* Floor first: the majorant with no interior nodes is the one cell
+  [s, z_cap] of the cell formula ``_cell_logs``, and needs only the
+  window's ends, so it is computed before any node is solved and kept
+  on the window.  When it already sits below 1e-500 -- hundreds of
+  orders below every right-hand side -- the window keeps no nodes,
+  nothing is solved or folded, and ``grid_majorant`` returns the kept
+  value.
 * Truncation: nodes are solved in chunks (128, then doubling), and the
   grid ends at the first node Z_J whose remaining cell [x_J, z_cap],
   bounded by (z_cap - x_J) e^{-Z_J^2/2} times the weight's sup at
@@ -70,7 +73,7 @@ from .bounds import (
     calibrated_poly,
     ten_pow,
 )
-from .config import ExperimentConfig
+from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
@@ -86,11 +89,9 @@ __all__ = [
     "majorant_window",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-_PI4 = math.pi ** 0.25
 _INF = math.inf
 
-# single-interval majorants below this (log10) skip the fine grid
+# one-cell majorants below this (log10) skip the fine grid
 _FLOOR_LOG10 = -500.0
 _FLOOR_LOG = _FLOOR_LOG10 * math.log(10.0)
 
@@ -104,6 +105,10 @@ NODE_CAP = 30_000
 _STOP_LOG = -60.0 * math.log(2.0)
 _FIRST_CHUNK = 128
 
+# the prefactor of each majorant kind, lifted once
+_PI4_RT2 = XReal.from_f64(_PI4 / math.sqrt(2.0))
+_PREFACTOR = dict(b3=_PI4_RT2, b4=_PI4_RT2, b5=XReal.from_f64(1.0 / math.sqrt(2.0)), b6=_PI4_RT2)
+
 
 # ----------------------------------------------------------------------
 # square-root-grid step majorants
@@ -115,20 +120,22 @@ class majorant_window:
     """Precomputed geometry of one majorant window.
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
-    integration interval, ``zeta`` the co-moving offset (the fattened
-    half-height), and lo/hi the induced window in the rescaled
-    variable.
+    integration interval, and lo/hi the induced window in the rescaled
+    variable.  A window built for one kind keeps that kind, its ``r1``
+    and its one-cell majorant (the floor test's value).
     """
 
     sigma: float
     mv: float
-    zeta: float
     s: float
     z_cap: float
     lo: float
     hi: float
     nodes: np.ndarray  # rescaled grid values Z_j (may be empty)
     x: np.ndarray      # matching distances, s <= x_1 <= ... <= z_cap
+    r1: Optional[float] = None
+    kind: Optional[str] = None
+    one_cell: Optional[XReal] = None
 
 
 def _build_window(
@@ -145,7 +152,7 @@ def _build_window(
 
     Without a ``kind`` every grid node is solved.  With one (and its
     ``r1``) the window serves that majorant only: it keeps no nodes
-    when the single-interval majorant is already below the floor, and
+    when its one-cell majorant is already below the floor, and
     otherwise solves nodes in growing chunks and ends the grid at the
     first node whose remaining cell is negligible (see the module
     docstring).
@@ -154,10 +161,12 @@ def _build_window(
         return None
     lo = (s - zeta) * rho(sigma, mv, s)
     hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
-    win = majorant_window(sigma, mv, zeta, s, z_cap, lo, hi, np.empty(0), np.empty(0))
+    win = majorant_window(sigma, mv, s, z_cap, lo, hi, np.empty(0), np.empty(0))
+    if kind is not None:  # the floor test's one cell, kept for grid_majorant
+        win.r1, win.kind, win.one_cell = r1, kind, grid_majorant(win, r1, kind)
+        if win.one_cell.log_mag <= _FLOOR_LOG:
+            return win
     if hi <= lo:  # degenerate: single interval, no interior nodes
-        return win
-    if kind is not None and _single_interval_log(win, r1, kind) <= _FLOOR_LOG:
         return win
     if not math.isfinite(hi * hi / delta0):
         raise ValueError(
@@ -185,6 +194,7 @@ def _build_window(
     # running state of the stop test: log-sum of the cells so far, and
     # the left edge and decay exponent of the next cell
     acc, x_prev, decay_prev = -_INF, s, lo * lo / 2.0
+    rho_cap = _rho_np(sigma, mv, z_cap)
     while done < total:
         idx = np.arange(done, min(total, done + chunk), dtype=np.float64)
         done += chunk
@@ -200,10 +210,10 @@ def _build_window(
         decay = nodes * nodes / 2.0
         cells = _cell_logs(
             np.diff(x, prepend=x_prev), np.concatenate(([decay_prev], decay[:-1])),
-            x, nodes, sigma, mv, r1, kind,
+            _rho_np(sigma, mv, x), nodes, r1, kind,
         )
         running = np.logaddexp(acc, np.logaddexp.accumulate(cells))
-        last = _cell_logs(z_cap - x, decay, z_cap, hi, sigma, mv, r1, kind)
+        last = _cell_logs(z_cap - x, decay, rho_cap, hi, r1, kind)
         hit = np.flatnonzero(last < running + _STOP_LOG)
         if hit.size:
             node_parts[-1] = nodes[: hit[0] + 1]
@@ -211,46 +221,29 @@ def _build_window(
             break
         acc, x_prev, decay_prev = running[-1], x[-1], decay[-1]
 
-    nodes = np.concatenate(node_parts)
-    x = np.concatenate(x_parts)
-    if nodes.size and np.any(np.diff(x) < 0.0):
+    win.nodes = np.concatenate(node_parts)
+    win.x = np.concatenate(x_parts)
+    if win.nodes.size and np.any(np.diff(win.x) < 0.0):
         raise RuntimeError("grid distances lost monotonicity")
-    return majorant_window(sigma, mv, zeta, s, z_cap, lo, hi, nodes, x)
+    return win
 
 
-def _prefactor(kind: str) -> float:
-    return 1.0 / math.sqrt(2.0) if kind == "b5" else _PI4 / math.sqrt(2.0)
+def _rho_np(sigma: float, mv: float, z):
+    """``kinematics.rho`` with np.hypot, which can differ from math.hypot by an ulp."""
+    return sigma * mv / np.hypot(sigma * sigma * mv, z)
 
 
-def _single_interval_log(win: majorant_window, r1: float, kind: str) -> float:
-    """Log magnitude of the no-interior-nodes majorant for one kind."""
-    gap = win.z_cap - win.s
-    if gap <= 0.0:
-        return -_INF
-    rho_end = rho(win.sigma, win.mv, win.z_cap)
-    L = np.nextafter(np.log(gap), _INF)
-    if kind == "b5":
-        w = math.sqrt(win.hi + _SQRT_PI / 2.0)
-        L = np.nextafter(L + np.nextafter(np.log(w), _INF), _INF)
-    elif kind == "b6":
-        L = np.nextafter(L + np.nextafter(np.log(r1 * rho_end), _INF), _INF)
-    L = np.nextafter(L - win.lo * win.lo / 2.0, _INF)
-    if kind != "b3":
-        e2 = (r1 * r1 / 2.0) * rho_end * rho_end
-        L = np.nextafter(L - e2, _INF)
-    L = np.nextafter(L + np.nextafter(np.log(_prefactor(kind)), _INF), _INF)
-    return float(L)
-
-
-def _cell_logs(gaps, decay, x_right, w_right, sigma, mv, r1, kind) -> np.ndarray:
+def _cell_logs(gaps, decay, rho_right, w_right, r1, kind) -> np.ndarray:
     """Upward-rounded logs of the step-majorant cells, before the prefactor.
 
     A cell of width ``gaps`` starts where the rescaled variable is
-    sqrt(2 * ``decay``) and ends at distance ``x_right``, where the
-    rho-weights take their sup; ``w_right`` is the rescaled right end
-    that carries the b5 momentum weight.
+    sqrt(2 * ``decay``) and ends where the rho-weights take their sup,
+    at inverse width ``rho_right``; ``w_right`` is the rescaled right
+    end that carries the b5 momentum weight.  The arguments are arrays,
+    or floats for a single cell.  This is the package's one cell
+    formula: every majorant, the one-cell floor included, is built
+    from it.
     """
-    rho_right = sigma * mv / np.hypot(sigma * sigma * mv, x_right)
     with np.errstate(divide="ignore"):
         L = np.nextafter(np.log(gaps), _INF)
         if kind == "b5":
@@ -263,8 +256,7 @@ def _cell_logs(gaps, decay, x_right, w_right, sigma, mv, r1, kind) -> np.ndarray
         if kind != "b3":
             e2 = (r1 * r1 / 2.0) * rho_right * rho_right
             L = np.nextafter(L - e2, _INF)
-    L[gaps == 0.0] = -_INF
-    return L
+    return np.where(gaps == 0.0, -_INF, L)
 
 
 def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal:
@@ -279,23 +271,26 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     """
     if win is None:
         return XReal.zero()
-    if win.nodes.size == 0:
-        return XReal.from_log(_single_interval_log(win, r1, kind))
-
-    nodes, x = win.nodes, win.x
-    gaps = np.empty(nodes.size + 1)
-    gaps[0] = x[0] - win.s
-    gaps[1:-1] = np.diff(x)
-    gaps[-1] = win.z_cap - x[-1]
-    # decay exponents: window edge for the first cell, then the nodes
-    decay = np.empty(nodes.size + 1)
-    decay[0] = win.lo * win.lo / 2.0
-    decay[1:] = nodes * nodes / 2.0
-    # each cell's right end: the next node, then the window's end
-    x_right = np.append(x, win.z_cap)
-    w_right = np.append(nodes, win.hi)
-    L = _cell_logs(gaps, decay, x_right, w_right, win.sigma, win.mv, r1, kind)
-    return XReal.from_log(fold_add_logs(L)).mul(XReal.from_f64(_prefactor(kind)))
+    if win.nodes.size:
+        nodes, x = win.nodes, win.x
+        gaps = np.empty(nodes.size + 1)
+        gaps[0] = x[0] - win.s
+        gaps[1:-1] = np.diff(x)
+        gaps[-1] = win.z_cap - x[-1]
+        # decay exponents: window edge for the first cell, then the nodes
+        decay = np.empty(nodes.size + 1)
+        decay[0] = win.lo * win.lo / 2.0
+        decay[1:] = nodes * nodes / 2.0
+        # each cell's right end: the next node, then the window's end
+        rho_right = _rho_np(win.sigma, win.mv, np.append(x, win.z_cap))
+        w_right = np.append(nodes, win.hi)
+        L = fold_add_logs(_cell_logs(gaps, decay, rho_right, w_right, r1, kind))
+    elif (r1, kind) == (win.r1, win.kind):
+        return win.one_cell  # computed by _build_window
+    else:  # no interior nodes: the one cell [s, z_cap]
+        rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
+        L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, r1, kind)
+    return XReal.from_log(L).mul(_PREFACTOR[kind])
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +452,6 @@ def check_pair(
 
     # ---- boundary terms ----------------------------------------------
     pi4 = XReal.from_f64(_PI4)
-    pi4_rt2 = XReal.from_f64(_PI4 / math.sqrt(2.0))
 
     def hole_exps(z: float) -> List[float]:
         return [r1 * r1 * rho(m, mv, z) ** 2 / 2.0 for m in (mu1, mu2)]
@@ -476,9 +470,9 @@ def check_pair(
     i_ps = i_pp.add(T2)
 
     # I_sp / I_ss: spread-packet windows (momentum-weighted pieces)
-    t1 = pi4_rt2.mul(XReal.from_f64(z23)).mul(w_z23)
+    t1 = _PI4_RT2.mul(XReal.from_f64(z23)).mul(w_z23)
     t3 = pi4.mul(XReal.from_f64(z2)).mul(wr_z2)
-    t2 = pi4_rt2.mul(XReal.from_f64(z_cap)).mul(w_cap)
+    t2 = _PI4_RT2.mul(XReal.from_f64(z_cap)).mul(w_cap)
     t4 = pi4.mul(XReal.from_f64(z_cap)).mul(wr_cap)
     tail9 = XReal.exp_neg(0.5).mul(int_b3_tail)
     i_sp = t1.add(t3).add(T1).add(int_b5).add(int_b6).add(tail9).add(int_b4)

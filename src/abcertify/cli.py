@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .bounds import (
     REGIMES,
-    final_bound,
     interaction_probability,
     params_sweep,
     plateau_interval,

@@ -23,8 +23,11 @@ __all__ = [
     "apply_overrides",
 ]
 
-_SQRT_2000 = math.sqrt(2000.0)
+_RATE_CAP = 2000.0  # the tail-rate cap: omega_inv(sigma)**2 never exceeds it
+_SQRT_2000 = math.sqrt(_RATE_CAP)
 _RATE = 33.0 / 34.0  # decay-rate factor in the width-dependent exponential
+_SQRT_PI = math.sqrt(math.pi)  # shared with the other modules, as is _PI4
+_PI4 = math.pi ** 0.25
 
 
 def _require_finite(obj) -> None:

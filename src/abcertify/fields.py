@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .xreal import XReal
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _E = math.e
-_SQRT_PI = math.sqrt(math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -592,19 +591,18 @@ def coupling_constants(
     eps = cfg.eps
     delta = cfg.delta(sigma)
     mv = cfg.mv
-    pi4 = math.pi ** 0.25
     ht = m.h_tilde
 
     chi_p2 = _chi_p2(cfg, delta)
-    c_pp = (chi_p2 + (4.0 * ht / I) * (4.0 / (io * eps * _E))) / (pi4 * mv) + 4.0 / (
-        pi4 * io * delta * _E
+    c_pp = (chi_p2 + (4.0 * ht / I) * (4.0 / (io * eps * _E))) / (_PI4 * mv) + 4.0 / (
+        _PI4 * io * delta * _E
     )
     c_ps = (
         (2.0 * ht / I) * (1.0 / (io * cfg.eps_tilde * _E) + 1.0 / m.r1_tilde)
         + (2.0 * ht / I) ** 2
-    ) / (pi4 * mv)
-    c_sp = (8.0 / (io * eps * _E) + 4.0 / (io * delta * _E)) / (pi4 * sigma * mv)
-    c_ss = (4.0 * ht / I) / (pi4 * sigma * mv)
+    ) / (_PI4 * mv)
+    c_sp = (8.0 / (io * eps * _E) + 4.0 / (io * delta * _E)) / (_PI4 * sigma * mv)
+    c_ss = (4.0 * ht / I) / (_PI4 * sigma * mv)
     return (c_pp, c_ps, c_sp, c_ss)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _SQRT_PI, ExperimentConfig
 
 __all__ = [
     "rho",
@@ -31,11 +31,8 @@ __all__ = [
     "z_crossing_vec",
     "z_of_sigma",
     "packet_radius",
-    "capture_fraction",
     "opening_angle_deg",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # 99% of a 3-d Gaussian's mass lies within this many widths of centre.
 RADIUS_FACTOR = 2.382
@@ -180,11 +177,6 @@ def z_of_sigma(sigma: float, cfg: ExperimentConfig) -> float:
 def packet_radius(sigma: float) -> float:
     """Radius holding ~99% of the packet's initial probability mass."""
     return RADIUS_FACTOR * sigma
-
-
-def capture_fraction(t: float) -> float:
-    """Mass of a unit 3-d Gaussian within t widths: erf(t) - 2t e^{-t^2}/sqrt(pi)."""
-    return math.erf(t) - 2.0 * t * math.exp(-t * t) / _SQRT_PI
 
 
 def opening_angle_deg(sigma: float, mv: float) -> Optional[float]:

@@ -211,6 +211,17 @@ def test_envelope_lhs_below_rhs(cfg):
             assert XReal.cmp(lhs, rhs) <= 0
 
 
+def test_envelope_regimes_read_the_table(cfg):
+    s = 1e-7
+    out = [v.log_mag for v in envelope_sides(cfg, "outgoing", s)]
+    for alias in ("scattering", "uniform"):
+        assert [v.log_mag for v in envelope_sides(cfg, alias, s)] == out
+    with pytest.raises(ValueError, match="regime 'detailed' has no envelope certificate"):
+        envelope_sides(cfg, "detailed", s)
+    with pytest.raises(ValueError, match="unknown regime 'nope'"):
+        tail_payload("nope", 0.3, s, cfg)
+
+
 def test_interval_certificates_smoke(any_cfg):
     out = interval_certificates(any_cfg, n=500)
     assert set(out) == {

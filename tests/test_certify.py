@@ -1,5 +1,6 @@
 """Per-pair certificates: window grids, majorants, flags, sweep plumbing."""
 
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -12,7 +13,6 @@ from abcertify.certify import (
     CSV_COLUMNS,
     PairResult,
     _build_window,
-    _single_interval_log,
     check_pair,
     discrepancy_map,
     grid_majorant,
@@ -92,13 +92,15 @@ def test_build_window_empty_interval():
 def test_build_window_degenerate_orientation():
     # a strongly negative offset puts the interval past the turning
     # point of (z - zeta) * rho(z): the rescaled window inverts and the
-    # builder falls back to the single-interval majorant
+    # builder falls back to the one-cell majorant
     win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     assert win is not None
     assert win.hi <= win.lo
     assert win.nodes.size == 0 and win.x.size == 0
     g = grid_majorant(win, 2.0, "b4")
-    assert g.log_mag == pytest.approx(_single_interval_log(win, 2.0, "b4"))
+    # built for b4, the window keeps that same value
+    kept = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 2.0, "b4")
+    assert g.log_mag == kept.one_cell.log_mag == grid_majorant(kept, 2.0, "b4").log_mag
 
 
 def test_build_window_node_layout(cfg):
@@ -152,7 +154,7 @@ def test_fine_user_delta0_chunks_stay_within_cap(cfg, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# single-interval majorant: kind structure
+# one-cell majorant: kind structure
 # ----------------------------------------------------------------------
 
 
@@ -160,10 +162,7 @@ def test_single_interval_kind_relations():
     win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     r1 = 2.0
     rho_end = rho(win.sigma, win.mv, win.z_cap)
-    b3 = _single_interval_log(win, r1, "b3")
-    b4 = _single_interval_log(win, r1, "b4")
-    b5 = _single_interval_log(win, r1, "b5")
-    b6 = _single_interval_log(win, r1, "b6")
+    b3, b4, b5, b6 = (grid_majorant(win, r1, k).log_mag for k in ("b3", "b4", "b5", "b6"))
     # b4 = b3 minus the miss-the-hole exponent at the right endpoint
     assert b4 - b3 == pytest.approx(-(r1 * r1 / 2.0) * rho_end ** 2, rel=1e-12)
     # b6 = b4 plus the log of the extra r1*rho factor
@@ -184,6 +183,66 @@ def test_single_interval_kind_relations():
         + math.log(_PI4 / math.sqrt(2.0))
     )
     assert b3 >= plain3
+
+
+def test_one_cell_majorant_runs_once_per_window_kind(monkeypatch):
+    one_cell = []
+    cells = certify._cell_logs
+
+    def counting(gaps, *args):
+        if np.ndim(gaps) == 0:
+            one_cell.append(gaps)
+        return cells(gaps, *args)
+
+    monkeypatch.setattr(certify, "_cell_logs", counting)
+    # a floored b4 window: the floor test's value serves b4, and b6 on
+    # the same window computes its own
+    sigma, mv, zeta, delta0 = 1.0, 100.0, 0.1, 0.5
+    s = z_crossing(50.0, sigma, mv, zeta)
+    z_cap = z_crossing(80.0, sigma, mv, zeta)
+    r1 = 1.5 / rho(sigma, mv, z_cap)
+    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
+    assert win.nodes.size == 0
+    assert grid_majorant(win, r1, "b4") is win.one_cell
+    assert len(one_cell) == 1
+    grid_majorant(win, r1, "b6")
+    assert len(one_cell) == 2
+    # the kept value belongs to the window's r1 only
+    assert grid_majorant(win, 2.0 * r1, "b4").log_mag < win.one_cell.log_mag
+    assert len(one_cell) == 3
+    # a window above the floor with no grid node inside it keeps the
+    # value too
+    sigma, mv, zeta = 1.3, 3.7, 0.11
+    s = z_crossing(0.4, sigma, mv, zeta)
+    z_cap = z_crossing(0.9, sigma, mv, zeta)
+    win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, 2.0, "b4")
+    assert win.nodes.size == 0 and win.one_cell.log_mag > -500.0 * math.log(10.0)
+    assert grid_majorant(win, 2.0, "b4") is win.one_cell
+    assert len(one_cell) == 4
+
+
+# two full-sweep windows (sigma, mv, zeta, s, z_cap, r1, built for b4 /
+# b5) on which np.hypot and math.hypot round rho(z_cap) differently, with
+# their b3..b6 one-cell logs: the one cell keeps math.hypot's bits
+_HYPOT_WINDOWS = [
+    (("0x1.0c6f7a0b5ed8dp-20", "0x1.27ab392000000p+34", "0x1.750a990b2953ep-13",
+      "0x1.8f4567eb5df19p-13", "0x1.fbfd16cd55f30p-11", "0x1.67a95c853c148p-13"), "b4",
+     ("-0x1.55b5e68c97940p+6", "-0x1.cd248df01deffp+13", "-0x1.cd0c269d02cb8p+13",
+      "-0x1.ccfb68452ef6fp+13")),
+    (("0x1.0c6f7a0b5ed8dp-20", "0x1.27ab392000000p+34", "0x1.750a990b2953ep-13",
+      "0x1.a278fc941064cp-13", "0x1.fbfd16cd55f30p-11", "0x1.67a95c853c148p-13"), "b5",
+     ("-0x1.e3b612b3428fcp+7", "-0x1.d207fa6dd1cb1p+13", "-0x1.d1ef931ab6a6ap+13",
+      "-0x1.d1ded4c2e2d21p+13")),
+]
+
+
+def test_one_cell_keeps_scalar_rho_bits():
+    for args, kind, expect in _HYPOT_WINDOWS:
+        sigma, mv, zeta, s, z_cap, r1 = map(float.fromhex, args)
+        win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, r1, kind)
+        assert win.nodes.size == 0
+        got = [grid_majorant(win, r1, k).log_mag for k in ("b3", "b4", "b5", "b6")]
+        assert got == [float.fromhex(e) for e in expect]
 
 
 def test_grid_majorant_none_is_zero():
@@ -244,9 +303,11 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
     win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert calls == []
     assert win.nodes.size == 0 and win.x.size == 0
-    lm = _single_interval_log(win, r1, kind)
+    lm = grid_majorant(win, r1, kind).log_mag
     assert lm <= -500.0 * math.log(10.0)
-    assert grid_majorant(win, r1, kind).log_mag == lm
+    # the kept floor value is the one-cell majorant, computed afresh
+    fresh = dataclasses.replace(win, kind=None, one_cell=None)
+    assert grid_majorant(fresh, r1, kind).log_mag == lm
     # without a kind the same window solves its whole grid
     full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
     assert sum(calls) == full.nodes.size > 0

@@ -7,7 +7,6 @@ import pytest
 
 from abcertify.kinematics import (
     RADIUS_FACTOR,
-    capture_fraction,
     gaussian_window,
     opening_angle_deg,
     packet_radius,
@@ -18,7 +17,6 @@ from abcertify.kinematics import (
     z_of_sigma,
 )
 from oracles import (
-    capture_fraction_quad,
     gaussian_window_quad,
     rho_ref,
     weighted_window_quad,
@@ -191,10 +189,6 @@ def test_z_of_sigma_solves_config_crossing(cfg):
 def test_packet_radius_and_capture():
     assert RADIUS_FACTOR == 2.382
     assert packet_radius(3e-6) == pytest.approx(2.382 * 3e-6, rel=1e-15)
-    got = capture_fraction(RADIUS_FACTOR)
-    assert 0.989 <= got <= 0.991
-    assert got == pytest.approx(capture_fraction_quad(RADIUS_FACTOR), rel=1e-12)
-    assert capture_fraction(10.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_opening_angle(cfg):
