@@ -14,9 +14,13 @@ co-moving window, the matching distances x_j are recovered with the
 crossing solver, and each subinterval contributes its sup.  All sums
 are folded in the extended-range log domain with upward rounding, so
 every reported left-hand side is a certified upper bound.  The
-allowance is assembled with the down-rounded helpers of ``xreal``
-(``_down_f64``, ``_down_mul``, ``_down_add``), so every reported
-right-hand side is a certified lower bound of the published one.
+allowance is assembled with the down-rounded functions of ``xreal``
+(``f64_down``, ``mul_down``, ``add_down``), so every reported
+right-hand side is a certified lower bound of the published one.  A
+pair's certificate runs on those log-magnitude floats throughout and
+wraps only its four reported values as ``XReal``; a window built for
+one kind keeps its one-cell value and its grid's cells, so each cell
+of a pair's majorants is computed once.
 
 The pair certificate builds each window for one majorant kind, and only
 solves the nodes that can move that kind's bound.  All three reductions
@@ -77,7 +81,17 @@ from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
-from .xreal import XReal, _down_add, _down_f64, _down_mul, fold_add_logs
+from .xreal import (
+    XReal,
+    add_down,
+    add_up,
+    exp_neg_log,
+    f64_down,
+    f64_up,
+    fold_add_logs,
+    mul_down,
+    mul_up,
+)
 
 __all__ = [
     "PairResult",
@@ -105,9 +119,16 @@ NODE_CAP = 30_000
 _STOP_LOG = -60.0 * math.log(2.0)
 _FIRST_CHUNK = 128
 
-# the prefactor of each majorant kind, lifted once
-_PI4_RT2 = XReal.from_f64(_PI4 / math.sqrt(2.0))
-_PREFACTOR = dict(b3=_PI4_RT2, b4=_PI4_RT2, b5=XReal.from_f64(1.0 / math.sqrt(2.0)), b6=_PI4_RT2)
+# the per-pair constants, as upward- (prefactors, pi^1/4) or
+# downward-rounded (allowance side) log magnitudes, lifted once
+_LOG_PI4_RT2 = f64_up(_PI4 / math.sqrt(2.0))
+_PREFACTOR = dict(
+    b3=_LOG_PI4_RT2, b4=_LOG_PI4_RT2, b5=f64_up(1.0 / math.sqrt(2.0)), b6=_LOG_PI4_RT2
+)
+_LOG_PI4 = f64_up(_PI4)
+_LOG_SIZE = f64_down(ALLOWANCE_SIZE)
+_LOG_SCALE = {regime: f64_down(scale) for regime, scale in ALLOWANCE_SCALE.items()}
+_LOG_SLACK = ten_pow(ALLOWANCE_SLACK_EXP, "down").log_mag
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +142,10 @@ class majorant_window:
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, and lo/hi the induced window in the rescaled
-    variable.  A window built for one kind keeps that kind, its ``r1``
-    and its one-cell majorant (the floor test's value).
+    variable.  A window built for one kind keeps that kind, its ``r1``,
+    its one-cell majorant (the floor test's value) and, when it has
+    nodes, the logs of its cells (the stop test's values), so
+    ``grid_majorant`` computes neither again.
     """
 
     sigma: float
@@ -136,6 +159,7 @@ class majorant_window:
     r1: Optional[float] = None
     kind: Optional[str] = None
     one_cell: Optional[XReal] = None
+    cells: Optional[np.ndarray] = None
 
 
 def _build_window(
@@ -191,6 +215,7 @@ def _build_window(
     done = 0
     node_parts: List[np.ndarray] = []
     x_parts: List[np.ndarray] = []
+    cell_parts: List[np.ndarray] = []
     # running state of the stop test: log-sum of the cells so far, and
     # the left edge and decay exponent of the next cell
     acc, x_prev, decay_prev = -_INF, s, lo * lo / 2.0
@@ -215,14 +240,20 @@ def _build_window(
         running = np.logaddexp(acc, np.logaddexp.accumulate(cells))
         last = _cell_logs(z_cap - x, decay, rho_cap, hi, r1, kind)
         hit = np.flatnonzero(last < running + _STOP_LOG)
+        end = hit[0] + 1 if hit.size else nodes.size
+        node_parts[-1] = nodes[:end]
+        x_parts[-1] = x[:end]
+        # the grid's cells so far, and its last cell if it ends here
+        cell_parts.append(cells[:end])
+        last_cell = last[end - 1 : end]
         if hit.size:
-            node_parts[-1] = nodes[: hit[0] + 1]
-            x_parts[-1] = x[: hit[0] + 1]
             break
         acc, x_prev, decay_prev = running[-1], x[-1], decay[-1]
 
     win.nodes = np.concatenate(node_parts)
     win.x = np.concatenate(x_parts)
+    if kind is not None and win.nodes.size:
+        win.cells = np.concatenate(cell_parts + [last_cell])
     if win.nodes.size and np.any(np.diff(win.x) < 0.0):
         raise RuntimeError("grid distances lost monotonicity")
     return win
@@ -233,7 +264,7 @@ def _rho_np(sigma: float, mv: float, z):
     return sigma * mv / np.hypot(sigma * sigma * mv, z)
 
 
-def _cell_logs(gaps, decay, rho_right, w_right, r1, kind) -> np.ndarray:
+def _cell_logs(gaps, decay, rho_right, w_right, r1, kind):
     """Upward-rounded logs of the step-majorant cells, before the prefactor.
 
     A cell of width ``gaps`` starts where the rescaled variable is
@@ -243,20 +274,36 @@ def _cell_logs(gaps, decay, rho_right, w_right, r1, kind) -> np.ndarray:
     or floats for a single cell.  This is the package's one cell
     formula: every majorant, the one-cell floor included, is built
     from it.
+
+    A single cell runs the formula on plain floats (``math.nextafter``
+    and ``math.sqrt``, correctly rounded like their numpy ufuncs), so it
+    returns a float bit-identical to the same cell in an array call.
+    Both keep ``np.log``: on a scalar it matches the array loop bit for
+    bit, where ``math.log`` does not.
     """
+    if isinstance(gaps, float):
+        if gaps == 0.0:
+            return -_INF
+        return _cell_formula(math.nextafter, math.sqrt, gaps, decay, rho_right, w_right, r1, kind)
     with np.errstate(divide="ignore"):
-        L = np.nextafter(np.log(gaps), _INF)
-        if kind == "b5":
-            wlog = np.nextafter(np.log(np.sqrt(w_right + _SQRT_PI / 2.0)), _INF)
-            L = np.nextafter(L + wlog, _INF)
-        elif kind == "b6":
-            wlog = np.nextafter(np.log(r1 * rho_right), _INF)
-            L = np.nextafter(L + wlog, _INF)
-        L = np.nextafter(L - decay, _INF)
-        if kind != "b3":
-            e2 = (r1 * r1 / 2.0) * rho_right * rho_right
-            L = np.nextafter(L - e2, _INF)
+        L = _cell_formula(np.nextafter, np.sqrt, gaps, decay, rho_right, w_right, r1, kind)
     return np.where(gaps == 0.0, -_INF, L)
+
+
+def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
+    """The body of ``_cell_logs``, on the float or array primitives given."""
+    L = nextafter(np.log(gaps), _INF)
+    if kind == "b5":
+        wlog = nextafter(np.log(sqrt(w_right + _SQRT_PI / 2.0)), _INF)
+        L = nextafter(L + wlog, _INF)
+    elif kind == "b6":
+        wlog = nextafter(np.log(r1 * rho_right), _INF)
+        L = nextafter(L + wlog, _INF)
+    L = nextafter(L - decay, _INF)
+    if kind != "b3":
+        e2 = (r1 * r1 / 2.0) * rho_right * rho_right
+        L = nextafter(L - e2, _INF)
+    return L
 
 
 def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal:
@@ -271,7 +318,10 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     """
     if win is None:
         return XReal.zero()
-    if win.nodes.size:
+    kept = (r1, kind) == (win.r1, win.kind)  # computed by _build_window
+    if win.nodes.size and kept:
+        L = fold_add_logs(win.cells)
+    elif win.nodes.size:
         nodes, x = win.nodes, win.x
         gaps = np.empty(nodes.size + 1)
         gaps[0] = x[0] - win.s
@@ -285,12 +335,12 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
         rho_right = _rho_np(win.sigma, win.mv, np.append(x, win.z_cap))
         w_right = np.append(nodes, win.hi)
         L = fold_add_logs(_cell_logs(gaps, decay, rho_right, w_right, r1, kind))
-    elif (r1, kind) == (win.r1, win.kind):
-        return win.one_cell  # computed by _build_window
+    elif kept:
+        return win.one_cell
     else:  # no interior nodes: the one cell [s, z_cap]
         rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
         L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, r1, kind)
-    return XReal.from_log(L).mul(_PREFACTOR[kind])
+    return XReal.from_log(mul_up(L, _PREFACTOR[kind]))
 
 
 # ----------------------------------------------------------------------
@@ -345,17 +395,17 @@ class PairResult:
         ]
 
 
-def _max_weight(exps: Sequence[float]) -> XReal:
-    """max_i exp(-e_i) as an XReal."""
-    return XReal.exp_neg(min(exps))
+def _max_weight(rhos: Sequence[float], r1: float) -> float:
+    """Log of max_i exp(-(r1^2/2) rho_i^2), exact."""
+    return exp_neg_log(min(r1 * r1 * r ** 2 / 2.0 for r in rhos))
 
 
-def _max_rho_weight(rhos: Sequence[float], r1: float) -> XReal:
-    """max_i r1 rho_i exp(-(r1^2/2) rho_i^2) as an XReal."""
-    best = XReal.zero()
+def _max_rho_weight(rhos: Sequence[float], r1: float) -> float:
+    """Log of max_i r1 rho_i exp(-(r1^2/2) rho_i^2), rounded up."""
+    best = -_INF
     for r in rhos:
-        cand = XReal.from_f64(r1 * r).mul(XReal.exp_neg(r1 * r1 * r * r / 2.0))
-        if XReal.cmp(cand, best) > 0:
+        cand = mul_up(f64_up(r1 * r), exp_neg_log(r1 * r1 * r * r / 2.0))
+        if cand > best:
             best = cand
     return best
 
@@ -372,7 +422,10 @@ def check_pair(
     """Certify one width pair; never raises on a well-formed config.
 
     The one exception is a user ``delta0`` too fine to index the grid
-    (ValueError, see ``_build_window``).
+    (ValueError, see ``_build_window``).  Both sides are assembled on
+    log-magnitude floats with the ``xreal`` functions, in the order of
+    the XReal expressions they stand for; only the four reported values
+    are wrapped as ``XReal``.
     """
     mv = cfg.mv
     r1 = cfg.r1
@@ -415,13 +468,18 @@ def check_pair(
             -math.inf, False, note=str(exc),
         )
 
+    # rho of both widths at the three window ends, each computed once
+    rho_z2 = [rho(m, mv, z2) for m in (mu1, mu2)]
+    rho_z23 = [rho(m, mv, z23) for m in (mu1, mu2)]
+    rho_cap = [rho(m, mv, z_cap) for m in (mu1, mu2)]
+
     if z_cap < z23:
         flags.append("!window_order")
-    for i, m in enumerate((mu1, mu2)):
-        if r1 * rho(m, mv, z2) < 1.0:
+    for i, r in enumerate(rho_z2):
+        if r1 * r < 1.0:
             flags.append(f"!hole_at_start_mu{i + 1}")
-    for i, m in enumerate((mu1, mu2, mu3)):
-        if not r1 * rho(m, mv, z_cap) > 1.0:
+    for i, r in enumerate(rho_cap + [rho(mu3, mv, z_cap)]):
+        if not r1 * r > 1.0:
             flags.append(f"!hole_at_cap_mu{i + 1}")
 
     # pair scale r_{nu, mu3} = min_i S1(mu_i): where the hole factor
@@ -431,89 +489,75 @@ def check_pair(
     b6_end = min(r_pair, z_cap)
 
     # ---- grid majorants (one pass per width in {nu, mu3}) -----------
-    int_b4 = XReal.zero()   # plain-window integrals with hole weight
-    int_b5 = XReal.zero()   # momentum-weighted window integrals
-    int_b6 = XReal.zero()   # hole-weighted with the extra r1*rho factor
-    int_b3_tail = XReal.zero()  # past the pair scale (usually empty)
+    int_b4 = -_INF   # plain-window integrals with hole weight
+    int_b5 = -_INF   # momentum-weighted window integrals
+    int_b6 = -_INF   # hole-weighted with the extra r1*rho factor
+    int_b3_tail = -_INF  # past the pair scale (usually empty)
     for m in (nu, mu3):
         win4 = _build_window(m, mv, h2, z2, z_cap, delta0, r1, "b4")
-        int_b4 = int_b4.add(grid_majorant(win4, r1, "b4"))
+        int_b4 = add_up(int_b4, grid_majorant(win4, r1, "b4").log_mag)
         if b6_end >= z_cap:
             # the b4 grid also serves b6: its extra r1*rho factor is
             # smallest in the last cell, so b4's stop test covers b6
-            int_b6 = int_b6.add(grid_majorant(win4, r1, "b6"))
+            int_b6 = add_up(int_b6, grid_majorant(win4, r1, "b6").log_mag)
         else:
             win6 = _build_window(m, mv, h2, z2, b6_end, delta0, r1, "b6")
-            int_b6 = int_b6.add(grid_majorant(win6, r1, "b6"))
+            int_b6 = add_up(int_b6, grid_majorant(win6, r1, "b6").log_mag)
             tail = _build_window(m, mv, h2, b6_end, z_cap, delta0, r1, "b3")
-            int_b3_tail = int_b3_tail.add(grid_majorant(tail, r1, "b3"))
+            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, r1, "b3").log_mag)
         win5 = _build_window(m, mv, h2, z23, z_cap, delta0, r1, "b5")
-        int_b5 = int_b5.add(grid_majorant(win5, r1, "b5"))
+        int_b5 = add_up(int_b5, grid_majorant(win5, r1, "b5").log_mag)
 
     # ---- boundary terms ----------------------------------------------
-    pi4 = XReal.from_f64(_PI4)
+    w_z2 = _max_weight(rho_z2, r1)
+    w_z23 = _max_weight(rho_z23, r1)
+    w_cap = _max_weight(rho_cap, r1)
+    wr_z2 = _max_rho_weight(rho_z2, r1)
+    wr_cap = _max_rho_weight(rho_cap, r1)
 
-    def hole_exps(z: float) -> List[float]:
-        return [r1 * r1 * rho(m, mv, z) ** 2 / 2.0 for m in (mu1, mu2)]
-
-    w_z2 = _max_weight(hole_exps(z2))
-    w_z23 = _max_weight(hole_exps(z23))
-    w_cap = _max_weight(hole_exps(z_cap))
-    wr_z2 = _max_rho_weight([rho(m, mv, z2) for m in (mu1, mu2)], r1)
-    wr_cap = _max_rho_weight([rho(m, mv, z_cap) for m in (mu1, mu2)], r1)
-
-    T1 = pi4.mul(XReal.from_f64(z2)).mul(w_z2)
-    T2 = pi4.mul(XReal.from_f64(z_cap)).mul(w_cap)
+    T1 = mul_up(mul_up(_LOG_PI4, f64_up(z2)), w_z2)
+    T2 = mul_up(mul_up(_LOG_PI4, f64_up(z_cap)), w_cap)
 
     # I_pp / I_ps: incoming-packet windows
-    i_pp = T1.add(int_b4)
-    i_ps = i_pp.add(T2)
+    i_pp = add_up(T1, int_b4)
+    i_ps = add_up(i_pp, T2)
 
     # I_sp / I_ss: spread-packet windows (momentum-weighted pieces)
-    t1 = _PI4_RT2.mul(XReal.from_f64(z23)).mul(w_z23)
-    t3 = pi4.mul(XReal.from_f64(z2)).mul(wr_z2)
-    t2 = _PI4_RT2.mul(XReal.from_f64(z_cap)).mul(w_cap)
-    t4 = pi4.mul(XReal.from_f64(z_cap)).mul(wr_cap)
-    tail9 = XReal.exp_neg(0.5).mul(int_b3_tail)
-    i_sp = t1.add(t3).add(T1).add(int_b5).add(int_b6).add(tail9).add(int_b4)
-    i_ss = i_sp.add(t2).add(t4).add(T2)
+    t1 = mul_up(mul_up(_LOG_PI4_RT2, f64_up(z23)), w_z23)
+    t3 = mul_up(mul_up(_LOG_PI4, f64_up(z2)), wr_z2)
+    t2 = mul_up(mul_up(_LOG_PI4_RT2, f64_up(z_cap)), w_cap)
+    t4 = mul_up(mul_up(_LOG_PI4, f64_up(z_cap)), wr_cap)
+    tail9 = mul_up(exp_neg_log(0.5), int_b3_tail)
+    i_sp = t1
+    for term in (t3, T1, int_b5, int_b6, tail9, int_b4):
+        i_sp = add_up(i_sp, term)
+    i_ss = add_up(add_up(add_up(i_sp, t2), t4), T2)
 
     # ---- the two inequalities ----------------------------------------
     c_pp, c_ps, c_sp, c_ss = coupling_constants(cfg, mu1)
-    lhs1 = (
-        XReal.from_f64(c_pp).mul(i_pp)
-        .add(XReal.from_f64(c_ps / 2.0).mul(i_ps))
-        .add(XReal.from_f64(c_sp).mul(i_sp))
-        .add(XReal.from_f64(c_ss / 2.0).mul(i_ss))
-    )
-    lhs2 = (
-        XReal.from_f64(c_pp + c_ps).mul(i_pp)
-        .add(XReal.from_f64(c_sp + c_ss).mul(i_sp))
-    )
+    lhs1 = mul_up(f64_up(c_pp), i_pp)
+    for c, i in ((c_ps / 2.0, i_ps), (c_sp, i_sp), (c_ss / 2.0, i_ss)):
+        lhs1 = add_up(lhs1, mul_up(f64_up(c), i))
+    lhs2 = add_up(mul_up(f64_up(c_pp + c_ps), i_pp), mul_up(f64_up(c_sp + c_ss), i_sp))
 
     # the published allowance of each family, rounded down
     coeffs = calibrated_coefficients(cfg)
-    size1 = XReal.exp_neg(r1 * r1 / (2.0 * mu1 * mu1))
-    size = _down_mul(_down_f64(ALLOWANCE_SIZE), size1)
-    rate2 = XReal.exp_neg(cfg.rate_exponent(mu2))
-    slack = ten_pow(ALLOWANCE_SLACK_EXP, "down")
+    size = mul_down(_LOG_SIZE, exp_neg_log(r1 * r1 / (2.0 * mu1 * mu1)))
+    rate2 = exp_neg_log(cfg.rate_exponent(mu2))
     rhs = []
     for regime in ("interacting", "outgoing"):
         p = max(0.0, calibrated_poly(coeffs[regime], mu2))
-        spread = _down_mul(_down_mul(_down_f64(ALLOWANCE_SCALE[regime]), rate2), _down_f64(p))
-        rhs.append(_down_add(_down_add(size, spread), slack))
+        spread = mul_down(mul_down(_LOG_SCALE[regime], rate2), f64_down(p))
+        rhs.append(add_down(add_down(size, spread), _LOG_SLACK))
     rhs1, rhs2 = rhs
 
-    ok1 = XReal.cmp(lhs1, rhs1) <= 0
-    ok2 = XReal.cmp(lhs2, rhs2) <= 0
-
-    def _margin(lhs: XReal, rhs: XReal) -> float:
-        if lhs.is_zero:
+    def _margin(lhs: float, rhs: float) -> float:
+        if lhs == -_INF:
             return math.inf
-        return (rhs.log_mag - lhs.log_mag) / math.log(10.0)
+        return (rhs - lhs) / math.log(10.0)
 
     margin = min(_margin(lhs1, rhs1), _margin(lhs2, rhs2))
-    passed = ok1 and ok2 and not flags
+    passed = lhs1 <= rhs1 and lhs2 <= rhs2 and not flags
     return PairResult(
         set_name,
         index,
@@ -522,10 +566,10 @@ def check_pair(
         mu3,
         delta0,
         "ok" if not flags else "|".join(flags),
-        lhs1,
-        rhs1,
-        lhs2,
-        rhs2,
+        XReal(lhs1),
+        XReal(rhs1),
+        XReal(lhs2),
+        XReal(rhs2),
         margin,
         passed,
     )

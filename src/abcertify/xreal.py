@@ -7,16 +7,19 @@ polynomial prefactors around 1e14.  IEEE binary64 underflows at
 ``log_mag == -inf``.  That representation is comfortable for magnitudes
 down to 10**(-10**8) and beyond.
 
-Every ``XReal`` operation that rounds is rounded *upward* (one ulp on
-the log magnitude), so any chain of ``add``/``mul``/``pow`` starting
+The arithmetic is written once, as module-level functions on log
+magnitudes (plain floats): ``f64_up``, ``mul_up`` and ``add_up`` round
+*upward* (one ulp on the log magnitude), so any chain of them starting
 from exact inputs yields a machine-checked upper bound of the true
-real-number result.  The helpers ``_down_f64``, ``_down_mul`` and
-``_down_add`` round *downward*, for lower bounds (the certificate's
-allowance side); both directions share the one log-sum step
-``_log_add``.  The one deliberate boundary: ``exp_neg(x)`` treats its
-binary64 argument ``x`` as exact.  Callers are expected to build ``x``
-with ordinary float arithmetic rounded in the safe direction before
-crossing into this module.
+real-number result; ``f64_down``, ``mul_down`` and ``add_down`` round
+*downward*, for lower bounds (the certificate's allowance side).  Both
+directions share the one log-sum step ``_log_add``.  ``XReal`` wraps a
+log magnitude, and its methods are one-line calls of these functions,
+so a hot loop can run on floats and wrap only its results, bit for bit
+the same.  The one deliberate boundary: ``exp_neg_log(x)`` (and
+``XReal.exp_neg``) treats its binary64 argument ``x`` as exact.
+Callers are expected to build ``x`` with ordinary float arithmetic
+rounded in the safe direction before crossing into this module.
 
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the
@@ -43,7 +46,14 @@ import numpy as np
 
 __all__ = [
     "XReal",
+    "add_down",
+    "add_up",
+    "exp_neg_log",
+    "f64_down",
+    "f64_up",
     "fold_add_logs",
+    "mul_down",
+    "mul_up",
 ]
 
 _INF = math.inf
@@ -105,12 +115,76 @@ def _log_add(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+# ----------------------------------------------------------------------
+# the arithmetic on log magnitudes (-inf is zero)
+# ----------------------------------------------------------------------
+
+
+def f64_up(value: float) -> float:
+    """Log of an upper bound of a nonnegative binary64 value.
+
+    ``log(value)`` is correctly rounded to within one ulp by libm, so
+    one upward ulp makes the result >= the true log.
+    """
+    if math.isnan(value) or value < 0.0:
+        raise ValueError(f"expected a nonnegative value, got {value!r}")
+    if value == 0.0:
+        return -_INF
+    return _up(math.log(value))
+
+
+def exp_neg_log(x: float) -> float:
+    """Log of exp(-x) for x >= 0: -x, exact (the certification boundary)."""
+    if math.isnan(x) or x < 0.0:
+        raise ValueError(f"exp_neg expects x >= 0, got {x!r}")
+    return -x
+
+
+def mul_up(a: float, b: float) -> float:
+    if a == -_INF or b == -_INF:
+        return -_INF
+    return _up(a + b)
+
+
+def add_up(a: float, b: float) -> float:
+    # adding zero is exact, so it skips the rounding step
+    if a == -_INF:
+        return b
+    if b == -_INF:
+        return a
+    return _up(_log_add(a, b))
+
+
+def f64_down(v: float) -> float:
+    """Log of a lower bound of a binary64 value; nonpositive values give zero."""
+    if math.isnan(v):
+        raise ValueError(f"expected a number, got {v!r}")
+    if v <= 0.0:
+        return -_INF
+    return _down(math.log(v))
+
+
+def mul_down(a: float, b: float) -> float:
+    if a == -_INF or b == -_INF:
+        return -_INF
+    return _down(a + b)
+
+
+def add_down(a: float, b: float) -> float:
+    # adding zero is exact; otherwise two downward steps
+    if a == -_INF:
+        return b
+    if b == -_INF:
+        return a
+    return _down(_down(_log_add(a, b)))
+
+
 class XReal:
     """A nonnegative extended-range scalar, stored as a natural log.
 
     Instances are immutable; zero is ``log_mag == -inf``.  All rounding
     is upward, so results are certified upper bounds of the exact real
-    arithmetic.
+    arithmetic; each method is the module function of the same step.
     """
 
     __slots__ = ("log_mag",)
@@ -150,44 +224,23 @@ class XReal:
 
     @staticmethod
     def from_f64(value: float) -> "XReal":
-        """Upper bound of a nonnegative binary64 value.
-
-        ``log(value)`` is correctly rounded to within one ulp by libm,
-        so one upward ulp makes the stored magnitude >= the true log.
-        """
-        if math.isnan(value) or value < 0.0:
-            raise ValueError(f"expected a nonnegative value, got {value!r}")
-        if value == 0.0:
-            return _ZERO
-        return XReal(_up(math.log(value)))
+        """Upper bound of a nonnegative binary64 value (``f64_up``)."""
+        return XReal(f64_up(value))
 
     @staticmethod
     def exp_neg(x: float) -> "XReal":
-        """exp(-x) for x >= 0, exact in the log representation.
-
-        The argument is treated as an exact binary64 number; this is
-        the certification boundary documented in the module docstring.
-        """
-        if math.isnan(x) or x < 0.0:
-            raise ValueError(f"exp_neg expects x >= 0, got {x!r}")
-        return XReal(-x)
+        """exp(-x) for x >= 0, exact in the log representation (``exp_neg_log``)."""
+        return XReal(exp_neg_log(x))
 
     # ------------------------------------------------------------------
     # arithmetic (all upward-rounded)
     # ------------------------------------------------------------------
 
     def add(self, other: "XReal") -> "XReal":
-        # adding zero is exact, so it skips the rounding step
-        if self.log_mag == -_INF:
-            return other
-        if other.log_mag == -_INF:
-            return self
-        return XReal(_up(_log_add(self.log_mag, other.log_mag)))
+        return XReal(add_up(self.log_mag, other.log_mag))
 
     def mul(self, other: "XReal") -> "XReal":
-        if self.log_mag == -_INF or other.log_mag == -_INF:
-            return _ZERO
-        return XReal(_up(self.log_mag + other.log_mag))
+        return XReal(mul_up(self.log_mag, other.log_mag))
 
     def pow(self, p: float) -> "XReal":
         if self.log_mag == -_INF:
@@ -283,7 +336,7 @@ _ONE = XReal(0.0)
 def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
     """Log magnitude of a sum of terms given by their logs (-inf is zero).
 
-    A strict left fold of ``XReal.add``, bit for bit; the grid
+    A strict left fold of ``add_up``, bit for bit; the grid
     majorants sum a window's cells with it.  -inf if every term is zero.
     """
     acc = -_INF
@@ -291,28 +344,3 @@ def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
         if lm != -_INF:  # _up inlined: this loop runs per grid cell
             acc = lm if acc == -_INF else math.nextafter(_log_add(acc, lm), _INF)
     return acc
-
-
-# down-rounded helpers, for lower bounds (the allowance side)
-
-
-def _down_f64(v: float) -> XReal:
-    """Lower bound of a binary64 value; nonpositive values give zero."""
-    if v <= 0.0:
-        return _ZERO
-    return XReal.from_log(_down(math.log(v)))
-
-
-def _down_mul(a: XReal, b: XReal) -> XReal:
-    if a.log_mag == -_INF or b.log_mag == -_INF:
-        return _ZERO
-    return XReal(_down(a.log_mag + b.log_mag))
-
-
-def _down_add(a: XReal, b: XReal) -> XReal:
-    # adding zero is exact; otherwise two downward steps
-    if a.log_mag == -_INF:
-        return b
-    if b.log_mag == -_INF:
-        return a
-    return XReal(_down(_down(_log_add(a.log_mag, b.log_mag))))

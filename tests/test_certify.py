@@ -21,7 +21,7 @@ from abcertify.certify import (
 )
 from abcertify.config import ExperimentConfig
 from abcertify.kinematics import rho, z_crossing
-from abcertify.partition import sweep_pairs
+from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import XReal
 from oracles import window_integral_quad
 from published import FROZEN_PAIR_COUNTS
@@ -286,6 +286,59 @@ def test_truncated_majorant_matches_full_grid(kind):
 
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_node_window_keeps_its_cells(kind, monkeypatch):
+    # the stop test's cells, plus the last one, are the window's cells:
+    # grid_majorant folds them as kept, bit for bit the fresh ones
+    windows = _random_window_tuples(10, 711) + _long_window_tuples(10, 712)
+    calls = []
+    cells = certify._cell_logs
+
+    def counting(*args):
+        calls.append(cells(*args))
+        return calls[-1]
+
+    checked = 0
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
+        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        if win.nodes.size == 0:
+            assert win.cells is None
+            continue
+        checked += 1
+        assert win.cells.size == win.nodes.size + 1
+        monkeypatch.setattr(certify, "_cell_logs", counting)
+        kept = grid_majorant(win, r1, kind).log_mag
+        assert calls == []
+        fresh = grid_majorant(dataclasses.replace(win, kind=None, cells=None), r1, kind)
+        assert len(calls) == 1
+        assert calls.pop().tobytes() == win.cells.tobytes()
+        monkeypatch.setattr(certify, "_cell_logs", cells)
+        assert float.hex(kept) == float.hex(fresh.log_mag)
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_scalar_cell_logs_match_array_call(kind):
+    # one cell on floats (math.nextafter/math.sqrt) against the same
+    # cell in a numpy call, across many magnitudes and zero gaps
+    rng = np.random.default_rng(29)
+    h = 10_000
+    gaps = np.concatenate([10.0 ** rng.uniform(-14.0, 3.0, h), rng.uniform(0.05, 20.0, h)])
+    gaps[rng.random(2 * h) < 0.05] = 0.0
+    # small decays keep a one-ulp change of a log visible
+    decay = np.concatenate([rng.uniform(0.0, 1.0, h), 10.0 ** rng.uniform(-3.0, 8.0, h)])
+    rho_right = 10.0 ** rng.uniform(-6.0, 2.0, 2 * h)
+    w_right = 10.0 ** rng.uniform(-2.0, 4.0, 2 * h)
+    r1 = 0.5
+    array = certify._cell_logs(gaps, decay, rho_right, w_right, r1, kind)
+    cells = zip(gaps.tolist(), decay.tolist(), rho_right.tolist(), w_right.tolist())
+    for i, args in enumerate(cells):
+        one = certify._cell_logs(*args, r1, kind)
+        assert type(one) is float
+        assert float.hex(one) == float.hex(float(array[i])), (kind, args)
+    assert np.count_nonzero(array == -math.inf) == np.count_nonzero(gaps == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_floored_window_solves_no_node(kind, monkeypatch):
     # the rescaled window starts at 50: exp(-50^2/2) is below 1e-500
     sigma, mv, zeta, delta0 = 1.0, 100.0, 0.1, 0.5
@@ -524,6 +577,27 @@ def test_write_csv_matches_golden_digest(cfg, tmp_path, decimal_calls, sets):
     write_csv(sweep(cfg, list(sets), jobs=1), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_CSV_SHA256[sets]
     assert decimal_calls == []  # no cell sits in the rounding-tie band
+
+
+# sha256 over float.hex of each listed pair's four logs and margin, and
+# its flags: the first and last pair of every set and the interior worst
+# pairs of sigma1-3 (recorded before the certificate ran on floats)
+_GOLDEN_PAIR_BITS_SHA256 = "3d8b1f1f4e8b3eac8ab5bc84e6adb8fd72b94037763c30fa522a4cdbbac7751d"
+_INTERIOR_WORST = {"sigma1": 2670, "sigma2": 2368, "sigma3": 15129}
+
+
+def test_check_pair_matches_golden_bits(cfg):
+    lines = []
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        picks = sorted({0, len(jobs) - 1, _INTERIOR_WORST.get(name, 0)})
+        for i in picks:
+            res = check_pair(cfg, *jobs[i])
+            logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
+            bits = [float.hex(v.log_mag) for v in logs] + [float.hex(res.margin_log10)]
+            lines.append(" ".join([name, str(i), *bits, res.flags]))
+    assert len(lines) == 24
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_PAIR_BITS_SHA256
 
 
 class _RecordingPool:

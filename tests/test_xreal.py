@@ -10,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcertify.bounds import ten_pow
-from abcertify.xreal import XReal, _down_add, _down_f64, _down_mul, _log_add, fold_add_logs
+from abcertify.xreal import (
+    XReal,
+    _log_add,
+    add_down,
+    add_up,
+    exp_neg_log,
+    f64_down,
+    f64_up,
+    fold_add_logs,
+    mul_down,
+    mul_up,
+)
 from oracles import mp_logsumexp, mp_sci_string
 
 # strategy spanning the full 600-decade working range
@@ -328,7 +339,7 @@ def test_fold_dominates_true_logsumexp():
 
 
 # ----------------------------------------------------------------------
-# down-rounded helpers (lower bounds)
+# down-rounded functions (lower bounds)
 # ----------------------------------------------------------------------
 
 
@@ -337,33 +348,30 @@ def test_fold_dominates_true_logsumexp():
     st.floats(min_value=1e-300, max_value=1e300),
 )
 def test_down_helpers_never_exceed_truth(a, b):
-    xa, xb = _down_f64(a), _down_f64(b)
-    assert xa.log_mag <= math.log(a)
+    la, lb = f64_down(a), f64_down(b)
+    assert la <= math.log(a)
     with mpmath.workdps(50):
         true_mul = float(mpmath.log(mpmath.mpf(a) * mpmath.mpf(b)))
-        true_add = float(
-            mpmath.log(
-                mpmath.exp(mpmath.mpf(xa.log_mag))
-                + mpmath.exp(mpmath.mpf(xb.log_mag))
-            )
-        )
+        true_add = float(mpmath.log(mpmath.exp(mpmath.mpf(la)) + mpmath.exp(mpmath.mpf(lb))))
     # down-rounding may land exactly on the correctly rounded value, so
     # allow the comparison itself one representable step of slack
-    assert _down_mul(xa, xb).log_mag <= true_mul + math.ulp(max(1.0, abs(true_mul)))
-    assert _down_add(xa, xb).log_mag <= true_add + math.ulp(max(1.0, abs(true_add)))
+    assert mul_down(la, lb) <= true_mul + math.ulp(max(1.0, abs(true_mul)))
+    assert add_down(la, lb) <= true_add + math.ulp(max(1.0, abs(true_add)))
 
 
 def test_down_helpers_zero_and_tightness():
-    assert _down_f64(0.0).is_zero
-    assert _down_f64(-3.0).is_zero
-    z = XReal.zero()
-    one = _down_f64(1.0)
-    assert _down_add(z, one).log_mag == one.log_mag
-    assert _down_add(one, z).log_mag == one.log_mag
-    assert _down_mul(z, one).is_zero
+    inf = math.inf
+    assert f64_down(0.0) == -inf
+    assert f64_down(-3.0) == -inf
+    with pytest.raises(ValueError):
+        f64_down(math.nan)
+    one = f64_down(1.0)
+    assert add_down(-inf, one) == one
+    assert add_down(one, -inf) == one
+    assert mul_down(-inf, one) == -inf
     # down-rounding costs at most a few ulps
-    x = _down_f64(math.pi)
-    assert math.log(math.pi) - x.log_mag <= 4 * math.ulp(math.log(math.pi))
+    x = f64_down(math.pi)
+    assert math.log(math.pi) - x <= 4 * math.ulp(math.log(math.pi))
 
 
 def test_log_add_infinities_are_exact():
@@ -378,5 +386,40 @@ def test_log_add_infinities_are_exact():
 def test_up_and_down_add_bracket_the_step(la, lb):
     step = _log_add(la, lb)
     up = XReal.from_log(la).add(XReal.from_log(lb)).log_mag
-    down = _down_add(XReal.from_log(la), XReal.from_log(lb)).log_mag
+    down = add_down(la, lb)
     assert down < step < up
+
+
+# ----------------------------------------------------------------------
+# XReal wraps the float functions
+# ----------------------------------------------------------------------
+
+# log magnitudes including both infinities (zero and an absorbing +inf)
+extended_logs = st.one_of(log_mags, st.sampled_from([-math.inf, math.inf, 0.0]))
+f64_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308), st.sampled_from([0.0, math.inf, 5e-324])
+)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return float.hex(a) == float.hex(b)
+
+
+@given(extended_logs, extended_logs)
+def test_xreal_add_mul_are_the_float_functions(la, lb):
+    xa, xb = XReal(la), XReal(lb)
+    assert _same_bits(xa.add(xb).log_mag, add_up(la, lb))
+    assert _same_bits(xa.mul(xb).log_mag, mul_up(la, lb))
+
+
+@given(f64_values, f64_values)
+def test_xreal_constructors_are_the_float_functions(v, x):
+    assert _same_bits(XReal.from_f64(v).log_mag, f64_up(v))
+    assert _same_bits(XReal.exp_neg(x).log_mag, exp_neg_log(x))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan])
+def test_float_functions_keep_the_input_checks(bad):
+    for f in (f64_up, XReal.from_f64, exp_neg_log, XReal.exp_neg):
+        with pytest.raises(ValueError):
+            f(bad)
