@@ -28,7 +28,7 @@ import numpy as np
 from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
 from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
-from .xreal import XReal
+from .xreal import XReal, add_up, exp_neg_log, f64_up, mul_up
 
 __all__ = [
     "REGIMES",
@@ -254,7 +254,8 @@ def interval_certificates(
 
     Returns per-certificate dicts with ``violations`` (count) and
     ``margin`` (smallest slack seen; negative means a violation).
-    The certified statements, each over a width grid of n points:
+    The certified statements, each over a width grid of n >= 2 points
+    (both ends of each range are checked):
 
       1. crossing distance within [2.1023e-6, 0.0673] above the crossover;
       2. geometric crossover scale within [0.0042, 303.8306] there;
@@ -263,7 +264,14 @@ def interval_certificates(
          for |zeta| <= z;
       5. crossing distance within [134.99, 136.82] half-thicknesses
          below the crossover.
+
+    Each grid is one array pass: the crossings, crossover scales and
+    slab heights of all its widths come from one call each, bit-identical
+    to the scalar :func:`~abcertify.kinematics.z_crossing` and config
+    calls at every width.  A non-finite margin counts as a violation.
     """
+    if not n >= 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
     out: Dict[str, Dict[str, float]] = {}
 
     def record(name: str, margins: np.ndarray, scale: np.ndarray):
@@ -271,21 +279,20 @@ def interval_certificates(
         # meets its majorant exactly at the crossover width), so ties
         # get a few-ulp guard; anything beyond that counts.
         guard = 8.0 * np.finfo(float).eps * np.abs(scale)
-        worst = float(np.min(margins)) if margins.size else math.inf
         out[name] = {
-            "violations": int(np.sum(margins < -guard)),
-            "margin": worst,
+            "violations": int(np.sum(~np.isfinite(margins) | (margins < -guard))),
+            "margin": float(np.min(margins)),
         }
 
     hi_grid = np.geomspace(cfg.sigma0, cfg.sigma_max, n)
-    z_hi = np.array([z_of_sigma(s, cfg) for s in hi_grid])
+    z_hi = z_of_sigma(hi_grid, cfg)
     record(
         "crossing_range_above",
         np.minimum(z_hi - 2.1023e-6, 0.0673 - z_hi),
         z_hi,
     )
 
-    s1_vals = np.array([cfg.s1(s) for s in hi_grid])
+    s1_vals = cfg.s1(hi_grid)
     record(
         "crossover_scale_range",
         np.minimum(s1_vals - 0.0042, 303.8306 - s1_vals),
@@ -294,7 +301,7 @@ def interval_certificates(
 
     mv = cfg.mv
     ring = np.sqrt(
-        np.array([cfg.h(s) for s in hi_grid])
+        cfg.h(hi_grid)
         * cfg.r2 ** 2
         * (hi_grid * mv) ** 3
         / np.maximum(z_hi, s1_vals)
@@ -310,7 +317,7 @@ def interval_certificates(
     )
 
     lo_grid = np.geomspace(cfg.sigma_min, cfg.sigma0, n)
-    z_lo = np.array([z_of_sigma(s, cfg) for s in lo_grid])
+    z_lo = z_of_sigma(lo_grid, cfg)
     ht = cfg.magnet.h_tilde
     record(
         "crossing_range_below",
@@ -352,8 +359,8 @@ class BoundReport:
 ALLOWANCE_SIZE = 4.0
 ALLOWANCE_SCALE = {"interacting": 1e-3, "outgoing": 1e-7}
 ALLOWANCE_SLACK_EXP = -101
-_ALLOWANCE_SIZE = XReal.from_f64(ALLOWANCE_SIZE)
-_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP)
+_LOG_ALLOWANCE_SIZE = f64_up(ALLOWANCE_SIZE)
+_LOG_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP).log_mag
 
 # Frozen display coefficients of the detailed single-line bound; kept
 # verbatim from the published table so reports match it digit for digit.
@@ -364,31 +371,33 @@ class _Row(NamedTuple):
     """One bound of the form :func:`_bound` evaluates."""
 
     poly: Union[str, Tuple[float, ...]]  # a name picks the calibrated vector
-    size: XReal
+    size: float  # log magnitude of the size factor
     offset: float
-    additive: XReal
+    additive: float  # log magnitude of the additive slack
     allowance: float  # the published allowance's scale c, 0 for none
 
 
-_SEVEN = XReal.from_f64(7.0)
-_TWICE_1E420 = ten_pow(-420).mul(XReal.from_f64(2.0))
+_LOG_SEVEN = f64_up(7.0)
+_LOG_TWICE_1E420 = mul_up(ten_pow(-420).log_mag, f64_up(2.0))
 _OUTGOING = _Row(
-    "outgoing", XReal.from_f64(3.0), _SQRT_2, _TWICE_1E420, ALLOWANCE_SCALE["outgoing"]
+    "outgoing", f64_up(3.0), _SQRT_2, _LOG_TWICE_1E420, ALLOWANCE_SCALE["outgoing"]
 )
 _REGIME_TABLE: Dict[str, _Row] = {
-    "incoming": _Row("incoming", XReal.zero(), _SQRT_2, ten_pow(-419), 0.0),
-    "interacting": _Row("interacting", XReal.from_f64(2.0031), 2.0,
-                        ten_pow(-420).add(ten_pow(-456)), ALLOWANCE_SCALE["interacting"]),
+    "incoming": _Row("incoming", -math.inf, _SQRT_2, ten_pow(-419).log_mag, 0.0),
+    "interacting": _Row("interacting", f64_up(2.0031), 2.0,
+                        add_up(ten_pow(-420).log_mag, ten_pow(-456).log_mag),
+                        ALLOWANCE_SCALE["interacting"]),
     "outgoing": _OUTGOING,
     "scattering": _OUTGOING,
     "uniform": _OUTGOING,
-    "detailed": _Row(_DETAILED, _SEVEN, 0.0, ten_pow(-101).add(_TWICE_1E420), 0.0),
+    "detailed": _Row(_DETAILED, _LOG_SEVEN, 0.0,
+                     add_up(ten_pow(-101).log_mag, _LOG_TWICE_1E420), 0.0),
 }
 REGIMES = tuple(_REGIME_TABLE)
 # the headline bound 7 e^{-r1^2/2s^2} + 177e3 e^{-rate} + 1e-100, and the
 # envelope whose square bounds the interaction probability
-_FINAL = _Row((0.0, 0.0, 177e3, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
-_ENVELOPE = _Row((0.0, 0.0, 177001.0, 0.0, 0.0), _SEVEN, 0.0, ten_pow(-100), 0.0)
+_FINAL = _Row((0.0, 0.0, 177e3, 0.0, 0.0), _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
+_ENVELOPE = _Row((0.0, 0.0, 177001.0, 0.0, 0.0), _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
 
 
 def _regime_row(regime: str) -> _Row:
@@ -410,7 +419,9 @@ def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundRe
 
     p = max(0, P(sigma)) for the row's polynomial P.  A row with c > 0
     adds the published allowance 4 e^{-r1^2/2sigma^2} + c e^{-rate} p +
-    10^-101, reported inside the additive term.
+    10^-101, reported inside the additive term.  The arithmetic runs on
+    log magnitudes (the ``xreal`` functions); only the four reported
+    values are wrapped as ``XReal``.
     """
     coeffs, size_factor, offset, additive, scale = row
     if isinstance(coeffs, str):
@@ -418,19 +429,20 @@ def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundRe
     poly = calibrated_poly(coeffs, sigma)
     p = max(0.0, poly)
     r1 = cfg.r1
-    rate = XReal.exp_neg(cfg.rate_exponent(sigma))
-    size1 = XReal.exp_neg(r1 * r1 / (2.0 * sigma * sigma))
-    size = size1.mul(size_factor)
-    spread = rate.mul(XReal.from_f64(p + offset))
-    total = size.add(spread).add(additive)
+    rate = exp_neg_log(cfg.rate_exponent(sigma))
+    size1 = exp_neg_log(r1 * r1 / (2.0 * sigma * sigma))
+    size = mul_up(size1, size_factor)
+    spread = mul_up(rate, f64_up(p + offset))
+    total = add_up(add_up(size, spread), additive)
     if scale:
-        allowance = (
-            size1.mul(_ALLOWANCE_SIZE)
-            .add(rate.mul(XReal.from_f64(scale * p)))
-            .add(_ALLOWANCE_SLACK)
+        allowance = add_up(
+            add_up(mul_up(size1, _LOG_ALLOWANCE_SIZE), mul_up(rate, f64_up(scale * p))),
+            _LOG_ALLOWANCE_SLACK,
         )
-        total, additive = total.add(allowance), additive.add(allowance)
-    return BoundReport(name, sigma, size, spread, additive, total, poly)
+        total, additive = add_up(total, allowance), add_up(additive, allowance)
+    return BoundReport(
+        name, sigma, XReal(size), XReal(spread), XReal(additive), XReal(total), poly
+    )
 
 
 def regime_bound(cfg: ExperimentConfig, sigma: float, regime: str) -> BoundReport:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
 __all__ = [
     "Magnet",
     "Beam",
@@ -26,8 +28,20 @@ __all__ = [
 _RATE_CAP = 2000.0  # the tail-rate cap: omega_inv(sigma)**2 never exceeds it
 _SQRT_2000 = math.sqrt(_RATE_CAP)
 _RATE = 33.0 / 34.0  # decay-rate factor in the width-dependent exponential
+_SQRT_RATE = math.sqrt(_RATE)
 _SQRT_PI = math.sqrt(math.pi)  # shared with the other modules, as is _PI4
 _PI4 = math.pi ** 0.25
+
+
+# The width formulas of ExperimentConfig take a float or an array of
+# widths: ``_OPS`` picks ``(minimum, maximum, sqrt, any)`` by the
+# argument's type, numpy ufuncs for an array and ``min``/``max``/
+# ``math.sqrt``/``bool`` for anything else.  Both are correctly rounded
+# and each formula is written once, so element i of an array call is
+# the scalar call at ``sigma[i]``, bit for bit, and a float still
+# returns a Python float.
+_FLOAT_OPS = (min, max, math.sqrt, bool)
+_OPS = {np.ndarray: (np.minimum, np.maximum, np.sqrt, np.any)}
 
 
 def _require_finite(obj) -> None:
@@ -144,9 +158,12 @@ class ExperimentConfig:
         """Outer radius of the fattened magnet."""
         return self.magnet.r2_tilde + self.eps
 
+    # width formulas: sigma is a float or an array (see _OPS)
+
     def delta(self, sigma: float) -> float:
         """Axial fattening for a packet of width sigma."""
-        return self.delta_scale * max(10.0 * sigma, self.magnet.h_tilde)
+        maximum = _OPS.get(type(sigma), _FLOAT_OPS)[1]
+        return self.delta_scale * maximum(10.0 * sigma, self.magnet.h_tilde)
 
     def h(self, sigma: float) -> float:
         """Half-height of the fattened magnet for width sigma."""
@@ -175,14 +192,18 @@ class ExperimentConfig:
 
     def omega_inv(self, sigma: float) -> float:
         """Capped tail-cut parameter (an inverse width along the axis)."""
-        return min(math.sqrt(_RATE) * sigma * self.beam.mv, _SQRT_2000)
+        minimum = _OPS.get(type(sigma), _FLOAT_OPS)[0]
+        return minimum(_SQRT_RATE * sigma * self.beam.mv, _SQRT_2000)
 
     def s1(self, sigma: float) -> float:
         """Geometric crossover scale sigma*mv*sqrt(r1^2 - sigma^2)."""
+        _, _, sqrt, any_ = _OPS.get(type(sigma), _FLOAT_OPS)
         r1 = self.r1
-        if sigma >= r1:
-            raise ValueError(f"sigma={sigma:g} must be below the hole radius {r1:g}")
-        return sigma * self.beam.mv * math.sqrt(r1 * r1 - sigma * sigma)
+        if any_(sigma >= r1):
+            raise ValueError(
+                f"sigma={np.nanmax(sigma):g} must be below the hole radius {r1:g}"
+            )
+        return sigma * self.beam.mv * sqrt(r1 * r1 - sigma * sigma)
 
     def rate_exponent(self, sigma: float) -> float:
         """(33/34) * (sigma*mv)^2 / 2, the width-dependent decay rate."""

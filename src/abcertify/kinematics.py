@@ -9,8 +9,8 @@ function of the inverse transverse width
 evaluated at the packet centre's travelled distance z.  The module
 provides the spread profile itself, axis-window Gaussian integrals in
 the co-moving frame, the distance at which the spread crosses a given
-threshold, and the pointwise quantities (99%-mass radius, capture
-fraction, opening angle) used by the report tables.
+threshold, and the pointwise quantities (99%-mass radius, opening
+angle) used by the report tables.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def _crossing_closed_form(omega_inv, smv, sigma, zeta):
     """Root of (z - zeta) * rho(sigma, z) = omega_inv (works on arrays)."""
     A = smv * smv
     D = A - omega_inv * omega_inv
+    if not (D > 0.0).all():  # (sigma*mv)^2 underflowed somewhere
+        raise ValueError("thresholds too close to sigma*mv: (sigma*mv)^2 underflowed")
     return (A * zeta + smv * omega_inv * np.sqrt(sigma * sigma * D + zeta * zeta)) / D
 
 
@@ -145,28 +147,36 @@ def _newton_polish(z, omega_inv, sigma, mv, zeta):
     r = smv / np.sqrt(den2)
     f0 = (z - zeta) * r - omega_inv
     fp = r * (1.0 - (z - zeta) * z / den2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z1 = np.where(fp > 0.0, z - f0 / fp, z)
+    # z - 0 is z where the step is skipped, and no warning is raised there
+    z1 = z - np.divide(f0, fp, out=np.zeros_like(fp), where=fp > 0.0)
     den2b = s2mv * s2mv + z1 * z1
     f1 = (z1 - zeta) * (smv / np.sqrt(den2b)) - omega_inv
     return np.where(np.abs(f1) <= np.abs(f0), z1, z)
 
 
-def z_crossing_vec(
-    omega_inv: np.ndarray, sigma: float, mv: float, zeta: float
-) -> np.ndarray:
-    """Vectorised :func:`z_crossing` over an array of thresholds."""
+def z_crossing_vec(omega_inv, sigma, mv: float, zeta) -> np.ndarray:
+    """Vectorised :func:`z_crossing`, elementwise bit-identical to it.
+
+    ``omega_inv``, ``sigma`` and ``zeta`` are arrays or floats that
+    broadcast together.  Every element must pass the scalar solver's
+    checks (a NaN threshold fails them), else ValueError.
+    """
     omega_inv = np.asarray(omega_inv, dtype=np.float64)
     smv = sigma * mv
-    if omega_inv.size and (omega_inv.min() <= 0.0 or omega_inv.max() >= smv):
+    if not ((0.0 < omega_inv) & (omega_inv < smv)).all():
         raise ValueError("thresholds must lie strictly inside (0, sigma*mv)")
-    z0 = _crossing_closed_form(omega_inv, smv, sigma, float(zeta))
+    z0 = _crossing_closed_form(omega_inv, smv, sigma, zeta)
     return _newton_polish(z0, omega_inv, sigma, mv, zeta)
 
 
-def z_of_sigma(sigma: float, cfg: ExperimentConfig) -> float:
-    """Capped-threshold crossing distance for a packet of width sigma."""
-    return z_crossing(cfg.omega_inv(sigma), sigma, cfg.mv, cfg.h(sigma))
+def z_of_sigma(sigma, cfg: ExperimentConfig):
+    """Capped-threshold crossing distance for a width or an array of widths.
+
+    An array runs :func:`z_crossing_vec` once and gives, point by point,
+    the float the scalar :func:`z_crossing` gives for one width.
+    """
+    solve = z_crossing_vec if isinstance(sigma, np.ndarray) else z_crossing
+    return solve(cfg.omega_inv(sigma), sigma, cfg.mv, cfg.h(sigma))
 
 
 # ----------------------------------------------------------------------

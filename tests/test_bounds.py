@@ -237,6 +237,47 @@ def test_interval_certificates_smoke(any_cfg):
         assert rec["margin"] >= -1e-18
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_interval_certificates_reject_vacuous_grids(cfg, n):
+    with pytest.raises(ValueError, match="at least 2"):
+        interval_certificates(cfg, n=n)
+
+
+def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
+    real = bounds.z_of_sigma
+
+    def poisoned(sigma, c):
+        z = real(sigma, c).copy()
+        z[1] = math.nan
+        z[2] = math.inf
+        return z
+
+    monkeypatch.setattr(bounds, "z_of_sigma", poisoned)
+    with np.errstate(invalid="ignore"):  # inf - inf in the spread ratio
+        out = interval_certificates(cfg, n=50)
+    assert out["crossing_range_above"]["violations"] == 2
+    assert out["crossing_range_below"]["violations"] == 2
+    assert out["crossover_scale_range"]["violations"] == 0
+
+
+# sha256 over each certificate's violation count and the float.hex of
+# its margin, for the six configs at n = 500 and 10,000, as computed by
+# the per-width loops the array pass replaced
+_GOLDEN_CERT_SHA256 = "af9ffe18b37ec1bcb7d9295d0487c948f0436cfd714fa49a07839ea4c59875de"
+
+
+def test_interval_certificates_match_golden_digest():
+    digest = hashlib.sha256()
+    for n in (500, 10_000):
+        for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+            out = interval_certificates(get_config(magnet, beam), n=n)
+            for name in sorted(out):
+                rec = out[name]
+                line = f"{n} {magnet} {beam} {name} {rec['violations']} {rec['margin'].hex()}"
+                digest.update(line.encode())
+    assert digest.hexdigest() == _GOLDEN_CERT_SHA256
+
+
 # ----------------------------------------------------------------------
 # regimes
 # ----------------------------------------------------------------------

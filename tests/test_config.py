@@ -92,6 +92,18 @@ def test_spread_cap(cfg):
     )
 
 
+def test_width_formulas_return_floats_for_a_float(cfg):
+    for f in (cfg.h, cfg.delta, cfg.omega_inv, cfg.s1):
+        assert type(f(1e-7)) is float, f.__name__
+
+
+def test_crossover_scale_rejects_any_width_past_the_hole(cfg):
+    with pytest.raises(ValueError, match="must be below the hole radius"):
+        cfg.s1(cfg.r1)
+    with pytest.raises(ValueError, match="must be below the hole radius"):
+        cfg.s1(np.array([1e-7, cfg.r1, 1e-6]))
+
+
 def test_crossover_scale_defining_equation(cfg):
     # r1 * rho(sigma, s1(sigma)) == 1 identically; check the float residual
     grid = np.geomspace(cfg.sigma_min, 0.999 * cfg.r1, 10_000)

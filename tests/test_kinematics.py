@@ -1,6 +1,7 @@
 """Wave-packet kinematics: windows, crossings, derived probabilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,60 @@ def test_crossing_domain_errors():
     # (sigma*mv)^2 underflows: no crossing can be computed
     with pytest.raises(ValueError):
         z_crossing(0.5e-170, 1e-170, 1.0, 0.3)
+
+
+def test_crossing_vec_rejects_what_scalar_rejects():
+    # a NaN threshold, and one whose (sigma*mv)^2 underflows
+    cases = [(math.nan, 1.0, 1.0, 0.3), (5e-171, 1e-170, 1.0, 0.3)]
+    for omega, sigma, mv, zeta in cases:
+        with pytest.raises(ValueError):
+            z_crossing(omega, sigma, mv, zeta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                z_crossing_vec(np.array([omega]), sigma, mv, zeta)
+            # one bad element among good ones, with array widths and offsets
+            with pytest.raises(ValueError):
+                z_crossing_vec(
+                    np.array([0.5, omega]), np.array([2.0, sigma]), mv, np.array([0.3, zeta])
+                )
+
+
+def test_crossing_vec_broadcasts_widths_and_offsets():
+    rng = np.random.default_rng(34)
+    sigma = 10.0 ** rng.uniform(-10.0, 0.5, 2000)
+    mv = 1.98e10
+    zeta = 10.0 ** rng.uniform(-9.0, 0.0, 2000)
+    omegas = rng.uniform(1e-6, 1.0 - 1e-9, 2000) * sigma * mv
+    vec = z_crossing_vec(omegas, sigma, mv, zeta)
+    for i in range(sigma.size):
+        want = z_crossing(float(omegas[i]), float(sigma[i]), mv, float(zeta[i]))
+        assert vec[i].hex() == want.hex(), i
+
+
+def test_array_width_formulas_match_scalar_bits(any_cfg):
+    # a log grid over the certified widths, plus the omega_inv cap at
+    # sigma0 and the max branch of delta at 10 sigma = h_tilde, each
+    # with its two float neighbours
+    cfg = any_cfg
+    edges = [cfg.sigma0, cfg.magnet.h_tilde / 10.0]
+    extra = [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    grid = np.concatenate(
+        [np.geomspace(cfg.sigma_min, cfg.sigma_max, 3000), edges, extra]
+    )
+    for name, f in [
+        ("omega_inv", cfg.omega_inv),
+        ("delta", cfg.delta),
+        ("h", cfg.h),
+        ("s1", cfg.s1),
+        ("z_of_sigma", lambda s: z_of_sigma(s, cfg)),
+    ]:
+        vec = f(grid)
+        assert isinstance(vec, np.ndarray) and vec.shape == grid.shape, name
+        for s, v in zip(grid.tolist(), vec.tolist()):
+            assert v.hex() == f(s).hex(), (name, s)
+    assert cfg.omega_inv(cfg.sigma0) == math.sqrt(2000.0)
+    assert cfg.delta(edges[1]) == cfg.magnet.h_tilde
 
 
 def test_scalar_crossing_bit_identical_to_vec():
