@@ -10,9 +10,13 @@ final bound for a packet of width sigma is then
   + spread term    exp(-(33/34)(sigma mv)^2/2) * P(sigma)
   + fixed slack    a power of ten covering remainders,
 
-with P the calibrated polynomial of the requested regime.  Everything
-nonnegative is carried as :class:`~abcertify.xreal.XReal`, so the
-reported numbers are machine-checked upper bounds.
+with P the calibrated polynomial of the requested regime.  One core,
+``_bound_logs``, evaluates every such bound on log magnitudes with the
+directed ``xreal`` steps, so the reported numbers are machine-checked
+upper bounds.  Only the functions that return a :class:`BoundReport`
+build one; the threshold bisections and the worst-case parameter scan
+order bounds by their log-magnitude floats with the comparison
+:meth:`~abcertify.xreal.XReal.cmp` makes.
 """
 
 from __future__ import annotations
@@ -414,14 +418,19 @@ def _envelope_family(regime: str) -> str:
     return family
 
 
-def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundReport:
+def _bound_logs(
+    cfg: ExperimentConfig, sigma: float, row: _Row
+) -> Tuple[float, float, float, float, float]:
     """size e^{-r1^2/2sigma^2} + e^{-rate}(p + offset) + additive for one row.
 
     p = max(0, P(sigma)) for the row's polynomial P.  A row with c > 0
     adds the published allowance 4 e^{-r1^2/2sigma^2} + c e^{-rate} p +
     10^-101, reported inside the additive term.  The arithmetic runs on
-    log magnitudes (the ``xreal`` functions); only the four reported
-    values are wrapped as ``XReal``.
+    log magnitudes (the ``xreal`` functions) and returns the signed
+    polynomial value and the log magnitudes of the size, spread,
+    additive and total terms: ``(poly, size, spread, additive, total)``.
+    Callers that compare bounds read these floats; only the functions
+    that return a :class:`BoundReport` wrap them.
     """
     coeffs, size_factor, offset, additive, scale = row
     if isinstance(coeffs, str):
@@ -440,6 +449,12 @@ def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundRe
             _LOG_ALLOWANCE_SLACK,
         )
         total, additive = add_up(total, allowance), add_up(additive, allowance)
+    return poly, size, spread, additive, total
+
+
+def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundReport:
+    """The row's bound at sigma as a :class:`BoundReport` (see :func:`_bound_logs`)."""
+    poly, size, spread, additive, total = _bound_logs(cfg, sigma, row)
     return BoundReport(
         name, sigma, XReal(size), XReal(spread), XReal(additive), XReal(total), poly
     )
@@ -461,7 +476,7 @@ def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:
 
 def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
     """Upper bound on the interaction probability: the squared envelope."""
-    return _bound(cfg, sigma, "final", _ENVELOPE).total.pow(2)
+    return XReal(_bound_logs(cfg, sigma, _ENVELOPE)[4]).pow(2)
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +488,10 @@ def _bisect_log_sigma(
     f: Callable[[float], int], lo: float, hi: float, iters: int = 80
 ) -> float:
     """Bisection on log(sigma); f returns sign (+1 above target, -1 below).
+
+    :func:`threshold_sigma` passes an f that compares the bound's
+    log-magnitude float with the target's as :meth:`XReal.cmp` does, so
+    no step builds a :class:`BoundReport`.
 
     Runs at most ``iters`` steps, and stops early once a step leaves the
     bracket unchanged: f is deterministic, so every later step would
@@ -506,10 +525,18 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
     the crossing is bracketed by [1e-7, just under the hole radius].
     "small": the spread term dominates; the bound decreases with width
     and the crossing is bracketed by [1e-12, 1e-7].
+
+    Each step compares the headline bound's total log magnitude with
+    ``target.log_mag`` exactly as :meth:`XReal.cmp` does, so it orders
+    the widths as the reported totals of :func:`final_bound` would,
+    without building a :class:`BoundReport`.
     """
 
+    t = target.log_mag
+
     def sign(s: float) -> int:
-        return XReal.cmp(final_bound(cfg, s).total, target)
+        b = _bound_logs(cfg, s, _FINAL)[4]
+        return (b > t) - (b < t)
 
     if branch == "big":
         return _bisect_log_sigma(sign, 1e-7, 0.999 * cfg.r1)
@@ -595,23 +622,24 @@ def params_sweep(
         # informative; near sigma_max every variant degenerates to ~1
         top = min(1e-5, 0.5 * cfg.sigma_max)
         probe_sigmas = list(np.geomspace(cfg.sigma0 * 5.0, top, 9))
+    uniform = _regime_row("uniform")
     rows: List[Dict[str, object]] = []
     for es in eps_scales:
         for ds in delta_scales:
             try:
                 trial = replace(cfg, eps_scale=float(es), delta_scale=float(ds))
-                worst = XReal.zero()
+                worst = -math.inf
                 for s in probe_sigmas:
-                    tot = regime_bound(trial, float(s), "uniform").total
-                    if XReal.cmp(tot, worst) > 0:
+                    tot = _bound_logs(trial, float(s), uniform)[4]
+                    if tot > worst:
                         worst = tot
                 rows.append(
                     {
                         "eps_scale": float(es),
                         "delta_scale": float(ds),
                         "status": "ok",
-                        "worst_bound": worst.to_sci_string(),
-                        "worst_log10": worst.log_mag / math.log(10.0),
+                        "worst_bound": XReal(worst).to_sci_string(),
+                        "worst_log10": worst / math.log(10.0),
                     }
                 )
             except ValueError as exc:

@@ -433,6 +433,25 @@ def test_threshold_round_trip(cfg):
         assert back == pytest.approx(s, rel=1e-5)
 
 
+# sha256 over the float.hex of every threshold output for the six
+# configs: both size tables at _TABLE_TARGETS, the plateaus at -99 and
+# -50, and the angle and radius tables, as computed when each bisection
+# step built a BoundReport
+_GOLDEN_THRESHOLD_SHA256 = "fffb343ecc3d9a048946112bdd21ba81228860f3f363a3dad4a5d4ae3016ad1d"
+_TABLE_TARGETS = [*range(1, 11), 1.5, 7.25]
+
+
+def _threshold_outputs(cfg):
+    return (
+        size_table(cfg, "big", _TABLE_TARGETS),
+        size_table(cfg, "small", _TABLE_TARGETS),
+        [plateau_interval(cfg, -99)],
+        [plateau_interval(cfg, -50)],
+        angle_table(cfg),
+        radius_table(cfg),
+    )
+
+
 def _bisect_80(f, lo, hi, iters=80):
     """The bisection before its early exit: always ``iters`` steps."""
     flo, fhi = f(lo), f(hi)
@@ -453,32 +472,65 @@ def _bisect_80(f, lo, hi, iters=80):
 
 
 def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch):
+    # every bisection step evaluates the bound core once
     calls = [0]
-    real = bounds.final_bound
+    real = bounds._bound_logs
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(bounds, "final_bound", counting)
-    targets = [*range(1, 11), 1.5, 7.25]
-
-    def tables():
-        return (
-            size_table(any_cfg, "big", targets),
-            size_table(any_cfg, "small", targets),
-            plateau_interval(any_cfg, -99),
-            plateau_interval(any_cfg, -50),
-            angle_table(any_cfg),
-            radius_table(any_cfg),
-        )
-
-    early = tables()
+    monkeypatch.setattr(bounds, "_bound_logs", counting)
+    early = _threshold_outputs(any_cfg)
     early_calls, calls[0] = calls[0], 0
     monkeypatch.setattr(bounds, "_bisect_log_sigma", _bisect_80)
-    assert tables() == early
+    assert _threshold_outputs(any_cfg) == early
     # 48 bisections; the bracket stops moving after 51-53 of the 80 steps
     assert early_calls <= calls[0] - 20 * 48
+
+
+def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
+    # the bisection orders bounds by their log floats; at every width it
+    # visits, its sign must be XReal.cmp of the reported total
+    visited = []
+    real = bounds._bisect_log_sigma
+
+    def recording(f, lo, hi, *args):
+        def f_rec(s):
+            visited.append((s, f(s)))
+            return visited[-1][1]
+
+        return real(f_rec, lo, hi, *args)
+
+    monkeypatch.setattr(bounds, "_bisect_log_sigma", recording)
+    cases = [
+        (ten_pow(-k), branch, None) for k in (1, 4.5, 10) for branch in ("big", "small")
+    ]
+    cases += [(ten_pow(-99, "down"), branch, None) for branch in ("big", "small")]
+    # a target equal to a bracket end's bound returns that end at once
+    for branch, end in (("big", 1e-7), ("small", 1e-12)):
+        cases.append((final_bound(any_cfg, end).total, branch, end))
+    for target, branch, end in cases:
+        visited.clear()
+        s = threshold_sigma(any_cfg, target, branch)
+        assert len(visited) >= 2
+        for sigma, sign in visited:
+            assert sign == XReal.cmp(final_bound(any_cfg, sigma).total, target)
+        if end is not None:
+            assert s == end and visited[0] == (end, 0) and len(visited) == 2
+
+
+def test_threshold_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        for name, rows in zip(
+            ("big", "small", "plateau-99", "plateau-50", "angle", "radius"),
+            _threshold_outputs(get_config(magnet, beam)),
+        ):
+            for row in rows:
+                line = " ".join([magnet, beam, name] + [float(x).hex() for x in row])
+                digest.update(line.encode())
+    assert digest.hexdigest() == _GOLDEN_THRESHOLD_SHA256
 
 
 def test_threshold_requires_crossing(cfg):
