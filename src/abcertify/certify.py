@@ -37,8 +37,8 @@ larger, never invalid.
   orders below every right-hand side -- the window keeps no nodes,
   nothing is solved or folded, and ``grid_majorant`` returns the kept
   value.
-* Truncation: nodes are solved in chunks (128, then doubling), and the
-  grid ends at the first node Z_J whose remaining cell [x_J, z_cap],
+* Truncation: a window takes its nodes in chunks (128, then doubling),
+  and the grid ends at the first node Z_J whose remaining cell [x_J, z_cap],
   bounded by (z_cap - x_J) e^{-Z_J^2/2} times the weight's sup at
   z_cap, is below 2^-60 of the sum of the cells up to x_J.  The fold
   then sums those cells plus that last cell, computed with the same
@@ -48,13 +48,23 @@ larger, never invalid.
   under 2^-60 of it; in practice it shrinks, because the fold takes
   ~20x fewer one-ulp rounding steps (no pair of the full sweep lost
   margin).
-* Grids larger than ``NODE_CAP`` nodes are thinned by a uniform stride.
-  The cap is a fixed input guard: it bounds the nodes solved for any
-  user ``delta0`` (``verify --delta0``).  No window of the full sweep
-  reaches it.  A ``delta0`` so fine that the index Z^2/delta0 overflows
+* A width's node range (the union of its windows') larger than
+  ``NODE_CAP`` nodes is thinned by a uniform stride.  The cap is a
+  fixed input guard: it bounds the nodes solved for any user
+  ``delta0`` (``verify --delta0``).  No width of the full sweep reaches
+  it.  A ``delta0`` so fine that the index Z^2/delta0 overflows
   a float raises ValueError.
 
-Without a kind, ``_build_window`` solves the whole grid, so the stop
+All windows of one width -- b4, b5, and b6 with its b3 tail when the
+pair scale cuts the window -- share sigma, mv, zeta and delta0, so their
+nodes are sub-ranges of one lattice Z_n = sqrt(n delta0) and their
+crossings are the same floats.  ``_build_windows`` solves that lattice
+once per width, in one ``z_crossing_vec`` call that covers every
+window's first chunk, and extends it by doubling only when a window
+needs more; each window slices its own n-range and clips it to its own
+[s, z_cap].  A window keeps its cells' geometry, so b6 on the b4 grid
+takes its cells from the arrays the b4 pass built.  Without a kind,
+``_build_window`` (a batch of one) solves the whole grid, so the stop
 test never fires.
 """
 
@@ -142,10 +152,13 @@ class majorant_window:
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, and lo/hi the induced window in the rescaled
-    variable.  A window built for one kind keeps that kind, its ``r1``,
-    its one-cell majorant (the floor test's value) and, when it has
-    nodes, the logs of its cells (the stop test's values), so
-    ``grid_majorant`` computes neither again.
+    variable.  A window with nodes keeps its ``grid``: the rows gaps,
+    left decay exponents, right rho and right rescaled end of its cells,
+    the last cell [x_J, z_cap] included, from which ``grid_majorant``
+    builds any kind's cells.  A window built for one kind keeps that
+    kind, its ``r1``, its one-cell majorant (the floor test's value)
+    and, when it has nodes, the logs of its cells (the stop test's
+    values), so ``grid_majorant`` computes neither again.
     """
 
     sigma: float
@@ -156,10 +169,104 @@ class majorant_window:
     hi: float
     nodes: np.ndarray  # rescaled grid values Z_j (may be empty)
     x: np.ndarray      # matching distances, s <= x_1 <= ... <= z_cap
+    grid: Optional[np.ndarray] = None  # (4, nodes + 1): the cells' geometry
     r1: Optional[float] = None
     kind: Optional[str] = None
     one_cell: Optional[XReal] = None
     cells: Optional[np.ndarray] = None
+
+
+class _Lattice:
+    """The nodes Z_k = sqrt((n0 + stride k) delta0) of one width, and their crossings.
+
+    The windows of one width share sigma, mv, zeta and delta0, so their
+    nodes are sub-ranges of this one lattice and their crossings the
+    same floats.  ``reserve`` solves the lattice up to a point in one
+    ``z_crossing_vec`` call, extending it to at least twice its solved
+    size; nodes at or past sigma*mv, where no crossing exists, end it.
+    """
+
+    def __init__(self, sigma, mv, zeta, delta0, n0, stride, size):
+        self.sigma, self.mv, self.zeta, self.delta0 = sigma, mv, zeta, delta0
+        self.n0, self.stride, self.size = n0, stride, size
+        self.nodes = self.x = self.decay = np.empty(0)
+
+    def reserve(self, k_end: int) -> None:
+        done = self.nodes.size
+        if k_end <= done or done == self.size:
+            return
+        idx = np.arange(done, min(self.size, max(k_end, 2 * done)), dtype=np.float64)
+        nodes = np.sqrt((self.n0 + self.stride * idx) * self.delta0)
+        if nodes[-1] >= self.sigma * self.mv:
+            nodes = nodes[: nodes.searchsorted(self.sigma * self.mv)]
+            self.size = done + nodes.size
+        if nodes.size:
+            x = z_crossing_vec(nodes, self.sigma, self.mv, self.zeta)
+            self.nodes = np.concatenate((self.nodes, nodes))
+            self.x = np.concatenate((self.x, x))
+            self.decay = np.concatenate((self.decay, nodes * nodes / 2.0))
+
+
+def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+    """A window before any node is solved, and its node range n_start..n_end.
+
+    None for an empty interval; the range is None when the window keeps
+    no nodes (floored, degenerate, or no grid node inside it).
+    """
+    if z_cap <= s:
+        return None, None
+    lo = (s - zeta) * rho(sigma, mv, s)
+    hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
+    win = majorant_window(sigma, mv, s, z_cap, lo, hi, np.empty(0), np.empty(0))
+    if kind is not None:  # the floor test's one cell, kept for grid_majorant
+        win.r1, win.kind, win.one_cell = r1, kind, grid_majorant(win, r1, kind)
+        if win.one_cell.log_mag <= _FLOOR_LOG:
+            return win, None
+    if hi <= lo:  # degenerate: single interval, no interior nodes
+        return win, None
+    if not math.isfinite(hi * hi / delta0):
+        raise ValueError(
+            f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
+        )
+
+    n_start = math.ceil(lo * lo / delta0)
+    while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
+        n_start += 1
+    if n_start < 1:
+        n_start = 1
+    # every node up to n_end lies at or below hi
+    n_end = math.floor(hi * hi / delta0)
+    while n_end >= n_start and math.sqrt(n_end * delta0) > hi:
+        n_end -= 1
+    return win, ((n_start, n_end) if n_end >= n_start else None)
+
+
+def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
+    """The windows (s, z_cap, kind) of one width, in order; None for an empty one.
+
+    Their nodes come from one ``_Lattice`` over the union of their node
+    ranges, whose first solve covers every window's first chunk.  A
+    window with a kind solves nodes in growing chunks and ends its grid
+    at the first node whose remaining cell is negligible (see the module
+    docstring); one without a kind (and r1) takes its whole grid.
+    """
+    laid = [_layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind) for s, z_cap, kind in spans]
+    ranged = [(win, n) for win, n in laid if n is not None]
+    if ranged:
+        n0 = min(n[0] for _, n in ranged)
+        count = max(n[1] for _, n in ranged) - n0 + 1
+        stride = max(1, math.ceil(count / NODE_CAP))
+        lattice = _Lattice(sigma, mv, zeta, delta0, n0, stride, (count - 1) // stride + 1)
+        plans = []
+        for win, (n_start, n_end) in ranged:
+            k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
+            total = (n_end - n0) // stride - k_first + 1
+            chunk = total if win.kind is None else min(total, _FIRST_CHUNK)
+            plans.append((win, k_first, total, chunk))
+        lattice.reserve(max(k + c for _, k, _, c in plans))
+        for win, k_first, total, chunk in plans:
+            _solve_window(win, lattice, k_first, total, chunk)
+    return [win for win, _ in laid]
 
 
 def _build_window(
@@ -174,89 +281,90 @@ def _build_window(
 ) -> Optional[majorant_window]:
     """Node layout for one window; None when the interval is empty.
 
-    Without a ``kind`` every grid node is solved.  With one (and its
-    ``r1``) the window serves that majorant only: it keeps no nodes
-    when its one-cell majorant is already below the floor, and
-    otherwise solves nodes in growing chunks and ends the grid at the
-    first node whose remaining cell is negligible (see the module
-    docstring).
+    A batch of one for ``_build_windows``: without a ``kind`` every
+    grid node is solved.  With one (and its ``r1``) the window serves
+    that majorant only: it keeps no nodes when its one-cell majorant is
+    already below the floor, and otherwise solves nodes in growing
+    chunks and ends the grid at the first node whose remaining cell is
+    negligible (see the module docstring).
     """
-    if z_cap <= s:
-        return None
-    lo = (s - zeta) * rho(sigma, mv, s)
-    hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
-    win = majorant_window(sigma, mv, s, z_cap, lo, hi, np.empty(0), np.empty(0))
-    if kind is not None:  # the floor test's one cell, kept for grid_majorant
-        win.r1, win.kind, win.one_cell = r1, kind, grid_majorant(win, r1, kind)
-        if win.one_cell.log_mag <= _FLOOR_LOG:
-            return win
-    if hi <= lo:  # degenerate: single interval, no interior nodes
-        return win
-    if not math.isfinite(hi * hi / delta0):
-        raise ValueError(
-            f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
-        )
+    return _build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
 
-    n_start = math.ceil(lo * lo / delta0)
-    while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
-        n_start += 1
-    if n_start < 1:
-        n_start = 1
-    n_end = math.floor(hi * hi / delta0)
-    while n_end >= n_start and math.sqrt(n_end * delta0) > hi:
-        n_end -= 1
-    if n_end < n_start:
-        return win
 
-    count = n_end - n_start + 1
-    stride = max(1, math.ceil(count / NODE_CAP))
-    total = (count - 1) // stride + 1
-    chunk = total if kind is None else _FIRST_CHUNK
-    done = 0
-    node_parts: List[np.ndarray] = []
-    x_parts: List[np.ndarray] = []
-    cell_parts: List[np.ndarray] = []
+def _solve_window(win, lattice, k_first, total, chunk):
+    """Take a window's nodes k_first, k_first + 1, ... from the lattice, chunk by chunk.
+
+    Each chunk of n nodes fills one (5, n + 1) buffer: the clipped
+    distances after the left edge, then the grid rows, whose column n
+    is the last cell [x_n, z_cap].  A grid that stops at node J < n
+    writes its last cell into column J.
+    """
+    s, z_cap, hi, kind, r1 = win.s, win.z_cap, win.hi, win.kind, win.r1
+    smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
+    rho_cap = _rho_np(win.sigma, win.mv, z_cap)
+    parts = []  # (buffer, cells, kept nodes) of each chunk with nodes
     # running state of the stop test: log-sum of the cells so far, and
     # the left edge and decay exponent of the next cell
-    acc, x_prev, decay_prev = -_INF, s, lo * lo / 2.0
-    rho_cap = _rho_np(sigma, mv, z_cap)
+    acc, x_prev, decay_prev = -_INF, s, win.lo * win.lo / 2.0
+    done = 0
     while done < total:
-        idx = np.arange(done, min(total, done + chunk), dtype=np.float64)
+        k0, k1 = k_first + done, k_first + min(total, done + chunk)
         done += chunk
         chunk *= 2
-        nodes = np.sqrt((n_start + stride * idx) * delta0)
-        # guard against float noise at the window edges
-        nodes = nodes[(nodes >= lo) & (nodes <= hi) & (nodes < sigma * mv)]
-        x = np.clip(z_crossing_vec(nodes, sigma, mv, zeta), s, z_cap)
-        node_parts.append(nodes)
-        x_parts.append(x)
-        if kind is None or nodes.size == 0:
+        lattice.reserve(k1)
+        nodes = lattice.nodes[k0:k1]
+        a = k0 + nodes.searchsorted(win.lo)  # float noise at the left edge
+        nodes = nodes[a - k0 :]
+        n = nodes.size
+        if n == 0:
             continue
-        decay = nodes * nodes / 2.0
-        cells = _cell_logs(
-            np.diff(x, prepend=x_prev), np.concatenate(([decay_prev], decay[:-1])),
-            _rho_np(sigma, mv, x), nodes, r1, kind,
-        )
-        running = np.logaddexp(acc, np.logaddexp.accumulate(cells))
-        last = _cell_logs(z_cap - x, decay, rho_cap, hi, r1, kind)
-        hit = np.flatnonzero(last < running + _STOP_LOG)
-        end = hit[0] + 1 if hit.size else nodes.size
-        node_parts[-1] = nodes[:end]
-        x_parts[-1] = x[:end]
-        # the grid's cells so far, and its last cell if it ends here
-        cell_parts.append(cells[:end])
-        last_cell = last[end - 1 : end]
-        if hit.size:
+        buf = np.empty((5, n + 1))
+        xe, gaps, decay, rho_right, w_right = buf
+        xe[0] = x_prev
+        x = np.clip(lattice.x[a:k1], s, z_cap, out=xe[1:])
+        np.subtract(x, xe[:-1], out=gaps[:-1])
+        gaps[n] = z_cap - x[-1]
+        decay[0] = decay_prev
+        decay[1:] = lattice.decay[a:k1]
+        np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
+        rho_right[n] = rho_cap
+        w_right[:-1] = nodes
+        w_right[n] = hi
+        end, cells, stop = n, None, False
+        if kind is not None:
+            cells = _cell_logs(gaps, decay, rho_right, w_right, r1, kind)
+            running = np.logaddexp.accumulate(cells[:-1])
+            if acc != -_INF:
+                running = np.logaddexp(acc, running)
+            last = _cell_logs(z_cap - x, decay[1:], rho_cap, hi, r1, kind)
+            hit = np.flatnonzero(last < running + _STOP_LOG)
+            if hit.size:
+                end, stop = int(hit[0]) + 1, True
+                if end < n:  # the grid ends at node `end`: its last cell
+                    gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
+                    cells[end] = last[end - 1]
+            acc = running[-1]
+        if gaps[:end].min() < 0.0:
+            raise RuntimeError("grid distances lost monotonicity")
+        parts.append((buf, cells, end))
+        if stop:
             break
-        acc, x_prev, decay_prev = running[-1], x[-1], decay[-1]
+        x_prev, decay_prev = x[-1], decay[n]
 
-    win.nodes = np.concatenate(node_parts)
-    win.x = np.concatenate(x_parts)
-    if kind is not None and win.nodes.size:
-        win.cells = np.concatenate(cell_parts + [last_cell])
-    if win.nodes.size and np.any(np.diff(win.x) < 0.0):
-        raise RuntimeError("grid distances lost monotonicity")
-    return win
+    if not parts:
+        return
+    # every chunk but the last ends where the next begins
+    cols = [end for _, _, end in parts[:-1]] + [parts[-1][2] + 1]
+    win.nodes = _joined([b[4, :e] for (b, _, e) in parts])
+    win.x = _joined([b[0, 1 : e + 1] for (b, _, e) in parts])
+    win.grid = _joined([b[1:, :c] for (b, _, _), c in zip(parts, cols)], axis=1)
+    if kind is not None:
+        win.cells = _joined([c[:k] for (_, c, _), k in zip(parts, cols)])
+
+
+def _joined(arrays, axis=0):
+    """One array, without a copy for a single chunk."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def _rho_np(sigma: float, mv: float, z):
@@ -318,23 +426,9 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     """
     if win is None:
         return XReal.zero()
-    kept = (r1, kind) == (win.r1, win.kind)  # computed by _build_window
-    if win.nodes.size and kept:
-        L = fold_add_logs(win.cells)
-    elif win.nodes.size:
-        nodes, x = win.nodes, win.x
-        gaps = np.empty(nodes.size + 1)
-        gaps[0] = x[0] - win.s
-        gaps[1:-1] = np.diff(x)
-        gaps[-1] = win.z_cap - x[-1]
-        # decay exponents: window edge for the first cell, then the nodes
-        decay = np.empty(nodes.size + 1)
-        decay[0] = win.lo * win.lo / 2.0
-        decay[1:] = nodes * nodes / 2.0
-        # each cell's right end: the next node, then the window's end
-        rho_right = _rho_np(win.sigma, win.mv, np.append(x, win.z_cap))
-        w_right = np.append(nodes, win.hi)
-        L = fold_add_logs(_cell_logs(gaps, decay, rho_right, w_right, r1, kind))
+    kept = (r1, kind) == (win.r1, win.kind)  # computed by _build_windows
+    if win.nodes.size:
+        L = fold_add_logs(win.cells if kept else _cell_logs(*win.grid, r1, kind))
     elif kept:
         return win.one_cell
     else:  # no interior nodes: the one cell [s, z_cap]
@@ -488,24 +582,25 @@ def check_pair(
     r_pair = min(cfg.s1(nu), cfg.s1(mu3))
     b6_end = min(r_pair, z_cap)
 
-    # ---- grid majorants (one pass per width in {nu, mu3}) -----------
+    # ---- grid majorants (one lattice per width in {nu, mu3}) ---------
     int_b4 = -_INF   # plain-window integrals with hole weight
     int_b5 = -_INF   # momentum-weighted window integrals
     int_b6 = -_INF   # hole-weighted with the extra r1*rho factor
     int_b3_tail = -_INF  # past the pair scale (usually empty)
+    spans = [(z2, z_cap, "b4"), (z23, z_cap, "b5")]
+    if b6_end < z_cap:
+        spans += [(z2, b6_end, "b6"), (b6_end, z_cap, "b3")]
     for m in (nu, mu3):
-        win4 = _build_window(m, mv, h2, z2, z_cap, delta0, r1, "b4")
+        win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1)
         int_b4 = add_up(int_b4, grid_majorant(win4, r1, "b4").log_mag)
-        if b6_end >= z_cap:
+        if not cut:
             # the b4 grid also serves b6: its extra r1*rho factor is
             # smallest in the last cell, so b4's stop test covers b6
             int_b6 = add_up(int_b6, grid_majorant(win4, r1, "b6").log_mag)
         else:
-            win6 = _build_window(m, mv, h2, z2, b6_end, delta0, r1, "b6")
+            win6, tail = cut
             int_b6 = add_up(int_b6, grid_majorant(win6, r1, "b6").log_mag)
-            tail = _build_window(m, mv, h2, b6_end, z_cap, delta0, r1, "b3")
             int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, r1, "b3").log_mag)
-        win5 = _build_window(m, mv, h2, z23, z_cap, delta0, r1, "b5")
         int_b5 = add_up(int_b5, grid_majorant(win5, r1, "b5").log_mag)
 
     # ---- boundary terms ----------------------------------------------

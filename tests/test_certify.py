@@ -478,23 +478,23 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     # the crossover scale S1 is pinned halfway into the b4 window: the
     # b6 window must end there and a b3 window carry the rest.
     job = sweep_pairs(cfg, ["sigma10"])[0]
-    windows = []
-    build = certify._build_window
+    windows = []  # (sigma, s, z_cap, kind) of every window built
+    build = certify._build_windows
 
-    def recording(*args):
-        windows.append(args)
-        return build(*args)
+    def recording(sigma, mv, zeta, delta0, spans, r1=None):
+        windows.extend((sigma, s, z_cap, kind) for s, z_cap, kind in spans)
+        return build(sigma, mv, zeta, delta0, spans, r1)
 
-    monkeypatch.setattr(certify, "_build_window", recording)
+    monkeypatch.setattr(certify, "_build_windows", recording)
     base = check_pair(cfg, *job)
-    assert "b3" not in [w[7] for w in windows]
-    z2, z_cap = next((w[3], w[4]) for w in windows if w[7] == "b4")
+    assert "b3" not in [w[3] for w in windows]
+    z2, z_cap = next((w[1], w[2]) for w in windows if w[3] == "b4")
     cut = 0.5 * (z2 + z_cap)
     monkeypatch.setattr(ExperimentConfig, "s1", lambda self, sigma: cut)
     windows.clear()
     res = check_pair(cfg, *job)
     for kind, span in (("b6", (z2, cut)), ("b3", (cut, z_cap))):
-        built = [(w[0], (w[3], w[4])) for w in windows if w[7] == kind]
+        built = [(w[0], (w[1], w[2])) for w in windows if w[3] == kind]
         assert len(built) == 2 and {b[1] for b in built} == {span}
     assert res.passed and res.flags == "ok"
     assert res.margin_log10 < base.margin_log10
