@@ -105,7 +105,8 @@ def _log_add(a: float, b: float) -> float:
     """log(e^a + e^b) before rounding: the one log-sum step.
 
     A -inf side (zero) returns the other side and a +inf side absorbs,
-    both exactly.  Callers round the result in their own direction.
+    both exactly.  Callers widen the result by ``_LOG_ADD_GUARD`` and
+    round it in their own direction (see the bound below).
     """
     if a < b:
         a, b = b, a
@@ -113,6 +114,47 @@ def _log_add(a: float, b: float) -> float:
         return a
     # shifted log-sum-exp; exp(b - a) <= 1 so no overflow
     return a + math.log1p(math.exp(b - a))
+
+
+# Error of the log-sum steps, with u = 2^-53 and libm's exp, log and
+# log1p (math and numpy) within one ulp, i.e. a relative error <= 2u
+# (the certification boundary of the module docstring).
+#
+# _log_add, a >= b finite, d = b - a <= 0, true value T = a + log1p(e^d):
+#   * the shift d^ = fl(b - a) has |d^ - d| <= u|d|, which moves
+#     log1p(e^d) by at most u |d| e^d / (1 + e^d) <= 0.28u;
+#   * exp's 2u relative error moves log1p(e^d) by at most
+#     2u e^d / (1 + e^d) <= u;
+#   * log1p's own error is at most 2u log 2 <= 1.39u;
+#   so l^ = log1p(exp(d^)) is within E = 2.7u of log1p(e^d).  Underflow
+#   (e^d below 2^-1022) costs under 2^-1074 absolute.  The sum
+#   r = fl(a + l^) then lies within E of T plus half a float spacing on
+#   T's side.  add_up returns up(fl(r + G)) with G = _LOG_ADD_GUARD =
+#   6u >= 2E.  That is >= r + G (round-to-nearest leaves the exact sum
+#   within one step), and >= up(r) (fl(r + G) >= r).  When the step
+#   above r is >= 2E the second covers T; when it is smaller, half of it
+#   is below E and the first covers T.  add_down is the mirror image
+#   (down(fl(r - G)) <= T).  Far from 0 (|r| >= 8) G is under half an
+#   ulp of r, fl(r +- G) == r, and the step is one ulp as before.
+#
+# fold_add_logs, terms L_i with max M (exact, one of them), shifts
+# d_i = L_i - M, true value T = M + log(sum_i e^{d_i}):
+#   * the shifts' rounding moves log(sum) by at most the e-weighted mean
+#     of u|d_i|, which is <= 2u D / S for D = -dot(e, d^) and S the sum,
+#     both as computed: the factor 2 covers dot's own error (gamma_n <
+#     1/2), exp's 2u and the division;
+#   * np.exp's 2u relative error on every term moves log(sum) by <= 2u,
+#     and terms that underflow to 0 (shifts clamped at -1000) by under
+#     n 2^-1074;
+#   * math.fsum is correctly rounded: u;
+#   * math.log of S: 2u |log S|, and fl(log S + G): u |log S + G|;
+#   so G = u (2D/S + 4|log S| + 4) covers all of them, its own rounding
+#   included (each coefficient has a margin of >= 0.9), and up(fl(M +
+#   fl(log S + G))) >= T because round-to-nearest leaves the exact sum
+#   within one step of the float.
+_U = 2.0**-53
+_LOG_ADD_GUARD = 6.0 * _U
+_SHIFT_FLOOR = -1000.0  # exp of any shift below this is 0.0
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +194,7 @@ def add_up(a: float, b: float) -> float:
         return b
     if b == -_INF:
         return a
-    return _up(_log_add(a, b))
+    return _up(_log_add(a, b) + _LOG_ADD_GUARD)
 
 
 def f64_down(v: float) -> float:
@@ -171,12 +213,12 @@ def mul_down(a: float, b: float) -> float:
 
 
 def add_down(a: float, b: float) -> float:
-    # adding zero is exact; otherwise two downward steps
+    # adding zero is exact; otherwise the mirror image of add_up
     if a == -_INF:
         return b
     if b == -_INF:
         return a
-    return _down(_down(_log_add(a, b)))
+    return _down(_log_add(a, b) - _LOG_ADD_GUARD)
 
 
 class XReal:
@@ -334,13 +376,22 @@ _ONE = XReal(0.0)
 
 
 def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
-    """Log magnitude of a sum of terms given by their logs (-inf is zero).
+    """Log of an upper bound of a sum of terms given by their logs (-inf is zero).
 
-    A strict left fold of ``add_up``, bit for bit; the grid
-    majorants sum a window's cells with it.  -inf if every term is zero.
+    One shifted log-sum-exp, M + log(fsum(exp(L - M))) for the largest
+    term M, widened by the guard proved next to ``_log_add`` and rounded
+    one step up.  The grid majorants sum a window's cells with it.  -inf
+    if every term is zero; +inf if a term is.
     """
-    acc = -_INF
-    for lm in np.asarray(logs, dtype=np.float64).tolist():
-        if lm != -_INF:  # _up inlined: this loop runs per grid cell
-            acc = lm if acc == -_INF else math.nextafter(_log_add(acc, lm), _INF)
-    return acc
+    L = np.asarray(logs, dtype=np.float64)
+    if L.size == 0:
+        return -_INF
+    M = float(L.max())
+    if math.isinf(M):
+        return M
+    d = np.maximum(L - M, _SHIFT_FLOOR)
+    e = np.exp(d)
+    s = math.fsum(e.tolist())
+    log_s = math.log(s)
+    guard = _U * (-2.0 * float(np.dot(e, d)) / s + 4.0 * abs(log_s) + 4.0)
+    return _up(M + (log_s + guard))

@@ -150,6 +150,20 @@ def mp_logsumexp(logs, dps=60):
         return float(mpmath.log(total))
 
 
+def mp_logsumexp_exact(logs, prec=200):
+    """log(sum(exp(l))) as a ``prec``-bit mpf, not rounded to a float.
+
+    Zero-slack checks compare a float against this value in mpmath: a
+    float rounded to nearest would hide a bound that is low by less
+    than half an ulp.
+    """
+    finite = [float(l) for l in logs if l != -math.inf]
+    if not finite:
+        return mpmath.mpf("-inf")
+    with mpmath.workprec(prec):
+        return mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(l)) for l in finite))
+
+
 def mp_sci_string(log_mag, dps=60):
     """Reference rendering of exp(log_mag) as m.mmmm x 10^e."""
     with mpmath.workdps(dps):

@@ -307,9 +307,10 @@ def test_regime_report_reassembles(cfg):
 
 
 # sha256 over the bits of every regime_bound component, final_bound and
-# interaction_probability for the six configs at 40 widths each, as
-# printed by the four hand-written regime branches the table replaced
-_GOLDEN_BOUND_SHA256 = "30ce58424432d478b41df001598201eca67d4f6249b4131630d4be1fd1048ff2"
+# interaction_probability for the six configs at 40 widths each,
+# re-recorded when add_up took the log-sum step's absolute guard (sums
+# whose log is near 0 moved by a few 2^-53)
+_GOLDEN_BOUND_SHA256 = "c5670678511efa6a30e8c470baf8c04dbdab58020b5f2b8cc435d213a2ae87d8"
 
 
 def test_bounds_match_golden_digest():
@@ -435,9 +436,9 @@ def test_threshold_round_trip(cfg):
 
 # sha256 over the float.hex of every threshold output for the six
 # configs: both size tables at _TABLE_TARGETS, the plateaus at -99 and
-# -50, and the angle and radius tables, as computed when each bisection
-# step built a BoundReport
-_GOLDEN_THRESHOLD_SHA256 = "fffb343ecc3d9a048946112bdd21ba81228860f3f363a3dad4a5d4ae3016ad1d"
+# -50, and the angle and radius tables, re-recorded with the guarded
+# add_up (3 of the 552 outputs moved, by at most 3.7e-15 relative)
+_GOLDEN_THRESHOLD_SHA256 = "0cfc09b6a4bd0ba14908ae38ba480c105dcf23a06e375335336cb32753284e03"
 _TABLE_TARGETS = [*range(1, 11), 1.5, 7.25]
 
 

@@ -6,7 +6,7 @@ import pickle
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcertify.bounds import ten_pow
@@ -22,10 +22,14 @@ from abcertify.xreal import (
     mul_down,
     mul_up,
 )
-from oracles import mp_logsumexp, mp_sci_string
+from oracles import mp_logsumexp, mp_logsumexp_exact, mp_sci_string
 
 # strategy spanning the full 600-decade working range
 log_mags = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False)
+# log magnitudes near 0, where one ulp of a log-sum is far below the
+# error of its exp and log1p: the sums' rounding guard must cover them
+near_zero_logs = st.floats(min_value=-2.0, max_value=2.0)
+sum_logs = st.one_of(log_mags, near_zero_logs)
 
 
 def ulp_gap(a: float, b: float) -> float:
@@ -111,10 +115,22 @@ def test_add_upper_bound_contract_bulk():
         assert s >= floor
 
 
-@given(log_mags, log_mags)
+@given(sum_logs, sum_logs)
+@example(-0.7183230794197346, -0.5102680755218074)  # one ulp alone lands low
 def test_add_dominates_true_sum(la, lb):
     s = XReal.from_log(la).add(XReal.from_log(lb))
-    assert s.log_mag >= mp_logsumexp([la, lb]) - 1e-13 * max(1.0, abs(s.log_mag))
+    assert mpmath.mpf(s.log_mag) >= mp_logsumexp_exact([la, lb])
+
+
+def test_add_up_and_down_bracket_exact_sum_near_zero():
+    # one log in [-1, 1], the other in [-40, 1]: the sum's log sits near
+    # 0, where a one-ulp step alone misses the step's error
+    rng = np.random.default_rng(2024)
+    for la, lb in zip(rng.uniform(-1.0, 1.0, 2000), rng.uniform(-40.0, 1.0, 2000)):
+        exact = mp_logsumexp_exact([la, lb])
+        assert mpmath.mpf(add_down(la, lb)) <= exact <= mpmath.mpf(add_up(la, lb)), (la, lb)
+        # the guard costs a few 2^-53, never more than 16 of them
+        assert add_up(la, lb) - add_down(la, lb) <= 16 * 2.0**-53
 
 
 @given(log_mags, log_mags)
@@ -301,24 +317,26 @@ def test_sci_string_carry():
 # ----------------------------------------------------------------------
 
 
-def left_fold_add(logs):
-    """The scalar loop the fold stands for: XReal.add over the terms."""
-    acc = XReal.zero()
-    for lm in logs:
-        acc = acc.add(XReal.from_log(float(lm)))
-    return acc.log_mag
-
-
-def test_fold_is_left_fold_of_add():
-    rng = np.random.default_rng(7)
-    cases = [rng.uniform(-600.0, 600.0, n) for n in (1, 2, 3, 17, 1000, 40000)]
-    cases += [
-        np.array([-math.inf, 2.0, -math.inf, 1.0]),
-        np.array([-math.inf, -math.inf]),
-        np.array([]),
-    ]
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 40000])
+def test_fold_dominates_exact_logsumexp(n):
+    # zero slack against a 200-bit sum: wide terms, terms with |log| <= 2
+    # (sorted either way and unsorted) and zero (-inf) terms
+    rng = np.random.default_rng(7 + n)
+    near = rng.uniform(-2.0, 2.0, n)
+    holes = rng.uniform(-600.0, 600.0, n)
+    holes[rng.random(n) < 0.3] = -math.inf
+    cases = [near, holes]
+    if n < 40000:  # 200-bit sums of 40,000 terms take ~0.7 s each
+        cases += [np.sort(near), np.sort(near)[::-1], rng.uniform(-600.0, 600.0, n)]
     for logs in cases:
-        assert fold_add_logs(logs) == left_fold_add(logs)
+        got = fold_add_logs(logs)
+        exact = mp_logsumexp_exact(logs)
+        if exact == -math.inf:
+            assert got == -math.inf
+            continue
+        assert mpmath.mpf(got) >= exact
+        # one upward step and a guard of at most ~60 2^-53 above it
+        assert got - float(exact) <= 2.0 * math.ulp(float(exact)) + 64 * 2.0**-53
 
 
 def test_fold_handles_minus_inf():
@@ -333,9 +351,14 @@ def test_fold_dominates_true_logsumexp():
     for n in (2, 11, 257):
         logs = rng.uniform(-50.0, 50.0, n)
         got = fold_add_logs(logs)
+        assert mpmath.mpf(got) >= mp_logsumexp_exact(logs)
         ref = mp_logsumexp(logs)
-        assert got >= ref - 1e-13 * max(1.0, abs(ref))
         assert got <= ref + 1e-9 * max(1.0, abs(ref))
+
+
+@given(st.lists(sum_logs, min_size=1, max_size=40))
+def test_fold_dominates_true_logsumexp_any_terms(logs):
+    assert mpmath.mpf(fold_add_logs(logs)) >= mp_logsumexp_exact(logs)
 
 
 # ----------------------------------------------------------------------
@@ -343,20 +366,17 @@ def test_fold_dominates_true_logsumexp():
 # ----------------------------------------------------------------------
 
 
-@given(
-    st.floats(min_value=1e-300, max_value=1e300),
-    st.floats(min_value=1e-300, max_value=1e300),
-)
+# values over the working range, and values whose logs are near 0
+down_values = st.one_of(st.floats(min_value=1e-300, max_value=1e300), near_zero_logs.map(math.exp))
+
+
+@given(down_values, down_values)
 def test_down_helpers_never_exceed_truth(a, b):
     la, lb = f64_down(a), f64_down(b)
-    assert la <= math.log(a)
-    with mpmath.workdps(50):
-        true_mul = float(mpmath.log(mpmath.mpf(a) * mpmath.mpf(b)))
-        true_add = float(mpmath.log(mpmath.exp(mpmath.mpf(la)) + mpmath.exp(mpmath.mpf(lb))))
-    # down-rounding may land exactly on the correctly rounded value, so
-    # allow the comparison itself one representable step of slack
-    assert mul_down(la, lb) <= true_mul + math.ulp(max(1.0, abs(true_mul)))
-    assert add_down(la, lb) <= true_add + math.ulp(max(1.0, abs(true_add)))
+    with mpmath.workprec(200):
+        assert mpmath.mpf(la) <= mpmath.log(a)
+        assert mpmath.mpf(mul_down(la, lb)) <= mpmath.log(mpmath.mpf(a) * mpmath.mpf(b))
+    assert mpmath.mpf(add_down(la, lb)) <= mp_logsumexp_exact([la, lb])
 
 
 def test_down_helpers_zero_and_tightness():
