@@ -32,7 +32,7 @@ import numpy as np
 from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
 from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
-from .xreal import XReal, add_up, exp_neg_log, f64_up, mul_up
+from .xreal import XReal, add_down, add_up, exp_neg_log, f64_down, f64_up, mul_down, mul_up
 
 __all__ = [
     "REGIMES",
@@ -116,9 +116,14 @@ def _floor_norms(cfg: ExperimentConfig) -> Tuple[float, float, float, float, flo
     return assembled_norms(norm_bundle(cfg, delta=cfg.magnet.h_tilde), cfg.mv)
 
 
+# the calibrated families, in the order of _calibrated's vectors
+_FAMILIES = ("incoming", "interacting", "outgoing")
+_FAMILY_INDEX = {family: i for i, family in enumerate(_FAMILIES)}
+
+
 @lru_cache(maxsize=64)
 def _calibrated(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
-    """(incoming, interacting, outgoing) vectors of one config."""
+    """(incoming, interacting, outgoing) vectors of one config (``_FAMILIES``)."""
     mv = cfg.mv
     ht = cfg.magnet.h_tilde
     a1, a2, a3, a4, a5 = _floor_norms(cfg)
@@ -154,9 +159,10 @@ def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...
     The operator norms are evaluated at the floor of the axial
     fattening (= the ring half-thickness), which dominates every width,
     so one vector serves the whole sweep range.  The vectors are
-    computed once per config; each call returns a new dict.
+    computed once per config; each call returns a new dict (hot paths
+    index the cached ``_calibrated(cfg)`` tuple by family instead).
     """
-    return dict(zip(("incoming", "interacting", "outgoing"), _calibrated(cfg)))
+    return dict(zip(_FAMILIES, _calibrated(cfg)))
 
 
 def calibrated_poly(coeffs: Sequence[float], sigma: float) -> float:
@@ -213,6 +219,10 @@ def tail_payload(regime: str, z: float, sigma: float, cfg: ExperimentConfig) -> 
     return base + extra if family == "interacting" else 3.0 * base + extra
 
 
+# the envelope certificate's 1e-420 slack, rounded down (comparison side)
+_LOG_ENVELOPE_SLACK = ten_pow(-420, "down").log_mag
+
+
 def envelope_sides(
     cfg: ExperimentConfig,
     regime: str,
@@ -222,9 +232,11 @@ def envelope_sides(
     """Both sides of the per-width envelope certificate.
 
     LHS: capped-rate exponential times the payload at the crossing
-    distance, plus the regime's ring-tail term.  RHS: the width
-    exponential times the calibrated polynomial plus a 1e-420 slack.
-    The LHS must never exceed the RHS for widths in
+    distance, plus the regime's ring-tail term, rounded up.  RHS: the
+    width exponential times the calibrated polynomial plus a 1e-420
+    slack, rounded down (``f64_down``, ``mul_down``, ``add_down``), as a
+    comparison target must be.  The LHS must never exceed the RHS for
+    widths in
     [4.5/mv, r1_tilde/2] and |zeta| <= crossing distance.
     """
     z = z_of_sigma(sigma, cfg)
@@ -239,11 +251,13 @@ def envelope_sides(
     elif family == "outgoing":
         lhs = lhs.add(ring_tail(cfg, sigma, 0.0, z))
 
-    coeffs = calibrated_coefficients(cfg)[family]
-    rhs = XReal.exp_neg(cfg.rate_exponent(sigma)).mul(
-        XReal.from_f64(_poly_nonneg(coeffs, sigma))
-    ).add(ten_pow(-420, "down"))
-    return lhs, rhs
+    # the comparison target, rounded down
+    coeffs = _calibrated(cfg)[_FAMILY_INDEX[family]]
+    rhs = add_down(
+        mul_down(exp_neg_log(cfg.rate_exponent(sigma)), f64_down(_poly_nonneg(coeffs, sigma))),
+        _LOG_ENVELOPE_SLACK,
+    )
+    return lhs, XReal(rhs)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +448,7 @@ def _bound_logs(
     """
     coeffs, size_factor, offset, additive, scale = row
     if isinstance(coeffs, str):
-        coeffs = calibrated_coefficients(cfg)[coeffs]
+        coeffs = _calibrated(cfg)[_FAMILY_INDEX[coeffs]]
     poly = calibrated_poly(coeffs, sigma)
     p = max(0.0, poly)
     r1 = cfg.r1

@@ -83,7 +83,8 @@ from .bounds import (
     ALLOWANCE_SCALE,
     ALLOWANCE_SIZE,
     ALLOWANCE_SLACK_EXP,
-    calibrated_coefficients,
+    _FAMILY_INDEX,
+    _calibrated,
     calibrated_poly,
     ten_pow,
 )
@@ -636,12 +637,12 @@ def check_pair(
     lhs2 = add_up(mul_up(f64_up(c_pp + c_ps), i_pp), mul_up(f64_up(c_sp + c_ss), i_sp))
 
     # the published allowance of each family, rounded down
-    coeffs = calibrated_coefficients(cfg)
+    coeffs = _calibrated(cfg)
     size = mul_down(_LOG_SIZE, exp_neg_log(r1 * r1 / (2.0 * mu1 * mu1)))
     rate2 = exp_neg_log(cfg.rate_exponent(mu2))
     rhs = []
     for regime in ("interacting", "outgoing"):
-        p = max(0.0, calibrated_poly(coeffs[regime], mu2))
+        p = max(0.0, calibrated_poly(coeffs[_FAMILY_INDEX[regime]], mu2))
         spread = mul_down(mul_down(_LOG_SCALE[regime], rate2), f64_down(p))
         rhs.append(add_down(add_down(size, spread), _LOG_SLACK))
     rhs1, rhs2 = rhs

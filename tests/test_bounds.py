@@ -204,11 +204,34 @@ def test_tail_payload_identities(cfg):
         assert extra_a == pytest.approx(extra_b, abs=1e-12 * p_out)
 
 
+# the tightest width of the incoming envelope (k2/e1) on a 20,000-point
+# geomspace over [sigma_min, sigma_max]: its margin is ~1.03e-7 decades
+_TIGHTEST_INCOMING_WIDTH = 1.771639632945827e-09
+
+
 def test_envelope_lhs_below_rhs(cfg):
+    widths = np.append(np.geomspace(cfg.sigma_min, cfg.sigma_max, 2000), _TIGHTEST_INCOMING_WIDTH)
     for regime in ("incoming", "interacting", "outgoing"):
-        for s in np.geomspace(cfg.sigma_min, cfg.sigma_max, 40):
+        for s in widths.tolist():
             lhs, rhs = envelope_sides(cfg, regime, s)
-            assert XReal.cmp(lhs, rhs) <= 0
+            assert XReal.cmp(lhs, rhs) <= 0, (regime, s)
+    lhs, rhs = envelope_sides(cfg, "incoming", _TIGHTEST_INCOMING_WIDTH)
+    assert 0.0 < (rhs.log_mag - lhs.log_mag) / math.log(10.0) < 2e-7
+
+
+def test_envelope_rhs_rounds_down(cfg):
+    # the comparison side never exceeds exp(-rate) p + 1e-420 for its
+    # float rate and polynomial, checked in 200-bit arithmetic
+    for regime in ("incoming", "interacting", "outgoing"):
+        coeffs = calibrated_coefficients(cfg)[regime]
+        for s in np.geomspace(cfg.sigma_min, cfg.sigma_max, 200).tolist():
+            _, rhs = envelope_sides(cfg, regime, s)
+            with mpmath.workprec(200):
+                exact = mpmath.log(
+                    mpmath.exp(-mpmath.mpf(cfg.rate_exponent(s))) * mpmath.mpf(bounds._poly_nonneg(coeffs, s))
+                    + mpmath.mpf(10) ** -420
+                )
+                assert mpmath.mpf(rhs.log_mag) <= exact, (regime, s)
 
 
 def test_envelope_regimes_read_the_table(cfg):
