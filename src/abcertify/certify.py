@@ -230,12 +230,15 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
             f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
         )
 
+    # the nodes from n_start to n_end lie in [lo, hi]: the first loop
+    # stops at sqrt(n delta0) >= lo or at n delta0 >= lo*lo, and then too
+    # sqrt(n delta0) >= sqrt(lo*lo) == lo (binary64, correctly rounded);
+    # so a window's nodes are a plain slice of its width's lattice
     n_start = math.ceil(lo * lo / delta0)
     while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
         n_start += 1
     if n_start < 1:
         n_start = 1
-    # every node up to n_end lies at or below hi
     n_end = math.floor(hi * hi / delta0)
     while n_end >= n_start and math.sqrt(n_end * delta0) > hi:
         n_end -= 1
@@ -314,19 +317,17 @@ def _solve_window(win, lattice, k_first, total, chunk):
         chunk *= 2
         lattice.reserve(k1)
         nodes = lattice.nodes[k0:k1]
-        a = k0 + nodes.searchsorted(win.lo)  # float noise at the left edge
-        nodes = nodes[a - k0 :]
         n = nodes.size
-        if n == 0:
-            continue
+        if n == 0:  # the lattice ended at sigma*mv
+            break
         buf = np.empty((5, n + 1))
         xe, gaps, decay, rho_right, w_right = buf
         xe[0] = x_prev
-        x = np.clip(lattice.x[a:k1], s, z_cap, out=xe[1:])
+        x = np.clip(lattice.x[k0:k1], s, z_cap, out=xe[1:])
         np.subtract(x, xe[:-1], out=gaps[:-1])
         gaps[n] = z_cap - x[-1]
         decay[0] = decay_prev
-        decay[1:] = lattice.decay[a:k1]
+        decay[1:] = lattice.decay[k0:k1]
         np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
         rho_right[n] = rho_cap
         w_right[:-1] = nodes

@@ -22,7 +22,7 @@ from abcertify.certify import (
 from abcertify.config import ExperimentConfig
 from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
-from abcertify.xreal import XReal
+from abcertify.xreal import XReal, fold_add_logs, mul_up
 from oracles import window_integral_quad
 from published import FROZEN_PAIR_COUNTS
 
@@ -316,6 +316,39 @@ def test_node_window_keeps_its_cells(kind, monkeypatch):
     assert checked >= 10
 
 
+def _rebuilt_cells(win, r1, kind):
+    """A window's cells rebuilt from its nodes and distances alone: the
+    reference its kept grid is checked against."""
+    nodes, x = win.nodes, win.x
+    gaps = np.concatenate(([x[0] - win.s], np.diff(x), [win.z_cap - x[-1]]))
+    decay = np.concatenate(([win.lo * win.lo / 2.0], nodes * nodes / 2.0))
+    rho_right = certify._rho_np(win.sigma, win.mv, np.append(x, win.z_cap))
+    return certify._cell_logs(gaps, decay, rho_right, np.append(nodes, win.hi), r1, kind)
+
+
+@pytest.mark.parametrize("built_for", [None, "b3", "b4", "b5", "b6"])
+def test_window_grid_matches_cells_rebuilt_from_nodes(built_for):
+    # every kind's cells read off a window's kept grid equal the cells
+    # rebuilt from its nodes and distances, bit for bit: b6 on a b4
+    # window (check_pair's shortcut) and any kind on a window built
+    # without one
+    windows = _random_window_tuples(10, 711) + _long_window_tuples(10, 712)
+    checked = 0
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
+        extra = () if built_for is None else (r1, built_for)
+        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
+        if win.nodes.size == 0:
+            continue
+        checked += 1
+        assert win.grid.shape == (4, win.nodes.size + 1)
+        for kind in ("b3", "b4", "b5", "b6"):
+            ref = _rebuilt_cells(win, r1, kind)
+            assert certify._cell_logs(*win.grid, r1, kind).tobytes() == ref.tobytes()
+            want = mul_up(fold_add_logs(ref), certify._PREFACTOR[kind])
+            assert float.hex(grid_majorant(win, r1, kind).log_mag) == float.hex(want)
+    assert checked >= 10
+
+
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_scalar_cell_logs_match_array_call(kind):
     # one cell on floats (math.nextafter/math.sqrt) against the same
@@ -510,6 +543,96 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     assert res.lhs_interacting.log_mag > cut_off.lhs_interacting.log_mag + 1.0
     assert res.lhs_outgoing.log_mag > cut_off.lhs_outgoing.log_mag + 1.0
     assert res.rhs_interacting.log_mag == cut_off.rhs_interacting.log_mag
+
+
+def _pair_windows(cfg, job, delta0, monkeypatch):
+    """check_pair's windows of one pair: (width args, spans, windows) per width."""
+    built = []
+    build = certify._build_windows
+
+    def recording(sigma, mv, zeta, d0, spans, r1=None):
+        wins = build(sigma, mv, zeta, d0, spans, r1)
+        built.append(((sigma, mv, zeta, d0, r1), spans, wins))
+        return wins
+
+    monkeypatch.setattr(certify, "_build_windows", recording)
+    check_pair(cfg, *job, delta0)
+    monkeypatch.setattr(certify, "_build_windows", build)
+    return built
+
+
+def _window_bits(win):
+    if win is None:
+        return None
+    arrays = [win.nodes, win.x] + [a for a in (win.grid, win.cells) if a is not None]
+    one_cell = None if win.one_cell is None else float.hex(win.one_cell.log_mag)
+    return [a.tobytes() for a in arrays] + [one_cell, win.lo, win.hi]
+
+
+def _check_shared_windows(cfg, job, delta0, monkeypatch):
+    """Each window of a shared lattice equals the window built alone; returns
+    the largest node count seen and the kinds built."""
+    most, kinds = 0, set()
+    for (sigma, mv, zeta, d0, r1), spans, wins in _pair_windows(cfg, job, delta0, monkeypatch):
+        assert len(wins) == len(spans)
+        for (s, z_cap, kind), win in zip(spans, wins):
+            alone = _build_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
+            assert _window_bits(win) == _window_bits(alone), (job, delta0, kind)
+            if win is not None and win.nodes.size:  # a plain slice: no node filtered
+                assert win.lo <= win.nodes[0] and win.nodes[-1] <= win.hi < sigma * mv
+            most = max(most, 0 if win is None else win.nodes.size)
+            kinds.add(kind)
+    return most, kinds
+
+
+def test_shared_lattice_windows_match_standalone(cfg, monkeypatch):
+    # the first, last and worst pair of every set, at both grid steps:
+    # each window cut from a width's shared lattice is, bit for bit
+    # (nodes, distances, grid, cells), the window built on its own
+    worst = {name: index for name, index, _ in PARENT_WORST_PAIRS}
+    most = 0
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        for i in sorted({0, len(jobs) - 1, worst[name]}):
+            for delta0 in (1.0, 0.1):
+                most = max(most, _check_shared_windows(cfg, jobs[i], delta0, monkeypatch)[0])
+    # sigma11's windows run past the first chunk and extend the lattice
+    assert most > certify._FIRST_CHUNK
+
+
+def test_shared_lattice_with_pair_scale_cut(cfg, monkeypatch):
+    # S1 pinned halfway into the b4 window (as in the tail-branch test):
+    # the b6 window and its b3 tail share the lattice too
+    job = sweep_pairs(cfg, ["sigma10"])[0]
+    z2, z_cap = next(
+        (spans[0][0], spans[0][1]) for _, spans, _ in _pair_windows(cfg, job, None, monkeypatch)
+    )
+    monkeypatch.setattr(ExperimentConfig, "s1", lambda self, sigma: 0.5 * (z2 + z_cap))
+    for delta0 in (None, 0.1):
+        _, kinds = _check_shared_windows(cfg, job, delta0, monkeypatch)
+        assert kinds == {"b3", "b4", "b5", "b6"}
+
+
+def test_one_crossing_solve_per_width(cfg, monkeypatch):
+    # sigma6's first pair: a width whose windows keep nodes solves its
+    # lattice in one z_crossing_vec call, however many windows use it
+    solved = []
+    solve = certify.z_crossing_vec
+
+    def counting(omega_inv, sigma, mv, zeta):
+        solved.append(sigma)
+        return solve(omega_inv, sigma, mv, zeta)
+
+    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    built = _pair_windows(cfg, sweep_pairs(cfg, ["sigma6"])[0], None, monkeypatch)
+    with_nodes = [
+        (args[0], sum(w.nodes.size > 0 for w in wins if w is not None))
+        for args, _, wins in built
+        if any(w is not None and w.nodes.size for w in wins)
+    ]
+    assert solved == [sigma for sigma, _ in with_nodes]
+    # at least one width serves several node windows from its one solve
+    assert max(count for _, count in with_nodes) >= 2
 
 
 def test_pair_result_pickles(cfg):
