@@ -21,6 +21,7 @@ import json
 import math
 import re
 import sys
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -209,6 +210,7 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
                 print(f"unknown set(s): {', '.join(bad)}", file=sys.stderr)
                 return 2
             sets = names
+    start = time.perf_counter()
     try:
         results = sweep(cfg, sets, delta0=args.delta0, jobs=args.jobs)
     except ValueError as exc:  # only a --delta0 too fine to index the grid
@@ -225,9 +227,11 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
         _emit(args, _json_text(payload))
     else:
         _emit(args, _csv_text(CSV_COLUMNS, [r.csv_row() for r in results]))
+    wall = time.perf_counter() - start  # the sweep and its output
     print(
         f"checked {len(results)} pairs: "
-        f"{len(results) - len(failures)} passed, {len(failures)} failed",
+        f"{len(results) - len(failures)} passed, {len(failures)} failed "
+        f"in {wall:.1f} s ({len(results) / wall:,.0f} pairs/s)",
         file=sys.stderr,
     )
     return 0 if not failures else 1

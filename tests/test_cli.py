@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -127,7 +128,8 @@ def test_verify_single_set(capsys):
     code, out, err = run(capsys, ["verify", "--set", "sigma10"])
     assert code == 0
     n = FROZEN_PAIR_COUNTS["sigma10"]
-    assert err.strip() == f"checked {n} pairs: {n} passed, 0 failed"
+    # the summary ends with the wall time and rate of the sweep and its output
+    assert re.fullmatch(rf"checked {n} pairs: {n} passed, 0 failed in \d+\.\d s \([\d,]+ pairs/s\)", err.strip())
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == n + 1
