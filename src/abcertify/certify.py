@@ -11,16 +11,17 @@ width range.
 The spreading integrals are bounded by step-function majorants on a
 square-root grid: nodes Z_j = sqrt(delta0 * n) partition the packet's
 co-moving window, the matching distances x_j are recovered with the
-crossing solver, and each subinterval contributes its sup.  All sums
-are folded in the extended-range log domain with upward rounding, so
-every reported left-hand side is a certified upper bound.  The
-allowance is assembled with the down-rounded functions of ``xreal``
-(``f64_down``, ``mul_down``, ``add_down``), so every reported
-right-hand side is a certified lower bound of the published one.  A
-pair's certificate runs on those log-magnitude floats throughout and
-wraps only its four reported values as ``XReal``; a window built for
-one kind keeps its one-cell value and its grid's cells, so each cell
-of a pair's majorants is computed once.
+crossing solver, and each subinterval contributes its sup.  A window's
+cells are summed by one guarded log-sum-exp (``fold_add_logs``) and the
+pair's terms by the guarded ``add_up``, all in the extended-range log
+domain and rounded upward, so every reported left-hand side is a
+certified upper bound.  The allowance is assembled with the
+down-rounded functions of ``xreal`` (``f64_down``, ``mul_down``,
+``add_down``), so every reported right-hand side is a certified lower
+bound of the published one.  A pair's certificate runs on those
+log-magnitude floats throughout and wraps only its four reported values
+as ``XReal``; a window built for one kind keeps its one-cell value and
+its grid's cells, so each cell of a pair's majorants is computed once.
 
 The pair certificate builds each window for one majorant kind, and only
 solves the nodes that can move that kind's bound.  All three reductions
@@ -37,23 +38,21 @@ larger, never invalid.
   orders below every right-hand side -- the window keeps no nodes,
   nothing is solved or folded, and ``grid_majorant`` returns the kept
   value.
-* Truncation: a window takes its nodes in chunks (128, then doubling),
-  and the grid ends at the first node Z_J whose remaining cell [x_J, z_cap],
-  bounded by (z_cap - x_J) e^{-Z_J^2/2} times the weight's sup at
+* Truncation: a window takes its nodes in chunks (128, then
+  doubling), and the grid ends at the first node Z_J whose remaining
+  cell [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the weight's sup at
   z_cap, is below 2^-60 of the sum of the cells up to x_J.  The fold
   then sums those cells plus that last cell, computed with the same
   upward rounding as every other cell.  The stop test is a plain float
   heuristic: it decides where the grid ends, never what is summed.
   Against the full grid the bound can grow by at most the last cell,
-  under 2^-60 of it; in practice it shrinks, because the fold takes
-  ~20x fewer one-ulp rounding steps (no pair of the full sweep lost
-  margin).
+  under 2^-60 of it.
 * A width's node range (the union of its windows') larger than
   ``NODE_CAP`` nodes is thinned by a uniform stride.  The cap is a
   fixed input guard: it bounds the nodes solved for any user
   ``delta0`` (``verify --delta0``).  No width of the full sweep reaches
-  it.  A ``delta0`` so fine that the index Z^2/delta0 overflows
-  a float raises ValueError.
+  it.  A ``delta0`` so fine that the index Z^2/delta0 overflows a float
+  raises ValueError.
 
 All windows of one width -- b4, b5, and b6 with its b3 tail when the
 pair scale cuts the window -- share sigma, mv, zeta and delta0, so their

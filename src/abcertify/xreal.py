@@ -13,13 +13,30 @@ magnitudes (plain floats): ``f64_up``, ``mul_up`` and ``add_up`` round
 from exact inputs yields a machine-checked upper bound of the true
 real-number result; ``f64_down``, ``mul_down`` and ``add_down`` round
 *downward*, for lower bounds (the certificate's allowance side).  Both
-directions share the one log-sum step ``_log_add``.  ``XReal`` wraps a
-log magnitude, and its methods are one-line calls of these functions,
-so a hot loop can run on floats and wrap only its results, bit for bit
-the same.  The one deliberate boundary: ``exp_neg_log(x)`` (and
-``XReal.exp_neg``) treats its binary64 argument ``x`` as exact.
-Callers are expected to build ``x`` with ordinary float arithmetic
-rounded in the safe direction before crossing into this module.
+directions share the one log-sum step ``_log_add``, widened by an
+absolute guard of a few 2^-53 before the directed step, and
+``fold_add_logs`` sums many terms in one guarded, upward-rounded
+log-sum-exp; both guards are proved next to ``_log_add``.  ``XReal``
+wraps a log magnitude, and its methods are one-line calls of these
+functions, so a hot loop can run on floats and wrap only its results,
+bit for bit the same.
+
+The certification boundary -- what the module takes as given rather
+than proves:
+
+* ``exp_neg_log(x)`` (and ``XReal.exp_neg``) treats its binary64
+  argument ``x`` as exact.  Callers are expected to build ``x`` with
+  ordinary float arithmetic rounded in the safe direction before
+  crossing into this module.
+* libm's ``log`` (``math.log``, in ``f64_up``/``f64_down`` and the
+  fold), ``exp`` and ``log1p`` (``math.exp``, ``math.log1p`` in
+  ``_log_add``) and numpy's ``np.exp`` (the fold's terms) are within
+  one ulp of the exact value; the guards of ``_log_add`` and
+  ``fold_add_logs`` are built on that.  (Measured against 200-bit
+  mpmath with glibc's libm and numpy 2.4 on x86-64: at most 0.51, 0.62,
+  0.76 and 0.51 ulp for ``math.exp``, ``np.exp``, ``math.log1p`` and
+  ``math.log``.)
+* ``math.fsum`` returns the correctly rounded sum of its floats.
 
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the
