@@ -236,8 +236,7 @@ def envelope_sides(
     width exponential times the calibrated polynomial plus a 1e-420
     slack, rounded down (``f64_down``, ``mul_down``, ``add_down``), as a
     comparison target must be.  The LHS must never exceed the RHS for
-    widths in
-    [4.5/mv, r1_tilde/2] and |zeta| <= crossing distance.
+    widths in [4.5/mv, r1_tilde/2] and |zeta| <= crossing distance.
     """
     z = z_of_sigma(sigma, cfg)
     w = cfg.omega_inv(sigma)
@@ -251,7 +250,6 @@ def envelope_sides(
     elif family == "outgoing":
         lhs = lhs.add(ring_tail(cfg, sigma, 0.0, z))
 
-    # the comparison target, rounded down
     coeffs = _calibrated(cfg)[_FAMILY_INDEX[family]]
     rhs = add_down(
         mul_down(exp_neg_log(cfg.rate_exponent(sigma)), f64_down(_poly_nonneg(coeffs, sigma))),

@@ -151,8 +151,8 @@ def _log_add(a: float, b: float) -> float:
 #   within one step), and >= up(r) (fl(r + G) >= r).  When the step
 #   above r is >= 2E the second covers T; when it is smaller, half of it
 #   is below E and the first covers T.  add_down is the mirror image
-#   (down(fl(r - G)) <= T).  Far from 0 (|r| >= 8) G is under half an
-#   ulp of r, fl(r +- G) == r, and the step is one ulp as before.
+#   (down(fl(r - G)) <= T).  Far from 0 (|r| > 8) G is under half the
+#   float spacing at r, so fl(r +- G) == r and the step is one ulp.
 #
 # fold_add_logs, terms L_i with max M (exact, one of them), shifts
 # d_i = L_i - M, true value T = M + log(sum_i e^{d_i}):
@@ -165,8 +165,9 @@ def _log_add(a: float, b: float) -> float:
 #     n 2^-1074;
 #   * math.fsum is correctly rounded: u;
 #   * math.log of S: 2u |log S|, and fl(log S + G): u |log S + G|;
-#   so G = u (2D/S + 4|log S| + 4) covers all of them, its own rounding
-#   included (each coefficient has a margin of >= 0.9), and up(fl(M +
+#   so G = u (2D/S + 4|log S| + 4) covers all of them: the last two
+#   coefficients exceed the 3u each needs by about u, which absorbs G's
+#   own rounding, and the factor 2 holds for n < 2^51.  Then up(fl(M +
 #   fl(log S + G))) >= T because round-to-nearest leaves the exact sum
 #   within one step of the float.
 _U = 2.0**-53

@@ -226,11 +226,9 @@ def test_envelope_rhs_rounds_down(cfg):
         coeffs = calibrated_coefficients(cfg)[regime]
         for s in np.geomspace(cfg.sigma_min, cfg.sigma_max, 200).tolist():
             _, rhs = envelope_sides(cfg, regime, s)
+            rate, p = cfg.rate_exponent(s), bounds._poly_nonneg(coeffs, s)
             with mpmath.workprec(200):
-                exact = mpmath.log(
-                    mpmath.exp(-mpmath.mpf(cfg.rate_exponent(s))) * mpmath.mpf(bounds._poly_nonneg(coeffs, s))
-                    + mpmath.mpf(10) ** -420
-                )
+                exact = mpmath.log(mpmath.exp(-mpmath.mpf(rate)) * p + mpmath.mpf(10) ** -420)
                 assert mpmath.mpf(rhs.log_mag) <= exact, (regime, s)
 
 

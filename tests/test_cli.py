@@ -129,7 +129,8 @@ def test_verify_single_set(capsys):
     assert code == 0
     n = FROZEN_PAIR_COUNTS["sigma10"]
     # the summary ends with the wall time and rate of the sweep and its output
-    assert re.fullmatch(rf"checked {n} pairs: {n} passed, 0 failed in \d+\.\d s \([\d,]+ pairs/s\)", err.strip())
+    summary = rf"checked {n} pairs: {n} passed, 0 failed in \d+\.\d s \([\d,]+ pairs/s\)"
+    assert re.fullmatch(summary, err.strip())
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == n + 1
