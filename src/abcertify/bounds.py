@@ -240,22 +240,20 @@ def envelope_sides(
     """
     z = z_of_sigma(sigma, cfg)
     w = cfg.omega_inv(sigma)
-    lhs = XReal.exp_neg(w * w / 2.0).mul(
-        XReal.from_f64(max(0.0, tail_payload(regime, z, sigma, cfg)))
-    )
+    lhs = mul_up(exp_neg_log(w * w / 2.0), f64_up(max(0.0, tail_payload(regime, z, sigma, cfg))))
     family = _envelope_family(regime)
     if family == "interacting":
         zz = z if zeta is None else zeta
-        lhs = lhs.add(ring_tail(cfg, sigma, zz, z).mul(XReal.from_f64(0.5)))
+        lhs = add_up(lhs, mul_up(ring_tail(cfg, sigma, zz, z).log_mag, f64_up(0.5)))
     elif family == "outgoing":
-        lhs = lhs.add(ring_tail(cfg, sigma, 0.0, z))
+        lhs = add_up(lhs, ring_tail(cfg, sigma, 0.0, z).log_mag)
 
     coeffs = _calibrated(cfg)[_FAMILY_INDEX[family]]
     rhs = add_down(
         mul_down(exp_neg_log(cfg.rate_exponent(sigma)), f64_down(_poly_nonneg(coeffs, sigma))),
         _LOG_ENVELOPE_SLACK,
     )
-    return lhs, XReal(rhs)
+    return XReal(lhs), XReal(rhs)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +486,8 @@ def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:
 
 def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
     """Upper bound on the interaction probability: the squared envelope."""
-    return XReal(_bound_logs(cfg, sigma, _ENVELOPE)[4]).pow(2)
+    total = _bound_logs(cfg, sigma, _ENVELOPE)[4]
+    return XReal(mul_up(total, total))
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import _PI4, _SQRT_PI, ExperimentConfig
-from .xreal import XReal
+from .xreal import XReal, exp_neg_log, f64_up, mul_up
 
 __all__ = [
     "bump",
@@ -620,4 +620,4 @@ def ring_tail(cfg: ExperimentConfig, sigma: float, zeta: float, z_cap: float) ->
     pref = (m5 / 2.0) * (den / smv) * _SQRT_PI
     gap = cfg.h(sigma) - z_cap
     expo = gap * gap * smv * smv / (2.0 * den * den)
-    return XReal.from_f64(pref).mul(XReal.exp_neg(expo))
+    return XReal(mul_up(f64_up(pref), exp_neg_log(expo)))

@@ -17,17 +17,15 @@ directions share the one log-sum step ``_log_add``, widened by an
 absolute guard of a few 2^-53 before the directed step, and
 ``fold_add_logs`` sums many terms in one guarded, upward-rounded
 log-sum-exp; both guards are proved next to ``_log_add``.  ``XReal``
-wraps a log magnitude, and its methods are one-line calls of these
-functions, so a hot loop can run on floats and wrap only its results,
-bit for bit the same.
+is a value type: it wraps a log magnitude these functions built, for
+ordering (``XReal.cmp``) and printing, and does no arithmetic itself.
 
 The certification boundary -- what the module takes as given rather
 than proves:
 
-* ``exp_neg_log(x)`` (and ``XReal.exp_neg``) treats its binary64
-  argument ``x`` as exact.  Callers are expected to build ``x`` with
-  ordinary float arithmetic rounded in the safe direction before
-  crossing into this module.
+* ``exp_neg_log(x)`` treats its binary64 argument ``x`` as exact.
+  Callers are expected to build ``x`` with ordinary float arithmetic
+  rounded in the safe direction before crossing into this module.
 * libm's ``log`` (``math.log``, in ``f64_up``/``f64_down`` and the
   fold), ``exp`` and ``log1p`` (``math.exp``, ``math.log1p`` in
   ``_log_add``) and numpy's ``np.exp`` (the fold's terms) are within
@@ -41,8 +39,8 @@ than proves:
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the
 like) stay in plain binary64 until their final nonnegative combination
-is lifted via ``from_f64``.  There are no operators: values combine
-through the named methods and order through ``XReal.cmp``.
+is lifted via ``f64_up``.  There are no operators: values combine
+through the named functions and order through ``XReal.cmp``.
 
 Rendering (``to_sci_string``) certifies nothing; it prints a value's
 five significant digits.  It runs in plain floats: a double-double
@@ -242,9 +240,9 @@ def add_down(a: float, b: float) -> float:
 class XReal:
     """A nonnegative extended-range scalar, stored as a natural log.
 
-    Instances are immutable; zero is ``log_mag == -inf``.  All rounding
-    is upward, so results are certified upper bounds of the exact real
-    arithmetic; each method is the module function of the same step.
+    Instances are immutable; zero is ``log_mag == -inf``.  A value type:
+    it carries a log magnitude built by the module functions, orders by
+    ``cmp`` and prints by ``to_sci_string``, and does no arithmetic.
     """
 
     __slots__ = ("log_mag",)
@@ -263,17 +261,9 @@ class XReal:
     def is_zero(self) -> bool:
         return self.log_mag == -_INF
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
     @staticmethod
     def zero() -> "XReal":
         return _ZERO
-
-    @staticmethod
-    def one() -> "XReal":
-        return _ONE
 
     @staticmethod
     def from_log(log_mag: float) -> "XReal":
@@ -283,47 +273,9 @@ class XReal:
         return XReal(float(log_mag))
 
     @staticmethod
-    def from_f64(value: float) -> "XReal":
-        """Upper bound of a nonnegative binary64 value (``f64_up``)."""
-        return XReal(f64_up(value))
-
-    @staticmethod
-    def exp_neg(x: float) -> "XReal":
-        """exp(-x) for x >= 0, exact in the log representation (``exp_neg_log``)."""
-        return XReal(exp_neg_log(x))
-
-    # ------------------------------------------------------------------
-    # arithmetic (all upward-rounded)
-    # ------------------------------------------------------------------
-
-    def add(self, other: "XReal") -> "XReal":
-        return XReal(add_up(self.log_mag, other.log_mag))
-
-    def mul(self, other: "XReal") -> "XReal":
-        return XReal(mul_up(self.log_mag, other.log_mag))
-
-    def pow(self, p: float) -> "XReal":
-        if self.log_mag == -_INF:
-            if p > 0:
-                return _ZERO
-            raise ValueError("0 cannot be raised to a nonpositive power")
-        return XReal(_up(self.log_mag * p))
-
-    @staticmethod
     def cmp(a: "XReal", b: "XReal") -> int:
         """-1, 0 or +1 as a <, ==, > b (by represented value)."""
         return (a.log_mag > b.log_mag) - (a.log_mag < b.log_mag)
-
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-
-    def to_f64_clamped(self) -> float:
-        """Nearest binary64, saturating to 0.0 / inf out of range."""
-        try:
-            return math.exp(self.log_mag)  # underflows to 0.0 gracefully
-        except OverflowError:
-            return _INF
 
     def to_sci_string(self) -> str:
         """Decimal scientific form ``m.mmmm×10^±e`` (4 fractional digits).
@@ -390,7 +342,6 @@ class XReal:
 
 
 _ZERO = XReal(-_INF)
-_ONE = XReal(0.0)
 
 
 def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:

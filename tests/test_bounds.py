@@ -34,8 +34,9 @@ from abcertify.bounds import (
     threshold_sigma,
 )
 from abcertify.config import BEAMS, MAGNETS, get_config
-from abcertify.fields import norm_bundle
-from abcertify.xreal import XReal
+from abcertify.fields import norm_bundle, ring_tail
+from abcertify.kinematics import z_of_sigma
+from abcertify.xreal import XReal, add_up, exp_neg_log, f64_up, mul_up
 
 import published
 
@@ -243,6 +244,29 @@ def test_envelope_regimes_read_the_table(cfg):
         tail_payload("nope", 0.3, s, cfg)
 
 
+# sha256 over the bits of both sides of envelope_sides for the three
+# families, and of ring_tail at the crossing distance (zeta = z and
+# zeta = 0), for the six configs at 40 widths each over [sigma_min,
+# sigma_max]; recorded while the LHS was still built with XReal methods
+_GOLDEN_ENVELOPE_SHA256 = "78d3c83043ea9c5fdb7cb3e788f9554624ee4b50ef9e7f7040079454cb4cdee6"
+
+
+def test_envelope_sides_match_golden_digest():
+    digest = hashlib.sha256()
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        cfg = get_config(magnet, beam)
+        for s in np.geomspace(cfg.sigma_min, cfg.sigma_max, 40).tolist():
+            z = z_of_sigma(s, cfg)
+            parts = [
+                side
+                for family in ("incoming", "interacting", "outgoing")
+                for side in envelope_sides(cfg, family, s)
+            ]
+            parts += [ring_tail(cfg, s, z, z), ring_tail(cfg, s, 0.0, z)]
+            digest.update(" ".join(float.hex(v.log_mag) for v in parts).encode())
+    assert digest.hexdigest() == _GOLDEN_ENVELOPE_SHA256
+
+
 def test_interval_certificates_smoke(any_cfg):
     out = interval_certificates(any_cfg, n=500)
     assert set(out) == {
@@ -321,8 +345,8 @@ def test_regime_report_reassembles(cfg):
     for regime in REGIMES:
         for s in (3e-9, 1e-7, 1e-5):
             rep = regime_bound(cfg, s, regime)
-            re = rep.size_term.add(rep.spread_term).add(rep.additive_term)
-            assert ulps(re.log_mag, rep.total.log_mag) <= 2.0
+            re = add_up(add_up(rep.size_term.log_mag, rep.spread_term.log_mag), rep.additive_term.log_mag)
+            assert ulps(re, rep.total.log_mag) <= 2.0
             labels = [k for k, _ in rep.rows()]
             assert labels == ["size_term", "spread_term", "additive", "total"]
 
@@ -400,8 +424,8 @@ def test_final_bound_structure(cfg):
     rate_log = -cfg.rate_exponent(s) + math.log(177e3)
     assert ulps(rep.spread_term.log_mag, rate_log) <= 2.0
     assert rep.additive_term.log_mag == ten_pow(-100).log_mag
-    re = rep.size_term.add(rep.spread_term).add(rep.additive_term)
-    assert ulps(re.log_mag, rep.total.log_mag) <= 2.0
+    re = add_up(add_up(rep.size_term.log_mag, rep.spread_term.log_mag), rep.additive_term.log_mag)
+    assert ulps(re, rep.total.log_mag) <= 2.0
 
 
 def test_final_bound_plateau_value(cfg):
@@ -432,10 +456,10 @@ def test_detailed_stays_below_headline(cfg):
 def test_interaction_probability_is_squared_envelope(cfg):
     for s in (1e-9, 1e-7, 2e-5):
         prob = interaction_probability(cfg, s)
-        size = XReal.exp_neg(cfg.r1**2 / (2.0 * s * s)).mul(XReal.from_f64(7.0))
-        spread = XReal.exp_neg(cfg.rate_exponent(s)).mul(XReal.from_f64(177001.0))
-        inner = size.add(spread).add(ten_pow(-100))
-        assert ulps(prob.log_mag, inner.pow(2).log_mag) <= 4.0
+        size = mul_up(exp_neg_log(cfg.r1**2 / (2.0 * s * s)), f64_up(7.0))
+        spread = mul_up(exp_neg_log(cfg.rate_exponent(s)), f64_up(177001.0))
+        inner = add_up(add_up(size, spread), ten_pow(-100).log_mag)
+        assert ulps(prob.log_mag, mul_up(inner, inner)) <= 4.0
     assert interaction_probability(cfg, 1e-7).log_mag <= -199.0 * math.log(10.0)
 
 
@@ -557,7 +581,7 @@ def test_threshold_outputs_match_golden_digest():
 
 def test_threshold_requires_crossing(cfg):
     with pytest.raises(ValueError):
-        threshold_sigma(cfg, XReal.from_f64(10.0), "big")
+        threshold_sigma(cfg, XReal(f64_up(10.0)), "big")
 
 
 def test_plateau_interval(cfg):
