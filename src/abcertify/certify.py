@@ -38,10 +38,12 @@ larger, never invalid.
   orders below every right-hand side -- the window keeps no nodes,
   nothing is solved or folded, and ``grid_majorant`` returns the kept
   value.
-* Truncation: a window takes its nodes in chunks (128, then
-  doubling), and the grid ends at the first node Z_J whose remaining
-  cell [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the weight's sup at
-  z_cap, is below 2^-60 of the sum of the cells up to x_J.  The fold
+* Truncation: a window builds its grid on a prefix of its nodes (the
+  first 128; while the stop test does not fire, twice as many, built
+  again), and the grid ends at the first node Z_J whose remaining cell
+  [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the
+  weight's sup at z_cap, is below 2^-60 of the sum of the cells up to
+  x_J.  A window keeps no state from one prefix to the next.  The fold
   then sums those cells plus that last cell, computed with the same
   upward rounding as every other cell.  The stop test is a plain float
   heuristic: it decides where the grid ends, never what is summed.
@@ -59,7 +61,7 @@ pair scale cuts the window -- share sigma, mv, zeta and delta0, so their
 nodes are sub-ranges of one lattice Z_n = sqrt(n delta0) and their
 crossings are the same floats.  ``_build_windows`` solves that lattice
 once per width, in one ``z_crossing_vec`` call that covers every
-window's first chunk, and extends it by doubling only when a window
+window's first prefix, and extends it by doubling only when a window
 needs more; each window slices its own n-range and clips it to its own
 [s, z_cap].  A window keeps its cells' geometry, so b6 on the b4 grid
 takes its cells from the arrays the b4 pass built.  Without a kind,
@@ -124,8 +126,8 @@ _FLOOR_LOG = _FLOOR_LOG10 * math.log(10.0)
 NODE_CAP = 30_000
 
 # a grid built for one majorant kind ends at the first node whose
-# remaining cell is below 2^-60 of the running sum; nodes are solved in
-# chunks of this size, doubling each time
+# remaining cell is below 2^-60 of the running sum; it is built on a
+# prefix of this many nodes, doubled until the stop test fires
 _STOP_LOG = -60.0 * math.log(2.0)
 _FIRST_CHUNK = 128
 
@@ -219,7 +221,8 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
     win = majorant_window(sigma, mv, s, z_cap, lo, hi, np.empty(0), np.empty(0))
     if kind is not None:  # the floor test's one cell, kept for grid_majorant
-        win.r1, win.kind, win.one_cell = r1, kind, grid_majorant(win, r1, kind)
+        one_cell = grid_majorant(win, r1, kind)  # before win.kind is set: computed afresh
+        win.r1, win.kind, win.one_cell = r1, kind, one_cell
         if win.one_cell.log_mag <= _FLOOR_LOG:
             return win, None
     if hi <= lo:  # degenerate: single interval, no interior nodes
@@ -248,10 +251,11 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
     """The windows (s, z_cap, kind) of one width, in order; None for an empty one.
 
     Their nodes come from one ``_Lattice`` over the union of their node
-    ranges, whose first solve covers every window's first chunk.  A
-    window with a kind solves nodes in growing chunks and ends its grid
-    at the first node whose remaining cell is negligible (see the module
-    docstring); one without a kind (and r1) takes its whole grid.
+    ranges, whose first solve covers every window's first prefix.  A
+    window with a kind builds its grid on doubling prefixes of its nodes
+    and ends it at the first node whose remaining cell is negligible
+    (see the module docstring); one without a kind (and r1) takes its
+    whole grid.
     """
     laid = [_layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind) for s, z_cap, kind in spans]
     ranged = [(win, n) for win, n in laid if n is not None]
@@ -264,11 +268,11 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
         for win, (n_start, n_end) in ranged:
             k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
             total = (n_end - n0) // stride - k_first + 1
-            chunk = total if win.kind is None else min(total, _FIRST_CHUNK)
-            plans.append((win, k_first, total, chunk))
-        lattice.reserve(max(k + c for _, k, _, c in plans))
-        for win, k_first, total, chunk in plans:
-            _solve_window(win, lattice, k_first, total, chunk)
+            prefix = total if win.kind is None else min(total, _FIRST_CHUNK)
+            plans.append((win, k_first, total, prefix))
+        lattice.reserve(max(k + p for _, k, _, p in plans))
+        for win, k_first, total, prefix in plans:
+            _solve_window(win, lattice, k_first, total, prefix)
     return [win for win, _ in laid]
 
 
@@ -287,85 +291,67 @@ def _build_window(
     A batch of one for ``_build_windows``: without a ``kind`` every
     grid node is solved.  With one (and its ``r1``) the window serves
     that majorant only: it keeps no nodes when its one-cell majorant is
-    already below the floor, and otherwise solves nodes in growing
-    chunks and ends the grid at the first node whose remaining cell is
-    negligible (see the module docstring).
+    already below the floor, and otherwise builds its grid on doubling
+    prefixes of its nodes and ends it at the first node whose remaining
+    cell is negligible (see the module docstring).
     """
     return _build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
 
 
-def _solve_window(win, lattice, k_first, total, chunk):
-    """Take a window's nodes k_first, k_first + 1, ... from the lattice, chunk by chunk.
+def _solve_window(win, lattice, k_first, total, prefix):
+    """Build a window's grid on its first ``prefix`` nodes k_first, k_first + 1, ...
 
-    Each chunk of n nodes fills one (5, n + 1) buffer: the clipped
-    distances after the left edge, then the grid rows, whose column n
-    is the last cell [x_n, z_cap].  A grid that stops at node J < n
-    writes its last cell into column J.
+    The n nodes fill one (5, n + 1) buffer: the clipped distances after
+    the left edge, then the grid rows, whose column n is the last cell
+    [x_n, z_cap].  A grid that stops at node J < n writes its last cell
+    into column J.  When the stop test does not fire and the window has
+    more of its ``total`` nodes, the prefix doubles and the grid is
+    built again from the lattice, so no state passes between the
+    passes; the recomputed cells are the same floats.
     """
     s, z_cap, hi, kind, r1 = win.s, win.z_cap, win.hi, win.kind, win.r1
     smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
     rho_cap = _rho_np(win.sigma, win.mv, z_cap)
-    parts = []  # (buffer, cells, kept nodes) of each chunk with nodes
-    # running state of the stop test: log-sum of the cells so far, and
-    # the left edge and decay exponent of the next cell
-    acc, x_prev, decay_prev = -_INF, s, win.lo * win.lo / 2.0
-    done = 0
-    while done < total:
-        k0, k1 = k_first + done, k_first + min(total, done + chunk)
-        done += chunk
-        chunk *= 2
+    while True:
+        k1 = k_first + min(total, prefix)
         lattice.reserve(k1)
-        nodes = lattice.nodes[k0:k1]
+        nodes = lattice.nodes[k_first:k1]
         n = nodes.size
         if n == 0:  # the lattice ended at sigma*mv
-            break
+            return
         buf = np.empty((5, n + 1))
         xe, gaps, decay, rho_right, w_right = buf
-        xe[0] = x_prev
-        x = np.clip(lattice.x[k0:k1], s, z_cap, out=xe[1:])
+        xe[0] = s
+        x = np.clip(lattice.x[k_first:k1], s, z_cap, out=xe[1:])
         np.subtract(x, xe[:-1], out=gaps[:-1])
         gaps[n] = z_cap - x[-1]
-        decay[0] = decay_prev
-        decay[1:] = lattice.decay[k0:k1]
+        decay[0] = win.lo * win.lo / 2.0
+        decay[1:] = lattice.decay[k_first:k1]
         np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
         rho_right[n] = rho_cap
         w_right[:-1] = nodes
         w_right[n] = hi
-        end, cells, stop = n, None, False
+        end, cells = n, None
         if kind is not None:
             cells = _cell_logs(gaps, decay, rho_right, w_right, r1, kind)
             running = np.logaddexp.accumulate(cells[:-1])
-            if acc != -_INF:
-                running = np.logaddexp(acc, running)
             last = _cell_logs(z_cap - x, decay[1:], rho_cap, hi, r1, kind)
             hit = np.flatnonzero(last < running + _STOP_LOG)
             if hit.size:
-                end, stop = int(hit[0]) + 1, True
+                end = int(hit[0]) + 1
                 if end < n:  # the grid ends at node `end`: its last cell
                     gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
                     cells[end] = last[end - 1]
-            acc = running[-1]
-        if gaps[:end].min() < 0.0:
-            raise RuntimeError("grid distances lost monotonicity")
-        parts.append((buf, cells, end))
-        if stop:
+                break
+        if prefix >= total or n < prefix:  # all the window's nodes, or all the lattice's
             break
-        x_prev, decay_prev = x[-1], decay[n]
+        prefix *= 2
 
-    if not parts:
-        return
-    # every chunk but the last ends where the next begins
-    cols = [end for _, _, end in parts[:-1]] + [parts[-1][2] + 1]
-    win.nodes = _joined([b[4, :e] for (b, _, e) in parts])
-    win.x = _joined([b[0, 1 : e + 1] for (b, _, e) in parts])
-    win.grid = _joined([b[1:, :c] for (b, _, _), c in zip(parts, cols)], axis=1)
+    if gaps[:end].min() < 0.0:
+        raise RuntimeError("grid distances lost monotonicity")
+    win.nodes, win.x, win.grid = buf[4, :end], buf[0, 1 : end + 1], buf[1:, : end + 1]
     if kind is not None:
-        win.cells = _joined([c[:k] for (_, c, _), k in zip(parts, cols)])
-
-
-def _joined(arrays, axis=0):
-    """One array, without a copy for a single chunk."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+        win.cells = cells[: end + 1]
 
 
 def _rho_np(sigma: float, mv: float, z):
@@ -517,10 +503,9 @@ def check_pair(
     """Certify one width pair; never raises on a well-formed config.
 
     The one exception is a user ``delta0`` too fine to index the grid
-    (ValueError, see ``_build_window``).  Both sides are assembled on
-    log-magnitude floats with the ``xreal`` functions, in the order of
-    the XReal expressions they stand for; only the four reported values
-    are wrapped as ``XReal``.
+    (ValueError, see ``_layout_window``).  Both sides are assembled on
+    log-magnitude floats with the ``xreal`` functions; only the four
+    reported values are wrapped as ``XReal``.
     """
     mv = cfg.mv
     r1 = cfg.r1

@@ -269,20 +269,31 @@ def test_grid_majorant_dominates_quadrature(kind):
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_truncated_majorant_matches_full_grid(kind):
-    stopped = 0
+    stopped = rebuilt = 0
     windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
         cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         # the truncated grid is a prefix of the full one
-        assert np.array_equal(cut.nodes, full.nodes[: cut.nodes.size])
+        J = cut.nodes.size
+        assert np.array_equal(cut.nodes, full.nodes[:J])
         assert np.array_equal(cut.x, full.x[: cut.x.size])
-        stopped += cut.nodes.size < full.nodes.size
+        if J:
+            # bit for bit: the cells before the last are the full grid's,
+            # and the last is [x_J, z_cap] with node J's decay
+            assert cut.grid[:, :J].tobytes() == full.grid[:, :J].tobytes()
+            node = cut.nodes[-1]
+            last = [z_cap - cut.x[-1], node * node / 2.0, certify._rho_np(sigma, mv, z_cap), cut.hi]
+            assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
+        stopped += J < full.nodes.size
+        rebuilt += J > certify._FIRST_CHUNK  # built again from a doubled prefix
         lm_full = grid_majorant(full, r1, kind).log_mag
         lm_cut = grid_majorant(cut, r1, kind).log_mag
         assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
-    # the stop test fires on the long windows
+    # the stop test fires on the long windows, most of them past the
+    # first prefix
     assert stopped >= 20
+    assert rebuilt >= 8
 
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
