@@ -40,15 +40,15 @@ larger, never invalid.
   value.
 * Truncation: a window builds its grid on a prefix of its nodes (the
   first 128; while the stop test does not fire, twice as many, built
-  again), and the grid ends at the first node Z_J whose remaining cell
-  [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the
-  weight's sup at z_cap, is below 2^-60 of the sum of the cells up to
-  x_J.  A window keeps no state from one prefix to the next.  The fold
-  then sums those cells plus that last cell, computed with the same
-  upward rounding as every other cell.  The stop test is a plain float
-  heuristic: it decides where the grid ends, never what is summed.
-  Against the full grid the bound can grow by at most the last cell,
-  under 2^-60 of it.
+  again in the next pass), and the grid ends at the first node Z_J
+  whose remaining cell [x_J, z_cap], bounded by (z_cap - x_J)
+  e^{-Z_J^2/2} times the weight's sup at z_cap, is below 2^-60 of the
+  sum of the cells up to x_J.  A window keeps no state from one prefix
+  to the next.  The fold then sums those cells plus that last cell,
+  computed with the same upward rounding as every other cell.  The stop
+  test is a plain float heuristic: it decides where the grid ends, never
+  what is summed.  Against the full grid the bound can grow by at most
+  the last cell, under 2^-60 of it.
 * A width's node range (the union of its windows') larger than
   ``NODE_CAP`` nodes is thinned by a uniform stride.  The cap is a
   fixed input guard: it bounds the nodes solved for any user
@@ -59,22 +59,24 @@ larger, never invalid.
 All windows of one width -- b4, b5, and b6 with its b3 tail when the
 pair scale cuts the window -- share sigma, mv, zeta and delta0, so their
 nodes are sub-ranges of one lattice Z_n = sqrt(n delta0) and their
-crossings are the same floats.  ``_build_windows`` solves that lattice
-once per width, in one ``z_crossing_vec`` call that covers every
-window's first prefix, and extends it by doubling only when a window
-needs more; each window slices its own n-range and clips it to its own
-[s, z_cap].  A window keeps its cells' geometry, so b6 on the b4 grid
-takes its cells from the arrays the b4 pass built.  Without a kind,
-``_build_window`` (a batch of one) solves the whole grid, so the stop
-test never fires.
+crossings are the same floats.  A window's node range ends below
+sigma*mv, where no crossing exists, so every laid-out node has one.
+``_build_windows`` grows that lattice pass by pass: the first pass
+solves every window's first prefix in one ``z_crossing_vec`` call, and
+each later pass solves, in one more call, only the nodes that the
+doubled prefixes of the windows that did not stop reach past it.  Each
+window slices its own n-range and clips it to its own [s, z_cap].  A
+window keeps its cells' geometry, so b6 on the b4 grid takes its cells
+from the arrays the b4 pass built.  Without a kind, ``_build_window``
+(a batch of one) solves the whole grid, so the stop test never fires.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -178,37 +180,6 @@ class majorant_window:
     cells: Optional[np.ndarray] = None
 
 
-class _Lattice:
-    """The nodes Z_k = sqrt((n0 + stride k) delta0) of one width, and their crossings.
-
-    The windows of one width share sigma, mv, zeta and delta0, so their
-    nodes are sub-ranges of this one lattice and their crossings the
-    same floats.  ``reserve`` solves the lattice up to a point in one
-    ``z_crossing_vec`` call, extending it to at least twice its solved
-    size; nodes at or past sigma*mv, where no crossing exists, end it.
-    """
-
-    def __init__(self, sigma, mv, zeta, delta0, n0, stride, size):
-        self.sigma, self.mv, self.zeta, self.delta0 = sigma, mv, zeta, delta0
-        self.n0, self.stride, self.size = n0, stride, size
-        self.nodes = self.x = self.decay = np.empty(0)
-
-    def reserve(self, k_end: int) -> None:
-        done = self.nodes.size
-        if k_end <= done or done == self.size:
-            return
-        idx = np.arange(done, min(self.size, max(k_end, 2 * done)), dtype=np.float64)
-        nodes = np.sqrt((self.n0 + self.stride * idx) * self.delta0)
-        if nodes[-1] >= self.sigma * self.mv:
-            nodes = nodes[: nodes.searchsorted(self.sigma * self.mv)]
-            self.size = done + nodes.size
-        if nodes.size:
-            x = z_crossing_vec(nodes, self.sigma, self.mv, self.zeta)
-            self.nodes = np.concatenate((self.nodes, nodes))
-            self.x = np.concatenate((self.x, x))
-            self.decay = np.concatenate((self.decay, nodes * nodes / 2.0))
-
-
 def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     """A window before any node is solved, and its node range n_start..n_end.
 
@@ -232,17 +203,20 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
             f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
         )
 
-    # the nodes from n_start to n_end lie in [lo, hi]: the first loop
-    # stops at sqrt(n delta0) >= lo or at n delta0 >= lo*lo, and then too
-    # sqrt(n delta0) >= sqrt(lo*lo) == lo (binary64, correctly rounded);
-    # so a window's nodes are a plain slice of its width's lattice
+    # the nodes from n_start to n_end lie in [lo, hi] and below sigma*mv,
+    # so each has a crossing: the first loop stops at sqrt(n delta0) >= lo
+    # or at n delta0 >= lo*lo, and then too sqrt(n delta0) >= sqrt(lo*lo)
+    # == lo (binary64, correctly rounded); so a window's nodes are a
+    # plain slice of its width's lattice
     n_start = math.ceil(lo * lo / delta0)
     while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
         n_start += 1
     if n_start < 1:
         n_start = 1
-    n_end = math.floor(hi * hi / delta0)
-    while n_end >= n_start and math.sqrt(n_end * delta0) > hi:
+    smv = sigma * mv
+    top = min(hi, smv)
+    n_end = math.floor(top * top / delta0)
+    while n_end >= n_start and not (math.sqrt(n_end * delta0) <= hi and math.sqrt(n_end * delta0) < smv):
         n_end -= 1
     return win, ((n_start, n_end) if n_end >= n_start else None)
 
@@ -250,29 +224,44 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
 def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
     """The windows (s, z_cap, kind) of one width, in order; None for an empty one.
 
-    Their nodes come from one ``_Lattice`` over the union of their node
-    ranges, whose first solve covers every window's first prefix.  A
-    window with a kind builds its grid on doubling prefixes of its nodes
-    and ends it at the first node whose remaining cell is negligible
+    Their nodes are slices of one lattice Z_k = sqrt((n0 + stride k)
+    delta0) over the union of their node ranges, grown pass by pass.  A
+    pass solves, in one ``z_crossing_vec`` call, the lattice nodes that
+    its windows' prefixes reach and the earlier passes did not, and
+    builds each window on its prefix.  A window with a kind starts on
+    its first ``_FIRST_CHUNK`` nodes and goes on to the next pass, its
+    prefix doubled, until its stop test fires or it has all its nodes
     (see the module docstring); one without a kind (and r1) takes its
-    whole grid.
+    whole grid in the first pass.
     """
     laid = [_layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind) for s, z_cap, kind in spans]
     ranged = [(win, n) for win, n in laid if n is not None]
-    if ranged:
-        n0 = min(n[0] for _, n in ranged)
-        count = max(n[1] for _, n in ranged) - n0 + 1
-        stride = max(1, math.ceil(count / NODE_CAP))
-        lattice = _Lattice(sigma, mv, zeta, delta0, n0, stride, (count - 1) // stride + 1)
-        plans = []
-        for win, (n_start, n_end) in ranged:
-            k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
-            total = (n_end - n0) // stride - k_first + 1
-            prefix = total if win.kind is None else min(total, _FIRST_CHUNK)
-            plans.append((win, k_first, total, prefix))
-        lattice.reserve(max(k + p for _, k, _, p in plans))
-        for win, k_first, total, prefix in plans:
-            _solve_window(win, lattice, k_first, total, prefix)
+    if not ranged:
+        return [win for win, _ in laid]
+    n0 = min(n[0] for _, n in ranged)
+    stride = max(1, math.ceil((max(n[1] for _, n in ranged) - n0 + 1) / NODE_CAP))
+    plans = []  # (window, its first lattice index, its prefix's end, its end)
+    for win, (n_start, n_end) in ranged:
+        k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
+        k_end = (n_end - n0) // stride + 1
+        if k_first < k_end:  # else the stride skips the whole window
+            k1 = k_end if win.kind is None else min(k_end, k_first + _FIRST_CHUNK)
+            plans.append((win, k_first, k1, k_end))
+    nodes = x = decays = np.empty(0)
+    while plans:
+        k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
+        if k.size:
+            new = np.sqrt((n0 + stride * k) * delta0)
+            nodes = np.concatenate((nodes, new))
+            x = np.concatenate((x, z_crossing_vec(new, sigma, mv, zeta)))
+            decays = np.concatenate((decays, new * new / 2.0))
+        # the windows that did not stop and have more nodes, prefix doubled
+        plans = [
+            (win, k_first, min(k_end, 2 * k1 - k_first), k_end)
+            for win, k_first, k1, k_end in plans
+            if not _solve_window(win, nodes[k_first:k1], x[k_first:k1], decays[k_first:k1])
+            and k1 < k_end
+        ]
     return [win for win, _ in laid]
 
 
@@ -289,69 +278,60 @@ def _build_window(
     """Node layout for one window; None when the interval is empty.
 
     A batch of one for ``_build_windows``: without a ``kind`` every
-    grid node is solved.  With one (and its ``r1``) the window serves
-    that majorant only: it keeps no nodes when its one-cell majorant is
-    already below the floor, and otherwise builds its grid on doubling
-    prefixes of its nodes and ends it at the first node whose remaining
-    cell is negligible (see the module docstring).
+    grid node is solved, in one pass.  With one (and its ``r1``) the
+    window serves that majorant only: it keeps no nodes when its
+    one-cell majorant is already below the floor, and otherwise builds
+    its grid pass by pass on doubling prefixes of its nodes and ends it
+    at the first node whose remaining cell is negligible (see the
+    module docstring).
     """
     return _build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
 
 
-def _solve_window(win, lattice, k_first, total, prefix):
-    """Build a window's grid on its first ``prefix`` nodes k_first, k_first + 1, ...
+def _solve_window(win, nodes, x, decays):
+    """Build a window's grid on its n nodes; True when it needs no more of them.
 
-    The n nodes fill one (5, n + 1) buffer: the clipped distances after
+    The nodes fill one (5, n + 1) buffer: the clipped distances after
     the left edge, then the grid rows, whose column n is the last cell
-    [x_n, z_cap].  A grid that stops at node J < n writes its last cell
-    into column J.  When the stop test does not fire and the window has
-    more of its ``total`` nodes, the prefix doubles and the grid is
-    built again from the lattice, so no state passes between the
-    passes; the recomputed cells are the same floats.
+    [x_n, z_cap].  With a kind, the stop test runs on the cells; a grid
+    that stops at node J < n writes its last cell into column J.  The
+    window keeps the grid of its latest build, and no state from an
+    earlier one: a doubled prefix recomputes the same floats.  A window
+    without a kind has all its nodes, and needs no more.
     """
     s, z_cap, hi, kind, r1 = win.s, win.z_cap, win.hi, win.kind, win.r1
     smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
     rho_cap = _rho_np(win.sigma, win.mv, z_cap)
-    while True:
-        k1 = k_first + min(total, prefix)
-        lattice.reserve(k1)
-        nodes = lattice.nodes[k_first:k1]
-        n = nodes.size
-        if n == 0:  # the lattice ended at sigma*mv
-            return
-        buf = np.empty((5, n + 1))
-        xe, gaps, decay, rho_right, w_right = buf
-        xe[0] = s
-        x = np.clip(lattice.x[k_first:k1], s, z_cap, out=xe[1:])
-        np.subtract(x, xe[:-1], out=gaps[:-1])
-        gaps[n] = z_cap - x[-1]
-        decay[0] = win.lo * win.lo / 2.0
-        decay[1:] = lattice.decay[k_first:k1]
-        np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
-        rho_right[n] = rho_cap
-        w_right[:-1] = nodes
-        w_right[n] = hi
-        end, cells = n, None
-        if kind is not None:
-            cells = _cell_logs(gaps, decay, rho_right, w_right, r1, kind)
-            running = np.logaddexp.accumulate(cells[:-1])
-            last = _cell_logs(z_cap - x, decay[1:], rho_cap, hi, r1, kind)
-            hit = np.flatnonzero(last < running + _STOP_LOG)
-            if hit.size:
-                end = int(hit[0]) + 1
-                if end < n:  # the grid ends at node `end`: its last cell
-                    gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
-                    cells[end] = last[end - 1]
-                break
-        if prefix >= total or n < prefix:  # all the window's nodes, or all the lattice's
-            break
-        prefix *= 2
-
+    n = nodes.size
+    buf = np.empty((5, n + 1))
+    xe, gaps, decay, rho_right, w_right = buf
+    xe[0] = s
+    x = np.clip(x, s, z_cap, out=xe[1:])
+    np.subtract(x, xe[:-1], out=gaps[:-1])
+    gaps[n] = z_cap - x[-1]
+    decay[0] = win.lo * win.lo / 2.0
+    decay[1:] = decays
+    np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
+    rho_right[n] = rho_cap
+    w_right[:-1] = nodes
+    w_right[n] = hi
+    end, cells, stopped = n, None, kind is None
+    if kind is not None:
+        cells = _cell_logs(gaps, decay, rho_right, w_right, r1, kind)
+        running = np.logaddexp.accumulate(cells[:-1])
+        last = _cell_logs(z_cap - x, decay[1:], rho_cap, hi, r1, kind)
+        hit = np.flatnonzero(last < running + _STOP_LOG)
+        if hit.size:
+            end, stopped = int(hit[0]) + 1, True
+            if end < n:  # the grid ends at node `end`: its last cell
+                gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
+                cells[end] = last[end - 1]
     if gaps[:end].min() < 0.0:
         raise RuntimeError("grid distances lost monotonicity")
     win.nodes, win.x, win.grid = buf[4, :end], buf[0, 1 : end + 1], buf[1:, : end + 1]
     if kind is not None:
         win.cells = cells[: end + 1]
+    return stopped
 
 
 def _rho_np(sigma: float, mv: float, z):
@@ -679,13 +659,13 @@ def sweep(
     ``jobs``.  The worker count is ``jobs`` clamped to the CPU count and
     the number of pairs; with one worker the pairs run in this process.
     """
-    names = list(dict.fromkeys(set_names or SET_NAMES))
+    names = list(dict.fromkeys(SET_NAMES if set_names is None else set_names))
     args = [(cfg, job, delta0) for job in sweep_pairs(cfg, names)]
     workers = min(jobs, os.cpu_count() or 1, len(args))
     if workers <= 1:
         return [_run_job(a) for a in args]
     chunk = max(1, len(args) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, args, chunksize=chunk))
 
 
@@ -696,8 +676,3 @@ def write_csv(results: Iterable[PairResult], path: str) -> None:
         for res in results:
             writer.writerow(res.csv_row())
 
-
-def discrepancy_map(results: Sequence[PairResult]) -> List[PairResult]:
-    """The failing pairs, ordered by how badly they miss."""
-    fails = [r for r in results if not r.passed]
-    return sorted(fails, key=lambda r: r.margin_log10)

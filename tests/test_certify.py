@@ -1,5 +1,6 @@
 """Per-pair certificates: window grids, majorants, flags, sweep plumbing."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -14,7 +15,6 @@ from abcertify.certify import (
     PairResult,
     _build_window,
     check_pair,
-    discrepancy_map,
     grid_majorant,
     sweep,
     write_csv,
@@ -286,7 +286,7 @@ def test_truncated_majorant_matches_full_grid(kind):
             last = [z_cap - cut.x[-1], node * node / 2.0, certify._rho_np(sigma, mv, z_cap), cut.hi]
             assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
         stopped += J < full.nodes.size
-        rebuilt += J > certify._FIRST_CHUNK  # built again from a doubled prefix
+        rebuilt += J > certify._FIRST_CHUNK  # built again in a later pass, on a doubled prefix
         lm_full = grid_majorant(full, r1, kind).log_mag
         lm_cut = grid_majorant(cut, r1, kind).log_mag
         assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
@@ -607,7 +607,7 @@ def test_shared_lattice_windows_match_standalone(cfg, monkeypatch):
         for i in sorted({0, len(jobs) - 1, worst[name]}):
             for delta0 in (1.0, 0.1):
                 most = max(most, _check_shared_windows(cfg, jobs[i], delta0, monkeypatch)[0])
-    # sigma11's windows run past the first chunk and extend the lattice
+    # sigma11's windows run past the first prefix and take a later pass
     assert most > certify._FIRST_CHUNK
 
 
@@ -644,6 +644,80 @@ def test_one_crossing_solve_per_width(cfg, monkeypatch):
     assert solved == [sigma for sigma, _ in with_nodes]
     # at least one width serves several node windows from its one solve
     assert max(count for _, count in with_nodes) >= 2
+
+
+def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
+    # sigma6's first pair at delta0 = 0.1: its b4 and b5 windows span
+    # ~20,000 nodes each and stop after ~900, so the doubling prefixes
+    # solve ~1,000 crossings; solving a window's whole grid once its
+    # first prefix did not stop would solve ~20,000
+    solved = []
+    solve = certify.z_crossing_vec
+
+    def counting(omega_inv, sigma, mv, zeta):
+        solved.append(np.size(omega_inv))
+        return solve(omega_inv, sigma, mv, zeta)
+
+    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    built = _pair_windows(cfg, sweep_pairs(cfg, ["sigma6"])[0], 0.1, monkeypatch)
+    assert 0 < sum(solved) < 2048
+    long = 0
+    for (sigma, mv, zeta, d0, r1), spans, wins in built:
+        for (s, z_cap, kind), win in zip(spans, wins):
+            _, n = certify._layout_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
+            if n is not None and n[1] - n[0] + 1 > 19_000:
+                long += 1
+                assert certify._FIRST_CHUNK < win.nodes.size < 2048
+    assert long == 2
+
+
+# windows (sigma, mv, zeta, s, z_cap, delta0) with zeta < 0 whose
+# rescaled range [lo, hi] holds sigma*mv, where no crossing exists: their
+# nodes end below it (the first at 0.99499, the last with no node left)
+_EDGE_WINDOWS = [
+    (1.0, 1.0, -0.1, 0.0, 10.0, 0.01),
+    (1.0, 1.0, -0.1, 0.0, 10.0, 3e-4),
+    (2.0, 0.75, -0.3, 0.2, 30.0, 0.05),
+    (1.0, 1.0, -0.1, z_crossing(0.9, 1.0, 1.0, -0.1), 10.0, 0.5),
+]
+# sha256 over float.hex of their nodes, distances, grids and every
+# kind's majorant, built without a kind and for b4, b5 and b3 (r1 = 2);
+# recorded when the lattice, not the layout, ended the nodes there
+_GOLDEN_EDGE_SHA256 = "9bf7f12690b02659667d6de8235997ab8f73adf41ab64dfd1f4c3dad4ee8a9e6"
+
+
+def test_sigma_mv_edge_windows_match_golden_digest():
+    lines, ends = [], []
+    for sigma, mv, zeta, s, z_cap, delta0 in _EDGE_WINDOWS:
+        for extra in ((), (2.0, "b4"), (2.0, "b5"), (2.0, "b3")):
+            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
+            assert win.lo < sigma * mv <= win.hi
+            assert np.all(win.nodes < sigma * mv)
+            arrays = [win.nodes, win.x] + ([] if win.grid is None else [win.grid])
+            bits = [" ".join(map(float.hex, a.ravel().tolist())) for a in arrays]
+            bits += [float.hex(grid_majorant(win, 2.0, k).log_mag) for k in ("b3", "b4", "b5", "b6")]
+            lines.append(" | ".join(bits))
+            ends.append(win.nodes.size)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_EDGE_SHA256
+    # the fine grid runs through several doubled prefixes up to the edge
+    assert ends[::4] == [98, 3300, 43, 0]
+
+
+def test_window_between_strided_nodes_keeps_none(monkeypatch):
+    # a stride of 800 lattice steps skips the narrow second window
+    # entirely: it keeps no nodes and falls back to its one cell
+    monkeypatch.setattr(certify, "NODE_CAP", 50)
+    sigma, mv, zeta, delta0 = 1.0, 100.0, 0.1, 0.01
+    spans = [
+        (z_crossing(0.2, sigma, mv, zeta), z_crossing(20.0, sigma, mv, zeta), None),
+        (z_crossing(5.0, sigma, mv, zeta), z_crossing(5.01, sigma, mv, zeta), None),
+    ]
+    wide, narrow = certify._build_windows(sigma, mv, zeta, delta0, spans)
+    assert 0 < wide.nodes.size <= 50
+    assert narrow.nodes.size == 0 and narrow.grid is None
+    rho_cap = rho(sigma, mv, narrow.z_cap)
+    one = certify._cell_logs(narrow.z_cap - narrow.s, narrow.lo ** 2 / 2.0, rho_cap, narrow.hi, 2.0, "b4")
+    assert grid_majorant(narrow, 2.0, "b4").log_mag == mul_up(one, certify._PREFACTOR["b4"])
 
 
 def test_pair_result_pickles(cfg):
@@ -767,22 +841,16 @@ class _RecordingPool:
 )
 def test_sweep_clamps_workers(cfg, monkeypatch, jobs, cpus, want):
     monkeypatch.setattr(_RecordingPool, "made", [])
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
     rows = [r.csv_row() for r in sweep(cfg, ["sigma10"], jobs=jobs)]
     assert _RecordingPool.made == want
     assert len(rows) == FROZEN_PAIR_COUNTS["sigma10"]
 
 
-def test_discrepancy_map_orders_failures(cfg):
-    passing = sweep(cfg, ["sigma10"], jobs=1)
-    assert discrepancy_map(passing) == []
-    bad1 = check_pair(cfg, "x", 0, 4e-5, 8e-5, 1e-6)
-    bad2 = check_pair(cfg, "x", 1, 3e-11, 3e-11, 3e-11)
-    mixed = passing + [bad1, bad2]
-    fails = discrepancy_map(mixed)
-    assert [f.index for f in fails] == [1, 0]  # worst (margin -inf) first
-    assert all(not f.passed for f in fails)
+def test_sweep_of_no_set_is_empty(cfg):
+    # an empty list names no set; only None means every set
+    assert sweep(cfg, []) == []
 
 
 def test_csv_columns_frozen():

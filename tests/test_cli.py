@@ -150,6 +150,17 @@ def test_verify_unknown_set(capsys):
     assert "unknown set(s): sigma99" in err
 
 
+@pytest.mark.parametrize("argv", [["--set", ","], ["--set", " "], ["--set", ",", "--set", ""]])
+def test_verify_empty_set_list_exits_2(capsys, monkeypatch, argv):
+    # a --set list that names no set is a usage error, not "every set"
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: calls.append(args) or [])
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2 and out == ""
+    assert err.strip() == "argument --set: no set named"
+    assert calls == []
+
+
 def test_verify_out_csv(capsys, tmp_path):
     target = tmp_path / "pairs.csv"
     code, out, err = run(capsys, ["verify", "--set", "sigma10", "--out", str(target)])

@@ -197,21 +197,22 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
             ["field", "--check", "flux"],
         )
     ]
-print(*codes, "scipy" in sys.modules)
+print(*codes, "scipy" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
 def test_field_evaluators_run_no_quadrature():
     # in a fresh interpreter neither the field layer, evaluated on every
     # ramp, nor the command line imports scipy: numpy is the package's
-    # only runtime dependency
+    # only runtime dependency; and a serial verify, which starts no
+    # process pool, never imports multiprocessing
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_PROBE],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "0", "0", "0", "False"]
+    assert proc.stdout.split() == ["False", "0", "0", "0", "0", "False", "False"]
 
 
 def test_plateau_validation():
