@@ -495,30 +495,153 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
 # ----------------------------------------------------------------------
 
 
+# Sign regions of the threshold search.  _bisect_log_sigma skips the
+# bound at a width that lies in a region [s1, s2] whose sign a two-sided
+# envelope of the headline bound proves.  With u = 2^-53:
+#
+# * The size and spread components that _bound_logs returns for the
+#   headline row are monotone in the float sigma, as threshold_sigma's
+#   docstring states for the terms: each is a chain of correctly rounded
+#   IEEE steps (and nextafter), each monotone.  With smv = fl(sigma mv),
+#     size   = up(fl(L7 - fl(c / fl(2 sigma * sigma)))),
+#     spread = up(fl(L - fl(fl(fl(k smv) smv) / 2)))
+#   for constants c, k, L7 and L.  The undirected exp_neg_log arguments
+#   and the mul_up steps are links of these chains, so they need no
+#   margin: for every float sigma in [s1, s2],
+#     size(s1) <= size(sigma) <= size(s2),
+#     spread(s2) <= spread(sigma) <= spread(s1),
+#   and the additive term is a constant.
+# * The total is F = add_up(add_up(size, spread), additive).  Let T be
+#   the exact log(e^size + e^spread + e^additive) of the components at
+#   sigma.  add_up never rounds below the exact log-sum (proved next to
+#   xreal._log_add), so F >= T.  The terms of that proof (E = 2.7u, the
+#   guard G = 6u, one rounding each of a + l^, r + G and the step up,
+#   and u^2 terms) give add_up(a, b) <= T_ab + 5u|T_ab| + 9u for T_ab =
+#   log(e^a + e^b).  The first step's excess d, with T12 its exact sum
+#   and z = T - T12 >= 0, moves T by log(1 + e^-z (e^d - 1)).  As
+#   |T12| <= |T| + z, e^-z (e^d - 1) <= e^(c - (1 - 5u) z) - e^-z with
+#   c = 5u|T| + 9u, which falls in z (c > 5u), so the move is at most c.
+#   The second step adds at most 5u(|T| + c) + 9u.  So F <= T + 11u|T| +
+#   19u =: h(T), and h rises.
+# * Above the target: add_down never rounds above the exact log-sum, so
+#   if L = add_down(add_down(size(s1), spread(s2)), additive) > t then
+#   t < L <= T <= F at every sigma in [s1, s2]: the sign there is +1.
+# * Below the target: U = add_up(add_up(size(s2), spread(s1)), additive)
+#   >= T, so F <= h(U).  The test fl(U + M) < t, with M = fl(2^-48
+#   fl(|U| + 4)) >= 32u(|U| + 4)(1 - u), has fl(U + M) >= U + M -
+#   u|U + M| >= U + 30u|U| + 120u >= h(U), so F < t at every sigma in
+#   [s1, s2]: the sign there is -1.
+# * The walk compares the float math.exp(lmid) it would evaluate the
+#   bound at with s1 and s2, so math.exp's rounding needs no margin.
+_SIGN_MARGIN = 2.0**-48
+# at most this many secant steps before the walk
+_SECANT_STEPS = 16
+
+
+def _proves_sign(sign, size1, spread1, size2, spread2, additive, t) -> bool:
+    """Whether every width in [s1, s2] has ``sign`` (+1 or -1) against t,
+    from the components at s1 and s2 (see the proof above)."""
+    if sign > 0:
+        return add_down(add_down(size1, spread2), additive) > t
+    u = add_up(add_up(size2, spread1), additive)
+    return u + _SIGN_MARGIN * (abs(u) + 4.0) < t
+
+
 def _bisect_log_sigma(
-    f: Callable[[float], int], lo: float, hi: float, iters: int = 80
+    bound: Callable[[float], Tuple[float, float, float, float]],
+    t: float,
+    lo: float,
+    hi: float,
+    iters: int = 80,
 ) -> float:
-    """Bisection on log(sigma); f returns sign (+1 above target, -1 below).
+    """Bisection on log(sigma) for the width where a bound crosses t.
 
-    :func:`threshold_sigma` passes an f that compares the bound's
-    log-magnitude float with the target's as :meth:`XReal.cmp` does, so
-    no step builds a :class:`BoundReport`.
+    ``bound(s)`` returns the log magnitudes (size, spread, additive,
+    total) of the headline bound at s, as :func:`threshold_sigma` gets
+    them from :func:`_bound_logs`.  A step's sign is (total > t) -
+    (total < t), the order :meth:`XReal.cmp` gives: +1 above the target,
+    -1 below.
 
-    Runs at most ``iters`` steps, and stops early once a step leaves the
-    bracket unchanged: f is deterministic, so every later step would
-    repeat it, and the result is the one the full loop returns.
+    The walk is the plain bisection: at most ``iters`` steps, stopping
+    early once a step leaves the bracket unchanged (the sign is
+    deterministic, so every later step would repeat it).  What changes
+    is which steps evaluate the bound.  A secant search first finds
+    widths a < b such that every width in [lo, a] provably has lo's sign
+    and every one in [b, hi] the other (the proof is next to
+    ``_SIGN_MARGIN``).  A midpoint in one of those regions takes the
+    region's sign; only the ones strictly between a and b call
+    ``bound``.  So the result is the full loop's, bit for bit.
+
+    The secant runs on g = log(e^size + e^spread) - log(e^t -
+    e^additive), through the last two widths evaluated, against
+    v = s^-2 where the bound rises across the bracket (the size term,
+    whose log is affine in s^-2, carries the crossing) and v = s^2 where
+    it falls (the spread term, affine in s^2).  Each step moves the
+    proved end farther from the target, aiming twice the margin past the
+    target so that the new width proves its region; without a finite
+    secant point between a and b it takes the midpoint in v.
     """
-    flo, fhi = f(lo), f(hi)
+    size_lo, spread_lo, additive, total_lo = bound(lo)
+    size_hi, spread_hi, _, total_hi = bound(hi)
+    flo = (total_lo > t) - (total_lo < t)
+    fhi = (total_hi > t) - (total_hi < t)
     if flo == 0:
         return lo
     if fhi == 0:
         return hi
     if flo == fhi:
         raise ValueError("bound does not cross the target in the given bracket")
+
+    # Every width in [lo, a] has sign flo and every one in [b, hi] has
+    # -flo; g_a and g_b are g there.  additive <= total < t at one end,
+    # so t_terms (the share of t left to size and spread) is finite.
+    t_terms = t + math.log(-math.expm1(additive - t))
+    a, g_a = lo, add_up(size_lo, spread_lo) - t_terms
+    b, g_b = hi, add_up(size_hi, spread_hi) - t_terms
+
+    def sign_at(s: float) -> Tuple[int, float]:
+        """The sign and g at s; widens [lo, a] or [b, hi] to s when s proves it."""
+        nonlocal a, b, g_a, g_b
+        size, spread, _, total = bound(s)
+        f = (total > t) - (total < t)
+        g = add_up(size, spread) - t_terms
+        if f == flo and s > a and _proves_sign(f, size_lo, spread_lo, size, spread, additive, t):
+            a, g_a = s, g
+        elif f == -flo and s < b and _proves_sign(f, size, spread, size_hi, spread_hi, additive, t):
+            b, g_b = s, g
+        return f, g
+
+    p = -2.0 if flo < 0 else 2.0
+    last = [(lo**p, g_a), (hi**p, g_b)]  # the last two widths evaluated, as (v, g)
+    aim = 2.0 * _SIGN_MARGIN * (abs(t) + 4.0)
+    for _ in range(_SECANT_STEPS):
+        # both ends within a few aims: the walk evaluates a handful
+        if abs(g_a) <= 8.0 * aim and abs(g_b) <= 8.0 * aim:
+            break
+        side = flo if abs(g_a) > abs(g_b) else -flo
+        (v0, g0), (v1, g1) = last
+        va, vb = a**p, b**p
+        v = 0.5 * (va + vb)
+        if math.isfinite(g0) and math.isfinite(g1) and g0 != g1:
+            v_sec = v1 - (g1 - side * aim) * (v1 - v0) / (g1 - g0)
+            if min(va, vb) < v_sec < max(va, vb):
+                v = v_sec
+        s = v ** (1.0 / p)
+        if not a < s < b:
+            break
+        last = [last[1], (s**p, sign_at(s)[1])]
+
     llo, lhi = math.log(lo), math.log(hi)
     for _ in range(iters):
         lmid = 0.5 * (llo + lhi)
-        if f(math.exp(lmid)) == flo:
+        s = math.exp(lmid)
+        if lo <= s <= a:
+            same = True
+        elif b <= s <= hi:
+            same = False
+        else:
+            same = sign_at(s)[0] == flo
+        if same:
             if lmid == llo:
                 break
             llo = lmid
@@ -532,27 +655,28 @@ def _bisect_log_sigma(
 def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
     """Width at which the headline bound crosses ``target``.
 
-    "big": the size term dominates; the bound increases with width and
-    the crossing is bracketed by [1e-7, just under the hole radius].
-    "small": the spread term dominates; the bound decreases with width
-    and the crossing is bracketed by [1e-12, 1e-7].
+    The bound's size term rises with width, its spread term falls and
+    its additive term is constant.  "big": the size term dominates; the
+    bound increases with width and the crossing is bracketed by [1e-7,
+    just under the hole radius].  "small": the spread term dominates;
+    the bound decreases with width and the crossing is bracketed by
+    [1e-12, 1e-7].
 
     Each step compares the headline bound's total log magnitude with
     ``target.log_mag`` exactly as :meth:`XReal.cmp` does, so it orders
     the widths as the reported totals of :func:`final_bound` would,
-    without building a :class:`BoundReport`.
+    without building a :class:`BoundReport`.  The search
+    (:func:`_bisect_log_sigma`) skips the steps whose sign the monotone
+    terms prove and returns the full bisection's width, bit for bit.
     """
 
-    t = target.log_mag
-
-    def sign(s: float) -> int:
-        b = _bound_logs(cfg, s, _FINAL)[4]
-        return (b > t) - (b < t)
+    def bound(s: float) -> Tuple[float, float, float, float]:
+        return _bound_logs(cfg, s, _FINAL)[1:]
 
     if branch == "big":
-        return _bisect_log_sigma(sign, 1e-7, 0.999 * cfg.r1)
+        return _bisect_log_sigma(bound, target.log_mag, 1e-7, 0.999 * cfg.r1)
     if branch == "small":
-        return _bisect_log_sigma(sign, 1e-12, 1e-7)
+        return _bisect_log_sigma(bound, target.log_mag, 1e-12, 1e-7)
     raise ValueError(f"branch must be 'big' or 'small', got {branch!r}")
 
 

@@ -391,8 +391,8 @@ def _cmd_threshold(args, cfg: ExperimentConfig) -> int:
         except ValueError:
             print(f"cannot parse target {args.target!r}", file=sys.stderr)
             return 2
-        if not v > 0.0:
-            print("target must be positive", file=sys.stderr)
+        if not 0.0 < v < math.inf:
+            print("target must be positive and finite", file=sys.stderr)
             return 2
         target = ten_pow(math.log10(v))
     try:

@@ -36,7 +36,7 @@ from abcertify.bounds import (
 from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import norm_bundle, ring_tail
 from abcertify.kinematics import z_of_sigma
-from abcertify.xreal import XReal, add_up, exp_neg_log, f64_up, mul_up
+from abcertify.xreal import XReal, add_down, add_up, exp_neg_log, f64_up, mul_up
 
 import published
 
@@ -517,36 +517,63 @@ def _bisect_80(f, lo, hi, iters=80):
     return math.exp(0.5 * (llo + lhi))
 
 
-def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch):
-    # every bisection step evaluates the bound core once
-    calls = [0]
+def _full_loop(bound, t, lo, hi):
+    """``_bisect_80`` on the search's arguments: it evaluates every step."""
+
+    def sign(s):
+        total = bound(s)[3]
+        return (total > t) - (total < t)
+
+    return _bisect_80(sign, lo, hi)
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """The widths at which the threshold search evaluates the bound core."""
+    widths = []
     real = bounds._bound_logs
 
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
+    def counting(cfg, sigma, row):
+        widths.append(sigma)
+        return real(cfg, sigma, row)
 
     monkeypatch.setattr(bounds, "_bound_logs", counting)
-    early = _threshold_outputs(any_cfg)
-    early_calls, calls[0] = calls[0], 0
-    monkeypatch.setattr(bounds, "_bisect_log_sigma", _bisect_80)
-    assert _threshold_outputs(any_cfg) == early
-    # 48 bisections; the bracket stops moving after 51-53 of the 80 steps
-    assert early_calls <= calls[0] - 20 * 48
+    return widths
+
+
+def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch, bound_calls):
+    fast = _threshold_outputs(any_cfg)
+    fast_calls = len(bound_calls)
+    monkeypatch.setattr(bounds, "_bisect_log_sigma", _full_loop)
+    assert _threshold_outputs(any_cfg) == fast
+    # 48 bisections: the search stays inside 6,900 calls for the six
+    # configs, the full loop makes 82 calls each
+    assert fast_calls <= 6900 // 6
+
+
+def test_threshold_search_call_budget(bound_calls):
+    # the 288 bisections of the golden threshold outputs; evaluating
+    # every step of the walk (with its early exit) takes 15,789 calls
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        _threshold_outputs(get_config(magnet, beam))
+    assert len(bound_calls) == 2199
 
 
 def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
-    # the bisection orders bounds by their log floats; at every width it
-    # visits, its sign must be XReal.cmp of the reported total
+    # the search orders bounds by their log floats; at every width it
+    # evaluates (secant steps, proofs of a region and walk steps alike)
+    # it reads the reported components, and its sign is XReal.cmp of the
+    # reported total
     visited = []
     real = bounds._bisect_log_sigma
 
-    def recording(f, lo, hi, *args):
-        def f_rec(s):
-            visited.append((s, f(s)))
-            return visited[-1][1]
+    def recording(bound, t, lo, hi, *args):
+        def bound_rec(s):
+            logs = bound(s)
+            visited.append((s, logs, (logs[3] > t) - (logs[3] < t)))
+            return logs
 
-        return real(f_rec, lo, hi, *args)
+        return real(bound_rec, t, lo, hi, *args)
 
     monkeypatch.setattr(bounds, "_bisect_log_sigma", recording)
     cases = [
@@ -560,10 +587,13 @@ def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
         visited.clear()
         s = threshold_sigma(any_cfg, target, branch)
         assert len(visited) >= 2
-        for sigma, sign in visited:
-            assert sign == XReal.cmp(final_bound(any_cfg, sigma).total, target)
+        for sigma, logs, sign in visited:
+            rep = final_bound(any_cfg, sigma)
+            parts = (rep.size_term, rep.spread_term, rep.additive_term, rep.total)
+            assert logs == tuple(x.log_mag for x in parts)
+            assert sign == XReal.cmp(rep.total, target)
         if end is not None:
-            assert s == end and visited[0] == (end, 0) and len(visited) == 2
+            assert s == end and visited[0][::2] == (end, 0) and len(visited) == 2
 
 
 def test_threshold_outputs_match_golden_digest():
@@ -577,6 +607,67 @@ def test_threshold_outputs_match_golden_digest():
                 line = " ".join([magnet, beam, name] + [float(x).hex() for x in row])
                 digest.update(line.encode())
     assert digest.hexdigest() == _GOLDEN_THRESHOLD_SHA256
+
+
+def test_proves_sign_reads_the_far_corners_with_the_proved_margin():
+    # _proves_sign(sign, size(s1), spread(s1), size(s2), spread(s2), ...)
+    # on [s1, s2]: above the target it needs the lower corner (size(s1),
+    # spread(s2)) rounded down to clear t; below it needs the upper
+    # corner (size(s2), spread(s1)) rounded up plus the rounding bound
+    # h(U) - U = 11u|U| + 19u of any width inside to stay under t
+    u = 2.0**-53
+    rng = np.random.default_rng(12)
+    additive = ten_pow(-100).log_mag
+    for _ in range(2000):
+        size1, size2 = sorted(rng.uniform(-400.0, 2.0, 2))
+        spread2, spread1 = sorted(rng.uniform(-400.0, 12.0, 2))
+        args = (size1, spread1, size2, spread2, additive)
+        low = add_down(add_down(size1, spread2), additive)
+        assert bounds._proves_sign(1, *args, math.nextafter(low, -math.inf))
+        assert not bounds._proves_sign(1, *args, low)
+        top = add_up(add_up(size2, spread1), additive)
+        assert not bounds._proves_sign(-1, *args, top + 12.0 * u * abs(top) + 20.0 * u)
+        assert bounds._proves_sign(-1, *args, top + 2.0**-46 * (abs(top) + 4.0))
+
+
+def _full_loop_threshold(monkeypatch, cfg, target, branch):
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_bisect_log_sigma", _full_loop)
+        return threshold_sigma(cfg, target, branch)
+
+
+def test_threshold_search_matches_full_loop_on_seeded_targets(any_cfg, monkeypatch, bound_calls):
+    # 186 targets a config, 1,116 in all, each compared bit for bit
+    rng = np.random.default_rng(15)
+    brackets = {"big": (1e-7, 0.999 * any_cfg.r1), "small": (1e-12, 1e-7)}
+    for branch, ends in brackets.items():
+        targets = [ten_pow(-k) for k in rng.uniform(0.5, 98.0, 80)]
+        targets += [ten_pow(-99, "down"), ten_pow(-50, "down")]
+        # the bound at a recorded threshold, and one ulp either side
+        for k in (1, 5, 10):
+            s = threshold_sigma(any_cfg, ten_pow(-k), branch)
+            b = final_bound(any_cfg, s).total.log_mag
+            targets += [XReal(math.nextafter(b, d)) for d in (-math.inf, b, math.inf)]
+        for target in targets:
+            want = _full_loop_threshold(monkeypatch, any_cfg, target, branch)
+            assert threshold_sigma(any_cfg, target, branch) == want
+        # the bound at a bracket end returns that end after two evaluations
+        for end in ends:
+            target = final_bound(any_cfg, end).total
+            bound_calls.clear()
+            assert threshold_sigma(any_cfg, target, branch) == end
+            assert bound_calls == [ends[0], ends[1]]
+
+
+@pytest.mark.parametrize("branch", ["big", "small"])
+def test_threshold_degenerate_targets_raise(cfg, bound_calls, branch):
+    # zero, an infinite log target, and targets under the 1e-100 floor
+    # and over the largest bound: the two bracket ends show no crossing
+    for target in (XReal.zero(), XReal(math.inf), ten_pow(-300), ten_pow(6)):
+        bound_calls.clear()
+        with pytest.raises(ValueError, match="does not cross"):
+            threshold_sigma(cfg, target, branch)
+        assert len(bound_calls) == 2
 
 
 def test_threshold_requires_crossing(cfg):

@@ -6,6 +6,7 @@ import hashlib
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -380,6 +381,39 @@ def test_scalar_cell_logs_match_array_call(kind):
         assert type(one) is float
         assert float.hex(one) == float.hex(float(array[i])), (kind, args)
     assert np.count_nonzero(array == -math.inf) == np.count_nonzero(gaps == 0.0)
+
+
+# The arguments of the cell ufuncs over every pair of `verify --set all`
+# for k2/e1 and k1/e3, widened a little: the cell widths (np.log), w +
+# sqrt(pi)/2 (np.sqrt, then np.log; b5), r1 rho (np.log; b6), and the
+# legs sigma^2 mv and z of np.hypot (_rho_np) and math.hypot (rho).
+_CELL_LOG_RANGES = ((4e-22, 4e-3), (1.95, 5026.0))
+_CELL_SQRT_RANGE = (2.1, 3805.0)
+_HYPOT_LEG_RANGES = ((1e-9, 152.0), (2e-6, 4.8e-3))
+
+
+def test_cell_ufuncs_within_one_ulp():
+    # xreal's certification boundary takes these as within one ulp;
+    # check that on seeded samples against 200-bit mpmath
+    rng = np.random.default_rng(31)
+
+    def sample(lo, hi, n=1000):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    def assert_within_one_ulp(got, exact):
+        for g, e in zip(got.tolist(), exact):
+            assert abs(mpmath.mpf(g) - e) <= math.ulp(float(e)), (g, e)
+
+    with mpmath.workprec(200):
+        roots = np.sqrt(sample(*_CELL_SQRT_RANGE))
+        for x in (*(sample(*r) for r in _CELL_LOG_RANGES), roots):
+            assert_within_one_ulp(np.log(x), [mpmath.log(v) for v in x.tolist()])
+        x = sample(*_CELL_SQRT_RANGE)
+        assert_within_one_ulp(np.sqrt(x), [mpmath.sqrt(v) for v in x.tolist()])
+        legs = [sample(*r) for r in _HYPOT_LEG_RANGES]
+        exact = [mpmath.sqrt(mpmath.mpf(a) ** 2 + mpmath.mpf(b) ** 2) for a, b in zip(*legs)]
+        assert_within_one_ulp(np.hypot(*legs), exact)
+        assert_within_one_ulp(np.array(list(map(math.hypot, *legs))), exact)
 
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])

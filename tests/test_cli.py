@@ -305,6 +305,10 @@ def test_threshold_bad_targets(capsys):
     # a target the bound never reaches on this branch
     code, out, err = run(capsys, ["threshold", "--target", "1e-300", "--branch", "big"])
     assert code == 2 and "threshold search failed" in err
+    # rejected before the search
+    for bad in ("nan", "inf"):
+        code, out, err = run(capsys, ["threshold", "--target", bad, "--branch", "big"])
+        assert code == 2 and "target must be positive and finite" in err
 
 
 # ----------------------------------------------------------------------
