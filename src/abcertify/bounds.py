@@ -73,6 +73,9 @@ _Z_OVER_H_CAP = 138.0
 _GUARD_SQRT = (1.0 - 5e-10) ** -0.5
 _GUARD_RING = (1.0 + 1.11e-6) ** 0.5
 
+# minus the few-ulp relative guard that interval_certificates gives ties
+_NEG_TIE_GUARD = -8.0 * np.finfo(float).eps
+
 _LN10_HI = math.nextafter(math.log(10.0), math.inf)
 _LN10_LO = math.nextafter(math.log(10.0), -math.inf)
 
@@ -279,10 +282,11 @@ def interval_certificates(
       5. crossing distance within [134.99, 136.82] half-thicknesses
          below the crossover.
 
-    Each grid is one array pass: the crossings, crossover scales and
-    slab heights of all its widths come from one call each, bit-identical
-    to the scalar :func:`~abcertify.kinematics.z_crossing` and config
-    calls at every width.  A non-finite margin counts as a violation.
+    Both grids are one array pass: the crossings of all their widths
+    come from one call, and the crossover scales and slab heights of
+    the upper grid from one call each, bit-identical to the scalar
+    :func:`~abcertify.kinematics.z_crossing` and config calls at every
+    width.  A non-finite margin counts as a violation.
     """
     if not n >= 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
@@ -292,14 +296,15 @@ def interval_certificates(
         # Some brackets are tight by construction (the spread ratio
         # meets its majorant exactly at the crossover width), so ties
         # get a few-ulp guard; anything beyond that counts.
-        guard = 8.0 * np.finfo(float).eps * np.abs(scale)
-        out[name] = {
-            "violations": int(np.sum(~np.isfinite(margins) | (margins < -guard))),
-            "margin": float(np.min(margins)),
-        }
+        bad = ~np.isfinite(margins) | (margins < _NEG_TIE_GUARD * np.abs(scale))
+        out[name] = {"violations": int(np.count_nonzero(bad)), "margin": float(margins.min())}
 
-    hi_grid = np.geomspace(cfg.sigma0, cfg.sigma_max, n)
-    z_hi = z_of_sigma(hi_grid, cfg)
+    # the widths above the crossover, then those below: one crossing solve
+    grids = np.concatenate(
+        (np.geomspace(cfg.sigma0, cfg.sigma_max, n), np.geomspace(cfg.sigma_min, cfg.sigma0, n))
+    )
+    hi_grid = grids[:n]
+    z_hi, z_lo = z_of_sigma(grids, cfg).reshape(2, n)
     record(
         "crossing_range_above",
         np.minimum(z_hi - 2.1023e-6, 0.0673 - z_hi),
@@ -330,8 +335,6 @@ def interval_certificates(
         np.maximum(mid, spread),
     )
 
-    lo_grid = np.geomspace(cfg.sigma_min, cfg.sigma0, n)
-    z_lo = z_of_sigma(lo_grid, cfg)
     ht = cfg.magnet.h_tilde
     record(
         "crossing_range_below",
@@ -673,6 +676,8 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
     def bound(s: float) -> Tuple[float, float, float, float]:
         return _bound_logs(cfg, s, _FINAL)[1:]
 
+    if math.isnan(target.log_mag):  # every sign against NaN would read 0
+        raise ValueError("target must not be NaN")
     if branch == "big":
         return _bisect_log_sigma(bound, target.log_mag, 1e-7, 0.999 * cfg.r1)
     if branch == "small":

@@ -252,9 +252,10 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
         k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
         if k.size:
             new = np.sqrt((n0 + stride * k) * delta0)
-            nodes = np.concatenate((nodes, new))
-            x = np.concatenate((x, z_crossing_vec(new, sigma, mv, zeta)))
-            decays = np.concatenate((decays, new * new / 2.0))
+            solved = (new, z_crossing_vec(new, sigma, mv, zeta), new * new / 2.0)
+            if nodes.size:  # a later pass: append to the earlier passes' nodes
+                solved = [np.concatenate(pair) for pair in zip((nodes, x, decays), solved)]
+            nodes, x, decays = solved
         # the windows that did not stop and have more nodes, prefix doubled
         plans = [
             (win, k_first, min(k_end, 2 * k1 - k_first), k_end)
@@ -291,22 +292,27 @@ def _build_window(
 def _solve_window(win, nodes, x, decays):
     """Build a window's grid on its n nodes; True when it needs no more of them.
 
-    The nodes fill one (5, n + 1) buffer: the clipped distances after
-    the left edge, then the grid rows, whose column n is the last cell
-    [x_n, z_cap].  With a kind, the stop test runs on the cells; a grid
-    that stops at node J < n writes its last cell into column J.  The
-    window keeps the grid of its latest build, and no state from an
-    earlier one: a doubled prefix recomputes the same floats.  A window
-    without a kind has all its nodes, and needs no more.
+    The nodes fill one (5, 2, n + 1) buffer.  Its first rows hold the
+    clipped distances after the left edge, then the grid rows, whose
+    column n is the last cell [x_n, z_cap].  With a kind, its second
+    rows hold in column j the last cell [x_j, z_cap] of a grid that
+    ends at node j (column 0, the one cell [s, z_cap], is not used),
+    and one ``_cell_logs`` call on both rows gives the grid's cells and
+    the stop test's last cells; a grid that stops at node J < n writes
+    its last cell into column J.  The window keeps the grid of its
+    latest build, and no state from an earlier one: a doubled prefix
+    recomputes the same floats.  A window without a kind has all its
+    nodes, and needs no more.
     """
     s, z_cap, hi, kind, r1 = win.s, win.z_cap, win.hi, win.kind, win.r1
     smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
     rho_cap = _rho_np(win.sigma, win.mv, z_cap)
     n = nodes.size
-    buf = np.empty((5, n + 1))
-    xe, gaps, decay, rho_right, w_right = buf
+    buf = np.empty((5, 2, n + 1))
+    xe, gaps, decay, rho_right, w_right = buf[:, 0]
     xe[0] = s
-    x = np.clip(x, s, z_cap, out=xe[1:])
+    x = np.maximum(x, s, out=xe[1:])
+    np.minimum(x, z_cap, out=x)
     np.subtract(x, xe[:-1], out=gaps[:-1])
     gaps[n] = z_cap - x[-1]
     decay[0] = win.lo * win.lo / 2.0
@@ -317,18 +323,22 @@ def _solve_window(win, nodes, x, decays):
     w_right[n] = hi
     end, cells, stopped = n, None, kind is None
     if kind is not None:
-        cells = _cell_logs(gaps, decay, rho_right, w_right, r1, kind)
+        np.subtract(z_cap, xe, out=buf[1, 1])
+        buf[3, 1] = rho_cap
+        buf[4, 1] = hi
+        cells, last = _cell_logs(buf[1], decay, buf[3], buf[4], r1, kind)
         running = np.logaddexp.accumulate(cells[:-1])
-        last = _cell_logs(z_cap - x, decay[1:], rho_cap, hi, r1, kind)
-        hit = np.flatnonzero(last < running + _STOP_LOG)
-        if hit.size:
-            end, stopped = int(hit[0]) + 1, True
+        running += _STOP_LOG
+        hit = last[1:] < running
+        j = int(hit.argmax())
+        if hit[j]:
+            end, stopped = j + 1, True
             if end < n:  # the grid ends at node `end`: its last cell
                 gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
-                cells[end] = last[end - 1]
+                cells[end] = last[end]
     if gaps[:end].min() < 0.0:
         raise RuntimeError("grid distances lost monotonicity")
-    win.nodes, win.x, win.grid = buf[4, :end], buf[0, 1 : end + 1], buf[1:, : end + 1]
+    win.nodes, win.x, win.grid = w_right[:end], xe[1 : end + 1], buf[1:, 0, : end + 1]
     if kind is not None:
         win.cells = cells[: end + 1]
     return stopped
@@ -354,12 +364,17 @@ def _cell_logs(gaps, decay, rho_right, w_right, r1, kind):
     and ``math.sqrt``, correctly rounded like their numpy ufuncs), so it
     returns a float bit-identical to the same cell in an array call.
     Both keep ``np.log``: on a scalar it matches the array loop bit for
-    bit, where ``math.log`` does not.
+    bit, where ``math.log`` does not.  Arrays are taken elementwise
+    after broadcasting, so stacked rows (a (2, n + 1) ``gaps``, say)
+    give each row's cells bit for bit.  Only a call with a zero gap
+    silences log 0 and masks those cells to -inf.
     """
     if isinstance(gaps, float):
         if gaps == 0.0:
             return -_INF
         return _cell_formula(math.nextafter, math.sqrt, gaps, decay, rho_right, w_right, r1, kind)
+    if gaps.all():
+        return _cell_formula(np.nextafter, np.sqrt, gaps, decay, rho_right, w_right, r1, kind)
     with np.errstate(divide="ignore"):
         L = _cell_formula(np.nextafter, np.sqrt, gaps, decay, rho_right, w_right, r1, kind)
     return np.where(gaps == 0.0, -_INF, L)

@@ -381,20 +381,36 @@ def _cmd_table(args, cfg: ExperimentConfig) -> int:
 _TARGET_RE = re.compile(r"^1e(-?\d+)$", re.IGNORECASE)
 
 
+def _target_log10(text: str) -> float:
+    """log10 of a positive finite decimal target; ValueError says why not.
+
+    A target outside the normal floats (2e-400 is 0.0 as a float) has
+    its mantissa and exponent parsed apart.
+    """
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError(f"cannot parse target {text!r}") from None
+    if sys.float_info.min <= v < math.inf:
+        return math.log10(v)
+    mantissa, _, exponent = text.lower().partition("e")
+    m = float(mantissa)
+    if not 0.0 < m < math.inf:
+        raise ValueError("target must be positive and finite")
+    return math.log10(m) + int(exponent or 0)
+
+
 def _cmd_threshold(args, cfg: ExperimentConfig) -> int:
-    m = _TARGET_RE.match(args.target.strip())
+    text = args.target.strip()
+    m = _TARGET_RE.match(text)
     if m:
         target = ten_pow(int(m.group(1)))
     else:
         try:
-            v = float(args.target)
-        except ValueError:
-            print(f"cannot parse target {args.target!r}", file=sys.stderr)
+            target = ten_pow(_target_log10(text))
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
             return 2
-        if not 0.0 < v < math.inf:
-            print("target must be positive and finite", file=sys.stderr)
-            return 2
-        target = ten_pow(math.log10(v))
     try:
         sigma = threshold_sigma(cfg, target, args.branch)
     except ValueError as exc:

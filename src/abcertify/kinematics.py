@@ -95,12 +95,23 @@ def weighted_window(
 
 
 def _crossing_closed_form(omega_inv, smv, sigma, zeta):
-    """Root of (z - zeta) * rho(sigma, z) = omega_inv (works on arrays)."""
+    """Root of (z - zeta) * rho(sigma, z) = omega_inv (an array).
+
+    (A zeta + smv omega_inv sqrt(sigma^2 D + zeta^2)) / D with A = smv^2
+    and D = A - omega_inv^2, each step the float :func:`z_crossing`
+    computes; from the square root on, the steps run in place in the
+    result's buffer.
+    """
     A = smv * smv
     D = A - omega_inv * omega_inv
     if not (D > 0.0).all():  # (sigma*mv)^2 underflowed somewhere
         raise ValueError("thresholds too close to sigma*mv: (sigma*mv)^2 underflowed")
-    return (A * zeta + smv * omega_inv * np.sqrt(sigma * sigma * D + zeta * zeta)) / D
+    z = sigma * sigma * D + zeta * zeta
+    np.sqrt(z, out=z)
+    z *= smv * omega_inv
+    z += A * zeta
+    z /= D
+    return z
 
 
 def z_crossing(
@@ -140,28 +151,51 @@ def z_crossing(
 
 
 def _newton_polish(z, omega_inv, sigma, mv, zeta):
-    """One Newton step on F(z) = (z - zeta) rho(z) - omega_inv (arrays ok)."""
+    """One Newton step on F(z) = (z - zeta) rho(z) - omega_inv (on arrays).
+
+    The operations of :func:`z_crossing`'s step, in its order, written
+    into four buffers of z's shape (out= and in place): each value is
+    the float the scalar solver computes.  ``z`` and the inputs are not
+    modified.
+    """
     smv = sigma * mv
     s2mv = sigma * sigma * mv
-    den2 = s2mv * s2mv + z * z
-    r = smv / np.sqrt(den2)
-    f0 = (z - zeta) * r - omega_inv
-    fp = r * (1.0 - (z - zeta) * z / den2)
-    # z - 0 is z where the step is skipped, and no warning is raised there
-    z1 = z - np.divide(f0, fp, out=np.zeros_like(fp), where=fp > 0.0)
-    den2b = s2mv * s2mv + z1 * z1
-    f1 = (z1 - zeta) * (smv / np.sqrt(den2b)) - omega_inv
-    return np.where(np.abs(f1) <= np.abs(f0), z1, z)
+    q = s2mv * s2mv
+    dz = z - zeta
+    den2 = z * z
+    den2 += q
+    fp = dz * z
+    fp /= den2
+    np.subtract(1.0, fp, out=fp)
+    r = np.sqrt(den2, out=den2)
+    np.divide(smv, r, out=r)
+    fp *= r  # F'(z)
+    f0 = np.multiply(dz, r, out=r)
+    f0 -= omega_inv  # F(z)
+    # z1 = z - F/F', or z itself where the step is skipped (no warning there)
+    step = fp > 0.0
+    np.divide(f0, fp, out=fp, where=step)
+    z1 = z.copy()
+    np.subtract(z, fp, out=z1, where=step)
+    den2b = np.multiply(z1, z1, out=fp)
+    den2b += q
+    np.sqrt(den2b, out=den2b)
+    np.divide(smv, den2b, out=den2b)
+    f1 = np.subtract(z1, zeta, out=dz)
+    f1 *= den2b
+    f1 -= omega_inv  # F(z1)
+    return np.where(np.abs(f1, out=f1) <= np.abs(f0, out=f0), z1, z)
 
 
 def z_crossing_vec(omega_inv, sigma, mv: float, zeta) -> np.ndarray:
     """Vectorised :func:`z_crossing`, elementwise bit-identical to it.
 
     ``omega_inv``, ``sigma`` and ``zeta`` are arrays or floats that
-    broadcast together.  Every element must pass the scalar solver's
-    checks (a NaN threshold fails them), else ValueError.
+    broadcast together; the result is an array of at least one element.
+    Every element must pass the scalar solver's checks (a NaN threshold
+    fails them), else ValueError.
     """
-    omega_inv = np.asarray(omega_inv, dtype=np.float64)
+    omega_inv = np.array(omega_inv, dtype=np.float64, copy=None, ndmin=1)
     smv = sigma * mv
     if not ((0.0 < omega_inv) & (omega_inv < smv)).all():
         raise ValueError("thresholds must lie strictly inside (0, sigma*mv)")

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from abcertify import bounds
+from abcertify import bounds, kinematics
 from abcertify.bounds import (
     POWERS,
     REGIMES,
@@ -292,9 +292,11 @@ def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
     real = bounds.z_of_sigma
 
     def poisoned(sigma, c):
+        # one call solves both grids: poison elements 1 and 2 of each half
         z = real(sigma, c).copy()
-        z[1] = math.nan
-        z[2] = math.inf
+        halves = z.reshape(2, -1)
+        halves[:, 1] = math.nan
+        halves[:, 2] = math.inf
         return z
 
     monkeypatch.setattr(bounds, "z_of_sigma", poisoned)
@@ -303,6 +305,19 @@ def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
     assert out["crossing_range_above"]["violations"] == 2
     assert out["crossing_range_below"]["violations"] == 2
     assert out["crossover_scale_range"]["violations"] == 0
+
+
+def test_interval_certificates_solve_both_grids_in_one_call(cfg, monkeypatch):
+    sizes = []
+    solve = kinematics.z_crossing_vec
+
+    def counting(omega_inv, *args):
+        sizes.append(np.size(omega_inv))
+        return solve(omega_inv, *args)
+
+    monkeypatch.setattr(kinematics, "z_crossing_vec", counting)
+    interval_certificates(cfg, n=517)
+    assert sizes == [2 * 517]
 
 
 # sha256 over each certificate's violation count and the float.hex of
@@ -668,6 +683,15 @@ def test_threshold_degenerate_targets_raise(cfg, bound_calls, branch):
         with pytest.raises(ValueError, match="does not cross"):
             threshold_sigma(cfg, target, branch)
         assert len(bound_calls) == 2
+
+
+@pytest.mark.parametrize("branch", ["big", "small"])
+def test_threshold_nan_target_raises(cfg, bound_calls, branch):
+    # a NaN target orders as equal to every width's bound: it is
+    # rejected before the search instead of returning the left end
+    with pytest.raises(ValueError, match="NaN"):
+        threshold_sigma(cfg, XReal(math.nan), branch)
+    assert bound_calls == []
 
 
 def test_threshold_requires_crossing(cfg):

@@ -268,6 +268,23 @@ def test_grid_majorant_dominates_quadrature(kind):
             assert bound.log_mag >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
 
 
+def _first_stop(full, r1, kind):
+    """The node a grid built for ``kind`` ends at, read off the full grid:
+    the first node J whose remaining cell [x_J, z_cap] is below 2^-60 of
+    the cells before it, found by a loop over the nodes."""
+    if full.nodes.size == 0:
+        return 0
+    cells = certify._cell_logs(*full.grid, r1, kind)
+    rho_cap = certify._rho_np(full.sigma, full.mv, full.z_cap)
+    decay = full.nodes * full.nodes / 2.0
+    last = certify._cell_logs(full.z_cap - full.x, decay, rho_cap, full.hi, r1, kind)
+    running = np.logaddexp.accumulate(cells[:-1])
+    for j in range(full.nodes.size):
+        if last[j] < running[j] + certify._STOP_LOG:
+            return j + 1
+    return full.nodes.size
+
+
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_truncated_majorant_matches_full_grid(kind):
     stopped = rebuilt = 0
@@ -275,8 +292,10 @@ def test_truncated_majorant_matches_full_grid(kind):
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
         cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
-        # the truncated grid is a prefix of the full one
+        # the truncated grid is a prefix of the full one, cut where the
+        # stop test first fires
         J = cut.nodes.size
+        assert J == _first_stop(full, r1, kind)
         assert np.array_equal(cut.nodes, full.nodes[:J])
         assert np.array_equal(cut.x, full.x[: cut.x.size])
         if J:
@@ -381,6 +400,59 @@ def test_scalar_cell_logs_match_array_call(kind):
         assert type(one) is float
         assert float.hex(one) == float.hex(float(array[i])), (kind, args)
     assert np.count_nonzero(array == -math.inf) == np.count_nonzero(gaps == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_stacked_cell_logs_match_row_calls(kind):
+    # a (2, m) call, with the decays broadcast over both rows as a
+    # window pass does, gives each row's cells byte for byte; zero gaps
+    # in neither, one or both rows take the masked (errstate) path
+    rng = np.random.default_rng(31)
+    m = 129
+    decay = np.concatenate([rng.uniform(0.0, 1.0, 64), 10.0 ** rng.uniform(-3.0, 4.0, m - 64)])
+    rho_right = 10.0 ** rng.uniform(-3.0, 1.0, (2, m))
+    w_right = 10.0 ** rng.uniform(-2.0, 2.0, (2, m))
+    r1 = 0.5
+    for zero_rows in ((), (1,), (0, 1)):
+        gaps = 10.0 ** rng.uniform(-14.0, 1.0, (2, m))
+        for row in zero_rows:
+            gaps[row, rng.random(m) < 0.1] = 0.0
+            gaps[row, -1] = 0.0
+        stacked = certify._cell_logs(gaps, decay, rho_right, w_right, r1, kind)
+        assert stacked.shape == (2, m)
+        for row in range(2):
+            one = certify._cell_logs(gaps[row], decay, rho_right[row], w_right[row], r1, kind)
+            assert stacked[row].tobytes() == one.tobytes(), (kind, zero_rows, row)
+            assert np.count_nonzero(one == -math.inf) == np.count_nonzero(gaps[row] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
+    # each pass of a window with a kind gets its cells and its stop
+    # test's last cells from one (2, n + 1) call, whether or not it stops
+    windows = _random_window_tuples(10, 721) + _long_window_tuples(10, 722)
+    calls = []
+    solve, cells = certify._solve_window, certify._cell_logs
+
+    def solving(win, nodes, *args):
+        calls.append(("pass", nodes.size))
+        return solve(win, nodes, *args)
+
+    def counting(gaps, *args):
+        if np.ndim(gaps):
+            calls.append(("cells", np.shape(gaps)))
+        return cells(gaps, *args)
+
+    monkeypatch.setattr(certify, "_solve_window", solving)
+    monkeypatch.setattr(certify, "_cell_logs", counting)
+    passes = 0
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
+        calls.clear()
+        _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        want = [call for _, n in calls[::2] for call in (("pass", n), ("cells", (2, n + 1)))]
+        assert calls == want
+        passes += len(want) // 2
+    assert passes > len(windows)  # some windows take more than one pass
 
 
 # The arguments of the cell ufuncs over every pair of `verify --set all`

@@ -7,8 +7,10 @@ import re
 import pytest
 
 import abcertify.cli as cli
+from abcertify.bounds import ten_pow, threshold_sigma
 from abcertify.certify import CSV_COLUMNS, check_pair
 from abcertify.cli import main
+from abcertify.config import get_config
 from published import FROZEN_PAIR_COUNTS, FROZEN_PLATEAU_K2E1
 
 
@@ -309,6 +311,24 @@ def test_threshold_bad_targets(capsys):
     for bad in ("nan", "inf"):
         code, out, err = run(capsys, ["threshold", "--target", bad, "--branch", "big"])
         assert code == 2 and "target must be positive and finite" in err
+    # positive targets outside the float range reach the search
+    for tiny_or_huge in ("2e-400", "2E400", "5e-310"):
+        code, out, err = run(capsys, ["threshold", "--target", tiny_or_huge, "--branch", "big"])
+        assert code == 2 and "threshold search failed" in err, tiny_or_huge
+    for bad in ("0", "0e-400", "-2e-400"):
+        code, out, err = run(capsys, ["threshold", f"--target={bad}", "--branch", "big"])
+        assert code == 2 and "target must be positive and finite" in err, bad
+
+
+def test_threshold_normal_targets_keep_their_bits(capsys):
+    # a target that is a normal float goes through ten_pow(log10(v)),
+    # so its width is the library's, bit for bit
+    cfg = get_config("k2", "e1")
+    for text, branch in (("2e-5", "big"), ("3.5e-12", "small"), ("0.07", "big")):
+        code, out, err = run(capsys, ["threshold", "--target", text, "--branch", branch, "--json"])
+        assert code == 0, err
+        want = threshold_sigma(cfg, ten_pow(math.log10(float(text))), branch)
+        assert json.loads(out)["sigma"].hex() == want.hex()
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,22 @@ def test_crossing_vec_broadcasts_widths_and_offsets():
         assert vec[i].hex() == want.hex(), i
 
 
+def test_crossing_vec_leaves_inputs_unchanged():
+    # the Newton step writes into its own buffers, never into an input
+    rng = np.random.default_rng(35)
+    sigma = 10.0 ** rng.uniform(-8.0, 0.0, 300)
+    mv = 1.98e10
+    zeta = 10.0 ** rng.uniform(-9.0, 0.0, 300)
+    omegas = rng.uniform(1e-6, 1.0 - 1e-9, 300) * sigma * mv
+    scalar_width = rng.uniform(1e-6, 1.0 - 1e-9, 50) * 2e-6 * mv
+    for args in ((omegas, sigma, mv, zeta), (scalar_width, 2e-6, mv, zeta[:50])):
+        before = [np.copy(a) for a in args]
+        z = z_crossing_vec(*args)
+        for a, b in zip(args, before):
+            assert np.asarray(a).tobytes() == b.tobytes()
+        assert not any(np.shares_memory(z, a) for a in args)
+
+
 def test_array_width_formulas_match_scalar_bits(any_cfg):
     # a log grid over the certified widths, plus the omega_inv cap at
     # sigma0 and the max branch of delta at 10 sigma = h_tilde, each
