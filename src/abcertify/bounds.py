@@ -52,6 +52,7 @@ __all__ = [
     "threshold_sigma",
     "plateau_interval",
     "params_sweep",
+    "pair_allowance",
 ]
 
 log = logging.getLogger(__name__)
@@ -378,6 +379,31 @@ ALLOWANCE_SCALE = {"interacting": 1e-3, "outgoing": 1e-7}
 ALLOWANCE_SLACK_EXP = -101
 _LOG_ALLOWANCE_SIZE = f64_up(ALLOWANCE_SIZE)
 _LOG_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP).log_mag
+# the same, rounded down, for the comparison side of a pair certificate
+_LOG_ALLOWANCE_SIZE_DOWN = f64_down(ALLOWANCE_SIZE)
+_LOG_ALLOWANCE_SCALE_DOWN = {regime: f64_down(c) for regime, c in ALLOWANCE_SCALE.items()}
+_LOG_ALLOWANCE_SLACK_DOWN = ten_pow(ALLOWANCE_SLACK_EXP, "down").log_mag
+
+
+def pair_allowance(cfg: ExperimentConfig, mu1: float, mu2: float) -> Tuple[float, float]:
+    """Logs of lower bounds of a width pair's published allowances.
+
+    4 e^{-r1^2/2mu1^2} + c e^{-rate(mu2)} max(0, P(mu2)) + 10^-101 for
+    the interacting and outgoing families, in that order, assembled
+    with the down-rounded ``xreal`` steps; the ``exp_neg_log``
+    arguments and P(mu2) are plain floats, taken as exact.
+    """
+    coeffs = _calibrated(cfg)
+    r1 = cfg.r1
+    size = mul_down(_LOG_ALLOWANCE_SIZE_DOWN, exp_neg_log(r1 * r1 / (2.0 * mu1 * mu1)))
+    rate2 = exp_neg_log(cfg.rate_exponent(mu2))
+    rhs = []
+    for regime in ("interacting", "outgoing"):
+        p = max(0.0, calibrated_poly(coeffs[_FAMILY_INDEX[regime]], mu2))
+        spread = mul_down(mul_down(_LOG_ALLOWANCE_SCALE_DOWN[regime], rate2), f64_down(p))
+        rhs.append(add_down(add_down(size, spread), _LOG_ALLOWANCE_SLACK_DOWN))
+    return tuple(rhs)
+
 
 # Frozen display coefficients of the detailed single-line bound; kept
 # verbatim from the published table so reports match it digit for digit.

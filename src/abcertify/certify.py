@@ -15,13 +15,14 @@ crossing solver, and each subinterval contributes its sup.  A window's
 cells are summed by one guarded log-sum-exp (``fold_add_logs``) and the
 pair's terms by the guarded ``add_up``, all in the extended-range log
 domain and rounded upward, so every reported left-hand side is a
-certified upper bound.  The allowance is assembled with the
-down-rounded functions of ``xreal`` (``f64_down``, ``mul_down``,
-``add_down``), so every reported right-hand side is a certified lower
+certified upper bound.  The allowance comes from
+``bounds.pair_allowance``, assembled with the down-rounded ``xreal``
+functions, so every reported right-hand side is a certified lower
 bound of the published one.  A pair's certificate runs on those
-log-magnitude floats throughout and wraps only its four reported values
-as ``XReal``; a window built for one kind keeps its one-cell value and
-its grid's cells, so each cell of a pair's majorants is computed once.
+log-magnitude floats throughout (``grid_majorant`` returns one, -inf
+for zero) and wraps only its four reported values as ``XReal``; a
+window built for one kind keeps its one-cell log and its grid's cells,
+so each cell of a pair's majorants is computed once.
 
 The pair certificate builds each window for one majorant kind, and only
 solves the nodes that can move that kind's bound.  All three reductions
@@ -82,30 +83,12 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    ALLOWANCE_SCALE,
-    ALLOWANCE_SIZE,
-    ALLOWANCE_SLACK_EXP,
-    _FAMILY_INDEX,
-    _calibrated,
-    calibrated_poly,
-    ten_pow,
-)
+from .bounds import pair_allowance
 from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
-from .xreal import (
-    XReal,
-    add_down,
-    add_up,
-    exp_neg_log,
-    f64_down,
-    f64_up,
-    fold_add_logs,
-    mul_down,
-    mul_up,
-)
+from .xreal import XReal, add_up, exp_neg_log, f64_up, fold_add_logs, mul_up
 
 __all__ = [
     "PairResult",
@@ -133,16 +116,13 @@ NODE_CAP = 30_000
 _STOP_LOG = -60.0 * math.log(2.0)
 _FIRST_CHUNK = 128
 
-# the per-pair constants, as upward- (prefactors, pi^1/4) or
-# downward-rounded (allowance side) log magnitudes, lifted once
+# the per-pair constants (prefactors, pi^1/4), as upward-rounded log
+# magnitudes, lifted once
 _LOG_PI4_RT2 = f64_up(_PI4 / math.sqrt(2.0))
 _PREFACTOR = dict(
     b3=_LOG_PI4_RT2, b4=_LOG_PI4_RT2, b5=f64_up(1.0 / math.sqrt(2.0)), b6=_LOG_PI4_RT2
 )
 _LOG_PI4 = f64_up(_PI4)
-_LOG_SIZE = f64_down(ALLOWANCE_SIZE)
-_LOG_SCALE = {regime: f64_down(scale) for regime, scale in ALLOWANCE_SCALE.items()}
-_LOG_SLACK = ten_pow(ALLOWANCE_SLACK_EXP, "down").log_mag
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +140,9 @@ class majorant_window:
     left decay exponents, right rho and right rescaled end of its cells,
     the last cell [x_J, z_cap] included, from which ``grid_majorant``
     builds any kind's cells.  A window built for one kind keeps that
-    kind, its ``r1``, its one-cell majorant (the floor test's value)
-    and, when it has nodes, the logs of its cells (the stop test's
-    values), so ``grid_majorant`` computes neither again.
+    kind, its ``r1``, the log of its one-cell majorant (the floor
+    test's value) and, when it has nodes, the logs of its cells (the
+    stop test's values), so ``grid_majorant`` computes neither again.
     """
 
     sigma: float
@@ -176,7 +156,7 @@ class majorant_window:
     grid: Optional[np.ndarray] = None  # (4, nodes + 1): the cells' geometry
     r1: Optional[float] = None
     kind: Optional[str] = None
-    one_cell: Optional[XReal] = None
+    one_cell: Optional[float] = None
     cells: Optional[np.ndarray] = None
 
 
@@ -194,7 +174,7 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     if kind is not None:  # the floor test's one cell, kept for grid_majorant
         one_cell = grid_majorant(win, r1, kind)  # before win.kind is set: computed afresh
         win.r1, win.kind, win.one_cell = r1, kind, one_cell
-        if win.one_cell.log_mag <= _FLOOR_LOG:
+        if one_cell <= _FLOOR_LOG:
             return win, None
     if hi <= lo:  # degenerate: single interval, no interior nodes
         return win, None
@@ -396,8 +376,10 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
     return L
 
 
-def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal:
-    """Certified upper bound of one spreading integral over a window.
+def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> float:
+    """Log of a certified upper bound of one spreading integral over a window.
+
+    An upward-rounded log magnitude, -inf for zero (no window).
 
     ``kind``:
       b3  plain window integrand;
@@ -407,7 +389,7 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
           window, i.e. the window must end below the crossover scale).
     """
     if win is None:
-        return XReal.zero()
+        return -_INF
     kept = (r1, kind) == (win.r1, win.kind)  # computed by _build_windows
     if win.nodes.size:
         L = fold_add_logs(win.cells if kept else _cell_logs(*win.grid, r1, kind))
@@ -416,7 +398,7 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> XReal
     else:  # no interior nodes: the one cell [s, z_cap]
         rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
         L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, r1, kind)
-    return XReal.from_log(mul_up(L, _PREFACTOR[kind]))
+    return mul_up(L, _PREFACTOR[kind])
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +481,10 @@ def check_pair(
 
     The one exception is a user ``delta0`` too fine to index the grid
     (ValueError, see ``_layout_window``).  Both sides are assembled on
-    log-magnitude floats with the ``xreal`` functions; only the four
-    reported values are wrapped as ``XReal``.
+    log-magnitude floats: the left from the ``grid_majorant`` logs and
+    the boundary terms with the upward ``xreal`` steps, the right by
+    ``bounds.pair_allowance``.  Only the four reported values are
+    wrapped as ``XReal``.
     """
     mv = cfg.mv
     r1 = cfg.r1
@@ -573,16 +557,16 @@ def check_pair(
         spans += [(z2, b6_end, "b6"), (b6_end, z_cap, "b3")]
     for m in (nu, mu3):
         win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1)
-        int_b4 = add_up(int_b4, grid_majorant(win4, r1, "b4").log_mag)
+        int_b4 = add_up(int_b4, grid_majorant(win4, r1, "b4"))
         if not cut:
             # the b4 grid also serves b6: its extra r1*rho factor is
             # smallest in the last cell, so b4's stop test covers b6
-            int_b6 = add_up(int_b6, grid_majorant(win4, r1, "b6").log_mag)
+            int_b6 = add_up(int_b6, grid_majorant(win4, r1, "b6"))
         else:
             win6, tail = cut
-            int_b6 = add_up(int_b6, grid_majorant(win6, r1, "b6").log_mag)
-            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, r1, "b3").log_mag)
-        int_b5 = add_up(int_b5, grid_majorant(win5, r1, "b5").log_mag)
+            int_b6 = add_up(int_b6, grid_majorant(win6, r1, "b6"))
+            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, r1, "b3"))
+        int_b5 = add_up(int_b5, grid_majorant(win5, r1, "b5"))
 
     # ---- boundary terms ----------------------------------------------
     w_z2 = _max_weight(rho_z2, r1)
@@ -616,16 +600,7 @@ def check_pair(
         lhs1 = add_up(lhs1, mul_up(f64_up(c), i))
     lhs2 = add_up(mul_up(f64_up(c_pp + c_ps), i_pp), mul_up(f64_up(c_sp + c_ss), i_sp))
 
-    # the published allowance of each family, rounded down
-    coeffs = _calibrated(cfg)
-    size = mul_down(_LOG_SIZE, exp_neg_log(r1 * r1 / (2.0 * mu1 * mu1)))
-    rate2 = exp_neg_log(cfg.rate_exponent(mu2))
-    rhs = []
-    for regime in ("interacting", "outgoing"):
-        p = max(0.0, calibrated_poly(coeffs[_FAMILY_INDEX[regime]], mu2))
-        spread = mul_down(mul_down(_LOG_SCALE[regime], rate2), f64_down(p))
-        rhs.append(add_down(add_down(size, spread), _LOG_SLACK))
-    rhs1, rhs2 = rhs
+    rhs1, rhs2 = pair_allowance(cfg, mu1, mu2)
 
     def _margin(lhs: float, rhs: float) -> float:
         if lhs == -_INF:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -378,9 +377,6 @@ def _cmd_table(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-_TARGET_RE = re.compile(r"^1e(-?\d+)$", re.IGNORECASE)
-
-
 def _target_log10(text: str) -> float:
     """log10 of a positive finite decimal target; ValueError says why not.
 
@@ -401,16 +397,11 @@ def _target_log10(text: str) -> float:
 
 
 def _cmd_threshold(args, cfg: ExperimentConfig) -> int:
-    text = args.target.strip()
-    m = _TARGET_RE.match(text)
-    if m:
-        target = ten_pow(int(m.group(1)))
-    else:
-        try:
-            target = ten_pow(_target_log10(text))
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    try:
+        target = ten_pow(_target_log10(args.target.strip()))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         sigma = threshold_sigma(cfg, target, args.branch)
     except ValueError as exc:

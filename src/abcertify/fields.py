@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -545,20 +545,14 @@ def supnorm_constants(cfg: ExperimentConfig, sigma: float) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 
 
-def norm_bundle(
-    cfg: ExperimentConfig, sigma: Optional[float] = None, delta: Optional[float] = None
-) -> Tuple[float, float, float, float, float]:
-    """The five combined operator-norm constants (m1..m5).
+def norm_bundle(cfg: ExperimentConfig, delta: float) -> Tuple[float, float, float, float, float]:
+    """The five combined operator-norm constants (m1..m5) at axial fattening ``delta``.
 
-    ``delta`` defaults to the width-dependent axial fattening; passing
+    ``cfg.delta(sigma)`` is the fattening of width sigma;
     ``delta=cfg.magnet.h_tilde`` evaluates at the floor, which
     dominates every width and is what the calibrated coefficient
     vectors use.
     """
-    if delta is None:
-        if sigma is None:
-            raise ValueError("pass either sigma or an explicit delta")
-        delta = cfg.delta(sigma)
     m = cfg.magnet
     I = geometry_inverse(cfg)
     J = potential_ratio(cfg)

@@ -115,16 +115,6 @@ def _sci_string_decimal(log_mag: float) -> str:
     return f"{mant}×10^{e:+d}"
 
 
-def _up(x: float) -> float:
-    """Round a log magnitude one ulp toward +inf."""
-    return math.nextafter(x, _INF)
-
-
-def _down(x: float) -> float:
-    """Round a log magnitude one ulp toward -inf."""
-    return math.nextafter(x, -_INF)
-
-
 def _log_add(a: float, b: float) -> float:
     """log(e^a + e^b) before rounding: the one log-sum step.
 
@@ -142,7 +132,8 @@ def _log_add(a: float, b: float) -> float:
 
 # Error of the log-sum steps, with u = 2^-53 and libm's exp, log and
 # log1p (math and numpy) within one ulp, i.e. a relative error <= 2u
-# (the certification boundary of the module docstring).
+# (the certification boundary of the module docstring); up and down
+# step one float toward +inf and -inf (``math.nextafter``).
 #
 # _log_add, a >= b finite, d = b - a <= 0, true value T = a + log1p(e^d):
 #   * the shift d^ = fl(b - a) has |d^ - d| <= u|d|, which moves
@@ -197,7 +188,7 @@ def f64_up(value: float) -> float:
         raise ValueError(f"expected a nonnegative value, got {value!r}")
     if value == 0.0:
         return -_INF
-    return _up(math.log(value))
+    return math.nextafter(math.log(value), _INF)
 
 
 def exp_neg_log(x: float) -> float:
@@ -210,7 +201,7 @@ def exp_neg_log(x: float) -> float:
 def mul_up(a: float, b: float) -> float:
     if a == -_INF or b == -_INF:
         return -_INF
-    return _up(a + b)
+    return math.nextafter(a + b, _INF)
 
 
 def add_up(a: float, b: float) -> float:
@@ -219,7 +210,7 @@ def add_up(a: float, b: float) -> float:
         return b
     if b == -_INF:
         return a
-    return _up(_log_add(a, b) + _LOG_ADD_GUARD)
+    return math.nextafter(_log_add(a, b) + _LOG_ADD_GUARD, _INF)
 
 
 def f64_down(v: float) -> float:
@@ -228,13 +219,13 @@ def f64_down(v: float) -> float:
         raise ValueError(f"expected a number, got {v!r}")
     if v <= 0.0:
         return -_INF
-    return _down(math.log(v))
+    return math.nextafter(math.log(v), -_INF)
 
 
 def mul_down(a: float, b: float) -> float:
     if a == -_INF or b == -_INF:
         return -_INF
-    return _down(a + b)
+    return math.nextafter(a + b, -_INF)
 
 
 def add_down(a: float, b: float) -> float:
@@ -243,7 +234,7 @@ def add_down(a: float, b: float) -> float:
         return b
     if b == -_INF:
         return a
-    return _down(_log_add(a, b) - _LOG_ADD_GUARD)
+    return math.nextafter(_log_add(a, b) - _LOG_ADD_GUARD, -_INF)
 
 
 class XReal:
@@ -372,4 +363,4 @@ def fold_add_logs(logs: Union[Sequence[float], np.ndarray]) -> float:
     s = math.fsum(e.tolist())
     log_s = math.log(s)
     guard = _U * (-2.0 * float(np.dot(e, d)) / s + 4.0 * abs(log_s) + 4.0)
-    return _up(M + (log_s + guard))
+    return math.nextafter(M + (log_s + guard), _INF)

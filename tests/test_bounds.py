@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from abcertify.bounds import (
 from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import norm_bundle, ring_tail
 from abcertify.kinematics import z_of_sigma
+from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import XReal, add_down, add_up, exp_neg_log, f64_up, mul_up
 
 import published
@@ -231,6 +233,31 @@ def test_envelope_rhs_rounds_down(cfg):
             with mpmath.workprec(200):
                 exact = mpmath.log(mpmath.exp(-mpmath.mpf(rate)) * p + mpmath.mpf(10) ** -420)
                 assert mpmath.mpf(rhs.log_mag) <= exact, (regime, s)
+
+
+def test_pair_allowance_rounds_down(any_cfg):
+    # each family's allowance log never exceeds the published
+    # 4 e^{-r1^2/2mu1^2} + c e^{-rate(mu2)} max(0, P(mu2)) + 10^-101,
+    # with c = 10^-3 (interacting) and 10^-7 (outgoing) and the exp
+    # arguments and P(mu2) taken as the floats they are, on seeded
+    # sweep pairs, checked in 200-bit arithmetic
+    jobs = sweep_pairs(any_cfg, SET_NAMES)
+    picks = random.Random(18).sample(range(len(jobs)), 100)
+    coeffs = calibrated_coefficients(any_cfg)
+    r1 = any_cfg.r1
+    for i in picks:
+        _, _, mu1, mu2, _ = jobs[i]
+        logs = bounds.pair_allowance(any_cfg, mu1, mu2)
+        size_arg, rate = r1 * r1 / (2.0 * mu1 * mu1), any_cfg.rate_exponent(mu2)
+        for family, c, got in zip(("interacting", "outgoing"), (3, 7), logs):
+            p = max(0.0, calibrated_poly(coeffs[family], mu2))
+            with mpmath.workprec(200):
+                exact = mpmath.log(
+                    4 * mpmath.exp(-mpmath.mpf(size_arg))
+                    + mpmath.mpf(10) ** -c * mpmath.exp(-mpmath.mpf(rate)) * p
+                    + mpmath.mpf(10) ** -101
+                )
+                assert mpmath.mpf(got) <= exact, (family, i)
 
 
 def test_envelope_regimes_read_the_table(cfg):

@@ -101,7 +101,7 @@ def test_build_window_degenerate_orientation():
     g = grid_majorant(win, 2.0, "b4")
     # built for b4, the window keeps that same value
     kept = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 2.0, "b4")
-    assert g.log_mag == kept.one_cell.log_mag == grid_majorant(kept, 2.0, "b4").log_mag
+    assert g == kept.one_cell == grid_majorant(kept, 2.0, "b4")
 
 
 def test_build_window_node_layout(cfg):
@@ -133,7 +133,7 @@ def test_build_window_node_cap(cfg, monkeypatch):
     # a coarser grid can only raise the upper bound
     g_full = grid_majorant(full, cfg.r1, "b4")
     g_capped = grid_majorant(capped, cfg.r1, "b4")
-    assert g_capped.log_mag >= g_full.log_mag - 1e-12
+    assert g_capped >= g_full - 1e-12
 
 
 def test_fine_user_delta0_chunks_stay_within_cap(cfg, monkeypatch):
@@ -163,7 +163,7 @@ def test_single_interval_kind_relations():
     win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     r1 = 2.0
     rho_end = rho(win.sigma, win.mv, win.z_cap)
-    b3, b4, b5, b6 = (grid_majorant(win, r1, k).log_mag for k in ("b3", "b4", "b5", "b6"))
+    b3, b4, b5, b6 = (grid_majorant(win, r1, k) for k in ("b3", "b4", "b5", "b6"))
     # b4 = b3 minus the miss-the-hole exponent at the right endpoint
     assert b4 - b3 == pytest.approx(-(r1 * r1 / 2.0) * rho_end ** 2, rel=1e-12)
     # b6 = b4 plus the log of the extra r1*rho factor
@@ -204,12 +204,12 @@ def test_one_cell_majorant_runs_once_per_window_kind(monkeypatch):
     r1 = 1.5 / rho(sigma, mv, z_cap)
     win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
     assert win.nodes.size == 0
-    assert grid_majorant(win, r1, "b4") is win.one_cell
+    assert grid_majorant(win, r1, "b4") == win.one_cell
     assert len(one_cell) == 1
     grid_majorant(win, r1, "b6")
     assert len(one_cell) == 2
     # the kept value belongs to the window's r1 only
-    assert grid_majorant(win, 2.0 * r1, "b4").log_mag < win.one_cell.log_mag
+    assert grid_majorant(win, 2.0 * r1, "b4") < win.one_cell
     assert len(one_cell) == 3
     # a window above the floor with no grid node inside it keeps the
     # value too
@@ -217,8 +217,8 @@ def test_one_cell_majorant_runs_once_per_window_kind(monkeypatch):
     s = z_crossing(0.4, sigma, mv, zeta)
     z_cap = z_crossing(0.9, sigma, mv, zeta)
     win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, 2.0, "b4")
-    assert win.nodes.size == 0 and win.one_cell.log_mag > -500.0 * math.log(10.0)
-    assert grid_majorant(win, 2.0, "b4") is win.one_cell
+    assert win.nodes.size == 0 and win.one_cell > -500.0 * math.log(10.0)
+    assert grid_majorant(win, 2.0, "b4") == win.one_cell
     assert len(one_cell) == 4
 
 
@@ -242,12 +242,12 @@ def test_one_cell_keeps_scalar_rho_bits():
         sigma, mv, zeta, s, z_cap, r1 = map(float.fromhex, args)
         win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, r1, kind)
         assert win.nodes.size == 0
-        got = [grid_majorant(win, r1, k).log_mag for k in ("b3", "b4", "b5", "b6")]
+        got = [grid_majorant(win, r1, k) for k in ("b3", "b4", "b5", "b6")]
         assert got == [float.fromhex(e) for e in expect]
 
 
 def test_grid_majorant_none_is_zero():
-    assert grid_majorant(None, 1.0, "b3").is_zero
+    assert grid_majorant(None, 1.0, "b3") == -math.inf
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +264,8 @@ def test_grid_majorant_dominates_quadrature(kind):
         for extra in ((), (r1, kind)):
             win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
             bound = grid_majorant(win, r1, kind)
-            assert not bound.is_zero
-            assert bound.log_mag >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
+            assert bound != -math.inf
+            assert bound >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
 
 
 def _first_stop(full, r1, kind):
@@ -307,8 +307,8 @@ def test_truncated_majorant_matches_full_grid(kind):
             assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
         stopped += J < full.nodes.size
         rebuilt += J > certify._FIRST_CHUNK  # built again in a later pass, on a doubled prefix
-        lm_full = grid_majorant(full, r1, kind).log_mag
-        lm_cut = grid_majorant(cut, r1, kind).log_mag
+        lm_full = grid_majorant(full, r1, kind)
+        lm_cut = grid_majorant(cut, r1, kind)
         assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
     # the stop test fires on the long windows, most of them past the
     # first prefix
@@ -337,13 +337,13 @@ def test_node_window_keeps_its_cells(kind, monkeypatch):
         checked += 1
         assert win.cells.size == win.nodes.size + 1
         monkeypatch.setattr(certify, "_cell_logs", counting)
-        kept = grid_majorant(win, r1, kind).log_mag
+        kept = grid_majorant(win, r1, kind)
         assert calls == []
         fresh = grid_majorant(dataclasses.replace(win, kind=None, cells=None), r1, kind)
         assert len(calls) == 1
         assert calls.pop().tobytes() == win.cells.tobytes()
         monkeypatch.setattr(certify, "_cell_logs", cells)
-        assert float.hex(kept) == float.hex(fresh.log_mag)
+        assert float.hex(kept) == float.hex(fresh)
     assert checked >= 10
 
 
@@ -376,7 +376,7 @@ def test_window_grid_matches_cells_rebuilt_from_nodes(built_for):
             ref = _rebuilt_cells(win, r1, kind)
             assert certify._cell_logs(*win.grid, r1, kind).tobytes() == ref.tobytes()
             want = mul_up(fold_add_logs(ref), certify._PREFACTOR[kind])
-            assert float.hex(grid_majorant(win, r1, kind).log_mag) == float.hex(want)
+            assert float.hex(grid_majorant(win, r1, kind)) == float.hex(want)
     assert checked >= 10
 
 
@@ -506,11 +506,11 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
     win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert calls == []
     assert win.nodes.size == 0 and win.x.size == 0
-    lm = grid_majorant(win, r1, kind).log_mag
+    lm = grid_majorant(win, r1, kind)
     assert lm <= -500.0 * math.log(10.0)
     # the kept floor value is the one-cell majorant, computed afresh
     fresh = dataclasses.replace(win, kind=None, one_cell=None)
-    assert grid_majorant(fresh, r1, kind).log_mag == lm
+    assert grid_majorant(fresh, r1, kind) == lm
     # without a kind the same window solves its whole grid
     full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
     assert sum(calls) == full.nodes.size > 0
@@ -525,7 +525,7 @@ def test_refinement_approaches_truth():
     logs = []
     for delta0 in (1.0, 0.5, 0.25, 0.125, 0.0625):
         win = _build_window(sigma, mv, zeta, s, z_cap, delta0)
-        logs.append(grid_majorant(win, r1, "b4").log_mag)
+        logs.append(grid_majorant(win, r1, "b4"))
     # halving delta0 refines the grid (old nodes survive), so the upper
     # sum can only shrink; it stays above the true integral throughout
     for a, b in zip(logs, logs[1:]):
@@ -552,6 +552,24 @@ def test_first_pair_certificate(cfg):
     assert row[4] == "ok"
     assert row[9] == "6284.861165"
     assert row[10] == "pass"
+
+
+def test_check_pair_wraps_only_its_four_reported_values(cfg, monkeypatch):
+    # the certificate runs on log floats: the only XReal a pair builds
+    # are its two left- and two right-hand sides
+    built = []
+    init = XReal.__init__
+
+    def counting(self, log_mag):
+        built.append(log_mag)
+        init(self, log_mag)
+
+    monkeypatch.setattr(XReal, "__init__", counting)
+    for name in SET_NAMES:
+        built.clear()
+        res = check_pair(cfg, *sweep_pairs(cfg, [name])[0])
+        reported = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
+        assert built == [v.log_mag for v in reported], name
 
 
 # the smallest margin of each set before the grid was truncated, and
@@ -653,7 +671,7 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     majorant = certify.grid_majorant
 
     def no_tail(win, r1, kind):
-        return XReal.zero() if kind == "b3" else majorant(win, r1, kind)
+        return -math.inf if kind == "b3" else majorant(win, r1, kind)
 
     monkeypatch.setattr(certify, "grid_majorant", no_tail)
     cut_off = check_pair(cfg, *job)
@@ -682,7 +700,7 @@ def _window_bits(win):
     if win is None:
         return None
     arrays = [win.nodes, win.x] + [a for a in (win.grid, win.cells) if a is not None]
-    one_cell = None if win.one_cell is None else float.hex(win.one_cell.log_mag)
+    one_cell = None if win.one_cell is None else float.hex(win.one_cell)
     return [a.tobytes() for a in arrays] + [one_cell, win.lo, win.hi]
 
 
@@ -801,7 +819,7 @@ def test_sigma_mv_edge_windows_match_golden_digest():
             assert np.all(win.nodes < sigma * mv)
             arrays = [win.nodes, win.x] + ([] if win.grid is None else [win.grid])
             bits = [" ".join(map(float.hex, a.ravel().tolist())) for a in arrays]
-            bits += [float.hex(grid_majorant(win, 2.0, k).log_mag) for k in ("b3", "b4", "b5", "b6")]
+            bits += [float.hex(grid_majorant(win, 2.0, k)) for k in ("b3", "b4", "b5", "b6")]
             lines.append(" | ".join(bits))
             ends.append(win.nodes.size)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_EDGE_SHA256
@@ -823,7 +841,7 @@ def test_window_between_strided_nodes_keeps_none(monkeypatch):
     assert narrow.nodes.size == 0 and narrow.grid is None
     rho_cap = rho(sigma, mv, narrow.z_cap)
     one = certify._cell_logs(narrow.z_cap - narrow.s, narrow.lo ** 2 / 2.0, rho_cap, narrow.hi, 2.0, "b4")
-    assert grid_majorant(narrow, 2.0, "b4").log_mag == mul_up(one, certify._PREFACTOR["b4"])
+    assert grid_majorant(narrow, 2.0, "b4") == mul_up(one, certify._PREFACTOR["b4"])
 
 
 def test_pair_result_pickles(cfg):

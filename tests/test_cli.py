@@ -331,6 +331,15 @@ def test_threshold_normal_targets_keep_their_bits(capsys):
         assert json.loads(out)["sigma"].hex() == want.hex()
 
 
+def test_power_of_ten_targets_parse_to_ten_pow_bits():
+    # 10^K in any spelling is the target ten_pow(K), bit for bit, in and
+    # out of the float range (1e-400 is 0.0 as a float)
+    for k in range(-400, 401):
+        want = ten_pow(k).log_mag.hex()
+        for text in (f"1e{k}", f"1E{k}", f"1e{k:+d}"):
+            assert ten_pow(cli._target_log10(text)).log_mag.hex() == want, text
+
+
 # ----------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------

@@ -176,7 +176,7 @@ points = [
     (2.2e-4, 1e-5, m.h_tilde - 0.6 * d),  # axial ramp
     (ra + 0.4 * re, 0.0, zb + 0.3 * ze),  # both cutoff ramps
 ]
-iota(), supnorm_constants(cfg, sigma), norm_bundle(cfg, sigma=sigma)
+iota(), supnorm_constants(cfg, sigma), norm_bundle(cfg, delta=cfg.delta(sigma))
 coupling_constants(cfg, sigma)
 for x in points:
     model.b_field(x)
@@ -472,15 +472,6 @@ def test_norm_bundle_frozen_and_identities(cfg, cfg_k1e1):
         + 2.0 / (iota() * cfg.magnet.h_tilde * math.e)
     )
     assert m[1] - m[4] == pytest.approx(expect, rel=1e-12)
-
-
-def test_norm_bundle_requires_width_or_delta(cfg):
-    with pytest.raises(ValueError):
-        norm_bundle(cfg)
-    # at the floor width the two call styles coincide
-    assert norm_bundle(cfg, sigma=1e-8) == norm_bundle(
-        cfg, delta=cfg.magnet.h_tilde
-    )
 
 
 def test_coupling_constants_decay(cfg):
