@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -265,6 +266,27 @@ def envelope_sides(
 # ----------------------------------------------------------------------
 
 
+def _geomspace(a: float, b: float, n: int) -> np.ndarray:
+    """``np.geomspace(a, b, n)`` for positive float ends, bit for bit.
+
+    The log grid with both ends set exactly, as ``np.geomspace`` builds
+    it once its sign and dtype handling, a no-op here, is left out.
+    """
+    grid = np.logspace(np.log10(a), np.log10(b), n)
+    grid[0], grid[-1] = a, b
+    return grid
+
+
+# interval_certificates' results, in the order of its docstring
+_CERT_NAMES = (
+    "crossing_range_above",
+    "crossover_scale_range",
+    "ring_factor_cap",
+    "spread_ratio_cap",
+    "crossing_range_below",
+)
+
+
 def interval_certificates(
     cfg: ExperimentConfig, n: int = 10_000
 ) -> Dict[str, Dict[str, float]]:
@@ -287,62 +309,60 @@ def interval_certificates(
     come from one call, and the crossover scales and slab heights of
     the upper grid from one call each, bit-identical to the scalar
     :func:`~abcertify.kinematics.z_crossing` and config calls at every
-    width.  A non-finite margin counts as a violation.
+    width.  Each certificate writes its margins and their scales into
+    one row of two (5, n) arrays, which are tested in one pass.
+    A non-finite margin counts as a violation.
     """
-    if not n >= 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
-    out: Dict[str, Dict[str, float]] = {}
-
-    def record(name: str, margins: np.ndarray, scale: np.ndarray):
-        # Some brackets are tight by construction (the spread ratio
-        # meets its majorant exactly at the crossover width), so ties
-        # get a few-ulp guard; anything beyond that counts.
-        bad = ~np.isfinite(margins) | (margins < _NEG_TIE_GUARD * np.abs(scale))
-        out[name] = {"violations": int(np.count_nonzero(bad)), "margin": float(margins.min())}
-
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     # the widths above the crossover, then those below: one crossing solve
     grids = np.concatenate(
-        (np.geomspace(cfg.sigma0, cfg.sigma_max, n), np.geomspace(cfg.sigma_min, cfg.sigma0, n))
+        (_geomspace(cfg.sigma0, cfg.sigma_max, n), _geomspace(cfg.sigma_min, cfg.sigma0, n))
     )
     hi_grid = grids[:n]
     z_hi, z_lo = z_of_sigma(grids, cfg).reshape(2, n)
-    record(
-        "crossing_range_above",
-        np.minimum(z_hi - 2.1023e-6, 0.0673 - z_hi),
-        z_hi,
-    )
+    margins = np.empty((len(_CERT_NAMES), n))
+    scales = np.empty_like(margins)
+
+    np.minimum(z_hi - 2.1023e-6, 0.0673 - z_hi, out=margins[0])
+    scales[0] = z_hi
 
     s1_vals = cfg.s1(hi_grid)
-    record(
-        "crossover_scale_range",
-        np.minimum(s1_vals - 0.0042, 303.8306 - s1_vals),
-        s1_vals,
-    )
+    scales[1] = s1_vals
+    np.minimum(s1_vals - 0.0042, 303.8306 - s1_vals, out=margins[1])
 
     mv = cfg.mv
     ring = np.sqrt(
         cfg.h(hi_grid)
         * cfg.r2 ** 2
         * (hi_grid * mv) ** 3
-        / np.maximum(z_hi, s1_vals)
+        / np.maximum(z_hi, s1_vals),
+        out=scales[2],
     )
-    record("ring_factor_cap", 2.9127e5 - ring, ring)
+    np.subtract(2.9127e5, ring, out=margins[2])
 
     spread = np.sqrt((hi_grid * hi_grid * mv) ** 2 + z_hi ** 2) / (hi_grid * mv)
     mid = np.sqrt(hi_grid ** 2 + _RATE * z_hi ** 2 / _RATE_CAP)
-    record(
-        "spread_ratio_cap",
-        np.minimum(mid - spread, 0.0015 - mid),
-        np.maximum(mid, spread),
-    )
+    np.minimum(mid - spread, 0.0015 - mid, out=margins[3])
+    np.maximum(mid, spread, out=scales[3])
 
     ht = cfg.magnet.h_tilde
-    record(
-        "crossing_range_below",
-        np.minimum(z_lo - _Z_OVER_H_LO * ht, _Z_OVER_H_HI * ht - z_lo),
-        z_lo,
-    )
-    return out
+    np.minimum(z_lo - _Z_OVER_H_LO * ht, _Z_OVER_H_HI * ht - z_lo, out=margins[4])
+    scales[4] = z_lo
+
+    # Some brackets are tight by construction (the spread ratio meets
+    # its majorant exactly at the crossover width), so ties get a
+    # few-ulp guard; anything beyond that counts.
+    guard = np.abs(scales, out=scales)
+    guard *= _NEG_TIE_GUARD
+    bad = margins < guard
+    bad |= ~np.isfinite(margins)
+    # row by row: with axis=1, count_nonzero casts to integers and sums
+    counts = [int(np.count_nonzero(row)) for row in bad]
+    return {
+        name: {"violations": count, "margin": margin}
+        for name, count, margin in zip(_CERT_NAMES, counts, margins.min(axis=1).tolist())
+    }
 
 
 # ----------------------------------------------------------------------

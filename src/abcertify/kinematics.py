@@ -121,8 +121,10 @@ def z_crossing(
 
     Requires 0 < omega_inv < sigma*mv (the product approaches sigma*mv
     from below as z grows, so larger targets are never reached).  The
-    algebraic root is polished with one Newton step; the residual is
-    kept below 1e-10 relative to omega_inv.
+    algebraic root gets one Newton step, kept only when it does not
+    increase |F| for F(z) = (z - zeta) rho(sigma, z) - omega_inv.  The
+    result is a rounded float, not an enclosure: no bound on its
+    residual is enforced or proved (ROADMAP item 2 plans a proved one).
     """
     smv = sigma * mv
     if not 0.0 < omega_inv < smv:

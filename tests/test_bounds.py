@@ -309,10 +309,49 @@ def test_interval_certificates_smoke(any_cfg):
         assert rec["margin"] >= -1e-18
 
 
-@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_interval_certificates_return_python_scalars(cfg):
+    out = interval_certificates(cfg, n=500)
+    assert list(out) == [
+        "crossing_range_above",
+        "crossover_scale_range",
+        "ring_factor_cap",
+        "spread_ratio_cap",
+        "crossing_range_below",
+    ]
+    for rec in out.values():
+        assert list(rec) == ["violations", "margin"]
+        assert type(rec["violations"]) is int
+        assert type(rec["margin"]) is float
+    assert interval_certificates(cfg, n=np.int64(500)) == out
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2.5, 1e3])
 def test_interval_certificates_reject_vacuous_grids(cfg, n):
     with pytest.raises(ValueError, match="at least 2"):
         interval_certificates(cfg, n=n)
+
+
+def test_interval_certificates_grids_are_geomspace_bits(monkeypatch):
+    # the grids are np.geomspace's, built from np.logspace without its
+    # sign and dtype handling; a numpy whose two disagree must fail here
+    seen = []
+    solve = bounds.z_of_sigma
+
+    def capturing(sigma, c):
+        seen.append(sigma.copy())
+        return solve(sigma, c)
+
+    monkeypatch.setattr(bounds, "z_of_sigma", capturing)
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        c = get_config(magnet, beam)
+        for n in (2, 3, 400, 517, 600, 10_000):
+            seen.clear()
+            interval_certificates(c, n=n)
+            want = np.concatenate(
+                (np.geomspace(c.sigma0, c.sigma_max, n), np.geomspace(c.sigma_min, c.sigma0, n))
+            )
+            assert len(seen) == 1
+            assert seen[0].tobytes() == want.tobytes(), (magnet, beam, n)
 
 
 def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
