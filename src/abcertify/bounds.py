@@ -50,9 +50,11 @@ __all__ = [
     "ten_pow",
     "size_table",
     "angle_table",
+    "radius_table",
     "threshold_sigma",
     "plateau_interval",
     "params_sweep",
+    "sweep_rows",
     "pair_allowance",
 ]
 
@@ -583,8 +585,10 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
 # * The walk compares the float math.exp(lmid) it would evaluate the
 #   bound at with s1 and s2, so math.exp's rounding needs no margin.
 _SIGN_MARGIN = 2.0**-48
-# at most this many secant steps before the walk
+# at most this many secant steps before the walk, and bisection steps
+# in it
 _SECANT_STEPS = 16
+_BISECT_STEPS = 80
 
 
 def _proves_sign(sign, size1, spread1, size2, spread2, additive, t) -> bool:
@@ -601,7 +605,6 @@ def _bisect_log_sigma(
     t: float,
     lo: float,
     hi: float,
-    iters: int = 80,
 ) -> float:
     """Bisection on log(sigma) for the width where a bound crosses t.
 
@@ -611,8 +614,8 @@ def _bisect_log_sigma(
     (total < t), the order :meth:`XReal.cmp` gives: +1 above the target,
     -1 below.
 
-    The walk is the plain bisection: at most ``iters`` steps, stopping
-    early once a step leaves the bracket unchanged (the sign is
+    The walk is the plain bisection: at most ``_BISECT_STEPS`` steps,
+    stopping early once a step leaves the bracket unchanged (the sign is
     deterministic, so every later step would repeat it).  What changes
     is which steps evaluate the bound.  A secant search first finds
     widths a < b such that every width in [lo, a] provably has lo's sign
@@ -681,7 +684,7 @@ def _bisect_log_sigma(
         last = [last[1], (s**p, sign_at(s)[1])]
 
     llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(iters):
+    for _ in range(_BISECT_STEPS):
         lmid = 0.5 * (llo + lhi)
         s = math.exp(lmid)
         if lo <= s <= a:

@@ -21,16 +21,16 @@ functions, so every reported right-hand side is a certified lower
 bound of the published one.  A pair's certificate runs on those
 log-magnitude floats throughout (``grid_majorant`` returns one, -inf
 for zero) and wraps only its four reported values as ``XReal``; a
-window built for one kind keeps its one-cell log and its grid's cells,
-so each cell of a pair's majorants is computed once.
+window keeps its one-cell log and its grid's cells for the kind it was
+built for, so each cell of a pair's majorants is computed once.
 
-The pair certificate builds each window for one majorant kind, and only
-solves the nodes that can move that kind's bound.  All three reductions
-below rest on one fact: a step-function majorant is valid for *any*
-increasing node subset, including the empty one, because dropping a
-node merges two cells and the merged cell takes the larger of their
-sups.  So each reduction can only make the certified left-hand side
-larger, never invalid.
+Every window is built for one majorant kind (at the pair's r1), and
+only solves the nodes that can move that kind's bound.  All three
+reductions below rest on one fact: a step-function majorant is valid
+for *any* increasing node subset, including the empty one, because
+dropping a node merges two cells and the merged cell takes the larger
+of their sups.  So each reduction can only make the certified
+left-hand side larger, never invalid.
 
 * Floor first: the majorant with no interior nodes is the one cell
   [s, z_cap] of the cell formula ``_cell_logs``, and needs only the
@@ -68,8 +68,7 @@ each later pass solves, in one more call, only the nodes that the
 doubled prefixes of the windows that did not stop reach past it.  Each
 window slices its own n-range and clips it to its own [s, z_cap].  A
 window keeps its cells' geometry, so b6 on the b4 grid takes its cells
-from the arrays the b4 pass built.  Without a kind, ``_build_window``
-(a batch of one) solves the whole grid, so the stop test never fires.
+from the arrays the b4 pass built.
 """
 
 from __future__ import annotations
@@ -136,13 +135,14 @@ class majorant_window:
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, and lo/hi the induced window in the rescaled
-    variable.  A window with nodes keeps its ``grid``: the rows gaps,
+    variable.  A window is built for one majorant ``kind`` at the pair's
+    ``r1``.  It keeps the log of that kind's one-cell majorant (the
+    floor test's value) and, when it has nodes, the logs of its cells
+    (the stop test's values), so ``grid_majorant`` computes neither
+    again.  A window with nodes also keeps its ``grid``: the rows gaps,
     left decay exponents, right rho and right rescaled end of its cells,
     the last cell [x_J, z_cap] included, from which ``grid_majorant``
-    builds any kind's cells.  A window built for one kind keeps that
-    kind, its ``r1``, the log of its one-cell majorant (the floor
-    test's value) and, when it has nodes, the logs of its cells (the
-    stop test's values), so ``grid_majorant`` computes neither again.
+    builds another kind's cells.
     """
 
     sigma: float
@@ -151,11 +151,11 @@ class majorant_window:
     z_cap: float
     lo: float
     hi: float
+    r1: float
+    kind: str
     nodes: np.ndarray  # rescaled grid values Z_j (may be empty)
     x: np.ndarray      # matching distances, s <= x_1 <= ... <= z_cap
     grid: Optional[np.ndarray] = None  # (4, nodes + 1): the cells' geometry
-    r1: Optional[float] = None
-    kind: Optional[str] = None
     one_cell: Optional[float] = None
     cells: Optional[np.ndarray] = None
 
@@ -170,13 +170,9 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
         return None, None
     lo = (s - zeta) * rho(sigma, mv, s)
     hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
-    win = majorant_window(sigma, mv, s, z_cap, lo, hi, np.empty(0), np.empty(0))
-    if kind is not None:  # the floor test's one cell, kept for grid_majorant
-        one_cell = grid_majorant(win, r1, kind)  # before win.kind is set: computed afresh
-        win.r1, win.kind, win.one_cell = r1, kind, one_cell
-        if one_cell <= _FLOOR_LOG:
-            return win, None
-    if hi <= lo:  # degenerate: single interval, no interior nodes
+    win = majorant_window(sigma, mv, s, z_cap, lo, hi, r1, kind, np.empty(0), np.empty(0))
+    win.one_cell = _one_cell(win, kind)  # the floor test's value, kept for grid_majorant
+    if win.one_cell <= _FLOOR_LOG or hi <= lo:  # floored, or degenerate: no interior nodes
         return win, None
     if not math.isfinite(hi * hi / delta0):
         raise ValueError(
@@ -201,18 +197,17 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     return win, ((n_start, n_end) if n_end >= n_start else None)
 
 
-def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
-    """The windows (s, z_cap, kind) of one width, in order; None for an empty one.
+def _build_windows(sigma, mv, zeta, delta0, spans, r1):
+    """The windows (s, z_cap, kind) of one width at r1, in order; None for an empty one.
 
     Their nodes are slices of one lattice Z_k = sqrt((n0 + stride k)
     delta0) over the union of their node ranges, grown pass by pass.  A
     pass solves, in one ``z_crossing_vec`` call, the lattice nodes that
     its windows' prefixes reach and the earlier passes did not, and
-    builds each window on its prefix.  A window with a kind starts on
-    its first ``_FIRST_CHUNK`` nodes and goes on to the next pass, its
-    prefix doubled, until its stop test fires or it has all its nodes
-    (see the module docstring); one without a kind (and r1) takes its
-    whole grid in the first pass.
+    builds each window on its prefix.  A window starts on its first
+    ``_FIRST_CHUNK`` nodes and goes on to the next pass, its prefix
+    doubled, until its stop test fires or it has all its nodes (see the
+    module docstring).
     """
     laid = [_layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind) for s, z_cap, kind in spans]
     ranged = [(win, n) for win, n in laid if n is not None]
@@ -225,8 +220,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
         k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
         k_end = (n_end - n0) // stride + 1
         if k_first < k_end:  # else the stride skips the whole window
-            k1 = k_end if win.kind is None else min(k_end, k_first + _FIRST_CHUNK)
-            plans.append((win, k_first, k1, k_end))
+            plans.append((win, k_first, min(k_end, k_first + _FIRST_CHUNK), k_end))
     nodes = x = decays = np.empty(0)
     while plans:
         k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
@@ -246,45 +240,21 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1=None):
     return [win for win, _ in laid]
 
 
-def _build_window(
-    sigma: float,
-    mv: float,
-    zeta: float,
-    s: float,
-    z_cap: float,
-    delta0: float,
-    r1: Optional[float] = None,
-    kind: Optional[str] = None,
-) -> Optional[majorant_window]:
-    """Node layout for one window; None when the interval is empty.
-
-    A batch of one for ``_build_windows``: without a ``kind`` every
-    grid node is solved, in one pass.  With one (and its ``r1``) the
-    window serves that majorant only: it keeps no nodes when its
-    one-cell majorant is already below the floor, and otherwise builds
-    its grid pass by pass on doubling prefixes of its nodes and ends it
-    at the first node whose remaining cell is negligible (see the
-    module docstring).
-    """
-    return _build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
-
-
 def _solve_window(win, nodes, x, decays):
-    """Build a window's grid on its n nodes; True when it needs no more of them.
+    """Build a window's grid on its n nodes; True when its stop test fires.
 
     The nodes fill one (5, 2, n + 1) buffer.  Its first rows hold the
     clipped distances after the left edge, then the grid rows, whose
-    column n is the last cell [x_n, z_cap].  With a kind, its second
-    rows hold in column j the last cell [x_j, z_cap] of a grid that
-    ends at node j (column 0, the one cell [s, z_cap], is not used),
-    and one ``_cell_logs`` call on both rows gives the grid's cells and
-    the stop test's last cells; a grid that stops at node J < n writes
-    its last cell into column J.  The window keeps the grid of its
-    latest build, and no state from an earlier one: a doubled prefix
-    recomputes the same floats.  A window without a kind has all its
-    nodes, and needs no more.
+    column n is the last cell [x_n, z_cap].  Its second rows hold in
+    column j the last cell [x_j, z_cap] of a grid that ends at node j
+    (column 0, the one cell [s, z_cap], is not used), and one
+    ``_cell_logs`` call on both rows gives the grid's cells of the
+    window's kind and the stop test's last cells; a grid that stops at
+    node J < n writes its last cell into column J.  The window keeps
+    the grid and cells of its latest build, and no state from an
+    earlier one: a doubled prefix recomputes the same floats.
     """
-    s, z_cap, hi, kind, r1 = win.s, win.z_cap, win.hi, win.kind, win.r1
+    s, z_cap, hi = win.s, win.z_cap, win.hi
     smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
     rho_cap = _rho_np(win.sigma, win.mv, z_cap)
     n = nodes.size
@@ -301,26 +271,22 @@ def _solve_window(win, nodes, x, decays):
     rho_right[n] = rho_cap
     w_right[:-1] = nodes
     w_right[n] = hi
-    end, cells, stopped = n, None, kind is None
-    if kind is not None:
-        np.subtract(z_cap, xe, out=buf[1, 1])
-        buf[3, 1] = rho_cap
-        buf[4, 1] = hi
-        cells, last = _cell_logs(buf[1], decay, buf[3], buf[4], r1, kind)
-        running = np.logaddexp.accumulate(cells[:-1])
-        running += _STOP_LOG
-        hit = last[1:] < running
-        j = int(hit.argmax())
-        if hit[j]:
-            end, stopped = j + 1, True
-            if end < n:  # the grid ends at node `end`: its last cell
-                gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
-                cells[end] = last[end]
+    np.subtract(z_cap, xe, out=buf[1, 1])
+    buf[3, 1] = rho_cap
+    buf[4, 1] = hi
+    cells, last = _cell_logs(buf[1], decay, buf[3], buf[4], win.r1, win.kind)
+    running = np.logaddexp.accumulate(cells[:-1])
+    running += _STOP_LOG
+    hit = last[1:] < running
+    j = int(hit.argmax())
+    end, stopped = (j + 1, True) if hit[j] else (n, False)
+    if end < n:  # the grid ends at node `end`: its last cell
+        gaps[end], rho_right[end], w_right[end] = z_cap - x[end - 1], rho_cap, hi
+        cells[end] = last[end]
     if gaps[:end].min() < 0.0:
         raise RuntimeError("grid distances lost monotonicity")
     win.nodes, win.x, win.grid = w_right[:end], xe[1 : end + 1], buf[1:, 0, : end + 1]
-    if kind is not None:
-        win.cells = cells[: end + 1]
+    win.cells = cells[: end + 1]
     return stopped
 
 
@@ -376,10 +342,19 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
     return L
 
 
-def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> float:
+def _one_cell(win: majorant_window, kind: str) -> float:
+    """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included."""
+    rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
+    L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, win.r1, kind)
+    return mul_up(L, _PREFACTOR[kind])
+
+
+def grid_majorant(win: Optional[majorant_window], kind: str) -> float:
     """Log of a certified upper bound of one spreading integral over a window.
 
-    An upward-rounded log magnitude, -inf for zero (no window).
+    An upward-rounded log magnitude, -inf for zero (no window), at the
+    window's r1.  The window's own kind reads the values it kept;
+    another kind's cells are built from its grid, or its one cell.
 
     ``kind``:
       b3  plain window integrand;
@@ -390,14 +365,10 @@ def grid_majorant(win: Optional[majorant_window], r1: float, kind: str) -> float
     """
     if win is None:
         return -_INF
-    kept = (r1, kind) == (win.r1, win.kind)  # computed by _build_windows
-    if win.nodes.size:
-        L = fold_add_logs(win.cells if kept else _cell_logs(*win.grid, r1, kind))
-    elif kept:
-        return win.one_cell
-    else:  # no interior nodes: the one cell [s, z_cap]
-        rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
-        L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, r1, kind)
+    kept = kind == win.kind
+    if not win.nodes.size:
+        return win.one_cell if kept else _one_cell(win, kind)
+    L = fold_add_logs(win.cells if kept else _cell_logs(*win.grid, win.r1, kind))
     return mul_up(L, _PREFACTOR[kind])
 
 
@@ -557,16 +528,16 @@ def check_pair(
         spans += [(z2, b6_end, "b6"), (b6_end, z_cap, "b3")]
     for m in (nu, mu3):
         win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1)
-        int_b4 = add_up(int_b4, grid_majorant(win4, r1, "b4"))
+        int_b4 = add_up(int_b4, grid_majorant(win4, "b4"))
         if not cut:
             # the b4 grid also serves b6: its extra r1*rho factor is
             # smallest in the last cell, so b4's stop test covers b6
-            int_b6 = add_up(int_b6, grid_majorant(win4, r1, "b6"))
+            int_b6 = add_up(int_b6, grid_majorant(win4, "b6"))
         else:
             win6, tail = cut
-            int_b6 = add_up(int_b6, grid_majorant(win6, r1, "b6"))
-            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, r1, "b3"))
-        int_b5 = add_up(int_b5, grid_majorant(win5, r1, "b5"))
+            int_b6 = add_up(int_b6, grid_majorant(win6, "b6"))
+            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, "b3"))
+        int_b5 = add_up(int_b5, grid_majorant(win5, "b5"))
 
     # ---- boundary terms ----------------------------------------------
     w_z2 = _max_weight(rho_z2, r1)

@@ -97,7 +97,6 @@ _LOG10_E_HI_L = _LOG10_E_HI - _LOG10_E_HI_H
 
 # Bands of XReal.to_sci_string's float path (see its docstring).
 _SCI_FAST_LIMIT = 1e15
-_SCI_INT_BAND = 1e-9
 _SCI_TIE_BAND = 1e-6
 
 
@@ -286,14 +285,11 @@ class XReal:
         as a double-double product (log10(e) stored as hi + lo, the
         product by hi made exact by Veltkamp splitting) and split into
         an integer e and a fraction f, which is off by at most a few
-        1e-16 for |log_mag| < 1e15.  Then:
-
-        * f within 1e-9 of 0 or 1: t is that close to an integer, so
-          the answer is 1.0000×10^round(t) on either side (every
-          ``ten_pow`` lands here);
-        * otherwise m4 = 10**(f+4), off by ~1e-10, is rounded to an
-          integer, unless it lies within 1e-6 of a .5 tie where that
-          error could flip the rounding.
+        1e-16 for |log_mag| < 1e15.  Then m4 = 10**(f+4), off by ~1e-10,
+        is rounded to an integer, unless it lies within 1e-6 of a .5 tie
+        where that error could flip the rounding.  Near an integer t
+        (every ``ten_pow``) m4 is within ~2e-5 of 1e4 or 1e5, far from a
+        tie, so it rounds to 1.0000×10^round(t) on either side.
 
         Ties and |log_mag| >= 1e15 go to the 50-digit ``Decimal``
         fallback, so the string is the ``Decimal`` one for every input.
@@ -313,16 +309,12 @@ class XReal:
         ) + a_lo * _LOG10_E_HI_L
         e = math.floor(p)
         # the correction is under one ulp of p, so f lies in (-ulp(p), 1
-        # + 1e-16); f >= 1 falls in the near-1 case below
+        # + 1e-16); f >= 1 gives m4 = 1e5 (rounded), which carries
         f = (p - e) + (err + lm * _LOG10_E_LO)
         if f < 0.0:
             f += 1.0
             e -= 1
-        if f < _SCI_INT_BAND:
-            return f"1.0000×10^{e:+d}"
-        if f > 1.0 - _SCI_INT_BAND:
-            return f"1.0000×10^{e + 1:+d}"
-        m4 = 10.0 ** (f + 4.0)  # in (1e4, 1e5)
+        m4 = 10.0 ** (f + 4.0)  # in [1e4, 1e5], give or take a rounding
         n = math.floor(m4)
         frac = m4 - n
         if abs(frac - 0.5) < _SCI_TIE_BAND:

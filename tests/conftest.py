@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -68,3 +69,24 @@ def decimal_calls(monkeypatch):
 
     monkeypatch.setattr(xreal, "_sci_string_decimal", counting)
     return calls
+
+
+def build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+    """One window of ``certify._build_windows``: a batch of one span."""
+    from abcertify import certify
+
+    return certify._build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
+
+
+def build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+    """The same window with no floor and no stop test: its whole grid.
+
+    Every node of the window is solved and kept, so its grid is the
+    reference a floored or truncated window is checked against.
+    """
+    from abcertify import certify
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_STOP_LOG", -math.inf)
+        mp.setattr(certify, "_FLOOR_LOG", -math.inf)
+        return build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)

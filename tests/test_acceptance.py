@@ -25,7 +25,7 @@ from abcertify.bounds import (
     size_table,
     ten_pow,
 )
-from abcertify.certify import _build_window, grid_majorant, sweep
+from abcertify.certify import grid_majorant, sweep
 from abcertify.config import get_config
 from abcertify.fields import FieldModel, supnorm_constants
 from abcertify.kinematics import (
@@ -36,6 +36,7 @@ from abcertify.kinematics import (
     z_crossing,
 )
 from abcertify.xreal import XReal
+from conftest import build_full_window, build_window
 from oracles import (
     capture_fraction_quad,
     fd_curl,
@@ -161,14 +162,18 @@ def test_criterion_08_grid_majorants_dominate_quadrature():
         z_cap = z_crossing(hi_t, sigma, mv, zeta)
         delta0 = rng.uniform(0.05, 1.0)
         r1 = (1.0 + rng.uniform(0.05, 1.5)) / rho(sigma, mv, z_cap)
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0)
+        # the full grid for every kind, and the window built for each
+        # kind, which is the majorant the certificate uses
+        full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
         for kind in ("b3", "b4", "b5", "b6"):
-            bound = grid_majorant(win, r1, kind)
             truth = window_integral_quad(
                 kind, sigma, mv, zeta, s, z_cap, r1=r1, rel=1e-7
             )
-            if bound == -math.inf or bound < math.log(truth):
-                violations.append((i, kind))
+            built = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+            for name, win in (("full", full), ("built", built)):
+                bound = grid_majorant(win, kind)
+                if bound == -math.inf or bound < math.log(truth):
+                    violations.append((i, kind, name))
     assert violations == []
 
 

@@ -1,7 +1,6 @@
 """Per-pair certificates: window grids, majorants, flags, sweep plumbing."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import math
 import pickle
@@ -14,7 +13,6 @@ from abcertify import certify
 from abcertify.certify import (
     CSV_COLUMNS,
     PairResult,
-    _build_window,
     check_pair,
     grid_majorant,
     sweep,
@@ -24,6 +22,7 @@ from abcertify.config import ExperimentConfig
 from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import XReal, fold_add_logs, mul_up
+from conftest import build_full_window, build_window
 from oracles import window_integral_quad
 from published import FROZEN_PAIR_COUNTS
 
@@ -86,28 +85,28 @@ def _long_window_tuples(n, seed):
 
 
 def test_build_window_empty_interval():
-    assert _build_window(1.0, 5.0, 0.1, 2.0, 2.0, 0.5) is None
-    assert _build_window(1.0, 5.0, 0.1, 2.0, 1.5, 0.5) is None
+    assert build_window(1.0, 5.0, 0.1, 2.0, 2.0, 0.5, 2.0, "b4") is None
+    assert build_window(1.0, 5.0, 0.1, 2.0, 1.5, 0.5, 2.0, "b4") is None
 
 
 def test_build_window_degenerate_orientation():
     # a strongly negative offset puts the interval past the turning
     # point of (z - zeta) * rho(z): the rescaled window inverts and the
     # builder falls back to the one-cell majorant
-    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
+    win = build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 2.0, "b3")
     assert win is not None
     assert win.hi <= win.lo
     assert win.nodes.size == 0 and win.x.size == 0
-    g = grid_majorant(win, 2.0, "b4")
+    g = grid_majorant(win, "b4")
     # built for b4, the window keeps that same value
-    kept = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 2.0, "b4")
-    assert g == kept.one_cell == grid_majorant(kept, 2.0, "b4")
+    kept = build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, 2.0, "b4")
+    assert g == kept.one_cell == grid_majorant(kept, "b4")
 
 
 def test_build_window_node_layout(cfg):
     sigma, delta0 = 1e-7, 1.0
     zeta = cfg.h(sigma)
-    win = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, delta0)
+    win = build_full_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, delta0, cfg.r1, "b4")
     assert win.nodes.size > 0
     assert np.all(win.nodes >= win.lo) and np.all(win.nodes <= win.hi)
     assert np.all(win.nodes < sigma * cfg.mv)
@@ -122,17 +121,17 @@ def test_build_window_node_layout(cfg):
 def test_build_window_node_cap(cfg, monkeypatch):
     sigma = 1e-7
     zeta = cfg.h(sigma)
-    full = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0)
+    full = build_full_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0, cfg.r1, "b4")
     monkeypatch.setattr(certify, "NODE_CAP", 50)
-    capped = _build_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0)
+    capped = build_full_window(sigma, cfg.mv, zeta, 1e-4, 1.2e-3, 1.0, cfg.r1, "b4")
     assert full.nodes.size > 50
     assert 0 < capped.nodes.size <= 50
     # striding keeps the endpoints of the covered range, only thins it
     assert capped.nodes[0] == full.nodes[0]
     assert capped.nodes[-1] <= full.nodes[-1]
     # a coarser grid can only raise the upper bound
-    g_full = grid_majorant(full, cfg.r1, "b4")
-    g_capped = grid_majorant(capped, cfg.r1, "b4")
+    g_full = grid_majorant(full, "b4")
+    g_capped = grid_majorant(capped, "b4")
     assert g_capped >= g_full - 1e-12
 
 
@@ -160,10 +159,10 @@ def test_fine_user_delta0_chunks_stay_within_cap(cfg, monkeypatch):
 
 
 def test_single_interval_kind_relations():
-    win = _build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5)
     r1 = 2.0
+    win = build_window(1.0, 1.0, -4.0, 1.0, 2.0, 0.5, r1, "b3")
     rho_end = rho(win.sigma, win.mv, win.z_cap)
-    b3, b4, b5, b6 = (grid_majorant(win, r1, k) for k in ("b3", "b4", "b5", "b6"))
+    b3, b4, b5, b6 = (grid_majorant(win, k) for k in ("b3", "b4", "b5", "b6"))
     # b4 = b3 minus the miss-the-hole exponent at the right endpoint
     assert b4 - b3 == pytest.approx(-(r1 * r1 / 2.0) * rho_end ** 2, rel=1e-12)
     # b6 = b4 plus the log of the extra r1*rho factor
@@ -202,24 +201,21 @@ def test_one_cell_majorant_runs_once_per_window_kind(monkeypatch):
     s = z_crossing(50.0, sigma, mv, zeta)
     z_cap = z_crossing(80.0, sigma, mv, zeta)
     r1 = 1.5 / rho(sigma, mv, z_cap)
-    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
+    win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
     assert win.nodes.size == 0
-    assert grid_majorant(win, r1, "b4") == win.one_cell
+    assert grid_majorant(win, "b4") == win.one_cell
     assert len(one_cell) == 1
-    grid_majorant(win, r1, "b6")
+    grid_majorant(win, "b6")
     assert len(one_cell) == 2
-    # the kept value belongs to the window's r1 only
-    assert grid_majorant(win, 2.0 * r1, "b4") < win.one_cell
-    assert len(one_cell) == 3
     # a window above the floor with no grid node inside it keeps the
     # value too
     sigma, mv, zeta = 1.3, 3.7, 0.11
     s = z_crossing(0.4, sigma, mv, zeta)
     z_cap = z_crossing(0.9, sigma, mv, zeta)
-    win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, 2.0, "b4")
+    win = build_window(sigma, mv, zeta, s, z_cap, 1.0, 2.0, "b4")
     assert win.nodes.size == 0 and win.one_cell > -500.0 * math.log(10.0)
-    assert grid_majorant(win, 2.0, "b4") == win.one_cell
-    assert len(one_cell) == 4
+    assert grid_majorant(win, "b4") == win.one_cell
+    assert len(one_cell) == 3
 
 
 # two full-sweep windows (sigma, mv, zeta, s, z_cap, r1, built for b4 /
@@ -240,14 +236,14 @@ _HYPOT_WINDOWS = [
 def test_one_cell_keeps_scalar_rho_bits():
     for args, kind, expect in _HYPOT_WINDOWS:
         sigma, mv, zeta, s, z_cap, r1 = map(float.fromhex, args)
-        win = _build_window(sigma, mv, zeta, s, z_cap, 1.0, r1, kind)
+        win = build_window(sigma, mv, zeta, s, z_cap, 1.0, r1, kind)
         assert win.nodes.size == 0
-        got = [grid_majorant(win, r1, k) for k in ("b3", "b4", "b5", "b6")]
+        got = [grid_majorant(win, k) for k in ("b3", "b4", "b5", "b6")]
         assert got == [float.fromhex(e) for e in expect]
 
 
 def test_grid_majorant_none_is_zero():
-    assert grid_majorant(None, 1.0, "b3") == -math.inf
+    assert grid_majorant(None, "b3") == -math.inf
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +257,11 @@ def test_grid_majorant_dominates_quadrature(kind):
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         truth = window_integral_quad(kind, sigma, mv, zeta, s, z_cap, r1=r1)
         # the full grid, and the grid truncated for this kind
-        for extra in ((), (r1, kind)):
-            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
-            bound = grid_majorant(win, r1, kind)
+        for build in (build_full_window, build_window):
+            win = build(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+            bound = grid_majorant(win, kind)
             assert bound != -math.inf
-            assert bound >= math.log(truth), (kind, extra, sigma, mv, zeta, s, z_cap)
+            assert bound >= math.log(truth), (kind, build.__name__, sigma, mv, zeta, s, z_cap)
 
 
 def _first_stop(full, r1, kind):
@@ -290,8 +286,8 @@ def test_truncated_majorant_matches_full_grid(kind):
     stopped = rebuilt = 0
     windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
-        full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
-        cut = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        cut = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         # the truncated grid is a prefix of the full one, cut where the
         # stop test first fires
         J = cut.nodes.size
@@ -307,8 +303,8 @@ def test_truncated_majorant_matches_full_grid(kind):
             assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
         stopped += J < full.nodes.size
         rebuilt += J > certify._FIRST_CHUNK  # built again in a later pass, on a doubled prefix
-        lm_full = grid_majorant(full, r1, kind)
-        lm_cut = grid_majorant(cut, r1, kind)
+        lm_full = grid_majorant(full, kind)
+        lm_cut = grid_majorant(cut, kind)
         assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
     # the stop test fires on the long windows, most of them past the
     # first prefix
@@ -325,25 +321,25 @@ def test_node_window_keeps_its_cells(kind, monkeypatch):
     cells = certify._cell_logs
 
     def counting(*args):
-        calls.append(cells(*args))
-        return calls[-1]
+        calls.append(args)
+        return cells(*args)
 
     checked = 0
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         if win.nodes.size == 0:
             assert win.cells is None
             continue
         checked += 1
         assert win.cells.size == win.nodes.size + 1
         monkeypatch.setattr(certify, "_cell_logs", counting)
-        kept = grid_majorant(win, r1, kind)
-        assert calls == []
-        fresh = grid_majorant(dataclasses.replace(win, kind=None, cells=None), r1, kind)
-        assert len(calls) == 1
-        assert calls.pop().tobytes() == win.cells.tobytes()
+        kept = grid_majorant(win, kind)
         monkeypatch.setattr(certify, "_cell_logs", cells)
-        assert float.hex(kept) == float.hex(fresh)
+        assert calls == []
+        fresh = cells(*win.grid, r1, kind)
+        assert fresh.tobytes() == win.cells.tobytes()
+        want = mul_up(fold_add_logs(fresh), certify._PREFACTOR[kind])
+        assert float.hex(kept) == float.hex(want)
     assert checked >= 10
 
 
@@ -357,17 +353,18 @@ def _rebuilt_cells(win, r1, kind):
     return certify._cell_logs(gaps, decay, rho_right, np.append(nodes, win.hi), r1, kind)
 
 
-@pytest.mark.parametrize("built_for", [None, "b3", "b4", "b5", "b6"])
+@pytest.mark.parametrize("built_for", ["full", "b3", "b4", "b5", "b6"])
 def test_window_grid_matches_cells_rebuilt_from_nodes(built_for):
     # every kind's cells read off a window's kept grid equal the cells
     # rebuilt from its nodes and distances, bit for bit: b6 on a b4
-    # window (check_pair's shortcut) and any kind on a window built
-    # without one
+    # window (check_pair's shortcut) and any kind on the full grid
     windows = _random_window_tuples(10, 711) + _long_window_tuples(10, 712)
     checked = 0
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
-        extra = () if built_for is None else (r1, built_for)
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
+        if built_for == "full":
+            win = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
+        else:
+            win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, built_for)
         if win.nodes.size == 0:
             continue
         checked += 1
@@ -376,7 +373,7 @@ def test_window_grid_matches_cells_rebuilt_from_nodes(built_for):
             ref = _rebuilt_cells(win, r1, kind)
             assert certify._cell_logs(*win.grid, r1, kind).tobytes() == ref.tobytes()
             want = mul_up(fold_add_logs(ref), certify._PREFACTOR[kind])
-            assert float.hex(grid_majorant(win, r1, kind)) == float.hex(want)
+            assert float.hex(grid_majorant(win, kind)) == float.hex(want)
     assert checked >= 10
 
 
@@ -428,8 +425,8 @@ def test_stacked_cell_logs_match_row_calls(kind):
 
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
 def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
-    # each pass of a window with a kind gets its cells and its stop
-    # test's last cells from one (2, n + 1) call, whether or not it stops
+    # each pass of a window gets its cells and its stop test's last
+    # cells from one (2, n + 1) call, whether or not it stops
     windows = _random_window_tuples(10, 721) + _long_window_tuples(10, 722)
     calls = []
     solve, cells = certify._solve_window, certify._cell_logs
@@ -448,7 +445,7 @@ def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
     passes = 0
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         calls.clear()
-        _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         want = [call for _, n in calls[::2] for call in (("pass", n), ("cells", (2, n + 1)))]
         assert calls == want
         passes += len(want) // 2
@@ -503,16 +500,15 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(certify, "z_crossing_vec", counting)
-    win = _build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+    win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert calls == []
     assert win.nodes.size == 0 and win.x.size == 0
-    lm = grid_majorant(win, r1, kind)
+    lm = grid_majorant(win, kind)
     assert lm <= -500.0 * math.log(10.0)
     # the kept floor value is the one-cell majorant, computed afresh
-    fresh = dataclasses.replace(win, kind=None, one_cell=None)
-    assert grid_majorant(fresh, r1, kind) == lm
-    # without a kind the same window solves its whole grid
-    full = _build_window(sigma, mv, zeta, s, z_cap, delta0)
+    assert certify._one_cell(win, kind) == lm
+    # without the floor the same window solves its whole grid
+    full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert sum(calls) == full.nodes.size > 0
 
 
@@ -524,8 +520,8 @@ def test_refinement_approaches_truth():
     truth = math.log(window_integral_quad("b4", sigma, mv, zeta, s, z_cap, r1=r1))
     logs = []
     for delta0 in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        win = _build_window(sigma, mv, zeta, s, z_cap, delta0)
-        logs.append(grid_majorant(win, r1, "b4"))
+        win = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
+        logs.append(grid_majorant(win, "b4"))
     # halving delta0 refines the grid (old nodes survive), so the upper
     # sum can only shrink; it stays above the true integral throughout
     for a, b in zip(logs, logs[1:]):
@@ -649,7 +645,7 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     windows = []  # (sigma, s, z_cap, kind) of every window built
     build = certify._build_windows
 
-    def recording(sigma, mv, zeta, delta0, spans, r1=None):
+    def recording(sigma, mv, zeta, delta0, spans, r1):
         windows.extend((sigma, s, z_cap, kind) for s, z_cap, kind in spans)
         return build(sigma, mv, zeta, delta0, spans, r1)
 
@@ -670,8 +666,8 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     # zeroing the b3 tail drops the e^{-1/2} tail term from both sides
     majorant = certify.grid_majorant
 
-    def no_tail(win, r1, kind):
-        return -math.inf if kind == "b3" else majorant(win, r1, kind)
+    def no_tail(win, kind):
+        return -math.inf if kind == "b3" else majorant(win, kind)
 
     monkeypatch.setattr(certify, "grid_majorant", no_tail)
     cut_off = check_pair(cfg, *job)
@@ -685,7 +681,7 @@ def _pair_windows(cfg, job, delta0, monkeypatch):
     built = []
     build = certify._build_windows
 
-    def recording(sigma, mv, zeta, d0, spans, r1=None):
+    def recording(sigma, mv, zeta, d0, spans, r1):
         wins = build(sigma, mv, zeta, d0, spans, r1)
         built.append(((sigma, mv, zeta, d0, r1), spans, wins))
         return wins
@@ -700,8 +696,7 @@ def _window_bits(win):
     if win is None:
         return None
     arrays = [win.nodes, win.x] + [a for a in (win.grid, win.cells) if a is not None]
-    one_cell = None if win.one_cell is None else float.hex(win.one_cell)
-    return [a.tobytes() for a in arrays] + [one_cell, win.lo, win.hi]
+    return [a.tobytes() for a in arrays] + [float.hex(win.one_cell), win.lo, win.hi]
 
 
 def _check_shared_windows(cfg, job, delta0, monkeypatch):
@@ -711,7 +706,7 @@ def _check_shared_windows(cfg, job, delta0, monkeypatch):
     for (sigma, mv, zeta, d0, r1), spans, wins in _pair_windows(cfg, job, delta0, monkeypatch):
         assert len(wins) == len(spans)
         for (s, z_cap, kind), win in zip(spans, wins):
-            alone = _build_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
+            alone = build_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
             assert _window_bits(win) == _window_bits(alone), (job, delta0, kind)
             if win is not None and win.nodes.size:  # a plain slice: no node filtered
                 assert win.lo <= win.nodes[0] and win.nodes[-1] <= win.hi < sigma * mv
@@ -805,7 +800,7 @@ _EDGE_WINDOWS = [
     (1.0, 1.0, -0.1, z_crossing(0.9, 1.0, 1.0, -0.1), 10.0, 0.5),
 ]
 # sha256 over float.hex of their nodes, distances, grids and every
-# kind's majorant, built without a kind and for b4, b5 and b3 (r1 = 2);
+# kind's majorant, as full grids and built for b4, b5 and b3 (r1 = 2);
 # recorded when the lattice, not the layout, ended the nodes there
 _GOLDEN_EDGE_SHA256 = "9bf7f12690b02659667d6de8235997ab8f73adf41ab64dfd1f4c3dad4ee8a9e6"
 
@@ -813,13 +808,14 @@ _GOLDEN_EDGE_SHA256 = "9bf7f12690b02659667d6de8235997ab8f73adf41ab64dfd1f4c3dad4
 def test_sigma_mv_edge_windows_match_golden_digest():
     lines, ends = [], []
     for sigma, mv, zeta, s, z_cap, delta0 in _EDGE_WINDOWS:
-        for extra in ((), (2.0, "b4"), (2.0, "b5"), (2.0, "b3")):
-            win = _build_window(sigma, mv, zeta, s, z_cap, delta0, *extra)
+        builds = ((build_full_window, "b4"), (build_window, "b4"), (build_window, "b5"), (build_window, "b3"))
+        for build, kind in builds:
+            win = build(sigma, mv, zeta, s, z_cap, delta0, 2.0, kind)
             assert win.lo < sigma * mv <= win.hi
             assert np.all(win.nodes < sigma * mv)
             arrays = [win.nodes, win.x] + ([] if win.grid is None else [win.grid])
             bits = [" ".join(map(float.hex, a.ravel().tolist())) for a in arrays]
-            bits += [float.hex(grid_majorant(win, 2.0, k)) for k in ("b3", "b4", "b5", "b6")]
+            bits += [float.hex(grid_majorant(win, k)) for k in ("b3", "b4", "b5", "b6")]
             lines.append(" | ".join(bits))
             ends.append(win.nodes.size)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_EDGE_SHA256
@@ -833,15 +829,15 @@ def test_window_between_strided_nodes_keeps_none(monkeypatch):
     monkeypatch.setattr(certify, "NODE_CAP", 50)
     sigma, mv, zeta, delta0 = 1.0, 100.0, 0.1, 0.01
     spans = [
-        (z_crossing(0.2, sigma, mv, zeta), z_crossing(20.0, sigma, mv, zeta), None),
-        (z_crossing(5.0, sigma, mv, zeta), z_crossing(5.01, sigma, mv, zeta), None),
+        (z_crossing(0.2, sigma, mv, zeta), z_crossing(20.0, sigma, mv, zeta), "b4"),
+        (z_crossing(5.0, sigma, mv, zeta), z_crossing(5.01, sigma, mv, zeta), "b4"),
     ]
-    wide, narrow = certify._build_windows(sigma, mv, zeta, delta0, spans)
+    wide, narrow = certify._build_windows(sigma, mv, zeta, delta0, spans, 2.0)
     assert 0 < wide.nodes.size <= 50
     assert narrow.nodes.size == 0 and narrow.grid is None
     rho_cap = rho(sigma, mv, narrow.z_cap)
     one = certify._cell_logs(narrow.z_cap - narrow.s, narrow.lo ** 2 / 2.0, rho_cap, narrow.hi, 2.0, "b4")
-    assert grid_majorant(narrow, 2.0, "b4") == mul_up(one, certify._PREFACTOR["b4"])
+    assert grid_majorant(narrow, "b4") == mul_up(one, certify._PREFACTOR["b4"])
 
 
 def test_pair_result_pickles(cfg):
