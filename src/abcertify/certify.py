@@ -122,6 +122,11 @@ _PREFACTOR = dict(
     b3=_LOG_PI4_RT2, b4=_LOG_PI4_RT2, b5=f64_up(1.0 / math.sqrt(2.0)), b6=_LOG_PI4_RT2
 )
 _LOG_PI4 = f64_up(_PI4)
+_LOG_EXP_NEG_HALF = exp_neg_log(0.5)
+
+# the nodes and distances of every window that keeps none
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
 
 
 # ----------------------------------------------------------------------
@@ -129,20 +134,21 @@ _LOG_PI4 = f64_up(_PI4)
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class majorant_window:
     """Precomputed geometry of one majorant window.
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
-    integration interval, and lo/hi the induced window in the rescaled
-    variable.  A window is built for one majorant ``kind`` at the pair's
-    ``r1``.  It keeps the log of that kind's one-cell majorant (the
-    floor test's value) and, when it has nodes, the logs of its cells
-    (the stop test's values), so ``grid_majorant`` computes neither
-    again.  A window with nodes also keeps its ``grid``: the rows gaps,
-    left decay exponents, right rho and right rescaled end of its cells,
-    the last cell [x_J, z_cap] included, from which ``grid_majorant``
-    builds another kind's cells.
+    integration interval, lo/hi the induced window in the rescaled
+    variable and ``rho_cap`` the inverse width at z_cap
+    (``kinematics.rho``).  A window is built for one majorant ``kind``
+    at the pair's ``r1``.  It keeps the log of that kind's one-cell
+    majorant (the floor test's value) and, when it has nodes, the logs
+    of its cells (the stop test's values), so ``grid_majorant``
+    computes neither again.  A window with nodes also keeps its
+    ``grid``: the rows gaps, left decay exponents, right rho and right
+    rescaled end of its cells, the last cell [x_J, z_cap] included,
+    from which ``grid_majorant`` builds another kind's cells.
     """
 
     sigma: float
@@ -151,6 +157,7 @@ class majorant_window:
     z_cap: float
     lo: float
     hi: float
+    rho_cap: float
     r1: float
     kind: str
     nodes: np.ndarray  # rescaled grid values Z_j (may be empty)
@@ -169,8 +176,9 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     if z_cap <= s:
         return None, None
     lo = (s - zeta) * rho(sigma, mv, s)
-    hi = (z_cap - zeta) * rho(sigma, mv, z_cap)
-    win = majorant_window(sigma, mv, s, z_cap, lo, hi, r1, kind, np.empty(0), np.empty(0))
+    rho_cap = rho(sigma, mv, z_cap)
+    hi = (z_cap - zeta) * rho_cap
+    win = majorant_window(sigma, mv, s, z_cap, lo, hi, rho_cap, r1, kind, _EMPTY, _EMPTY)
     win.one_cell = _one_cell(win, kind)  # the floor test's value, kept for grid_majorant
     if win.one_cell <= _FLOOR_LOG or hi <= lo:  # floored, or degenerate: no interior nodes
         return win, None
@@ -221,7 +229,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1):
         k_end = (n_end - n0) // stride + 1
         if k_first < k_end:  # else the stride skips the whole window
             plans.append((win, k_first, min(k_end, k_first + _FIRST_CHUNK), k_end))
-    nodes = x = decays = np.empty(0)
+    nodes = x = decays = _EMPTY
     while plans:
         k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
         if k.size:
@@ -344,8 +352,8 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
 
 def _one_cell(win: majorant_window, kind: str) -> float:
     """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included."""
-    rho_cap = rho(win.sigma, win.mv, win.z_cap)  # math.hypot, unlike the grid cells
-    L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, rho_cap, win.hi, win.r1, kind)
+    # rho_cap is math.hypot's, unlike the grid cells
+    L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, win.rho_cap, win.hi, win.r1, kind)
     return mul_up(L, _PREFACTOR[kind])
 
 
@@ -424,19 +432,17 @@ class PairResult:
         ]
 
 
-def _max_weight(rhos: Sequence[float], r1: float) -> float:
-    """Log of max_i exp(-(r1^2/2) rho_i^2), exact."""
-    return exp_neg_log(min(r1 * r1 * r ** 2 / 2.0 for r in rhos))
+def _max_weight(ra: float, rb: float, r1: float) -> float:
+    """Log of the larger of exp(-(r1^2/2) rho^2) at rho = ra, rb, exact."""
+    return exp_neg_log(min(r1 * r1 * ra ** 2 / 2.0, r1 * r1 * rb ** 2 / 2.0))
 
 
-def _max_rho_weight(rhos: Sequence[float], r1: float) -> float:
-    """Log of max_i r1 rho_i exp(-(r1^2/2) rho_i^2), rounded up."""
-    best = -_INF
-    for r in rhos:
-        cand = mul_up(f64_up(r1 * r), exp_neg_log(r1 * r1 * r * r / 2.0))
-        if cand > best:
-            best = cand
-    return best
+def _max_rho_weight(ra: float, rb: float, r1: float) -> float:
+    """Log of the larger of r1 rho exp(-(r1^2/2) rho^2) at rho = ra, rb, rounded up."""
+    return max(
+        mul_up(f64_up(r1 * ra), exp_neg_log(r1 * r1 * ra * ra / 2.0)),
+        mul_up(f64_up(r1 * rb), exp_neg_log(r1 * r1 * rb * rb / 2.0)),
+    )
 
 
 def check_pair(
@@ -540,14 +546,17 @@ def check_pair(
         int_b5 = add_up(int_b5, grid_majorant(win5, "b5"))
 
     # ---- boundary terms ----------------------------------------------
-    w_z2 = _max_weight(rho_z2, r1)
-    w_z23 = _max_weight(rho_z23, r1)
-    w_cap = _max_weight(rho_cap, r1)
-    wr_z2 = _max_rho_weight(rho_z2, r1)
-    wr_cap = _max_rho_weight(rho_cap, r1)
+    w_z2 = _max_weight(*rho_z2, r1)
+    w_z23 = _max_weight(*rho_z23, r1)
+    w_cap = _max_weight(*rho_cap, r1)
+    wr_z2 = _max_rho_weight(*rho_z2, r1)
+    wr_cap = _max_rho_weight(*rho_cap, r1)
 
-    T1 = mul_up(mul_up(_LOG_PI4, f64_up(z2)), w_z2)
-    T2 = mul_up(mul_up(_LOG_PI4, f64_up(z_cap)), w_cap)
+    log_cap = f64_up(z_cap)
+    pi4_z2 = mul_up(_LOG_PI4, f64_up(z2))
+    pi4_cap = mul_up(_LOG_PI4, log_cap)
+    T1 = mul_up(pi4_z2, w_z2)
+    T2 = mul_up(pi4_cap, w_cap)
 
     # I_pp / I_ps: incoming-packet windows
     i_pp = add_up(T1, int_b4)
@@ -555,10 +564,10 @@ def check_pair(
 
     # I_sp / I_ss: spread-packet windows (momentum-weighted pieces)
     t1 = mul_up(mul_up(_LOG_PI4_RT2, f64_up(z23)), w_z23)
-    t3 = mul_up(mul_up(_LOG_PI4, f64_up(z2)), wr_z2)
-    t2 = mul_up(mul_up(_LOG_PI4_RT2, f64_up(z_cap)), w_cap)
-    t4 = mul_up(mul_up(_LOG_PI4, f64_up(z_cap)), wr_cap)
-    tail9 = mul_up(exp_neg_log(0.5), int_b3_tail)
+    t3 = mul_up(pi4_z2, wr_z2)
+    t2 = mul_up(mul_up(_LOG_PI4_RT2, log_cap), w_cap)
+    t4 = mul_up(pi4_cap, wr_cap)
+    tail9 = mul_up(_LOG_EXP_NEG_HALF, int_b3_tail)
     i_sp = t1
     for term in (t3, T1, int_b5, int_b6, tail9, int_b4):
         i_sp = add_up(i_sp, term)
@@ -581,19 +590,8 @@ def check_pair(
     margin = min(_margin(lhs1, rhs1), _margin(lhs2, rhs2))
     passed = lhs1 <= rhs1 and lhs2 <= rhs2 and not flags
     return PairResult(
-        set_name,
-        index,
-        mu1,
-        mu2,
-        mu3,
-        delta0,
-        "ok" if not flags else "|".join(flags),
-        XReal(lhs1),
-        XReal(rhs1),
-        XReal(lhs2),
-        XReal(rhs2),
-        margin,
-        passed,
+        set_name, index, mu1, mu2, mu3, delta0, "ok" if not flags else "|".join(flags),
+        XReal(lhs1), XReal(rhs1), XReal(lhs2), XReal(rhs2), margin, passed,
     )
 
 
@@ -634,6 +632,5 @@ def write_csv(results: Iterable[PairResult], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for res in results:
-            writer.writerow(res.csv_row())
+        writer.writerows(res.csv_row() for res in results)
 

@@ -11,7 +11,8 @@ sweep      bound components over a width range (CSV)
 params     geometry-scale robustness sweep
 
 Exit codes: 0 success (and, for verify/field, every check passed),
-1 a certified check failed, 2 usage or configuration error.
+1 a certified check failed, 2 usage or configuration error (an
+unwritable ``--out`` is found before the command's work starts).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -152,11 +154,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(text)  # the --out file, or stdout (see main)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -493,10 +491,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "params": _cmd_params,
     }[args.command]
     try:
-        return handler(args, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        stream = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"argument --out: {exc.strerror}: {args.out!r}", file=sys.stderr)
         return 2
+    with stream as args.stream:
+        try:
+            return handler(args, cfg)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -107,7 +108,9 @@ class ExperimentConfig:
     Derived smoothing widths follow the standard selections
     (``eps_tilde`` = 0.5% of the ring's radial extent, ``delta_tilde`` =
     1% of its half-height, ``eps`` = 2% of the hole radius); the
-    ``*_scale`` knobs let parameter sweeps stretch them.
+    ``*_scale`` knobs let parameter sweeps stretch them.  The derived
+    constants are cached on first read; a changed config is a new one
+    (``dataclasses.replace``), with its own cache.
     """
 
     magnet: Magnet
@@ -130,30 +133,30 @@ class ExperimentConfig:
 
     # -- fixed smoothing widths -------------------------------------
 
-    @property
+    @cached_property
     def eps_tilde(self) -> float:
         """Radial smoothing width of the field profile."""
         m = self.magnet
         return (m.r2_tilde - m.r1_tilde) / 200.0
 
-    @property
+    @cached_property
     def delta_tilde(self) -> float:
         """Axial smoothing width of the field profile."""
         return self.magnet.h_tilde / 100.0
 
-    @property
+    @cached_property
     def eps(self) -> float:
         """Radial fattening of the magnet used by the space cutoff."""
         return self.eps_scale * self.magnet.r1_tilde / 50.0
 
     # -- fattened-magnet geometry ------------------------------------
 
-    @property
+    @cached_property
     def r1(self) -> float:
         """Inner radius of the fattened magnet (effective hole radius)."""
         return self.magnet.r1_tilde - self.eps
 
-    @property
+    @cached_property
     def r2(self) -> float:
         """Outer radius of the fattened magnet."""
         return self.magnet.r2_tilde + self.eps
@@ -171,21 +174,21 @@ class ExperimentConfig:
 
     # -- beam-dependent derived quantities ---------------------------
 
-    @property
+    @cached_property
     def mv(self) -> float:
         return self.beam.mv
 
-    @property
+    @cached_property
     def sigma0(self) -> float:
         """Width at which the tail-rate cap 2000 starts to bind."""
         return math.sqrt(34.0 / 33.0) * _SQRT_2000 / self.beam.mv
 
-    @property
+    @cached_property
     def sigma_min(self) -> float:
         """Smallest width covered by the sweep certificates."""
         return 4.5 / self.beam.mv
 
-    @property
+    @cached_property
     def sigma_max(self) -> float:
         """Largest width covered by the sweep certificates."""
         return self.magnet.r1_tilde / 2.0

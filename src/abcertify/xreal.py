@@ -13,12 +13,13 @@ magnitudes (plain floats): ``f64_up``, ``mul_up`` and ``add_up`` round
 from exact inputs yields a machine-checked upper bound of the true
 real-number result; ``f64_down``, ``mul_down`` and ``add_down`` round
 *downward*, for lower bounds (the certificate's allowance side).  Both
-directions share the one log-sum step ``_log_add``, widened by an
-absolute guard of a few 2^-53 before the directed step, and
-``fold_add_logs`` sums many terms in one guarded, upward-rounded
-log-sum-exp; both guards are proved next to ``_log_add``.  ``XReal``
-is a value type: it wraps a log magnitude these functions built, for
-ordering (``XReal.cmp``) and printing, and does no arithmetic itself.
+directions share the one log-sum step ``_log_add`` (``add_up``, the
+hot path, writes it inline), widened by an absolute guard of a few
+2^-53 before the directed step, and ``fold_add_logs`` sums many terms
+in one guarded, upward-rounded log-sum-exp; both guards are proved
+next to ``_log_add``.  ``XReal`` is a value type: it wraps a log
+magnitude these functions built, for ordering (``XReal.cmp``) and
+printing, and does no arithmetic itself.
 
 The certification boundary -- what the module takes as given rather
 than proves:
@@ -204,12 +205,17 @@ def mul_up(a: float, b: float) -> float:
 
 
 def add_up(a: float, b: float) -> float:
-    # adding zero is exact, so it skips the rounding step
+    # adding zero is exact, so it skips the rounding step; the rest is
+    # _log_add inline
     if a == -_INF:
         return b
     if b == -_INF:
         return a
-    return math.nextafter(_log_add(a, b) + _LOG_ADD_GUARD, _INF)
+    if a < b:
+        a, b = b, a
+    if a == _INF:
+        return a
+    return math.nextafter(a + math.log1p(math.exp(b - a)) + _LOG_ADD_GUARD, _INF)
 
 
 def f64_down(v: float) -> float:

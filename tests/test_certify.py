@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import math
 import pickle
+import random
 
 import mpmath
 import numpy as np
@@ -18,11 +19,11 @@ from abcertify.certify import (
     sweep,
     write_csv,
 )
-from abcertify.config import ExperimentConfig
+from abcertify.config import ExperimentConfig, get_config
 from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import XReal, fold_add_logs, mul_up
-from conftest import build_full_window, build_window
+from conftest import ALL_COMBOS, build_full_window, build_window
 from oracles import window_integral_quad
 from published import FROZEN_PAIR_COUNTS
 
@@ -987,3 +988,36 @@ def test_csv_columns_frozen():
         "margin",
         "pass",
     )
+
+
+# sha256 over the same per-pair bits, for each of the six configs: the
+# first and last pair of every set, ten seeded interior pairs of each
+# (all of sigma10's), and the pairs with each magnet's worst margins
+# (k2's sigma6 and sigma8 minima are those sets' first pairs)
+_SIX_CONFIG_PAIR_BITS_SHA256 = {
+    "k1/e1": "be16ce7bbf28ece48d34d780dfe1c2c8b315b7c0d2a0c175324734b98f77b22b",
+    "k1/e2": "a687d50cfa46a16cbe864159daa4f84d3d8a5878baa7726a295c19a357a3f00c",
+    "k1/e3": "6cc0e5d7cf86a8a3b60e462efbc8488cc25fcd7051b2a264e6c7dace10b32fad",
+    "k2/e1": "7bcb2e824f4f9c94e5c4c7cf561cb3116555ca47deb8a1f59ee54725d74e5bdd",
+    "k2/e2": "5d838308ff64c284b5c114c7fcd750adec389e580162766ef92cd91c46234896",
+    "k2/e3": "ff7cdb6a18b9715c694001a969038b37b77431d315e3e704564e281933f1349a",
+}
+_WORST_PAIRS = {"k1": {"sigma3": (14571,)}, "k2": {"sigma3": (15128, 15129)}}
+
+
+@pytest.mark.parametrize("magnet, energy", ALL_COMBOS, ids=[f"{m}-{e}" for m, e in ALL_COMBOS])
+def test_check_pair_bits_for_every_config(magnet, energy):
+    cfg = get_config(magnet, energy)
+    rng = random.Random(1)
+    lines = []
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        interior = rng.sample(range(1, len(jobs) - 1), min(10, max(0, len(jobs) - 2)))
+        picks = {0, len(jobs) - 1, *interior, *_WORST_PAIRS[magnet].get(name, ())}
+        for i in sorted(picks):
+            res = check_pair(cfg, *jobs[i])
+            logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
+            bits = [float.hex(v.log_mag) for v in logs] + [float.hex(res.margin_log10)]
+            lines.append(" ".join([name, str(i), *bits, res.flags]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _SIX_CONFIG_PAIR_BITS_SHA256[f"{magnet}/{energy}"]

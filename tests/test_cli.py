@@ -121,6 +121,31 @@ def test_eval_out_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
+_UNWRITABLE_OUT_COMMANDS = [
+    ["verify", "--set", "sigma10"],
+    ["eval", "--sigma", "1e-7"],
+    ["table", "--which", "angle"],
+    ["threshold", "--target", "1e-7", "--branch", "big"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNWRITABLE_OUT_COMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize("where", ["missing_dir", "dir_as_file"])
+def test_unwritable_out_exits_2_before_the_work(capsys, monkeypatch, tmp_path, argv, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    for name in ("sweep", "regime_bound", "angle_table", "threshold_sigma"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, [*argv, "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("argument --out: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment data sets: literals, derived geometry, and overrides."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -235,3 +236,37 @@ def test_non_finite_fields_rejected(cfg):
 def test_apply_overrides_unknown_key(cfg):
     with pytest.raises(ValueError):
         apply_overrides(cfg, {"beam.charge": "1"})
+
+
+_DERIVED = ("eps_tilde", "delta_tilde", "eps", "r1", "r2", "mv", "sigma0", "sigma_min", "sigma_max")
+
+
+def _derived(cfg):
+    return {name: getattr(cfg, name) for name in _DERIVED}
+
+
+def test_derived_constants_are_fresh_on_every_changed_config():
+    base = get_config("k2", "e1")
+    r1, eps, mv = base.r1, base.eps, base.mv  # read first, so they are cached
+    scaled = apply_overrides(base, {"params.eps_scale": "2"})
+    assert scaled.eps == 2.0 * eps
+    assert scaled.r1 == base.magnet.r1_tilde - scaled.eps != r1
+    assert scaled.r2 == base.magnet.r2_tilde + scaled.eps != base.r2
+    faster = apply_overrides(base, {"beam.mv": "2.5e10"})
+    assert faster.mv == 2.5e10 != mv
+    assert faster.sigma0 == math.sqrt(34.0 / 33.0) * math.sqrt(2000.0) / 2.5e10 != base.sigma0
+    assert faster.sigma_min == 4.5 / 2.5e10
+    moved = replace(base, magnet=replace(base.magnet, r1_tilde=1.6e-4))
+    assert moved.r1 == 1.6e-4 - 1.6e-4 / 50.0 != r1
+    assert moved.sigma_max == 0.8e-4
+    # the base config keeps its own values
+    assert (base.r1, base.eps, base.mv) == (r1, eps, mv)
+
+
+def test_pickled_config_keeps_equality_hash_and_constants():
+    base = get_config("k1", "e3")
+    assert base.r1 < base.sigma_max * 2.0  # read (and cache) before pickling, as a sweep has
+    for cfg in (base, get_config("k2", "e2")):
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
+        assert _derived(copy) == _derived(cfg)

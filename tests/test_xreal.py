@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from abcertify.bounds import ten_pow
 from abcertify.xreal import (
     XReal,
+    _LOG_ADD_GUARD,
     _log_add,
     add_down,
     add_up,
@@ -372,6 +373,18 @@ def test_log_add_infinities_are_exact():
     assert _log_add(-inf, -inf) == -inf
     assert _log_add(inf, 2.5) == inf and _log_add(inf, inf) == inf
     assert _log_add(inf, -inf) == inf
+
+
+@given(log_mags, log_mags)
+@example(math.inf, 2.5)
+@example(math.inf, math.inf)
+@example(-math.inf, math.inf)
+def test_add_up_inlines_the_log_add_step(la, lb):
+    # add_up writes _log_add inline; both must give the same bits
+    want = math.nextafter(_log_add(la, lb) + _LOG_ADD_GUARD, math.inf)
+    if la == -math.inf or lb == -math.inf:
+        want = max(la, lb)  # adding zero is exact
+    assert float.hex(add_up(la, lb)) == float.hex(want)
 
 
 @given(log_mags, log_mags)
