@@ -269,12 +269,17 @@ def envelope_sides(
 
 
 def _geomspace(a: float, b: float, n: int) -> np.ndarray:
-    """``np.geomspace(a, b, n)`` for positive float ends, bit for bit.
+    """``np.geomspace(a, b, n)`` for positive float ends and n >= 2, bit for bit.
 
-    The log grid with both ends set exactly, as ``np.geomspace`` builds
-    it once its sign and dtype handling, a no-op here, is left out.
+    ``np.linspace``'s steps between the logs of the ends, then 10 to
+    each and both ends set exactly: ``np.logspace`` without its wrappers.
     """
-    grid = np.logspace(np.log10(a), np.log10(b), n)
+    la, lb = np.log10(a), np.log10(b)
+    grid = np.arange(n, dtype=np.float64)
+    grid *= (lb - la) / (n - 1)
+    grid += la
+    grid[-1] = lb
+    np.power(10.0, grid, out=grid)
     grid[0], grid[-1] = a, b
     return grid
 
@@ -334,17 +339,16 @@ def interval_certificates(
     np.minimum(s1_vals - 0.0042, 303.8306 - s1_vals, out=margins[1])
 
     mv = cfg.mv
+    smv = hi_grid * mv
     ring = np.sqrt(
-        cfg.h(hi_grid)
-        * cfg.r2 ** 2
-        * (hi_grid * mv) ** 3
-        / np.maximum(z_hi, s1_vals),
+        cfg.h(hi_grid) * cfg.r2 ** 2 * smv ** 3 / np.maximum(z_hi, s1_vals),
         out=scales[2],
     )
     np.subtract(2.9127e5, ring, out=margins[2])
 
-    spread = np.sqrt((hi_grid * hi_grid * mv) ** 2 + z_hi ** 2) / (hi_grid * mv)
-    mid = np.sqrt(hi_grid ** 2 + _RATE * z_hi ** 2 / _RATE_CAP)
+    s2, z2 = hi_grid * hi_grid, z_hi * z_hi
+    spread = np.sqrt((s2 * mv) ** 2 + z2) / smv
+    mid = np.sqrt(s2 + _RATE * z2 / _RATE_CAP)
     np.minimum(mid - spread, 0.0015 - mid, out=margins[3])
     np.maximum(mid, spread, out=scales[3])
 
@@ -704,7 +708,14 @@ def _bisect_log_sigma(
     return math.exp(0.5 * (llo + lhi))
 
 
-def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
+def _headline_logs(cfg: ExperimentConfig) -> Callable[[float], Tuple[float, float, float, float]]:
+    """The headline bound's logs (size, spread, additive, total) at a width,
+    memoized for the life of the returned function: the searches of one
+    table share it, so they evaluate each width, bracket ends too, once."""
+    return lru_cache(maxsize=None)(lambda s: _bound_logs(cfg, s, _FINAL)[1:])
+
+
+def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str, *, _bound=None) -> float:
     """Width at which the headline bound crosses ``target``.
 
     The bound's size term rises with width, its spread term falls and
@@ -720,11 +731,9 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
     without building a :class:`BoundReport`.  The search
     (:func:`_bisect_log_sigma`) skips the steps whose sign the monotone
     terms prove and returns the full bisection's width, bit for bit.
+    ``_bound`` (private) is a table's shared :func:`_headline_logs`.
     """
-
-    def bound(s: float) -> Tuple[float, float, float, float]:
-        return _bound_logs(cfg, s, _FINAL)[1:]
-
+    bound = _bound or _headline_logs(cfg)
     if math.isnan(target.log_mag):  # every sign against NaN would read 0
         raise ValueError("target must not be NaN")
     if branch == "big":
@@ -737,22 +746,24 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str) -> float:
 def plateau_interval(cfg: ExperimentConfig, exponent: int = -99) -> Tuple[float, float]:
     """Width interval on which the headline bound stays below 10**exponent."""
     target = ten_pow(exponent, "down")
+    bound = _headline_logs(cfg)  # the two searches meet at 1e-7
     return (
-        threshold_sigma(cfg, target, "small"),
-        threshold_sigma(cfg, target, "big"),
+        threshold_sigma(cfg, target, "small", _bound=bound),
+        threshold_sigma(cfg, target, "big", _bound=bound),
     )
 
 
-def size_table(cfg: ExperimentConfig, branch: str, targets: Iterable[int] = range(1, 11)):
+def size_table(cfg: ExperimentConfig, branch: str, targets: Iterable[float] = range(1, 11)):
     """Rows (target exponent, sigma/r1) for the requested branch."""
+    bound = _headline_logs(cfg)  # every width once for the whole table
     rows = []
     for k in targets:
-        s = threshold_sigma(cfg, ten_pow(-k), branch)
+        s = threshold_sigma(cfg, ten_pow(-k), branch, _bound=bound)
         rows.append((k, s / cfg.r1))
     return rows
 
 
-def angle_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
+def angle_table(cfg: ExperimentConfig, targets: Iterable[float] = range(1, 11)):
     """Opening angle (degrees) at the small-branch threshold widths."""
     rows = []
     for k, ratio in size_table(cfg, "small", targets):
@@ -762,7 +773,7 @@ def angle_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
     return rows
 
 
-def radius_table(cfg: ExperimentConfig, targets: Iterable[int] = range(1, 11)):
+def radius_table(cfg: ExperimentConfig, targets: Iterable[float] = range(1, 11)):
     """99%-mass packet radius over hole radius at big-branch thresholds."""
     rows = []
     for k, ratio in size_table(cfg, "big", targets):

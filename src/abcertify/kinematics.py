@@ -94,19 +94,19 @@ def weighted_window(
 # ----------------------------------------------------------------------
 
 
-def _crossing_closed_form(omega_inv, smv, sigma, zeta):
+def _crossing_closed_form(omega_inv, smv, s2, zeta):
     """Root of (z - zeta) * rho(sigma, z) = omega_inv (an array).
 
-    (A zeta + smv omega_inv sqrt(sigma^2 D + zeta^2)) / D with A = smv^2
-    and D = A - omega_inv^2, each step the float :func:`z_crossing`
-    computes; from the square root on, the steps run in place in the
-    result's buffer.
+    (A zeta + smv omega_inv sqrt(s2 D + zeta^2)) / D with smv = sigma mv,
+    s2 = sigma^2, A = smv^2 and D = A - omega_inv^2, each step the float
+    :func:`z_crossing` computes; from the square root on, the steps run
+    in place in the result's buffer.
     """
     A = smv * smv
     D = A - omega_inv * omega_inv
     if not (D > 0.0).all():  # (sigma*mv)^2 underflowed somewhere
         raise ValueError("thresholds too close to sigma*mv: (sigma*mv)^2 underflowed")
-    z = sigma * sigma * D + zeta * zeta
+    z = s2 * D + zeta * zeta
     np.sqrt(z, out=z)
     z *= smv * omega_inv
     z += A * zeta
@@ -139,8 +139,9 @@ def z_crossing(
     D = A - omega_inv * omega_inv
     if not D > 0.0:  # (sigma*mv)^2 underflowed
         raise ValueError(f"omega_inv={omega_inv!r} too close to sigma*mv={smv!r}")
-    z = (A * zeta + smv * omega_inv * math.sqrt(sigma * sigma * D + zeta * zeta)) / D
-    s2mv = sigma * sigma * mv
+    s2 = sigma * sigma
+    z = (A * zeta + smv * omega_inv * math.sqrt(s2 * D + zeta * zeta)) / D
+    s2mv = s2 * mv
     den2 = s2mv * s2mv + z * z
     r = smv / math.sqrt(den2)
     f0 = (z - zeta) * r - omega_inv
@@ -152,16 +153,16 @@ def z_crossing(
     return float(z1 if abs(f1) <= abs(f0) else z)
 
 
-def _newton_polish(z, omega_inv, sigma, mv, zeta):
+def _newton_polish(z, omega_inv, smv, s2, mv, zeta):
     """One Newton step on F(z) = (z - zeta) rho(z) - omega_inv (on arrays).
 
     The operations of :func:`z_crossing`'s step, in its order, written
     into four buffers of z's shape (out= and in place): each value is
-    the float the scalar solver computes.  ``z`` and the inputs are not
-    modified.
+    the float the scalar solver computes.  ``smv`` and ``s2`` are the
+    widths' sigma mv and sigma^2, shared with the closed form.  ``z``
+    and the inputs are not modified.
     """
-    smv = sigma * mv
-    s2mv = sigma * sigma * mv
+    s2mv = s2 * mv
     q = s2mv * s2mv
     dz = z - zeta
     den2 = z * z
@@ -201,8 +202,9 @@ def z_crossing_vec(omega_inv, sigma, mv: float, zeta) -> np.ndarray:
     smv = sigma * mv
     if not ((0.0 < omega_inv) & (omega_inv < smv)).all():
         raise ValueError("thresholds must lie strictly inside (0, sigma*mv)")
-    z0 = _crossing_closed_form(omega_inv, smv, sigma, zeta)
-    return _newton_polish(z0, omega_inv, sigma, mv, zeta)
+    s2 = sigma * sigma
+    z0 = _crossing_closed_form(omega_inv, smv, s2, zeta)
+    return _newton_polish(z0, omega_inv, smv, s2, mv, zeta)
 
 
 def z_of_sigma(sigma, cfg: ExperimentConfig):

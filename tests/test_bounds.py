@@ -634,10 +634,27 @@ def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch, bound_call
 
 def test_threshold_search_call_budget(bound_calls):
     # the 288 bisections of the golden threshold outputs; evaluating
-    # every step of the walk (with its early exit) takes 15,789 calls
+    # every step of the walk (with its early exit) takes 15,789 calls;
+    # each table and plateau evaluates a width once
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
         _threshold_outputs(get_config(magnet, beam))
-    assert len(bound_calls) == 2199
+    assert len(bound_calls) == 1595
+
+
+def test_table_evaluates_each_width_once(any_cfg, bound_calls):
+    # the searches of one table or plateau share their evaluations: no
+    # width twice, and each bracket end exactly once
+    big, small = (1e-7, 0.999 * any_cfg.r1), (1e-12, 1e-7)
+    tables = [
+        (lambda: size_table(any_cfg, "big", _TABLE_TARGETS), big),
+        (lambda: size_table(any_cfg, "small", _TABLE_TARGETS), small),
+        (lambda: plateau_interval(any_cfg), big + small),
+    ]
+    for run, ends in tables:
+        bound_calls.clear()
+        run()
+        assert len(bound_calls) == len(set(bound_calls))
+        assert set(ends) <= set(bound_calls)
 
 
 def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
