@@ -160,6 +160,11 @@ def _calibrated(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
     return (incoming, interacting, outgoing)
 
 
+def _coefficients(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
+    """``_calibrated(cfg)``, kept on the config like a ``cached_property``: later reads hash nothing."""
+    return cfg.__dict__.get("_calibrated") or cfg.__dict__.setdefault("_calibrated", _calibrated(cfg))
+
+
 def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...]]:
     """Signed coefficient vectors over POWERS for the three base regimes.
 
@@ -167,7 +172,7 @@ def calibrated_coefficients(cfg: ExperimentConfig) -> Dict[str, Tuple[float, ...
     fattening (= the ring half-thickness), which dominates every width,
     so one vector serves the whole sweep range.  The vectors are
     computed once per config; each call returns a new dict (hot paths
-    index the cached ``_calibrated(cfg)`` tuple by family instead).
+    index the tuple of ``_coefficients(cfg)`` by family instead).
     """
     return dict(zip(_FAMILIES, _calibrated(cfg)))
 
@@ -255,7 +260,7 @@ def envelope_sides(
     elif family == "outgoing":
         lhs = add_up(lhs, ring_tail(cfg, sigma, 0.0, z).log_mag)
 
-    coeffs = _calibrated(cfg)[_FAMILY_INDEX[family]]
+    coeffs = _coefficients(cfg)[_FAMILY_INDEX[family]]
     rhs = add_down(
         mul_down(exp_neg_log(cfg.rate_exponent(sigma)), f64_down(_poly_nonneg(coeffs, sigma))),
         _LOG_ENVELOPE_SLACK,
@@ -419,7 +424,7 @@ def pair_allowance(cfg: ExperimentConfig, mu1: float, mu2: float) -> Tuple[float
     with the down-rounded ``xreal`` steps; the ``exp_neg_log``
     arguments and P(mu2) are plain floats, taken as exact.
     """
-    coeffs = _calibrated(cfg)
+    coeffs = _coefficients(cfg)
     r1 = cfg.r1
     size = mul_down(_LOG_ALLOWANCE_SIZE_DOWN, exp_neg_log(r1 * r1 / (2.0 * mu1 * mu1)))
     rate2 = exp_neg_log(cfg.rate_exponent(mu2))
@@ -499,7 +504,7 @@ def _bound_logs(
     """
     coeffs, size_factor, offset, additive, scale = row
     if isinstance(coeffs, str):
-        coeffs = _calibrated(cfg)[_FAMILY_INDEX[coeffs]]
+        coeffs = _coefficients(cfg)[_FAMILY_INDEX[coeffs]]
     poly = calibrated_poly(coeffs, sigma)
     p = max(0.0, poly)
     r1 = cfg.r1

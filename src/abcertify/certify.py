@@ -39,17 +39,18 @@ left-hand side larger, never invalid.
   orders below every right-hand side -- the window keeps no nodes,
   nothing is solved or folded, and ``grid_majorant`` returns the kept
   value.
-* Truncation: a window builds its grid on a prefix of its nodes (the
-  first 128; while the stop test does not fire, twice as many, built
-  again in the next pass), and the grid ends at the first node Z_J
-  whose remaining cell [x_J, z_cap], bounded by (z_cap - x_J)
-  e^{-Z_J^2/2} times the weight's sup at z_cap, is below 2^-60 of the
-  sum of the cells up to x_J.  A window keeps no state from one prefix
-  to the next.  The fold then sums those cells plus that last cell,
-  computed with the same upward rounding as every other cell.  The stop
-  test is a plain float heuristic: it decides where the grid ends, never
-  what is summed.  Against the full grid the bound can grow by at most
-  the last cell, under 2^-60 of it.
+* Truncation: the grid ends at the first node Z_J whose remaining cell
+  [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the
+  weight's sup at z_cap, is below 2^-60 of the sum of the cells up to
+  x_J; the fold sums those cells plus that last cell, with the same
+  upward rounding, so the bound exceeds the full grid's by under 2^-60
+  of it.  A window is built on its nodes up to where that stop test is
+  predicted to fire (Z^2/2 past lo^2/2 by 60 ln 2, the hole weight's
+  rise (r1^2/2)(rho(s)^2 - rho(z_cap)^2) and 8), then on twice as many
+  while it does not.  It keeps no state from one prefix to the next,
+  so any prefix gives the same floats: the test and the prediction are
+  float heuristics that decide how far the grid is built, never what
+  is summed.
 * A width's node range (the union of its windows') larger than
   ``NODE_CAP`` nodes is thinned by a uniform stride.  The cap is a
   fixed input guard: it bounds the nodes solved for any user
@@ -64,8 +65,8 @@ crossings are the same floats.  A window's node range ends below
 sigma*mv, where no crossing exists, so every laid-out node has one.
 ``_build_windows`` grows that lattice pass by pass: the first pass
 solves every window's first prefix in one ``z_crossing_vec`` call, and
-each later pass solves, in one more call, only the nodes that the
-doubled prefixes of the windows that did not stop reach past it.  Each
+a later pass (only after a stop predicted too early) solves, in one
+more call, the nodes that the doubled prefixes reach past it.  Each
 window slices its own n-range and clips it to its own [s, z_cap].  A
 window keeps its cells' geometry, so b6 on the b4 grid takes its cells
 from the arrays the b4 pass built.
@@ -110,10 +111,11 @@ _FLOOR_LOG = _FLOOR_LOG10 * math.log(10.0)
 NODE_CAP = 30_000
 
 # a grid built for one majorant kind ends at the first node whose
-# remaining cell is below 2^-60 of the running sum; it is built on a
-# prefix of this many nodes, doubled until the stop test fires
+# remaining cell is below 2^-60 of the running sum; its first prefix runs
+# this margin (a log) past the predicted stop, over _MIN_PREFIX nodes at least
 _STOP_LOG = -60.0 * math.log(2.0)
-_FIRST_CHUNK = 128
+_STOP_MARGIN = 8.0
+_MIN_PREFIX = 16
 
 # the per-pair constants (prefactors, pi^1/4), as upward-rounded log
 # magnitudes, lifted once
@@ -167,16 +169,16 @@ class majorant_window:
     cells: Optional[np.ndarray] = None
 
 
-def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
     """A window before any node is solved, and its node range n_start..n_end.
 
+    ``rho_s`` and ``rho_cap`` are ``kinematics.rho`` at s and z_cap.
     None for an empty interval; the range is None when the window keeps
     no nodes (floored, degenerate, or no grid node inside it).
     """
     if z_cap <= s:
         return None, None
-    lo = (s - zeta) * rho(sigma, mv, s)
-    rho_cap = rho(sigma, mv, z_cap)
+    lo = (s - zeta) * rho_s
     hi = (z_cap - zeta) * rho_cap
     win = majorant_window(sigma, mv, s, z_cap, lo, hi, rho_cap, r1, kind, _EMPTY, _EMPTY)
     win.one_cell = _one_cell(win, kind)  # the floor test's value, kept for grid_majorant
@@ -205,19 +207,19 @@ def _layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     return win, ((n_start, n_end) if n_end >= n_start else None)
 
 
-def _build_windows(sigma, mv, zeta, delta0, spans, r1):
+def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at):
     """The windows (s, z_cap, kind) of one width at r1, in order; None for an empty one.
 
-    Their nodes are slices of one lattice Z_k = sqrt((n0 + stride k)
-    delta0) over the union of their node ranges, grown pass by pass.  A
-    pass solves, in one ``z_crossing_vec`` call, the lattice nodes that
-    its windows' prefixes reach and the earlier passes did not, and
-    builds each window on its prefix.  A window starts on its first
-    ``_FIRST_CHUNK`` nodes and goes on to the next pass, its prefix
-    doubled, until its stop test fires or it has all its nodes (see the
-    module docstring).
+    ``rho_at`` maps each window end to the width's ``kinematics.rho``
+    there.  The windows' nodes are slices of one lattice Z_k =
+    sqrt((n0 + stride k) delta0) over the union of their node ranges,
+    grown pass by pass.  A pass solves, in one ``z_crossing_vec`` call,
+    the lattice nodes that its windows' prefixes reach and the earlier
+    passes did not, and builds each window on its prefix: first up to
+    its predicted stop, then on twice as many until its test fires or it ends.
     """
-    laid = [_layout_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind) for s, z_cap, kind in spans]
+    laid = [_layout_window(sigma, mv, zeta, s, z, rho_at[s], rho_at[z], delta0, r1, kind)
+            for s, z, kind in spans]
     ranged = [(win, n) for win, n in laid if n is not None]
     if not ranged:
         return [win for win, _ in laid]
@@ -228,7 +230,12 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1):
         k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
         k_end = (n_end - n0) // stride + 1
         if k_first < k_end:  # else the stride skips the whole window
-            plans.append((win, k_first, min(k_end, k_first + _FIRST_CHUNK), k_end))
+            # the predicted stop (module docstring), clamped as a float to the node range
+            rs, rc = rho_at[win.s], win.rho_cap
+            rise = _STOP_MARGIN - _STOP_LOG + (r1 * r1 / 2.0) * (rs * rs - rc * rc)
+            n_stop = math.ceil(max(min(float(n_end), (win.lo * win.lo + 2.0 * rise) / delta0), n_start))
+            k1 = max(k_first + _MIN_PREFIX, (n_stop - n0 - 1) // stride + 2)  # past node n_stop
+            plans.append((win, k_first, min(k_end, k1), k_end))
     nodes = x = decays = _EMPTY
     while plans:
         k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
@@ -504,17 +511,19 @@ def check_pair(
             -math.inf, False, note=str(exc),
         )
 
-    # rho of both widths at the three window ends, each computed once
-    rho_z2 = [rho(m, mv, z2) for m in (mu1, mu2)]
-    rho_z23 = [rho(m, mv, z23) for m in (mu1, mu2)]
-    rho_cap = [rho(m, mv, z_cap) for m in (mu1, mu2)]
+    # rho of the three widths at the three window ends, each computed once
+    rho_at = {}
+    for m in (mu1, mu2, mu3):
+        rho_at[m] = {z2: rho(m, mv, z2), z23: rho(m, mv, z23), z_cap: rho(m, mv, z_cap)}
+    at1, at2 = rho_at[mu1], rho_at[mu2]
+    rho_z2, rho_z23, rho_cap = [at1[z2], at2[z2]], [at1[z23], at2[z23]], [at1[z_cap], at2[z_cap]]
 
     if z_cap < z23:
         flags.append("!window_order")
     for i, r in enumerate(rho_z2):
         if r1 * r < 1.0:
             flags.append(f"!hole_at_start_mu{i + 1}")
-    for i, r in enumerate(rho_cap + [rho(mu3, mv, z_cap)]):
+    for i, r in enumerate(rho_cap + [rho_at[mu3][z_cap]]):
         if not r1 * r > 1.0:
             flags.append(f"!hole_at_cap_mu{i + 1}")
 
@@ -532,8 +541,9 @@ def check_pair(
     spans = [(z2, z_cap, "b4"), (z23, z_cap, "b5")]
     if b6_end < z_cap:
         spans += [(z2, b6_end, "b6"), (b6_end, z_cap, "b3")]
+        rho_at[nu][b6_end], rho_at[mu3][b6_end] = rho(nu, mv, b6_end), rho(mu3, mv, b6_end)
     for m in (nu, mu3):
-        win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1)
+        win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1, rho_at[m])
         int_b4 = add_up(int_b4, grid_majorant(win4, "b4"))
         if not cut:
             # the b4 grid also serves b6: its extra r1*rho factor is

@@ -74,8 +74,10 @@ def decimal_calls(monkeypatch):
 def build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
     """One window of ``certify._build_windows``: a batch of one span."""
     from abcertify import certify
+    from abcertify.kinematics import rho
 
-    return certify._build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1)[0]
+    rho_at = {z: rho(sigma, mv, z) for z in (s, z_cap)}
+    return certify._build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1, rho_at)[0]
 
 
 def build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):

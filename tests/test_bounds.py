@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 from dataclasses import replace
@@ -34,7 +35,7 @@ from abcertify.bounds import (
     ten_pow,
     threshold_sigma,
 )
-from abcertify.config import BEAMS, MAGNETS, get_config
+from abcertify.config import BEAMS, MAGNETS, apply_overrides, get_config
 from abcertify.fields import norm_bundle, ring_tail
 from abcertify.kinematics import z_of_sigma
 from abcertify.partition import SET_NAMES, sweep_pairs
@@ -140,6 +141,37 @@ def test_calibrated_coefficients_cached_per_config(cfg, monkeypatch):
     assert len(calls) == 1
     assert calibrated_coefficients(replace(cfg, eps_scale=2.0)) != first
     assert len(calls) == 2
+
+
+def test_pair_allowance_reads_coefficients_kept_on_the_config(monkeypatch):
+    # pair_allowance reads the calibrated vectors kept on its config, not
+    # the lru_cache keyed by the config's hash; a changed config
+    # (apply_overrides, replace) keeps its own, and a pickled one (as
+    # --jobs workers receive it) carries the same values
+    base = get_config("k2", "e1")
+    mu1, mu2 = 3e-10, 3.03e-10  # near sigma_min, where the calibrated term counts
+    want = bounds.pair_allowance(base, mu1, mu2)
+    changed = (
+        apply_overrides(base, {"magnet.h_tilde": "2e-6"}),
+        apply_overrides(base, {"beam.mv": "2.5e10"}),
+        replace(base, eps_scale=2.0),
+    )
+    fresh = [bounds.pair_allowance(c, mu1, mu2) for c in changed]
+    copy = pickle.loads(pickle.dumps(base))
+    assert bounds._coefficients(copy) == bounds._calibrated(base)
+
+    def no_hash(cfg):
+        raise AssertionError("config hashed for its coefficients")
+
+    monkeypatch.setattr(bounds, "_calibrated", no_hash)
+    assert bounds.pair_allowance(base, mu1, mu2) == want
+    assert bounds.pair_allowance(copy, mu1, mu2) == want
+    for c, got in zip(changed, fresh):
+        assert got != want
+        assert bounds.pair_allowance(c, mu1, mu2) == got
+    # a new config computes its own vectors
+    with pytest.raises(AssertionError, match="hashed"):
+        bounds.pair_allowance(replace(base, eps_scale=3.0), mu1, mu2)
 
 
 def test_coefficient_structure(cfg):

@@ -282,10 +282,20 @@ def _first_stop(full, r1, kind):
     return full.nodes.size
 
 
+def _short_first_prefix(monkeypatch, nodes=None):
+    """Start every window on its first ``_MIN_PREFIX`` nodes (or ``nodes``),
+    whatever its predicted stop, so a window whose stop test does not
+    fire there takes the doubling passes."""
+    monkeypatch.setattr(certify, "_STOP_MARGIN", -math.inf)
+    if nodes is not None:
+        monkeypatch.setattr(certify, "_MIN_PREFIX", nodes)
+
+
 @pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
-def test_truncated_majorant_matches_full_grid(kind):
+def test_truncated_majorant_matches_full_grid(kind, monkeypatch):
     stopped = rebuilt = 0
     windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
+    _short_first_prefix(monkeypatch)
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
         cut = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
@@ -303,7 +313,7 @@ def test_truncated_majorant_matches_full_grid(kind):
             last = [z_cap - cut.x[-1], node * node / 2.0, certify._rho_np(sigma, mv, z_cap), cut.hi]
             assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
         stopped += J < full.nodes.size
-        rebuilt += J > certify._FIRST_CHUNK  # built again in a later pass, on a doubled prefix
+        rebuilt += J > certify._MIN_PREFIX  # built again in a later pass, on a doubled prefix
         lm_full = grid_majorant(full, kind)
         lm_cut = grid_majorant(cut, kind)
         assert abs(lm_cut - lm_full) <= 1e-12, (kind, sigma, mv, zeta, s, z_cap)
@@ -443,6 +453,7 @@ def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
 
     monkeypatch.setattr(certify, "_solve_window", solving)
     monkeypatch.setattr(certify, "_cell_logs", counting)
+    _short_first_prefix(monkeypatch)
     passes = 0
     for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
         calls.clear()
@@ -646,9 +657,9 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     windows = []  # (sigma, s, z_cap, kind) of every window built
     build = certify._build_windows
 
-    def recording(sigma, mv, zeta, delta0, spans, r1):
+    def recording(sigma, mv, zeta, delta0, spans, r1, rho_at):
         windows.extend((sigma, s, z_cap, kind) for s, z_cap, kind in spans)
-        return build(sigma, mv, zeta, delta0, spans, r1)
+        return build(sigma, mv, zeta, delta0, spans, r1, rho_at)
 
     monkeypatch.setattr(certify, "_build_windows", recording)
     base = check_pair(cfg, *job)
@@ -682,8 +693,8 @@ def _pair_windows(cfg, job, delta0, monkeypatch):
     built = []
     build = certify._build_windows
 
-    def recording(sigma, mv, zeta, d0, spans, r1):
-        wins = build(sigma, mv, zeta, d0, spans, r1)
+    def recording(sigma, mv, zeta, d0, spans, r1, rho_at):
+        wins = build(sigma, mv, zeta, d0, spans, r1, rho_at)
         built.append(((sigma, mv, zeta, d0, r1), spans, wins))
         return wins
 
@@ -719,16 +730,20 @@ def _check_shared_windows(cfg, job, delta0, monkeypatch):
 def test_shared_lattice_windows_match_standalone(cfg, monkeypatch):
     # the first, last and worst pair of every set, at both grid steps:
     # each window cut from a width's shared lattice is, bit for bit
-    # (nodes, distances, grid, cells), the window built on its own
+    # (nodes, distances, grid, cells), the window built on its own; then
+    # again on short first prefixes, so the lattice grows pass by pass
     worst = {name: index for name, index, _ in PARENT_WORST_PAIRS}
-    most = 0
-    for name in SET_NAMES:
-        jobs = sweep_pairs(cfg, [name])
-        for i in sorted({0, len(jobs) - 1, worst[name]}):
-            for delta0 in (1.0, 0.1):
-                most = max(most, _check_shared_windows(cfg, jobs[i], delta0, monkeypatch)[0])
-    # sigma11's windows run past the first prefix and take a later pass
-    assert most > certify._FIRST_CHUNK
+    for short in (False, True):
+        if short:
+            _short_first_prefix(monkeypatch)
+        most = 0
+        for name in SET_NAMES:
+            jobs = sweep_pairs(cfg, [name])
+            for i in sorted({0, len(jobs) - 1, worst[name]}):
+                for delta0 in (1.0, 0.1):
+                    most = max(most, _check_shared_windows(cfg, jobs[i], delta0, monkeypatch)[0])
+    # windows run past the short first prefix and take a later pass
+    assert most > certify._MIN_PREFIX
 
 
 def test_shared_lattice_with_pair_scale_cut(cfg, monkeypatch):
@@ -768,9 +783,9 @@ def test_one_crossing_solve_per_width(cfg, monkeypatch):
 
 def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
     # sigma6's first pair at delta0 = 0.1: its b4 and b5 windows span
-    # ~20,000 nodes each and stop after ~900, so the doubling prefixes
-    # solve ~1,000 crossings; solving a window's whole grid once its
-    # first prefix did not stop would solve ~20,000
+    # ~20,000 nodes each and stop after ~900, so the prefixes up to the
+    # predicted stop solve ~1,000 crossings; solving a window's whole
+    # grid would solve ~20,000
     solved = []
     solve = certify.z_crossing_vec
 
@@ -784,10 +799,11 @@ def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
     long = 0
     for (sigma, mv, zeta, d0, r1), spans, wins in built:
         for (s, z_cap, kind), win in zip(spans, wins):
-            _, n = certify._layout_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
+            rho_s, rho_cap = rho(sigma, mv, s), rho(sigma, mv, z_cap)
+            _, n = certify._layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, d0, r1, kind)
             if n is not None and n[1] - n[0] + 1 > 19_000:
                 long += 1
-                assert certify._FIRST_CHUNK < win.nodes.size < 2048
+                assert 128 < win.nodes.size < 2048
     assert long == 2
 
 
@@ -820,8 +836,92 @@ def test_sigma_mv_edge_windows_match_golden_digest():
             lines.append(" | ".join(bits))
             ends.append(win.nodes.size)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_EDGE_SHA256
-    # the fine grid runs through several doubled prefixes up to the edge
+    # the full grids run up to the edge below sigma*mv
     assert ends[::4] == [98, 3300, 43, 0]
+
+
+# first prefixes forced on every window, as (_STOP_MARGIN, _MIN_PREFIX):
+# one node, 16 nodes, the predicted stop, and the whole node range
+_FORCED_PREFIXES = (
+    (-math.inf, 1),
+    (-math.inf, 16),
+    (certify._STOP_MARGIN, certify._MIN_PREFIX),
+    (math.inf, 1),
+)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_window_bits_do_not_depend_on_the_first_prefix(kind, monkeypatch):
+    # a window keeps no state from one prefix to the next, and its stop
+    # test runs at every node up to where it fires: whatever its first
+    # prefix, it ends on the same node with the same floats
+    windows = _random_window_tuples(40, 711) + _long_window_tuples(20, 712)
+    windows += [(*w, 2.0) for w in _EDGE_WINDOWS]
+    solve = certify._solve_window
+    bits, passes = [], []
+    for margin, least in _FORCED_PREFIXES:
+        monkeypatch.setattr(certify, "_STOP_MARGIN", margin)
+        monkeypatch.setattr(certify, "_MIN_PREFIX", least)
+        calls = []
+        monkeypatch.setattr(certify, "_solve_window", lambda *a: calls.append(1) or solve(*a))
+        wins = [build_window(*w, kind) for w in windows]
+        bits.append(
+            [_window_bits(w) + [float.hex(grid_majorant(w, k)) for k in ("b3", "b4", "b5", "b6")] for w in wins]
+        )
+        passes.append(len(calls))
+    assert bits[1:] == bits[:-1]
+    # the one-node prefixes double many times, the whole range takes one
+    # pass a window
+    with_nodes = sum(w is not None and w.nodes.size > 0 for w in wins)
+    assert passes[0] > passes[1] > passes[3] == with_nodes
+
+
+def test_every_node_window_takes_one_pass(cfg, monkeypatch):
+    # the first prefix reaches the node where the stop test fires, or the
+    # window's last node: on the first, last and worst pair of every set
+    # at both grid steps, and on sigma6's first pair at delta0 = 0.01,
+    # each node window is solved in one pass and each width's lattice in
+    # one z_crossing_vec call
+    solved, crossed = [], []
+    solve, crossings = certify._solve_window, certify.z_crossing_vec
+    monkeypatch.setattr(certify, "_solve_window", lambda win, *a: solved.append(win) or solve(win, *a))
+    monkeypatch.setattr(
+        certify, "z_crossing_vec", lambda om, sigma, *a: crossed.append(sigma) or crossings(om, sigma, *a)
+    )
+    worst = {name: index for name, index, _ in PARENT_WORST_PAIRS}
+    cases = [(sweep_pairs(cfg, ["sigma6"])[0], 0.01)]
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        cases += [(jobs[i], d0) for i in sorted({0, len(jobs) - 1, worst[name]}) for d0 in (None, 0.1)]
+    windows = 0
+    for job, delta0 in cases:
+        solved.clear()
+        crossed.clear()
+        built = _pair_windows(cfg, job, delta0, monkeypatch)
+        per_width = [[w for w in wins if w is not None and w.nodes.size] for _, _, wins in built]
+        assert [id(w) for w in solved] == [id(w) for wins in per_width for w in wins], (job, delta0)
+        assert crossed == [args[0] for (args, _, _), wins in zip(built, per_width) if wins]
+        windows += len(solved)
+    assert windows >= 50
+
+
+def test_predicted_prefix_clamps_overflow_to_the_node_range():
+    # the predicted stop is clamped to the node range before it becomes
+    # an integer: the hole-weight term over delta0 overflows here (while
+    # hi^2 / delta0 does not), so the window takes its whole strided range
+    sigma, mv, zeta, s, z_cap, r1, delta0 = 1.0, 1.0, 0.1, 0.2, 1e4, 1e5, 1e-300
+    rho_s = rho(sigma, mv, s)
+    assert (r1 * r1 / 2.0) * rho_s * rho_s * 2.0 / delta0 == math.inf
+    win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, "b4")
+    assert math.isfinite(win.hi * win.hi / delta0)
+    assert 0 < win.nodes.size <= certify.NODE_CAP
+    assert math.isfinite(grid_majorant(win, "b4"))
+    # a grid step coarser than the window: no node, the one cell
+    coarse = build_window(sigma, mv, zeta, s, z_cap, 1e3, r1, "b4")
+    assert coarse.nodes.size == 0 and grid_majorant(coarse, "b4") == coarse.one_cell
+    cfg = get_config("k2", "e1")
+    res = check_pair(cfg, *sweep_pairs(cfg, ["sigma6"])[0], delta0=1e3)
+    assert res.flags == "ok" and math.isfinite(res.margin_log10)
 
 
 def test_window_between_strided_nodes_keeps_none(monkeypatch):
@@ -833,7 +933,8 @@ def test_window_between_strided_nodes_keeps_none(monkeypatch):
         (z_crossing(0.2, sigma, mv, zeta), z_crossing(20.0, sigma, mv, zeta), "b4"),
         (z_crossing(5.0, sigma, mv, zeta), z_crossing(5.01, sigma, mv, zeta), "b4"),
     ]
-    wide, narrow = certify._build_windows(sigma, mv, zeta, delta0, spans, 2.0)
+    rho_at = {z: rho(sigma, mv, z) for span in spans for z in span[:2]}
+    wide, narrow = certify._build_windows(sigma, mv, zeta, delta0, spans, 2.0, rho_at)
     assert 0 < wide.nodes.size <= 50
     assert narrow.nodes.size == 0 and narrow.grid is None
     rho_cap = rho(sigma, mv, narrow.z_cap)
