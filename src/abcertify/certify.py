@@ -101,10 +101,14 @@ __all__ = [
 ]
 
 _INF = math.inf
+_LN10 = math.log(10.0)
+# the window-end thresholds of check_pair (z2, z23)
+_RT2_INV = 1.0 / math.sqrt(2.0)
+_SQRT_1_5 = math.sqrt(1.5)
 
 # one-cell majorants below this (log10) skip the fine grid
 _FLOOR_LOG10 = -500.0
-_FLOOR_LOG = _FLOOR_LOG10 * math.log(10.0)
+_FLOOR_LOG = _FLOOR_LOG10 * _LN10
 
 # grid nodes solved per window, at most (a uniform stride thins larger
 # grids)
@@ -121,7 +125,7 @@ _MIN_PREFIX = 16
 # magnitudes, lifted once
 _LOG_PI4_RT2 = f64_up(_PI4 / math.sqrt(2.0))
 _PREFACTOR = dict(
-    b3=_LOG_PI4_RT2, b4=_LOG_PI4_RT2, b5=f64_up(1.0 / math.sqrt(2.0)), b6=_LOG_PI4_RT2
+    b3=_LOG_PI4_RT2, b4=_LOG_PI4_RT2, b5=f64_up(_RT2_INV), b6=_LOG_PI4_RT2
 )
 _LOG_PI4 = f64_up(_PI4)
 _LOG_EXP_NEG_HALF = exp_neg_log(0.5)
@@ -143,7 +147,8 @@ class majorant_window:
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, lo/hi the induced window in the rescaled
     variable and ``rho_cap`` the inverse width at z_cap
-    (``kinematics.rho``).  A window is built for one majorant ``kind``
+    (``kinematics.rho``): the one cell, the grid's last cell and the
+    stop test all take it.  A window is built for one majorant ``kind``
     at the pair's ``r1``.  It keeps the log of that kind's one-cell
     majorant (the floor test's value) and, when it has nodes, the logs
     of its cells (the stop test's values), so ``grid_majorant``
@@ -193,17 +198,17 @@ def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
     # so each has a crossing: the first loop stops at sqrt(n delta0) >= lo
     # or at n delta0 >= lo*lo, and then too sqrt(n delta0) >= sqrt(lo*lo)
     # == lo (binary64, correctly rounded); so a window's nodes are a
-    # plain slice of its width's lattice
+    # plain slice of its width's lattice.  A correction steps to the next
+    # float index (by 1 below 2^53), so n * delta0 moves and it ends.
     n_start = math.ceil(lo * lo / delta0)
     while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
-        n_start += 1
-    if n_start < 1:
-        n_start = 1
+        n_start = math.ceil(math.nextafter(n_start, _INF))
+    n_start = max(n_start, 1)
     smv = sigma * mv
     top = min(hi, smv)
     n_end = math.floor(top * top / delta0)
     while n_end >= n_start and not (math.sqrt(n_end * delta0) <= hi and math.sqrt(n_end * delta0) < smv):
-        n_end -= 1
+        n_end = math.floor(math.nextafter(n_end, 0.0))
     return win, ((n_start, n_end) if n_end >= n_start else None)
 
 
@@ -224,7 +229,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at):
     if not ranged:
         return [win for win, _ in laid]
     n0 = min(n[0] for _, n in ranged)
-    stride = max(1, math.ceil((max(n[1] for _, n in ranged) - n0 + 1) / NODE_CAP))
+    stride = max(1, -(-(max(n[1] for _, n in ranged) - n0 + 1) // NODE_CAP))
     plans = []  # (window, its first lattice index, its prefix's end, its end)
     for win, (n_start, n_end) in ranged:
         k_first = -((n0 - n_start) // stride)  # ceil((n_start - n0) / stride)
@@ -269,9 +274,8 @@ def _solve_window(win, nodes, x, decays):
     the grid and cells of its latest build, and no state from an
     earlier one: a doubled prefix recomputes the same floats.
     """
-    s, z_cap, hi = win.s, win.z_cap, win.hi
+    s, z_cap, hi, rho_cap = win.s, win.z_cap, win.hi, win.rho_cap
     smv, s2mv = win.sigma * win.mv, win.sigma * win.sigma * win.mv
-    rho_cap = _rho_np(win.sigma, win.mv, z_cap)
     n = nodes.size
     buf = np.empty((5, 2, n + 1))
     xe, gaps, decay, rho_right, w_right = buf[:, 0]
@@ -303,11 +307,6 @@ def _solve_window(win, nodes, x, decays):
     win.nodes, win.x, win.grid = w_right[:end], xe[1 : end + 1], buf[1:, 0, : end + 1]
     win.cells = cells[: end + 1]
     return stopped
-
-
-def _rho_np(sigma: float, mv: float, z):
-    """``kinematics.rho`` with np.hypot, which can differ from math.hypot by an ulp."""
-    return sigma * mv / np.hypot(sigma * sigma * mv, z)
 
 
 def _cell_logs(gaps, decay, rho_right, w_right, r1, kind):
@@ -359,7 +358,6 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
 
 def _one_cell(win: majorant_window, kind: str) -> float:
     """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included."""
-    # rho_cap is math.hypot's, unlike the grid cells
     L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, win.rho_cap, win.hi, win.r1, kind)
     return mul_up(L, _PREFACTOR[kind])
 
@@ -497,12 +495,12 @@ def check_pair(
                 z_crossing(omega_inv2, mu2, mv, h2),
             )
         z2 = max(
-            z_crossing(1.0 / math.sqrt(2.0), nu, mv, h2),
-            z_crossing(1.0 / math.sqrt(2.0), mu3, mv, h2),
+            z_crossing(_RT2_INV, nu, mv, h2),
+            z_crossing(_RT2_INV, mu3, mv, h2),
         )
         z23 = max(
-            z_crossing(math.sqrt(1.5), nu, mv, h2),
-            z_crossing(math.sqrt(1.5), mu3, mv, h2),
+            z_crossing(_SQRT_1_5, nu, mv, h2),
+            z_crossing(_SQRT_1_5, mu3, mv, h2),
         )
     except ValueError as exc:
         return PairResult(
@@ -595,7 +593,7 @@ def check_pair(
     def _margin(lhs: float, rhs: float) -> float:
         if lhs == -_INF:
             return math.inf
-        return (rhs - lhs) / math.log(10.0)
+        return (rhs - lhs) / _LN10
 
     margin = min(_margin(lhs1, rhs1), _margin(lhs2, rhs2))
     passed = lhs1 <= rhs1 and lhs2 <= rhs2 and not flags

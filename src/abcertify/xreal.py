@@ -36,14 +36,15 @@ than proves:
   0.76 and 0.51 ulp for ``math.exp``, ``np.exp``, ``math.log1p`` and
   ``math.log``.)
 * The cell ufuncs of the grid majorants are within one ulp of the
-  exact value: ``np.log``, ``np.sqrt`` and ``np.hypot`` in
-  ``certify._cell_formula`` and ``certify._rho_np``, and ``math.hypot``
-  in ``kinematics.rho``.  (Measured against 200-bit mpmath on 200,000
-  samples each over the arguments of the full sweeps of k2/e1 and
-  k1/e3: at most 0.51, 0.50, 0.55 and 0.50 ulp.)  No guard widens a
-  cell for them: each cell's log takes only its one upward step per
-  operation, which does not cover a relative ulp of rho in the b4/b6
-  weight (r1^2/2) rho^2 when that weight is large.
+  exact value: ``np.log`` and ``np.sqrt`` in ``certify._cell_formula``,
+  ``np.hypot`` in ``certify._solve_window`` (rho at interior cell ends)
+  and ``math.hypot`` in ``kinematics.rho`` (rho at window ends, once
+  each, in ``certify.check_pair``).  (Measured against 200-bit mpmath
+  on 200,000 samples each over the arguments of the full sweeps of
+  k2/e1 and k1/e3: at most 0.51, 0.50, 0.55 and 0.50 ulp.)  No guard
+  widens a cell for them: each cell's log takes only its one upward
+  step per operation, which does not cover a relative ulp of rho in
+  the b4/b6 weight (r1^2/2) rho^2 when that weight is large.
 * ``math.fsum`` returns the correctly rounded sum of its floats.
 
 Negative quantities never enter: bounds are nonnegative by

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import random
+import signal
 
 import mpmath
 import numpy as np
@@ -243,6 +244,48 @@ def test_one_cell_keeps_scalar_rho_bits():
         assert got == [float.fromhex(e) for e in expect]
 
 
+def _np_hypot_rho(sigma, mv, z):
+    """rho(sigma, mv, z) with np.hypot, as the interior cell ends take it."""
+    return sigma * mv / np.hypot(sigma * sigma * mv, z)
+
+
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+def test_window_end_takes_one_rho(kind, monkeypatch):
+    # at z_cap the one cell, the grid's last cell and the stop test all
+    # read the window's kept rho_cap, kinematics.rho's float, on windows
+    # with nodes where np.hypot rounds rho(z_cap) to another float
+    sigma, mv, z_cap = 1.5533902904870556, 8.036964034776119, 29.799075183663874
+    example = (sigma, mv, -0.07559900643900136, 2.81675723374046, z_cap, 0.1,
+               1.5 / rho(sigma, mv, z_cap))
+    windows = [example] + _random_window_tuples(3000, 731) + _long_window_tuples(3000, 732)
+    calls = []
+    cells = certify._cell_logs
+
+    def stacked(gaps, decay, rho_right, *args):
+        if np.ndim(gaps) == 2:  # a pass's (2, n + 1) call: row 1 is the stop test's
+            calls.append(np.array(rho_right[1]))
+        return cells(gaps, decay, rho_right, *args)
+
+    monkeypatch.setattr(certify, "_cell_logs", stacked)
+    checked = 0
+    for sigma, mv, zeta, s, z_cap, delta0, r1 in windows:
+        rho_cap = rho(sigma, mv, z_cap)
+        if rho_cap == _np_hypot_rho(sigma, mv, z_cap):
+            continue
+        calls.clear()
+        win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        if win.nodes.size == 0:
+            continue
+        checked += 1
+        assert win.grid[2, -1] == win.rho_cap == rho_cap
+        # each pass's stop test takes its last cells at the kept rho_cap,
+        # and the grid ends where that test fires on the full grid
+        assert calls and all(np.all(row == rho_cap) for row in calls)
+        full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        assert win.nodes.size == _first_stop(full, r1, kind)
+    assert checked >= 30
+
+
 def test_grid_majorant_none_is_zero():
     assert grid_majorant(None, "b3") == -math.inf
 
@@ -272,7 +315,7 @@ def _first_stop(full, r1, kind):
     if full.nodes.size == 0:
         return 0
     cells = certify._cell_logs(*full.grid, r1, kind)
-    rho_cap = certify._rho_np(full.sigma, full.mv, full.z_cap)
+    rho_cap = rho(full.sigma, full.mv, full.z_cap)
     decay = full.nodes * full.nodes / 2.0
     last = certify._cell_logs(full.z_cap - full.x, decay, rho_cap, full.hi, r1, kind)
     running = np.logaddexp.accumulate(cells[:-1])
@@ -310,7 +353,7 @@ def test_truncated_majorant_matches_full_grid(kind, monkeypatch):
             # and the last is [x_J, z_cap] with node J's decay
             assert cut.grid[:, :J].tobytes() == full.grid[:, :J].tobytes()
             node = cut.nodes[-1]
-            last = [z_cap - cut.x[-1], node * node / 2.0, certify._rho_np(sigma, mv, z_cap), cut.hi]
+            last = [z_cap - cut.x[-1], node * node / 2.0, rho(sigma, mv, z_cap), cut.hi]
             assert cut.grid[:, J].tobytes() == np.array(last).tobytes()
         stopped += J < full.nodes.size
         rebuilt += J > certify._MIN_PREFIX  # built again in a later pass, on a doubled prefix
@@ -360,7 +403,7 @@ def _rebuilt_cells(win, r1, kind):
     nodes, x = win.nodes, win.x
     gaps = np.concatenate(([x[0] - win.s], np.diff(x), [win.z_cap - x[-1]]))
     decay = np.concatenate(([win.lo * win.lo / 2.0], nodes * nodes / 2.0))
-    rho_right = certify._rho_np(win.sigma, win.mv, np.append(x, win.z_cap))
+    rho_right = np.append(_np_hypot_rho(win.sigma, win.mv, x), rho(win.sigma, win.mv, win.z_cap))
     return certify._cell_logs(gaps, decay, rho_right, np.append(nodes, win.hi), r1, kind)
 
 
@@ -467,7 +510,8 @@ def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
 # The arguments of the cell ufuncs over every pair of `verify --set all`
 # for k2/e1 and k1/e3, widened a little: the cell widths (np.log), w +
 # sqrt(pi)/2 (np.sqrt, then np.log; b5), r1 rho (np.log; b6), and the
-# legs sigma^2 mv and z of np.hypot (_rho_np) and math.hypot (rho).
+# legs sigma^2 mv and z of np.hypot (interior cell ends) and math.hypot
+# (rho, window ends).
 _CELL_LOG_RANGES = ((4e-22, 4e-3), (1.95, 5026.0))
 _CELL_SQRT_RANGE = (2.1, 3805.0)
 _HYPOT_LEG_RANGES = ((1e-9, 152.0), (2e-6, 4.8e-3))
@@ -922,6 +966,25 @@ def test_predicted_prefix_clamps_overflow_to_the_node_range():
     cfg = get_config("k2", "e1")
     res = check_pair(cfg, *sweep_pairs(cfg, ["sigma6"])[0], delta0=1e3)
     assert res.flags == "ok" and math.isfinite(res.margin_log10)
+
+
+@pytest.mark.parametrize("delta0", [1e-305, 1e-304])
+def test_extreme_delta0_window_ends_within_node_cap(delta0):
+    # past 2^53 a step of 1 no longer moves the float n * delta0: the
+    # node range's corrections step to the next float index and end, and
+    # the stride, an integer ceiling, keeps the window within NODE_CAP
+    def give_up(signum, frame):
+        raise TimeoutError(f"the window at delta0={delta0!r} did not return")
+
+    old = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        win = build_window(1.0, 1.0, 0.1, 0.2, 1e4, delta0, 1e4, "b4")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert 0 < win.nodes.size <= certify.NODE_CAP
+    assert math.isfinite(grid_majorant(win, "b4"))
 
 
 def test_window_between_strided_nodes_keeps_none(monkeypatch):
