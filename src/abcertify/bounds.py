@@ -33,7 +33,9 @@ import numpy as np
 from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
 from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
-from .xreal import XReal, add_down, add_up, exp_neg_log, f64_down, f64_up, mul_down, mul_up
+from .xreal import (
+    XReal, add_down, add_up, exp_neg_log, f64_down, f64_up, mul_down, mul_up, sci_strings,
+)
 
 __all__ = [
     "REGIMES",
@@ -394,12 +396,13 @@ class BoundReport:
     poly_value: float  # signed polynomial before clamping/lifting
 
     def rows(self) -> List[Tuple[str, str]]:
-        return [
-            ("size_term", self.size_term.to_sci_string()),
-            ("spread_term", self.spread_term.to_sci_string()),
-            ("additive", self.additive_term.to_sci_string()),
-            ("total", self.total.to_sci_string()),
-        ]
+        names = ("size_term", "spread_term", "additive", "total")
+        return list(zip(names, sci_strings(self._logs())))
+
+    def _logs(self) -> Tuple[float, float, float, float]:
+        """The log magnitudes of the four reported components, in ``rows`` order."""
+        return (self.size_term.log_mag, self.spread_term.log_mag,
+                self.additive_term.log_mag, self.total.log_mag)
 
 
 # The published allowance 4 e^{-r1^2/2mu1^2} + c e^{-rate(mu2)} P(mu2) +
@@ -796,19 +799,9 @@ def sweep_rows(
         grid = np.linspace(lo, hi, points)
     else:
         raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
-    rows = []
-    for s in grid:
-        rep = final_bound(cfg, float(s))
-        rows.append(
-            (
-                float(s),
-                rep.size_term.to_sci_string(),
-                rep.spread_term.to_sci_string(),
-                rep.additive_term.to_sci_string(),
-                rep.total.to_sci_string(),
-            )
-        )
-    return rows
+    widths = grid.tolist()
+    sci = sci_strings([lm for s in widths for lm in final_bound(cfg, s)._logs()])
+    return list(zip(widths, sci[0::4], sci[1::4], sci[2::4], sci[3::4]))
 
 
 def params_sweep(

@@ -45,12 +45,12 @@ left-hand side larger, never invalid.
   x_J; the fold sums those cells plus that last cell, with the same
   upward rounding, so the bound exceeds the full grid's by under 2^-60
   of it.  A window is built on its nodes up to where that stop test is
-  predicted to fire (Z^2/2 past lo^2/2 by 60 ln 2, the hole weight's
-  rise (r1^2/2)(rho(s)^2 - rho(z_cap)^2) and 8), then on twice as many
-  while it does not.  It keeps no state from one prefix to the next,
-  so any prefix gives the same floats: the test and the prediction are
-  float heuristics that decide how far the grid is built, never what
-  is summed.
+  predicted to fire (Z^2/2 past the window's left decay by 60 ln 2,
+  the hole weight's rise (r1^2/2)(rho(s)^2 - rho(z_cap)^2) and 8), then
+  on twice as many while it does not.  It keeps no state from one
+  prefix to the next, so any prefix gives the same floats: the test and
+  the prediction are float heuristics that decide how far the grid is
+  built, never what is summed.
 * A width's node range (the union of its windows') larger than
   ``NODE_CAP`` nodes is thinned by a uniform stride.  The cap is a
   fixed input guard: it bounds the nodes solved for any user
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -88,13 +89,15 @@ from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
-from .xreal import XReal, add_up, exp_neg_log, f64_up, fold_add_logs, mul_up
+from .xreal import XReal, add_up, exp_neg_log, f64_up, fold_add_logs, mul_up, sci_strings
 
 __all__ = [
     "PairResult",
     "check_pair",
     "sweep",
     "write_csv",
+    "csv_rows",
+    "csv_text",
     "CSV_COLUMNS",
     "grid_majorant",
     "majorant_window",
@@ -121,6 +124,11 @@ _STOP_LOG = -60.0 * math.log(2.0)
 _STOP_MARGIN = 8.0
 _MIN_PREFIX = 16
 
+# the decay of a cell that starts below Z = 0: the window's Gaussian
+# tail there is below sqrt(2) times its value at 0 (erfc < 2), so the
+# exponent is -ln(2)/2, rounded down
+_NEG_DECAY = -f64_up(2.0) / 2.0
+
 # the per-pair constants (prefactors, pi^1/4), as upward-rounded log
 # magnitudes, lifted once
 _LOG_PI4_RT2 = f64_up(_PI4 / math.sqrt(2.0))
@@ -146,7 +154,8 @@ class majorant_window:
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, lo/hi the induced window in the rescaled
-    variable and ``rho_cap`` the inverse width at z_cap
+    variable, ``decay0`` the decay of its first cell (lo^2/2, or
+    ``_NEG_DECAY`` for lo < 0) and ``rho_cap`` the inverse width at z_cap
     (``kinematics.rho``): the one cell, the grid's last cell and the
     stop test all take it.  A window is built for one majorant ``kind``
     at the pair's ``r1``.  It keeps the log of that kind's one-cell
@@ -164,6 +173,7 @@ class majorant_window:
     z_cap: float
     lo: float
     hi: float
+    decay0: float
     rho_cap: float
     r1: float
     kind: str
@@ -185,9 +195,10 @@ def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
         return None, None
     lo = (s - zeta) * rho_s
     hi = (z_cap - zeta) * rho_cap
-    win = majorant_window(sigma, mv, s, z_cap, lo, hi, rho_cap, r1, kind, _EMPTY, _EMPTY)
+    decay0 = lo * lo / 2.0 if lo >= 0.0 else _NEG_DECAY  # exp(-decay0): the tail's sup over Z >= lo
+    win = majorant_window(sigma, mv, s, z_cap, lo, hi, decay0, rho_cap, r1, kind, _EMPTY, _EMPTY)
     win.one_cell = _one_cell(win, kind)  # the floor test's value, kept for grid_majorant
-    if win.one_cell <= _FLOOR_LOG or hi <= lo:  # floored, or degenerate: no interior nodes
+    if win.one_cell <= _FLOOR_LOG or hi <= lo or hi <= 0.0:  # floored, degenerate or below every node
         return win, None
     if not math.isfinite(hi * hi / delta0):
         raise ValueError(
@@ -200,10 +211,13 @@ def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
     # == lo (binary64, correctly rounded); so a window's nodes are a
     # plain slice of its width's lattice.  A correction steps to the next
     # float index (by 1 below 2^53), so n * delta0 moves and it ends.
-    n_start = math.ceil(lo * lo / delta0)
-    while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
-        n_start = math.ceil(math.nextafter(n_start, _INF))
-    n_start = max(n_start, 1)
+    # A window that starts at lo <= 0 takes every node from n = 1.
+    n_start = 1
+    if lo > 0.0:
+        n_start = math.ceil(lo * lo / delta0)
+        while n_start * delta0 < lo * lo and math.sqrt(n_start * delta0) < lo:
+            n_start = math.ceil(math.nextafter(n_start, _INF))
+        n_start = max(n_start, 1)
     smv = sigma * mv
     top = min(hi, smv)
     n_end = math.floor(top * top / delta0)
@@ -238,7 +252,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at):
             # the predicted stop (module docstring), clamped as a float to the node range
             rs, rc = rho_at[win.s], win.rho_cap
             rise = _STOP_MARGIN - _STOP_LOG + (r1 * r1 / 2.0) * (rs * rs - rc * rc)
-            n_stop = math.ceil(max(min(float(n_end), (win.lo * win.lo + 2.0 * rise) / delta0), n_start))
+            n_stop = math.ceil(max(min(float(n_end), 2.0 * (win.decay0 + rise) / delta0), n_start))
             k1 = max(k_first + _MIN_PREFIX, (n_stop - n0 - 1) // stride + 2)  # past node n_stop
             plans.append((win, k_first, min(k_end, k1), k_end))
     nodes = x = decays = _EMPTY
@@ -284,7 +298,7 @@ def _solve_window(win, nodes, x, decays):
     np.minimum(x, z_cap, out=x)
     np.subtract(x, xe[:-1], out=gaps[:-1])
     gaps[n] = z_cap - x[-1]
-    decay[0] = win.lo * win.lo / 2.0
+    decay[0] = win.decay0
     decay[1:] = decays
     np.divide(smv, np.hypot(s2mv, x, out=rho_right[:-1]), out=rho_right[:-1])
     rho_right[n] = rho_cap
@@ -313,12 +327,12 @@ def _cell_logs(gaps, decay, rho_right, w_right, r1, kind):
     """Upward-rounded logs of the step-majorant cells, before the prefactor.
 
     A cell of width ``gaps`` starts where the rescaled variable is
-    sqrt(2 * ``decay``) and ends where the rho-weights take their sup,
-    at inverse width ``rho_right``; ``w_right`` is the rescaled right
-    end that carries the b5 momentum weight.  The arguments are arrays,
-    or floats for a single cell.  This is the package's one cell
-    formula: every majorant, the one-cell floor included, is built
-    from it.
+    sqrt(2 * ``decay``), or below 0 for ``_NEG_DECAY``, and ends where
+    the rho-weights take their sup, at inverse width ``rho_right``;
+    ``w_right`` is the rescaled right end that carries the b5 momentum
+    weight.  The arguments are arrays, or floats for a single cell.
+    This is the package's one cell formula: every majorant, the
+    one-cell floor included, is built from it.
 
     A single cell runs the formula on plain floats (``math.nextafter``
     and ``math.sqrt``, correctly rounded like their numpy ufuncs), so it
@@ -357,8 +371,14 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
 
 
 def _one_cell(win: majorant_window, kind: str) -> float:
-    """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included."""
-    L = _cell_logs(win.z_cap - win.s, win.lo * win.lo / 2.0, win.rho_cap, win.hi, win.r1, kind)
+    """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included.
+
+    The b5 momentum weight is taken at max(hi, 0): at Z <= 0 the
+    weighted tail is at most sqrt(2) times its bound at Z = 0, which
+    ``_NEG_DECAY`` covers.
+    """
+    w = win.hi if win.hi > 0.0 else 0.0
+    L = _cell_logs(win.z_cap - win.s, win.decay0, win.rho_cap, w, win.r1, kind)
     return mul_up(L, _PREFACTOR[kind])
 
 
@@ -422,19 +442,7 @@ class PairResult:
     note: str = ""
 
     def csv_row(self) -> List[str]:
-        return [
-            self.set_name,
-            f"{self.mu1:.17g}",
-            f"{self.mu2:.17g}",
-            f"{self.mu3:.17g}",
-            self.flags,
-            self.lhs_interacting.to_sci_string(),
-            self.rhs_interacting.to_sci_string(),
-            self.lhs_outgoing.to_sci_string(),
-            self.rhs_outgoing.to_sci_string(),
-            f"{self.margin_log10:.6f}",
-            "pass" if self.passed else "FAIL",
-        ]
+        return csv_rows([self])[0]
 
 
 def _max_weight(ra: float, rb: float, r1: float) -> float:
@@ -636,9 +644,59 @@ def sweep(
         return list(pool.map(_run_job, args, chunksize=chunk))
 
 
-def write_csv(results: Iterable[PairResult], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(res.csv_row() for res in results)
+def csv_rows(results: Iterable[PairResult]) -> List[List[str]]:
+    """The CSV rows (``CSV_COLUMNS``) of ``results``, as strings.
 
+    One ``sci_strings`` call renders the four reported values of every
+    row, and each distinct width is formatted once (distinct by its
+    bits, so 0.0 and -0.0 stay apart).
+    """
+    results = list(results)
+    sci = sci_strings([
+        v.log_mag
+        for r in results
+        for v in (r.lhs_interacting, r.rhs_interacting, r.lhs_outgoing, r.rhs_outgoing)
+    ])
+    widths = np.array([w for r in results for w in (r.mu1, r.mu2, r.mu3)], dtype=np.float64)
+    bits, at = np.unique(widths.view(np.int64), return_inverse=True)
+    text = [f"{w:.17g}" for w in bits.view(np.float64).tolist()]
+    mu = [text[i] for i in at.tolist()]
+    return [
+        [r.set_name, mu1, mu2, mu3, r.flags, lhs1, rhs1, lhs2, rhs2,
+         f"{r.margin_log10:.6f}", "pass" if r.passed else "FAIL"]
+        for r, mu1, mu2, mu3, lhs1, rhs1, lhs2, rhs2 in zip(
+            results, mu[0::3], mu[1::3], mu[2::3], sci[0::4], sci[1::4], sci[2::4], sci[3::4]
+        )
+    ]
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(fh, lineterminator="\n")`` writes it in a row of two or more fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # less the empty field's "," and the "\n"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The text ``csv.writer(fh, lineterminator="\n")`` writes for ``header`` and ``rows``.
+
+    Fields are strings and rows have two or more of them.  A field is
+    quoted (QUOTE_MINIMAL) only if it holds ``,``, ``"``, ``\r`` or
+    ``\n``: a column whose concatenated fields hold none of them is
+    joined as it is, and any other column has each distinct value
+    quoted once, by ``csv.writer`` itself.
+    """
+    cols = list(zip(header, *rows))
+    for c, col in enumerate(cols):
+        joined = "".join(col)
+        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+            field = {v: _csv_field(v) for v in set(col)}
+            cols[c] = [field[v] for v in col]
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def write_csv(results: Iterable[PairResult], path: str) -> None:
+    """Write the CSV (``CSV_COLUMNS`` header and ``csv_rows``) of ``results`` to ``path``."""
+    text = csv_text(CSV_COLUMNS, csv_rows(results))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)

@@ -41,7 +41,7 @@ from .bounds import (
     ten_pow,
     threshold_sigma,
 )
-from .certify import CSV_COLUMNS, sweep
+from .certify import CSV_COLUMNS, csv_rows, csv_text, sweep
 from .config import ExperimentConfig, get_config, parse_config_file
 from .fields import FieldModel, supnorm_constants
 from .partition import SET_NAMES
@@ -157,12 +157,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
     args.stream.write(text)  # the --out file, or stdout (see main)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -216,22 +210,26 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
     except ValueError as exc:  # only a --delta0 too fine to index the grid
         print(f"argument --delta0: {exc}", file=sys.stderr)
         return 2
+    swept = time.perf_counter()
     failures = sum(not r.passed for r in results)
+    rows = csv_rows(results)
     if args.as_json:
         payload = {
             "pairs": len(results),
             "failures": failures,
             "worst_margin_log10": min((r.margin_log10 for r in results), default=None),
-            "rows": [dict(zip(CSV_COLUMNS, r.csv_row())) for r in results],
+            "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
         }
         _emit(args, _json_text(payload))
     else:
-        _emit(args, _csv_text(CSV_COLUMNS, [r.csv_row() for r in results]))
-    wall = time.perf_counter() - start  # the sweep and its output
+        _emit(args, csv_text(CSV_COLUMNS, rows))
+    end = time.perf_counter()
+    wall = end - start
     print(
         f"checked {len(results)} pairs: "
         f"{len(results) - failures} passed, {failures} failed "
-        f"in {wall:.1f} s ({len(results) / wall:,.0f} pairs/s)",
+        f"in {wall:.1f} s (sweep {swept - start:.1f} s, output {end - swept:.1f} s; "
+        f"{len(results) / wall:,.0f} pairs/s)",
         file=sys.stderr,
     )
     return 0 if not failures else 1
@@ -346,7 +344,7 @@ def _cmd_field(args, cfg: ExperimentConfig) -> int:
                    "rows": [dict(zip(header, row)) for row in rows]}
         _emit(args, _json_text(payload))
     else:
-        _emit(args, _csv_text(header, rows))
+        _emit(args, csv_text(header, rows))
     return 0 if ok else 1
 
 
@@ -371,7 +369,7 @@ def _cmd_table(args, cfg: ExperimentConfig) -> int:
                    "rows": [{"target_exponent": r[0], column: r[1]} for r in rows]}
         _emit(args, _json_text(payload))
     else:
-        _emit(args, _csv_text(("target_exponent", column), rows))
+        _emit(args, csv_text(("target_exponent", column), rows))
     return 0
 
 
@@ -438,7 +436,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
         payload = {"rows": [dict(zip(header, row)) for row in out_rows]}
         _emit(args, _json_text(payload))
     else:
-        _emit(args, _csv_text(header, out_rows))
+        _emit(args, csv_text(header, out_rows))
     return 0
 
 
@@ -466,7 +464,7 @@ def _cmd_params(args, cfg: ExperimentConfig) -> int:
                 [f"{row['eps_scale']:.6g}", f"{row['delta_scale']:.6g}",
                  "rejected", str(row.get("reason", "")), ""]
             )
-    _emit(args, _csv_text(header, out_rows))
+    _emit(args, csv_text(header, out_rows))
     return 0
 
 

@@ -57,7 +57,7 @@ def config_file(tmp_path):
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """The log magnitudes XReal.to_sci_string hands its Decimal fallback."""
+    """The log magnitudes ``xreal.sci_strings`` hands its Decimal fallback, in order."""
     from abcertify import xreal
 
     calls = []

@@ -1,7 +1,10 @@
 """Per-pair certificates: window grids, majorants, flags, sweep plumbing."""
 
 import concurrent.futures
+import csv
+import dataclasses
 import hashlib
+import io
 import math
 import pickle
 import random
@@ -16,6 +19,7 @@ from abcertify.certify import (
     CSV_COLUMNS,
     PairResult,
     check_pair,
+    csv_rows,
     grid_majorant,
     sweep,
     write_csv,
@@ -25,7 +29,7 @@ from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import XReal, fold_add_logs, mul_up
 from conftest import ALL_COMBOS, build_full_window, build_window
-from oracles import window_integral_quad
+from oracles import mp_sci_string, window_integral_quad
 from published import FROZEN_PAIR_COUNTS
 
 _PI4 = math.pi ** 0.25
@@ -586,6 +590,32 @@ def test_refinement_approaches_truth():
     assert logs[-1] - truth < logs[0] - truth
 
 
+@pytest.mark.parametrize("kind", ["b3", "b4", "b5", "b6"])
+@pytest.mark.parametrize("delta0", [0.1, 1e-308])
+def test_window_that_starts_before_zeta_dominates_quadrature(kind, delta0):
+    # s < zeta puts the window's left end at lo = -1.40 < 0, where the
+    # Gaussian tail is up to sqrt(2) times its value at Z = 0; the nodes
+    # start at n = 1, and at delta0 = 1e-308 lo^2/delta0 overflows while
+    # hi^2/delta0 does not
+    sigma, mv, zeta, s, z_cap = 1.0, 5.0, 1.5, 0.1, 2.0
+    r1 = 2.0 / rho(sigma, mv, z_cap)
+    truth = math.log(window_integral_quad(kind, sigma, mv, zeta, s, z_cap, r1=r1))
+    for build in (build_full_window, build_window):
+        win = build(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+        assert win.lo < 0.0 < win.hi and win.nodes.size > 0
+        assert win.nodes[0] == math.sqrt(delta0)  # node n = 1
+        assert grid_majorant(win, kind) >= truth, (kind, build.__name__)
+    # the one cell [s, z_cap] alone, and a window that ends before zeta
+    # (hi = -0.995 < -sqrt(pi)/2: no nodes, its one cell only, whose b5
+    # weight sqrt(Z + sqrt(pi)/2) is taken at Z = 0)
+    assert certify._one_cell(win, kind) >= truth
+    z_left = 0.5
+    r1 = 2.0 / rho(sigma, mv, z_left)
+    left = build_full_window(sigma, mv, zeta, s, z_left, delta0, r1, kind)
+    assert left.hi < 0.0 and left.nodes.size == 0
+    assert grid_majorant(left, kind) >= math.log(window_integral_quad(kind, sigma, mv, zeta, s, z_left, r1=r1))
+
+
 # ----------------------------------------------------------------------
 # check_pair
 # ----------------------------------------------------------------------
@@ -1054,6 +1084,73 @@ def test_write_csv_round_trip(cfg, tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(results) + 1
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def _reference_csv(results):
+    """The certificate CSV as csv.writer writes it, each row rendered on its own.
+
+    The reported values are printed by the mpmath reference, not by
+    ``sci_strings``: the bytes share no rendering code with ``write_csv``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in results:
+        logs = (r.lhs_interacting, r.rhs_interacting, r.lhs_outgoing, r.rhs_outgoing)
+        writer.writerow(
+            [r.set_name, f"{r.mu1:.17g}", f"{r.mu2:.17g}", f"{r.mu3:.17g}", r.flags]
+            + ["0" if v.is_zero else mp_sci_string(v.log_mag) for v in logs]
+            + [f"{r.margin_log10:.6f}", "pass" if r.passed else "FAIL"]
+        )
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("magnet, energy", ALL_COMBOS, ids=[f"{m}-{e}" for m, e in ALL_COMBOS])
+def test_write_csv_matches_csv_writer_for_every_config(magnet, energy, tmp_path):
+    # seeded pairs of every set (passing and failing ones alike)
+    cfg = get_config(magnet, energy)
+    rng = random.Random(3)
+    results = []
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        results += [check_pair(cfg, *jobs[i]) for i in sorted(rng.sample(range(len(jobs)), min(2, len(jobs))))]
+    path = tmp_path / "pairs.csv"
+    write_csv(results, str(path))
+    assert path.read_bytes() == _reference_csv(results)
+
+
+def test_write_csv_quotes_text_fields_as_csv_writer(cfg, tmp_path):
+    # set names and flags that need quoting (or not), repeated across
+    # rows, and non-ASCII text
+    base = sweep(cfg, ["sigma10"], jobs=1)
+    texts = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "ünï σ×10", "", "plain", "a,b", ',"\r\n']
+    results = [
+        dataclasses.replace(base[i % len(base)], set_name=t, flags=texts[-1 - i])
+        for i, t in enumerate(texts)
+    ]
+    path = tmp_path / "pairs.csv"
+    write_csv(results, str(path))
+    assert path.read_bytes() == _reference_csv(results)
+
+
+def test_csv_rows_keep_signed_zero_widths(cfg, tmp_path):
+    # 0.0 and -0.0 compare equal, but each width prints with its own sign
+    res = sweep(cfg, ["sigma10"], jobs=1)[0]
+    results = [
+        dataclasses.replace(res, mu1=0.0, mu2=-0.0, mu3=0.0),
+        dataclasses.replace(res, mu1=-0.0, mu2=0.0, mu3=-0.0),
+        res,
+    ]
+    rows = csv_rows(results)
+    assert [row[1:4] for row in rows[:2]] == [["0", "-0", "0"], ["-0", "0", "-0"]]
+    assert [r.csv_row() for r in results] == rows
+    path = tmp_path / "pairs.csv"
+    write_csv(results, str(path))
+    assert path.read_bytes() == _reference_csv(results)
+
+
+def test_csv_rows_of_no_result():
+    assert csv_rows([]) == []
 
 
 # sha256 of write_csv(sweep(cfg, SETS)) for the headline config, as printed

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, formats, exit codes, file output."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -8,7 +10,7 @@ import pytest
 
 import abcertify.cli as cli
 from abcertify.bounds import ten_pow, threshold_sigma
-from abcertify.certify import CSV_COLUMNS, check_pair
+from abcertify.certify import CSV_COLUMNS, check_pair, sweep, write_csv
 from abcertify.cli import main
 from abcertify.config import get_config
 from published import FROZEN_PAIR_COUNTS, FROZEN_PLATEAU_K2E1
@@ -155,9 +157,14 @@ def test_verify_single_set(capsys):
     code, out, err = run(capsys, ["verify", "--set", "sigma10"])
     assert code == 0
     n = FROZEN_PAIR_COUNTS["sigma10"]
-    # the summary ends with the wall time and rate of the sweep and its output
-    summary = rf"checked {n} pairs: {n} passed, 0 failed in \d+\.\d s \([\d,]+ pairs/s\)"
-    assert re.fullmatch(summary, err.strip())
+    # the summary ends with the wall time of the sweep and its output,
+    # split into the two stages, and the rate
+    summary = (
+        rf"checked {n} pairs: {n} passed, 0 failed in (\d+\.\d) s "
+        rf"\(sweep (\d+\.\d) s, output (\d+\.\d) s; [\d,]+ pairs/s\)"
+    )
+    wall, swept, output = map(float, re.fullmatch(summary, err.strip()).groups())
+    assert abs(swept + output - wall) <= 0.15 + 1e-9  # each figure is rounded to 0.1 s
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == n + 1
@@ -195,6 +202,18 @@ def test_verify_out_csv(capsys, tmp_path):
     assert out == ""
     _, stdout_csv, _ = run(capsys, ["verify", "--set", "sigma10"])
     assert target.read_text(encoding="utf-8") == stdout_csv
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_out_is_write_csv(capsys, tmp_path, jobs):
+    # verify and write_csv write the same bytes for the same sets, with
+    # one worker or two
+    target = tmp_path / "verify.csv"
+    argv = ["verify", "--set", "sigma10,sigma9", "--jobs", jobs, "--out", str(target)]
+    assert run(capsys, argv)[0] == 0
+    want = tmp_path / "write_csv.csv"
+    write_csv(sweep(get_config("k2", "e1"), ["sigma10", "sigma9"]), str(want))
+    assert target.read_bytes() == want.read_bytes()
 
 
 def test_verify_json(capsys):
@@ -435,9 +454,9 @@ def test_params_rejects_non_finite_scale(capsys):
         capsys, ["params", "--sweep", "--eps-scales", "1", "--delta-scales", "nan"]
     )
     assert code == 0
-    row = out.splitlines()[1].split(",")
-    assert row[2] == "rejected"
-    assert "delta_scale must be finite" in row[3]
+    # the reason holds a comma, so its field is quoted as csv.writer would
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert row == ["1", "nan", "rejected", "delta_scale must be finite, got nan", ""]
 
 
 def test_params_bad_scale_list(capsys):

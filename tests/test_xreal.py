@@ -22,6 +22,7 @@ from abcertify.xreal import (
     fold_add_logs,
     mul_down,
     mul_up,
+    sci_strings,
 )
 from oracles import mp_logsumexp, mp_logsumexp_exact, mp_sci_string
 
@@ -209,15 +210,21 @@ def test_sci_string_matches_reference(lm):
     assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
 
 
-def test_ten_pow_sci_string_is_exact(decimal_calls):
-    # every power of ten, rounded either way and moved by one more ulp,
-    # prints as 1.0000×10^k on the float path
+def _ten_pow_neighbours():
+    # every power of ten, rounded either way and moved by one more ulp
+    lms, want = [], []
     for k in range(-3000, 3001):
-        want = f"1.0000×10^{k:+d}"
         for direction in ("up", "down"):
             lm = ten_pow(k, direction).log_mag
-            for x in (lm, math.nextafter(lm, -math.inf), math.nextafter(lm, math.inf)):
-                assert XReal.from_log(x).to_sci_string() == want
+            lms += [lm, math.nextafter(lm, -math.inf), math.nextafter(lm, math.inf)]
+            want += [f"1.0000×10^{k:+d}"] * 3
+    return lms, want
+
+
+def test_ten_pow_sci_string_is_exact(decimal_calls):
+    # each prints as 1.0000×10^k on the float path, in one batch
+    lms, want = _ten_pow_neighbours()
+    assert sci_strings(lms) == want
     assert decimal_calls == []
 
 
@@ -229,9 +236,11 @@ def test_sci_string_around_large_powers_of_ten(k):
         lm = float(k * mpmath.log(10))
     for _ in range(40):
         lm = math.nextafter(lm, -math.inf)
+    lms = []
     for _ in range(80):
-        assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+        lms.append(lm)
         lm = math.nextafter(lm, math.inf)
+    assert sci_strings(lms) == [mp_sci_string(lm) for lm in lms]
 
 
 @pytest.mark.parametrize(
@@ -266,8 +275,8 @@ def test_sci_string_near_tie_takes_decimal_fallback(decimal_calls):
 def test_sci_string_ordinary_values_stay_on_float_path(decimal_calls):
     rng = np.random.default_rng(17)
     mags = 10.0 ** rng.uniform(-6.0, 11.5, 500)
-    for lm in np.concatenate([mags, -mags]):
-        assert XReal.from_log(float(lm)).to_sci_string() == mp_sci_string(float(lm))
+    lms = np.concatenate([mags, -mags])
+    assert sci_strings(lms) == [mp_sci_string(float(lm)) for lm in lms]
     assert decimal_calls == []
 
 
@@ -283,6 +292,39 @@ def test_sci_string_carry():
     s = XReal.from_log(lm).to_sci_string()
     assert s == "1.0000×10^+6"
     assert s == mp_sci_string(lm)
+
+
+def _tie_log():
+    # exp(lm) = 1.23455e7 to ~1e-17 relative (see the fallback test above)
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.mpf("1.23455e7")))
+
+
+def test_sci_strings_batch_of_mixed_values(decimal_calls):
+    # one batch of every kind of input: zero, +inf, ordinary values, a
+    # carry, a tie, values below a power of ten and huge magnitudes; each
+    # string is the reference one, and the Decimal fallback sees the tie
+    # and the huge magnitudes, in order
+    tie = _tie_log()
+    lms = [-math.inf, 0.0, math.log(9.99996e5), -177341249954.35114, 1e15, tie,
+           -123.456, math.inf, -2.5e16, 651637544820974.1, 7e20, -0.0]
+    got = sci_strings(np.array(lms))
+    assert decimal_calls == [1e15, tie, -2.5e16, 7e20]
+    want = ["0" if lm == -math.inf else "inf" if lm == math.inf else mp_sci_string(lm, dps=80)
+            for lm in lms]
+    assert got == want
+    # the one-value path is the same function
+    del decimal_calls[:]
+    assert [XReal(lm).to_sci_string() for lm in lms] == want
+    assert decimal_calls == [1e15, tie, -2.5e16, 7e20]
+
+
+def test_sci_strings_special_and_empty():
+    assert sci_strings([]) == []
+    assert sci_strings([math.inf, -math.inf]) == ["inf", "0"]
+    assert sci_strings(np.array([0.0, -0.0])) == ["1.0000×10^+0", "1.0000×10^+0"]
+    with pytest.raises(ValueError):  # a NaN log magnitude has no digits
+        sci_strings([1.0, math.nan])
 
 
 # ----------------------------------------------------------------------
