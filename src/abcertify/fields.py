@@ -191,6 +191,51 @@ _F_TABLE, _G_TABLE, BUMP_CDF_MASS = _left_half_tables()
 # ----------------------------------------------------------------------
 
 
+# A plateau's ramp: its breakpoints a - eps, a + eps, b - eps, b + eps,
+# then a, b and eps, each computed once, as plateau computes them.
+_Ramp = Tuple[float, float, float, float, float, float, float]
+
+
+def _ramp(a: float, b: float, eps: float) -> _Ramp:
+    """Check eps < (b - a)/2 once and return the ramp of plateau(., a, b, eps)."""
+    if eps <= 0.0 or eps >= (b - a) / 2.0:
+        raise ValueError(f"need 0 < eps < (b-a)/2, got eps={eps!r}, a={a!r}, b={b!r}")
+    return (a - eps, a + eps, b - eps, b + eps, a, b, eps)
+
+
+def _ramp_value(z: float, ramp: _Ramp) -> float:
+    """plateau(z, a, b, eps), given ramp = _ramp(a, b, eps)."""
+    a_lo, a_hi, b_lo, b_hi, a, b, eps = ramp
+    if z <= a_lo or z >= b_hi:
+        return 0.0
+    if a_hi <= z <= b_lo:
+        return 1.0
+    if z < a_hi:
+        return bump_cdf((z - a) / eps)
+    return bump_cdf((b - z) / eps)  # 1 - F((z-b)/eps)
+
+
+def _ramp_mass(lo: float, hi: float, ramp: _Ramp) -> float:
+    """plateau_mass(lo, hi, a, b, eps), given ramp = _ramp(a, b, eps)."""
+    if hi <= lo:
+        return 0.0
+    a_lo, a_hi, b_lo, b_hi, a, b, eps = ramp
+    G = bump_cdf_integral
+    total = 0.0
+    # max(lo, v) and min(hi, v) written out: the same float as the
+    # builtins, without their ~0.1 us call
+    mid_lo, mid_hi = a_hi if a_hi > lo else lo, b_lo if b_lo < hi else hi
+    if mid_hi > mid_lo:
+        total += mid_hi - mid_lo
+    seg_lo, seg_hi = a_lo if a_lo > lo else lo, a_hi if a_hi < hi else hi
+    if seg_hi > seg_lo:
+        total += eps * (G((seg_hi - a) / eps) - G((seg_lo - a) / eps))
+    seg_lo, seg_hi = b_lo if b_lo > lo else lo, b_hi if b_hi < hi else hi
+    if seg_hi > seg_lo:
+        total += eps * (G((b - seg_lo) / eps) - G((b - seg_hi) / eps))
+    return total
+
+
 def plateau(z: float, a: float, b: float, eps: float) -> float:
     """Smoothed indicator of [a, b]: exactly 1 on [a+eps, b-eps], 0 outside
     [a-eps, b+eps], monotone mollifier ramps in between.
@@ -199,37 +244,16 @@ def plateau(z: float, a: float, b: float, eps: float) -> float:
     Requires eps < (b - a)/2, so the two ramps cannot overlap and on
     each ramp one of the two terms is exactly 0 or 1.
     """
-    if eps <= 0.0 or eps >= (b - a) / 2.0:
-        raise ValueError(f"need 0 < eps < (b-a)/2, got eps={eps!r}, a={a!r}, b={b!r}")
-    if z <= a - eps or z >= b + eps:
-        return 0.0
-    if a + eps <= z <= b - eps:
-        return 1.0
-    if z < a + eps:
-        return bump_cdf((z - a) / eps)
-    return bump_cdf((b - z) / eps)  # 1 - F((z-b)/eps)
+    return _ramp_value(z, _ramp(a, b, eps))
 
 
 def plateau_mass(lo: float, hi: float, a: float, b: float, eps: float) -> float:
     """integral of plateau(., a, b, eps) over [lo, hi], in closed form.
 
     The exact plateau middle plus eps times a difference of G on each
-    ramp the interval meets.
+    ramp the interval meets; eps is checked as :func:`plateau` checks it.
     """
-    if hi <= lo:
-        return 0.0
-    G = bump_cdf_integral
-    total = 0.0
-    mid_lo, mid_hi = max(lo, a + eps), min(hi, b - eps)
-    if mid_hi > mid_lo:
-        total += mid_hi - mid_lo
-    seg_lo, seg_hi = max(lo, a - eps), min(hi, a + eps)
-    if seg_hi > seg_lo:
-        total += eps * (G((seg_hi - a) / eps) - G((seg_lo - a) / eps))
-    seg_lo, seg_hi = max(lo, b - eps), min(hi, b + eps)
-    if seg_hi > seg_lo:
-        total += eps * (G((b - seg_lo) / eps) - G((b - seg_hi) / eps))
-    return total
+    return _ramp_mass(lo, hi, _ramp(a, b, eps))
 
 
 def plateau_d1(z: float, a: float, b: float, eps: float) -> float:
@@ -272,103 +296,101 @@ def potential_ratio(cfg: ExperimentConfig) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+def _xyz(x: Sequence[float]) -> Tuple[float, float, float]:
+    """A point's three coordinates as floats."""
+    return float(x[0]), float(x[1]), float(x[2])
+
+
+@dataclass(frozen=True)
 class FieldModel:
     """Pointwise evaluators for the field, potential, gauge and cutoff.
 
     Every profile value is a :func:`plateau` and every profile mass a
     :func:`plateau_mass`, both read off the tabulated bump CDF, so no
     evaluator below runs a quadrature (``tests/test_fields.py`` checks
-    that evaluating them never imports scipy).  The tests check
+    that evaluating them never imports scipy).  The radial and axial
+    ramps and the flux scale are checked and computed once per model
+    (so the model is frozen), and each evaluator converts its point to
+    three floats once and runs on floats.  The tests check
     :meth:`flux_linked` against a direct quadrature of :meth:`a3`.
     """
 
     cfg: ExperimentConfig
 
-    # -- 1-d profiles -------------------------------------------------
+    # -- 1-d profiles and normalisation -------------------------------
 
-    def profile_radial(self, r: float) -> float:
-        m = self.cfg.magnet
-        e = self.cfg.eps_tilde
-        return plateau(r, m.r1_tilde + e, m.r2_tilde - e, e)
+    @cached_property
+    def _radial(self) -> _Ramp:
+        m, e = self.cfg.magnet, self.cfg.eps_tilde
+        return _ramp(m.r1_tilde + e, m.r2_tilde - e, e)
 
-    def profile_radial_d1(self, r: float) -> float:
-        m = self.cfg.magnet
-        e = self.cfg.eps_tilde
-        return plateau_d1(r, m.r1_tilde + e, m.r2_tilde - e, e)
-
-    def profile_axial(self, x3: float) -> float:
-        m = self.cfg.magnet
-        d = self.cfg.delta_tilde
-        return plateau(x3, -m.h_tilde + d, m.h_tilde - d, d)
-
-    def profile_axial_d1(self, x3: float) -> float:
-        m = self.cfg.magnet
-        d = self.cfg.delta_tilde
-        return plateau_d1(x3, -m.h_tilde + d, m.h_tilde - d, d)
-
-    # -- normalisation ------------------------------------------------
+    @cached_property
+    def _axial(self) -> _Ramp:
+        m, d = self.cfg.magnet, self.cfg.delta_tilde
+        return _ramp(-m.h_tilde + d, m.h_tilde - d, d)
 
     @cached_property
     def w_radial(self) -> float:
         """integral of the radial profile over its support."""
         m = self.cfg.magnet
-        e = self.cfg.eps_tilde
-        return plateau_mass(m.r1_tilde, m.r2_tilde, m.r1_tilde + e, m.r2_tilde - e, e)
+        return _ramp_mass(m.r1_tilde, m.r2_tilde, self._radial)
 
     @cached_property
     def w_axial(self) -> float:
         """integral of the axial profile over its support."""
         m = self.cfg.magnet
-        d = self.cfg.delta_tilde
-        return plateau_mass(-m.h_tilde, m.h_tilde, -m.h_tilde + d, m.h_tilde - d, d)
+        return _ramp_mass(-m.h_tilde, m.h_tilde, self._axial)
 
     @cached_property
     def normalisation(self) -> float:
         """Product of the two profile masses; divides the flux."""
         return self.w_radial * self.w_axial
 
+    @cached_property
+    def _scale(self) -> float:
+        return self.cfg.flux / self.normalisation
+
     def radial_mass_above(self, r: float) -> float:
         """integral of the radial profile over [r, r2~] (cached full mass below r1~)."""
         m = self.cfg.magnet
-        e = self.cfg.eps_tilde
         if r <= m.r1_tilde:
             return self.w_radial
-        return plateau_mass(r, m.r2_tilde, m.r1_tilde + e, m.r2_tilde - e, e)
+        return _ramp_mass(r, m.r2_tilde, self._radial)
 
     def axial_mass_below(self, x3: float) -> float:
         """integral of the axial profile over [-h~, min(x3, h~)]."""
         m = self.cfg.magnet
-        d = self.cfg.delta_tilde
         if x3 >= m.h_tilde:
             return self.w_axial
-        return plateau_mass(-m.h_tilde, x3, -m.h_tilde + d, m.h_tilde - d, d)
+        return _ramp_mass(-m.h_tilde, x3, self._axial)
 
     # -- magnetic field -----------------------------------------------
 
     def b_field(self, x: Sequence[float]) -> np.ndarray:
         """Azimuthal magnetic field at a Cartesian point."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
-        g = (self.cfg.flux / self.normalisation) * self.profile_radial(r) * self.profile_axial(x3)
-        if g == 0.0 or r == 0.0:
-            return np.zeros(3)
-        return np.array([-g * x2 / r, g * x1 / r, 0.0])
+        g = self._scale * _ramp_value(r, self._radial) * _ramp_value(x3, self._axial)
+        out = np.zeros(3)
+        if g != 0.0 and r != 0.0:
+            out[0] = -g * x2 / r
+            out[1] = g * x1 / r
+        return out
 
     def b_partials(self, x: Sequence[float]) -> np.ndarray:
         """Jacobian d B_i / d x_j (3x3), analytic."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
-        scale = self.cfg.flux / self.normalisation
         out = np.zeros((3, 3))
         if r == 0.0:
             return out
+        scale, rad, ax = self._scale, self._radial, self._axial
         c, s = x1 / r, x2 / r
-        pr = self.profile_radial(r)
-        pz = self.profile_axial(x3)
+        pr = _ramp_value(r, rad)
+        pz = _ramp_value(x3, ax)
         g = scale * pr * pz
-        g_r = scale * self.profile_radial_d1(r) * pz
-        g_z = scale * pr * self.profile_axial_d1(x3)
+        g_r = scale * plateau_d1(r, *rad[4:]) * pz
+        g_z = scale * pr * plateau_d1(x3, *ax[4:])
         # B = g(r, x3) * (-s, c, 0)
         out[0, 0] = -g_r * c * s + g * c * s / r
         out[0, 1] = -g_r * s * s - g * c * c / r
@@ -382,30 +404,32 @@ class FieldModel:
 
     def a3(self, x: Sequence[float]) -> float:
         """Third component of the potential (the only nonzero one)."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-        r = math.hypot(x1, x2)
-        pz = self.profile_axial(x3)
+        x1, x2, x3 = _xyz(x)
+        pz = _ramp_value(x3, self._axial)
         if pz == 0.0:
             return 0.0
-        return (self.cfg.flux / self.normalisation) * pz * self.radial_mass_above(r)
+        return self._scale * pz * self.radial_mass_above(math.hypot(x1, x2))
 
     def a_potential(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([0.0, 0.0, self.a3(x)])
+        out = np.zeros(3)
+        out[2] = self.a3(x)
+        return out
 
     def a3_partials(self, x: Sequence[float]) -> np.ndarray:
         """Gradient of a3, analytic."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
-        scale = self.cfg.flux / self.normalisation
-        pz = self.profile_axial(x3)
-        pz1 = self.profile_axial_d1(x3)
+        scale, ax = self._scale, self._axial
+        pz = _ramp_value(x3, ax)
+        pz1 = plateau_d1(x3, *ax[4:])
         mass = self.radial_mass_above(r)
-        d_r = -scale * pz * self.profile_radial(r)  # d/dr of the radial mass
-        if r == 0.0:
-            grad_r = np.zeros(2)
-        else:
-            grad_r = np.array([d_r * x1 / r, d_r * x2 / r])
-        return np.array([grad_r[0], grad_r[1], scale * pz1 * mass])
+        d_r = -scale * pz * _ramp_value(r, self._radial)  # d/dr of the radial mass
+        out = np.zeros(3)
+        if r != 0.0:
+            out[0] = d_r * x1 / r
+            out[1] = d_r * x2 / r
+        out[2] = scale * pz1 * mass
+        return out
 
     # -- flux ----------------------------------------------------------
 
@@ -415,11 +439,7 @@ class FieldModel:
         Equals the line integral of the potential along a vertical line
         at radius r crossing the magnet slab.
         """
-        return (
-            (self.cfg.flux / self.normalisation)
-            * self.radial_mass_above(r)
-            * self.w_axial
-        )
+        return self._scale * self.radial_mass_above(r) * self.w_axial
 
     # -- gauge function outside the magnet ------------------------------
 
@@ -432,7 +452,7 @@ class FieldModel:
         the cut, where no single-valued gauge exists.
         """
         m = self.cfg.magnet
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
         on_body = m.r1_tilde <= r <= m.r2_tilde and -m.h_tilde <= x3 <= m.h_tilde
         if on_body:
@@ -461,13 +481,13 @@ class FieldModel:
 
     def chi(self, x: Sequence[float], sigma: float) -> float:
         """Cutoff: 0 on the bare magnet body, 1 outside the fattened one."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
         return 1.0 - plateau(r, ra, rb, re) * plateau(x3, za, zb, ze)
 
     def chi_partials(self, x: Sequence[float], sigma: float) -> np.ndarray:
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
         P = plateau(r, ra, rb, re)
@@ -482,7 +502,7 @@ class FieldModel:
 
     def chi_curvature(self, x: Sequence[float], sigma: float) -> float:
         """|applied momentum-squared|: -(laplacian chi) pointwise."""
-        x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+        x1, x2, x3 = _xyz(x)
         r = math.hypot(x1, x2)
         (ra, rb, re), (za, zb, ze) = self._chi_profiles(sigma)
         P = plateau(r, ra, rb, re)

@@ -1,5 +1,7 @@
 """Field model: mollified profiles, potentials, gauge function, norms."""
 
+import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -29,6 +31,7 @@ from abcertify.fields import (
     plateau,
     plateau_d1,
     plateau_d2,
+    plateau_mass,
     potential_ratio,
     ring_tail,
     supnorm_constants,
@@ -220,6 +223,10 @@ def test_plateau_validation():
         plateau(0.5, 0.3, 0.9, 0.5)
     with pytest.raises(ValueError):
         plateau(0.5, 0.3, 0.9, 0.0)
+    # a mass shares the value's ramp, and its check
+    with pytest.raises(ValueError):
+        plateau_mass(0.0, 1.0, 0.3, 0.9, 0.5)
+    assert plateau_mass(0.0, 1.0, 0.3, 0.9, 0.1) == pytest.approx(0.6, rel=1e-14)
 
 
 def test_plateau_derivatives_match_fd():
@@ -276,6 +283,17 @@ def test_model_windows(field_model, cfg):
     assert field_model.normalisation == pytest.approx(
         field_model.w_radial * field_model.w_axial, rel=1e-12
     )
+
+
+def test_field_model_is_frozen(cfg):
+    # the ramps, scale and normalisation are computed once from cfg, so
+    # cfg cannot be swapped under them
+    model = FieldModel(cfg)
+    norm = model.normalisation
+    model.b_field((2e-4, 0.0, 0.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.cfg = get_config("k1", "e1")
+    assert model.cfg is cfg and model.normalisation == norm
 
 
 def test_flux_linked_plateaus(field_model, cfg):
@@ -370,6 +388,110 @@ def test_curl_of_potential_is_field(field_model, cfg):
         curl = fd_curl(field_model.a_potential, x, h)
         assert np.abs(curl - bvec).max() <= 1e-3 * np.linalg.norm(bvec)
         checked += 1
+
+
+_CHI_SIGMAS = (1e-8, 1e-7, 1e-6)
+
+
+def _around(v):
+    """v and the floats one ulp either side of it."""
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+def _golden_points(cfg):
+    """Seeded points, every ramp breakpoint and the floats one ulp either
+    side, points inside a radial and an axial ramp at once, r = 0 and
+    points off the body.
+
+    A breakpoint is computed as :func:`plateau` computes it (a - eps,
+    a + eps, b - eps, b + eps), and each ramp's a, b and the support
+    ends count as breakpoints too.  Breakpoint radii sit on the x1 or
+    the x2 axis, where hypot returns them exactly.
+    """
+    m, e, d = cfg.magnet, cfg.eps_tilde, cfg.delta_tilde
+    model = FieldModel(cfg)
+
+    def ends(a, b, eps):
+        return (a - eps, a + eps, b - eps, b + eps, a, b)
+
+    radii = ends(m.r1_tilde + e, m.r2_tilde - e, e) + (m.r1_tilde, m.r2_tilde)
+    heights = ends(-m.h_tilde + d, m.h_tilde - d, d) + (-m.h_tilde, m.h_tilde)
+    chi_radii, chi_heights = [], []
+    # profile pairs whose ramps take a grid of points inside both
+    inside = [((m.r1_tilde + e, m.r2_tilde - e, e), (-m.h_tilde + d, m.h_tilde - d, d))]
+    for sigma in _CHI_SIGMAS:
+        rad, ax = model._chi_profiles(sigma)
+        chi_radii += ends(*rad)
+        chi_heights += ends(*ax)
+        inside.append((rad, ax))
+    r_mid = 0.5 * (m.r1_tilde + m.r2_tilde)
+    pts = []
+    for r in itertools.chain.from_iterable(map(_around, radii + tuple(chi_radii))):
+        pts += [(r, 0.0, 0.0), (0.0, r, 0.3 * m.h_tilde), (r, 0.0, m.h_tilde - d)]
+    for z in itertools.chain.from_iterable(map(_around, heights + tuple(chi_heights))):
+        pts += [(r_mid, 0.0, z), (0.0, 0.5 * m.r1_tilde, z), (0.0, 0.0, z)]
+    for rad, ax in inside:
+        for f, g in itertools.product((0.1, 0.35, 0.6, 0.85), repeat=2):
+            pts += [
+                (r * math.cos(0.7), r * math.sin(0.7), z)
+                for r in (rad[0] - rad[2] * (1.0 - 2.0 * f), rad[1] + rad[2] * (1.0 - 2.0 * f))
+                for z in (ax[0] - ax[2] * (1.0 - 2.0 * g), ax[1] + ax[2] * (1.0 - 2.0 * g))
+            ]
+    pts += [(0.0, 0.0, z) for z in (0.0, 0.5 * m.h_tilde, 2.0 * m.h_tilde, -3.0 * m.h_tilde)]
+    pts += [
+        (1.3 * m.r2_tilde, 0.0, 0.0),
+        (0.0, -2.0 * m.r2_tilde, 0.5 * m.h_tilde),
+        (r_mid, 0.0, 1.5 * m.h_tilde),
+        (-r_mid, 0.0, -1.5 * m.h_tilde),
+    ]
+    rng = np.random.default_rng(53)
+    for r, phi, z in zip(
+        rng.uniform(0.0, 1.4 * m.r2_tilde, 40).tolist(),
+        rng.uniform(0.0, 2.0 * math.pi, 40).tolist(),
+        rng.uniform(-1.5 * m.h_tilde, 1.5 * m.h_tilde, 40).tolist(),
+    ):
+        pts.append((r * math.cos(phi), r * math.sin(phi), z))
+    return model, pts
+
+
+def _evaluator_record(model, x):
+    """float.hex of every evaluator output at x, one string."""
+    out = [
+        *model.b_field(x).tolist(),
+        *model.b_partials(x).ravel().tolist(),
+        model.a3(x),
+        *model.a_potential(x).tolist(),
+        *model.a3_partials(x).tolist(),
+        model.flux_linked(math.hypot(float(x[0]), float(x[1]))),
+    ]
+    for sigma in _CHI_SIGMAS:
+        out += [model.chi(x, sigma), *model.chi_partials(x, sigma).tolist()]
+        out.append(model.chi_curvature(x, sigma))
+    words = [float.hex(float(v)) for v in out]
+    try:
+        words.append(float.hex(model.lambda_gauge(x)))
+    except ValueError:
+        words.append("no-gauge")
+    return " ".join(words)
+
+
+# sha256 over _evaluator_record at _golden_points for the six configs,
+# recorded before the evaluators read ramps built once per model
+_GOLDEN_EVALUATOR_SHA256 = "41d53b5b7a64da2a184cd7c9e89bfc20ce987f260b26241f6e29b0c38230a988"
+
+
+def test_field_evaluators_match_golden_digest():
+    digest = hashlib.sha256()
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        model, pts = _golden_points(get_config(magnet, beam))
+        for k, x in enumerate(pts):
+            line = _evaluator_record(model, x)
+            digest.update(line.encode())
+            if k % 4 == 0:
+                # a list or a float64 array of the point gives the same floats
+                assert _evaluator_record(model, list(x)) == line
+                assert _evaluator_record(model, np.array(x)) == line
+    assert digest.hexdigest() == _GOLDEN_EVALUATOR_SHA256
 
 
 # ----------------------------------------------------------------------

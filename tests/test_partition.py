@@ -1,9 +1,11 @@
 """Width-grid construction: decade partitions and the eleven sweep sets."""
 
-import pytest
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.partition import (
     SET_NAMES,
     _order_of,
@@ -65,15 +67,17 @@ def test_set_sizes(cfg):
         assert len(sets[name]) - 1 == published.FROZEN_PAIR_COUNTS[name]
 
 
-def test_sets_cover_working_range(cfg):
-    sets = sigma_sets(cfg)
-    spans = sorted((p[0], p[-1]) for p in sets.values())
-    assert spans[0][0] == pytest.approx(cfg.sigma_min, rel=1e-12)
-    reach = spans[0][1]
-    for lo, hi in spans[1:]:
-        assert lo <= reach * (1.0 + 1e-12), f"coverage gap before {lo}"
-        reach = max(reach, hi)
-    assert reach == pytest.approx(cfg.sigma_max, rel=1e-12)
+def test_sets_cover_working_range():
+    # exact float endpoints: the sets leave no gap, not even an ulp
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        cfg = get_config(magnet, beam)
+        spans = sorted((p[0], p[-1]) for p in sigma_sets(cfg).values())
+        assert spans[0][0] == cfg.sigma_min
+        reach = spans[0][1]
+        for lo, hi in spans[1:]:
+            assert lo <= reach, f"coverage gap before {lo} ({magnet}/{beam})"
+            reach = max(reach, hi)
+        assert reach == cfg.sigma_max
 
 
 def test_set_interiors_strictly_increasing(cfg):
