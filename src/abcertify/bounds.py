@@ -10,8 +10,8 @@ final bound for a packet of width sigma is then
   + spread term    exp(-(33/34)(sigma mv)^2/2) * P(sigma)
   + fixed slack    a power of ten covering remainders,
 
-with P the calibrated polynomial of the requested regime.  One core,
-``_bound_logs``, evaluates every such bound on log magnitudes with the
+with P the calibrated polynomial of the requested regime.  One factory,
+``_row_logs``, evaluates every such bound on log magnitudes with the
 directed ``xreal`` steps, so the reported numbers are machine-checked
 upper bounds.  Only the functions that return a :class:`BoundReport`
 build one; the threshold bisections and the worst-case parameter scan
@@ -447,7 +447,7 @@ _DETAILED = (1.04e14, 3.91e8, -1.41e3, -1.14e-2, 0.0)
 class _Row(NamedTuple):
     """One bound of the form :func:`_bound` evaluates."""
 
-    poly: Union[str, Tuple[float, ...]]  # a name picks the calibrated vector
+    poly: Union[str, float, Tuple[float, ...]]  # a calibrated family's name, or P itself
     size: float  # log magnitude of the size factor
     offset: float
     additive: float  # log magnitude of the additive slack
@@ -473,8 +473,8 @@ _REGIME_TABLE: Dict[str, _Row] = {
 REGIMES = tuple(_REGIME_TABLE)
 # the headline bound 7 e^{-r1^2/2s^2} + 177e3 e^{-rate} + 1e-100, and the
 # envelope whose square bounds the interaction probability
-_FINAL = _Row((0.0, 0.0, 177e3, 0.0, 0.0), _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
-_ENVELOPE = _Row((0.0, 0.0, 177001.0, 0.0, 0.0), _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
+_FINAL = _Row(177e3, _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
+_ENVELOPE = _Row(177001.0, _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
 
 
 def _regime_row(regime: str) -> _Row:
@@ -491,10 +491,8 @@ def _envelope_family(regime: str) -> str:
     return family
 
 
-def _bound_logs(
-    cfg: ExperimentConfig, sigma: float, row: _Row
-) -> Tuple[float, float, float, float, float]:
-    """size e^{-r1^2/2sigma^2} + e^{-rate}(p + offset) + additive for one row.
+def _row_logs(cfg: ExperimentConfig, row: _Row) -> Callable[[float], Tuple[float, ...]]:
+    """The evaluator of size e^{-r1^2/2sigma^2} + e^{-rate}(p + offset) + additive.
 
     p = max(0, P(sigma)) for the row's polynomial P.  A row with c > 0
     adds the published allowance 4 e^{-r1^2/2sigma^2} + c e^{-rate} p +
@@ -504,30 +502,51 @@ def _bound_logs(
     additive and total terms: ``(poly, size, spread, additive, total)``.
     Callers that compare bounds read these floats; only the functions
     that return a :class:`BoundReport` wrap them.
+
+    The config's and the row's constants are read once; a constant P = K
+    (``_FINAL``, ``_ENVELOPE``) is lifted once, as ``calibrated_poly((0,
+    0, K, 0, 0), sigma)`` is K bit for bit for finite sigma > 0.  Where 2
+    sigma^2 underflows to 0 (sigma < ~1.1e-162) the size term is log -inf:
+    the terms it drops, below e^-1e300 for a hole radius over 1e-11 cm,
+    are less than what the total's upward log-sum steps add to it.
     """
-    coeffs, size_factor, offset, additive, scale = row
-    if isinstance(coeffs, str):
-        coeffs = _coefficients(cfg)[_FAMILY_INDEX[coeffs]]
-    poly = calibrated_poly(coeffs, sigma)
-    p = max(0.0, poly)
-    r1 = cfg.r1
-    rate = exp_neg_log(cfg.rate_exponent(sigma))
-    size1 = exp_neg_log(r1 * r1 / (2.0 * sigma * sigma))
-    size = mul_up(size1, size_factor)
-    spread = mul_up(rate, f64_up(p + offset))
-    total = add_up(add_up(size, spread), additive)
-    if scale:
+    poly, size_factor, offset, additive, scale = row
+    r1_sq, rate_exponent = cfg.r1 * cfg.r1, cfg.rate_exponent
+    if isinstance(poly, float):  # a constant K > 0, with no allowance
+        lifted = f64_up(poly + offset)
+
+        def constant_logs(sigma):
+            den = 2.0 * sigma * sigma
+            size = mul_up(exp_neg_log(r1_sq / den) if den else -math.inf, size_factor)
+            spread = mul_up(exp_neg_log(rate_exponent(sigma)), lifted)
+            return poly, size, spread, additive, add_up(add_up(size, spread), additive)
+
+        return constant_logs
+    coeffs = _coefficients(cfg)[_FAMILY_INDEX[poly]] if isinstance(poly, str) else poly
+
+    def logs(sigma):
+        value = calibrated_poly(coeffs, sigma)
+        p = max(0.0, value)
+        rate = exp_neg_log(rate_exponent(sigma))
+        den = 2.0 * sigma * sigma
+        size1 = exp_neg_log(r1_sq / den) if den else -math.inf
+        size = mul_up(size1, size_factor)
+        spread = mul_up(rate, f64_up(p + offset))
+        total = add_up(add_up(size, spread), additive)
+        if not scale:
+            return value, size, spread, additive, total
         allowance = add_up(
             add_up(mul_up(size1, _LOG_ALLOWANCE_SIZE), mul_up(rate, f64_up(scale * p))),
             _LOG_ALLOWANCE_SLACK,
         )
-        total, additive = add_up(total, allowance), add_up(additive, allowance)
-    return poly, size, spread, additive, total
+        return value, size, spread, add_up(additive, allowance), add_up(total, allowance)
+
+    return logs
 
 
 def _bound(cfg: ExperimentConfig, sigma: float, name: str, row: _Row) -> BoundReport:
-    """The row's bound at sigma as a :class:`BoundReport` (see :func:`_bound_logs`)."""
-    poly, size, spread, additive, total = _bound_logs(cfg, sigma, row)
+    """The row's bound at sigma as a :class:`BoundReport` (see :func:`_row_logs`)."""
+    poly, size, spread, additive, total = _row_logs(cfg, row)(sigma)
     return BoundReport(
         name, sigma, XReal(size), XReal(spread), XReal(additive), XReal(total), poly
     )
@@ -549,7 +568,7 @@ def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:
 
 def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
     """Upper bound on the interaction probability: the squared envelope."""
-    total = _bound_logs(cfg, sigma, _ENVELOPE)[4]
+    total = _row_logs(cfg, _ENVELOPE)(sigma)[4]
     return XReal(mul_up(total, total))
 
 
@@ -562,7 +581,7 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
 # bound at a width that lies in a region [s1, s2] whose sign a two-sided
 # envelope of the headline bound proves.  With u = 2^-53:
 #
-# * The size and spread components that _bound_logs returns for the
+# * The size and spread components that _row_logs returns for the
 #   headline row are monotone in the float sigma, as threshold_sigma's
 #   docstring states for the terms: each is a chain of correctly rounded
 #   IEEE steps (and nextafter), each monotone.  With smv = fl(sigma mv),
@@ -622,9 +641,9 @@ def _bisect_log_sigma(
 
     ``bound(s)`` returns the log magnitudes (size, spread, additive,
     total) of the headline bound at s, as :func:`threshold_sigma` gets
-    them from :func:`_bound_logs`.  A step's sign is (total > t) -
-    (total < t), the order :meth:`XReal.cmp` gives: +1 above the target,
-    -1 below.
+    them from the headline row's :func:`_row_logs`.  A step's sign is
+    (total > t) - (total < t), the order :meth:`XReal.cmp` gives: +1
+    above the target, -1 below.
 
     The walk is the plain bisection: at most ``_BISECT_STEPS`` steps,
     stopping early once a step leaves the bracket unchanged (the sign is
@@ -720,7 +739,8 @@ def _headline_logs(cfg: ExperimentConfig) -> Callable[[float], Tuple[float, floa
     """The headline bound's logs (size, spread, additive, total) at a width,
     memoized for the life of the returned function: the searches of one
     table share it, so they evaluate each width, bracket ends too, once."""
-    return lru_cache(maxsize=None)(lambda s: _bound_logs(cfg, s, _FINAL)[1:])
+    logs = _row_logs(cfg, _FINAL)
+    return lru_cache(maxsize=None)(lambda s: logs(s)[1:])
 
 
 def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str, *, _bound=None) -> float:
@@ -733,13 +753,13 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str, *, _bound
     the bound decreases with width and the crossing is bracketed by
     [1e-12, 1e-7].
 
-    Each step compares the headline bound's total log magnitude with
-    ``target.log_mag`` exactly as :meth:`XReal.cmp` does, so it orders
-    the widths as the reported totals of :func:`final_bound` would,
-    without building a :class:`BoundReport`.  The search
-    (:func:`_bisect_log_sigma`) skips the steps whose sign the monotone
-    terms prove and returns the full bisection's width, bit for bit.
-    ``_bound`` (private) is a table's shared :func:`_headline_logs`.
+    Each step compares the headline row's total log magnitude (from
+    :func:`_row_logs`) with ``target.log_mag`` exactly as
+    :meth:`XReal.cmp` does, so it orders the widths as the reported
+    totals of :func:`final_bound` would, without a :class:`BoundReport`.
+    The search (:func:`_bisect_log_sigma`) skips the steps whose sign the
+    monotone terms prove and returns the full bisection's width, bit for
+    bit.  ``_bound`` (private) is a table's shared :func:`_headline_logs`.
     """
     bound = _bound or _headline_logs(cfg)
     if math.isnan(target.log_mag):  # every sign against NaN would read 0
@@ -800,7 +820,8 @@ def sweep_rows(
     else:
         raise ValueError(f"scale must be 'log' or 'linear', got {scale!r}")
     widths = grid.tolist()
-    sci = sci_strings([lm for s in widths for lm in final_bound(cfg, s)._logs()])
+    logs = _row_logs(cfg, _FINAL)
+    sci = sci_strings([lm for s in widths for lm in logs(s)[1:]])
     return list(zip(widths, sci[0::4], sci[1::4], sci[2::4], sci[3::4]))
 
 
@@ -826,11 +847,8 @@ def params_sweep(
         for ds in delta_scales:
             try:
                 trial = replace(cfg, eps_scale=float(es), delta_scale=float(ds))
-                worst = -math.inf
-                for s in probe_sigmas:
-                    tot = _bound_logs(trial, float(s), uniform)[4]
-                    if tot > worst:
-                        worst = tot
+                logs = _row_logs(trial, uniform)
+                worst = max((logs(float(s))[4] for s in probe_sigmas), default=-math.inf)
                 rows.append(
                     {
                         "eps_scale": float(es),

@@ -524,6 +524,8 @@ def _chi_p2(cfg: ExperimentConfig, delta: float) -> float:
     io = iota()
     N = curvature_constant()
     eps = cfg.eps
+    if io * eps * eps == 0.0:
+        raise ValueError(f"eps={eps:g}: eps^2 underflows to 0 in the cutoff's momentum norm")
     return (
         8.0 * N / (io * eps * eps)
         + 2.0 / (io * eps * cfg.r1 * _E)

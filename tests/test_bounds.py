@@ -576,6 +576,70 @@ def test_interaction_probability_is_squared_envelope(cfg):
     assert interaction_probability(cfg, 1e-7).log_mag <= -199.0 * math.log(10.0)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+def test_bounds_where_the_width_squared_underflows(cfg, sigma):
+    # 2 sigma^2 is 0: the size term takes its limit, zero, as it does at
+    # 1e-160, where r1^2 / (2 sigma^2) overflows instead
+    final = final_bound(cfg, sigma)
+    assert final._logs() == final_bound(cfg, 1e-160)._logs()
+    assert final.size_term.is_zero and final.poly_value == 177e3
+    spread = mul_up(exp_neg_log(cfg.rate_exponent(sigma)), f64_up(177e3))
+    assert final.spread_term.log_mag == spread
+    assert final.total.log_mag == add_up(spread, ten_pow(-100).log_mag)
+    for regime in REGIMES:
+        rep = regime_bound(cfg, sigma, regime)
+        assert rep.size_term.is_zero
+        assert rep.total.log_mag >= max(rep.spread_term.log_mag, rep.additive_term.log_mag)
+    inner = add_up(
+        mul_up(exp_neg_log(cfg.rate_exponent(sigma)), f64_up(177001.0)), ten_pow(-100).log_mag
+    )
+    assert interaction_probability(cfg, sigma).log_mag == mul_up(inner, inner)
+
+
+def _reference_row_logs(cfg, sigma, row):
+    """One row's bound at sigma with every constant read at the call and
+    every polynomial, constant ones too, summed term by term."""
+    coeffs, size_factor, offset, additive, scale = row
+    if isinstance(coeffs, str):
+        coeffs = calibrated_coefficients(cfg)[coeffs]
+    elif isinstance(coeffs, float):
+        coeffs = (0.0, 0.0, coeffs, 0.0, 0.0)
+    poly = calibrated_poly(coeffs, sigma)
+    p = max(0.0, poly)
+    r1 = cfg.r1
+    rate = exp_neg_log(cfg.rate_exponent(sigma))
+    size1 = exp_neg_log(r1 * r1 / (2.0 * sigma * sigma))
+    size = mul_up(size1, size_factor)
+    spread = mul_up(rate, f64_up(p + offset))
+    total = add_up(add_up(size, spread), additive)
+    if scale:
+        allowance = add_up(
+            add_up(mul_up(size1, f64_up(4.0)), mul_up(rate, f64_up(scale * p))),
+            ten_pow(-101).log_mag,
+        )
+        total, additive = add_up(total, allowance), add_up(additive, allowance)
+    return poly, size, spread, additive, total
+
+
+def test_row_evaluator_matches_the_reference_formula(any_cfg):
+    # zero slack: the five outputs of every row, bit for bit, on seeded
+    # widths in both threshold brackets and the golden digest's 40
+    rng = np.random.default_rng(27)
+    widths = np.concatenate((
+        np.exp(rng.uniform(math.log(1e-12), math.log(1e-7), 150)),
+        np.exp(rng.uniform(math.log(1e-7), math.log(0.999 * any_cfg.r1), 150)),
+        np.geomspace(1e-10, any_cfg.sigma_max, 40),
+    )).tolist()
+    rows = [*bounds._REGIME_TABLE.values(), bounds._FINAL, bounds._ENVELOPE]
+    for row in rows:
+        logs = bounds._row_logs(any_cfg, row)
+        for s in widths:
+            got = [x.hex() for x in logs(s)]
+            assert got == [x.hex() for x in _reference_row_logs(any_cfg, s, row)], (row, s)
+    for c in (177e3, 177001.0):
+        assert all(calibrated_poly((0.0, 0.0, c, 0.0, 0.0), s) == c for s in widths)
+
+
 # ----------------------------------------------------------------------
 # thresholds and tables
 # ----------------------------------------------------------------------
@@ -642,15 +706,21 @@ def _full_loop(bound, t, lo, hi):
 
 @pytest.fixture
 def bound_calls(monkeypatch):
-    """The widths at which the threshold search evaluates the bound core."""
+    """The widths at which the threshold search evaluates the bound: each
+    evaluator that ``_row_logs`` returns records them."""
     widths = []
-    real = bounds._bound_logs
+    real = bounds._row_logs
 
-    def counting(cfg, sigma, row):
-        widths.append(sigma)
-        return real(cfg, sigma, row)
+    def counting_factory(cfg, row):
+        logs = real(cfg, row)
 
-    monkeypatch.setattr(bounds, "_bound_logs", counting)
+        def counting(sigma):
+            widths.append(sigma)
+            return logs(sigma)
+
+        return counting
+
+    monkeypatch.setattr(bounds, "_row_logs", counting_factory)
     return widths
 
 
@@ -875,10 +945,13 @@ def test_sweep_rows_structure(cfg):
 
 
 def test_params_sweep_rows(cfg):
-    rows = params_sweep(cfg, [1.0, 60.0], [1.0], probe_sigmas=[1e-6, 5e-6])
+    # at eps_scale 1e-300 eps^2 underflows to 0, which the cutoff's
+    # momentum norm would divide by: that pair is rejected too
+    rows = params_sweep(cfg, [1.0, 60.0, 1e-300], [1.0], probe_sigmas=[1e-6, 5e-6])
     ok = [r for r in rows if r["status"] == "ok"]
     rejected = [r for r in rows if r["status"] == "rejected"]
-    assert len(ok) == 1 and len(rejected) == 1
+    assert len(ok) == 1 and len(rejected) == 2
     assert ok[0]["eps_scale"] == 1.0
     assert ok[0]["worst_log10"] == pytest.approx(-101.0, abs=0.01)
-    assert "reason" in rejected[0]
+    assert "swallows the hole" in rejected[0]["reason"]
+    assert "eps^2 underflows to 0" in rejected[1]["reason"]

@@ -123,6 +123,23 @@ def test_eval_out_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--sigma", "1e-300"], ["--json", "eval", "--sigma", "1e-170"],
+     ["eval", "--sigma", "1e-320"], ["eval", "--sigma", "1e-160"]],
+    ids=lambda a: a[-1],
+)
+def test_eval_tiny_width_reports_a_zero_size_term(capsys, argv):
+    # 2 sigma^2 underflows to 0 (at 1e-160 the quotient overflows): the
+    # size term is 0 and the command exits 0 without a traceback
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    if "--json" in argv:
+        assert json.loads(out)["components"]["size_term"] == "0"
+    else:
+        assert out.splitlines()[1].split() == ["size_term", "0"]
+
+
 _UNWRITABLE_OUT_COMMANDS = [
     ["verify", "--set", "sigma10"],
     ["eval", "--sigma", "1e-7"],
@@ -403,6 +420,16 @@ def test_sweep_csv(capsys):
         assert ln.split(",")[4] == "1.0000×10^-100"
 
 
+def test_sweep_from_a_tiny_width(capsys):
+    code, out, err = run(
+        capsys, ["sweep", "--from", "1e-300", "--to", "1e-7", "--points", "5"]
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert lines[1].split(",")[1:] == ["0", "1.7700×10^+5", "1.0000×10^-100", "1.7700×10^+5"]
+
+
 def test_sweep_validation(capsys):
     code, out, err = run(
         capsys, ["sweep", "--from", "1e-6", "--to", "1e-8", "--points", "3"]
@@ -447,6 +474,16 @@ def test_params_rejected_scale(capsys):
     row = out.splitlines()[1].split(",")
     assert row[2] == "rejected"
     assert "swallows the hole" in row[3]
+
+
+def test_params_rejects_an_underflowing_eps(capsys):
+    code, out, err = run(
+        capsys, ["params", "--sweep", "--eps-scales", "1e-300,1", "--delta-scales", "1"]
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows[0][2] == "rejected" and "eps^2 underflows to 0" in rows[0][3]
+    assert rows[1][2] == "ok"
 
 
 def test_params_rejects_non_finite_scale(capsys):
