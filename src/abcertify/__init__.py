@@ -5,8 +5,10 @@ machine-checked estimates behind a matter-wave interference setup: a
 Gaussian beam passing a magnetically shielded toroidal magnet.  It
 provides
 
-* :class:`~abcertify.xreal.XReal` -- an extended-range nonnegative
-  scalar carrying certified upper bounds far below 1e-308;
+* directed arithmetic on natural-log magnitudes (:mod:`abcertify.xreal`):
+  every certified value is such a float (-inf for zero), so bounds far
+  below 1e-308 need no special type; ``XReal`` only records the four
+  terms of a ``BoundReport``;
 * a field model (magnet profile, vector potential, shield function)
   with certified sup-norm constants;
 * packet kinematics (spreading rates, crossing distances, windows);

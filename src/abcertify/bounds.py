@@ -13,10 +13,10 @@ final bound for a packet of width sigma is then
 with P the calibrated polynomial of the requested regime.  One factory,
 ``_row_logs``, evaluates every such bound on log magnitudes with the
 directed ``xreal`` steps, so the reported numbers are machine-checked
-upper bounds.  Only the functions that return a :class:`BoundReport`
-build one; the threshold bisections and the worst-case parameter scan
-order bounds by their log-magnitude floats with the comparison
-:meth:`~abcertify.xreal.XReal.cmp` makes.
+upper bounds.  Every value is such a log-magnitude float (-inf for
+zero), compared as a float: the threshold bisections and the
+worst-case parameter scan order bounds by them, and only the functions
+that return a :class:`BoundReport` record its four terms.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ _LN10_HI = math.nextafter(math.log(10.0), math.inf)
 _LN10_LO = math.nextafter(math.log(10.0), -math.inf)
 
 
-def ten_pow(k: float, direction: str = "up") -> XReal:
-    """10**k as an XReal, rounded in the stated direction.
+def ten_pow(k: float, direction: str = "up") -> float:
+    """The log magnitude of 10**k, rounded in the stated direction.
 
     "up" yields a value >= 10**k (safe as an additive slack in an upper
     bound); "down" yields <= 10**k (safe on the comparison side of a
@@ -95,9 +95,9 @@ def ten_pow(k: float, direction: str = "up") -> XReal:
     """
     if direction == "up":
         ln10 = _LN10_HI if k >= 0 else _LN10_LO
-        return XReal.from_log(math.nextafter(k * ln10, math.inf))
+        return math.nextafter(k * ln10, math.inf)
     ln10 = _LN10_LO if k >= 0 else _LN10_HI
-    return XReal.from_log(math.nextafter(k * ln10, -math.inf))
+    return math.nextafter(k * ln10, -math.inf)
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +132,11 @@ _FAMILY_INDEX = {family: i for i, family in enumerate(_FAMILIES)}
 
 @lru_cache(maxsize=64)
 def _calibrated(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
-    """(incoming, interacting, outgoing) vectors of one config (``_FAMILIES``)."""
+    """(incoming, interacting, outgoing) vectors of one config (``_FAMILIES``).
+
+    ValueError if a coefficient is not finite: P(sigma) would be NaN or
+    infinite, and no bound built on it would hold.
+    """
     mv = cfg.mv
     ht = cfg.magnet.h_tilde
     a1, a2, a3, a4, a5 = _floor_norms(cfg)
@@ -159,6 +163,9 @@ def _calibrated(cfg: ExperimentConfig) -> Tuple[Tuple[float, ...], ...]:
         3.0 * neg_half + _Z_OVER_H_CAP * ht * a5,
         0.0,
     )
+    for family, coeffs in zip(_FAMILIES, (incoming, interacting, outgoing)):
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"calibrated {family} coefficients are not finite: {coeffs}")
     return (incoming, interacting, outgoing)
 
 
@@ -234,7 +241,7 @@ def tail_payload(regime: str, z: float, sigma: float, cfg: ExperimentConfig) -> 
 
 
 # the envelope certificate's 1e-420 slack, rounded down (comparison side)
-_LOG_ENVELOPE_SLACK = ten_pow(-420, "down").log_mag
+_LOG_ENVELOPE_SLACK = ten_pow(-420, "down")
 
 
 def envelope_sides(
@@ -242,8 +249,8 @@ def envelope_sides(
     regime: str,
     sigma: float,
     zeta: Optional[float] = None,
-) -> Tuple[XReal, XReal]:
-    """Both sides of the per-width envelope certificate.
+) -> Tuple[float, float]:
+    """Log magnitudes of both sides of the per-width envelope certificate.
 
     LHS: capped-rate exponential times the payload at the crossing
     distance, plus the regime's ring-tail term, rounded up.  RHS: the
@@ -258,16 +265,16 @@ def envelope_sides(
     family = _envelope_family(regime)
     if family == "interacting":
         zz = z if zeta is None else zeta
-        lhs = add_up(lhs, mul_up(ring_tail(cfg, sigma, zz, z).log_mag, f64_up(0.5)))
+        lhs = add_up(lhs, mul_up(ring_tail(cfg, sigma, zz, z), f64_up(0.5)))
     elif family == "outgoing":
-        lhs = add_up(lhs, ring_tail(cfg, sigma, 0.0, z).log_mag)
+        lhs = add_up(lhs, ring_tail(cfg, sigma, 0.0, z))
 
     coeffs = _coefficients(cfg)[_FAMILY_INDEX[family]]
     rhs = add_down(
         mul_down(exp_neg_log(cfg.rate_exponent(sigma)), f64_down(_poly_nonneg(coeffs, sigma))),
         _LOG_ENVELOPE_SLACK,
     )
-    return XReal(lhs), XReal(rhs)
+    return lhs, rhs
 
 
 # ----------------------------------------------------------------------
@@ -412,11 +419,11 @@ ALLOWANCE_SIZE = 4.0
 ALLOWANCE_SCALE = {"interacting": 1e-3, "outgoing": 1e-7}
 ALLOWANCE_SLACK_EXP = -101
 _LOG_ALLOWANCE_SIZE = f64_up(ALLOWANCE_SIZE)
-_LOG_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP).log_mag
+_LOG_ALLOWANCE_SLACK = ten_pow(ALLOWANCE_SLACK_EXP)
 # the same, rounded down, for the comparison side of a pair certificate
 _LOG_ALLOWANCE_SIZE_DOWN = f64_down(ALLOWANCE_SIZE)
 _LOG_ALLOWANCE_SCALE_DOWN = {regime: f64_down(c) for regime, c in ALLOWANCE_SCALE.items()}
-_LOG_ALLOWANCE_SLACK_DOWN = ten_pow(ALLOWANCE_SLACK_EXP, "down").log_mag
+_LOG_ALLOWANCE_SLACK_DOWN = ten_pow(ALLOWANCE_SLACK_EXP, "down")
 
 
 def pair_allowance(cfg: ExperimentConfig, mu1: float, mu2: float) -> Tuple[float, float]:
@@ -455,26 +462,26 @@ class _Row(NamedTuple):
 
 
 _LOG_SEVEN = f64_up(7.0)
-_LOG_TWICE_1E420 = mul_up(ten_pow(-420).log_mag, f64_up(2.0))
+_LOG_TWICE_1E420 = mul_up(ten_pow(-420), f64_up(2.0))
 _OUTGOING = _Row(
     "outgoing", f64_up(3.0), _SQRT_2, _LOG_TWICE_1E420, ALLOWANCE_SCALE["outgoing"]
 )
 _REGIME_TABLE: Dict[str, _Row] = {
-    "incoming": _Row("incoming", -math.inf, _SQRT_2, ten_pow(-419).log_mag, 0.0),
+    "incoming": _Row("incoming", -math.inf, _SQRT_2, ten_pow(-419), 0.0),
     "interacting": _Row("interacting", f64_up(2.0031), 2.0,
-                        add_up(ten_pow(-420).log_mag, ten_pow(-456).log_mag),
+                        add_up(ten_pow(-420), ten_pow(-456)),
                         ALLOWANCE_SCALE["interacting"]),
     "outgoing": _OUTGOING,
     "scattering": _OUTGOING,
     "uniform": _OUTGOING,
     "detailed": _Row(_DETAILED, _LOG_SEVEN, 0.0,
-                     add_up(ten_pow(-101).log_mag, _LOG_TWICE_1E420), 0.0),
+                     add_up(ten_pow(-101), _LOG_TWICE_1E420), 0.0),
 }
 REGIMES = tuple(_REGIME_TABLE)
 # the headline bound 7 e^{-r1^2/2s^2} + 177e3 e^{-rate} + 1e-100, and the
 # envelope whose square bounds the interaction probability
-_FINAL = _Row(177e3, _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
-_ENVELOPE = _Row(177001.0, _LOG_SEVEN, 0.0, ten_pow(-100).log_mag, 0.0)
+_FINAL = _Row(177e3, _LOG_SEVEN, 0.0, ten_pow(-100), 0.0)
+_ENVELOPE = _Row(177001.0, _LOG_SEVEN, 0.0, ten_pow(-100), 0.0)
 
 
 def _regime_row(regime: str) -> _Row:
@@ -501,7 +508,7 @@ def _row_logs(cfg: ExperimentConfig, row: _Row) -> Callable[[float], Tuple[float
     polynomial value and the log magnitudes of the size, spread,
     additive and total terms: ``(poly, size, spread, additive, total)``.
     Callers that compare bounds read these floats; only the functions
-    that return a :class:`BoundReport` wrap them.
+    that return a :class:`BoundReport` record them in one.
 
     The config's and the row's constants are read once; a constant P = K
     (``_FINAL``, ``_ENVELOPE``) is lifted once, as ``calibrated_poly((0,
@@ -566,10 +573,10 @@ def final_bound(cfg: ExperimentConfig, sigma: float) -> BoundReport:
     return _bound(cfg, sigma, "final", _FINAL)
 
 
-def interaction_probability(cfg: ExperimentConfig, sigma: float) -> XReal:
-    """Upper bound on the interaction probability: the squared envelope."""
+def interaction_probability(cfg: ExperimentConfig, sigma: float) -> float:
+    """Log of an upper bound on the interaction probability: the squared envelope."""
     total = _row_logs(cfg, _ENVELOPE)(sigma)[4]
-    return XReal(mul_up(total, total))
+    return mul_up(total, total)
 
 
 # ----------------------------------------------------------------------
@@ -642,8 +649,7 @@ def _bisect_log_sigma(
     ``bound(s)`` returns the log magnitudes (size, spread, additive,
     total) of the headline bound at s, as :func:`threshold_sigma` gets
     them from the headline row's :func:`_row_logs`.  A step's sign is
-    (total > t) - (total < t), the order :meth:`XReal.cmp` gives: +1
-    above the target, -1 below.
+    (total > t) - (total < t): +1 above the target, -1 below.
 
     The walk is the plain bisection: at most ``_BISECT_STEPS`` steps,
     stopping early once a step leaves the bracket unchanged (the sign is
@@ -743,8 +749,8 @@ def _headline_logs(cfg: ExperimentConfig) -> Callable[[float], Tuple[float, floa
     return lru_cache(maxsize=None)(lambda s: logs(s)[1:])
 
 
-def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str, *, _bound=None) -> float:
-    """Width at which the headline bound crosses ``target``.
+def threshold_sigma(cfg: ExperimentConfig, target: float, branch: str, *, _bound=None) -> float:
+    """Width at which the headline bound crosses the log magnitude ``target``.
 
     The bound's size term rises with width, its spread term falls and
     its additive term is constant.  "big": the size term dominates; the
@@ -754,20 +760,20 @@ def threshold_sigma(cfg: ExperimentConfig, target: XReal, branch: str, *, _bound
     [1e-12, 1e-7].
 
     Each step compares the headline row's total log magnitude (from
-    :func:`_row_logs`) with ``target.log_mag`` exactly as
-    :meth:`XReal.cmp` does, so it orders the widths as the reported
-    totals of :func:`final_bound` would, without a :class:`BoundReport`.
+    :func:`_row_logs`) with ``target`` as floats, so it orders the
+    widths as the reported totals of :func:`final_bound` would, without
+    a :class:`BoundReport`.  A NaN target raises ValueError.
     The search (:func:`_bisect_log_sigma`) skips the steps whose sign the
     monotone terms prove and returns the full bisection's width, bit for
     bit.  ``_bound`` (private) is a table's shared :func:`_headline_logs`.
     """
     bound = _bound or _headline_logs(cfg)
-    if math.isnan(target.log_mag):  # every sign against NaN would read 0
+    if math.isnan(target):  # every sign against NaN would read 0
         raise ValueError("target must not be NaN")
     if branch == "big":
-        return _bisect_log_sigma(bound, target.log_mag, 1e-7, 0.999 * cfg.r1)
+        return _bisect_log_sigma(bound, target, 1e-7, 0.999 * cfg.r1)
     if branch == "small":
-        return _bisect_log_sigma(bound, target.log_mag, 1e-12, 1e-7)
+        return _bisect_log_sigma(bound, target, 1e-12, 1e-7)
     raise ValueError(f"branch must be 'big' or 'small', got {branch!r}")
 
 
@@ -854,7 +860,7 @@ def params_sweep(
                         "eps_scale": float(es),
                         "delta_scale": float(ds),
                         "status": "ok",
-                        "worst_bound": XReal(worst).to_sci_string(),
+                        "worst_bound": sci_strings([worst])[0],
                         "worst_log10": worst / math.log(10.0),
                     }
                 )

@@ -20,7 +20,7 @@ certified upper bound.  The allowance comes from
 functions, so every reported right-hand side is a certified lower
 bound of the published one.  A pair's certificate runs on those
 log-magnitude floats throughout (``grid_majorant`` returns one, -inf
-for zero) and wraps only its four reported values as ``XReal``; a
+for zero), and its four reported values are such floats too; a
 window keeps its one-cell log and its grid's cells for the kind it was
 built for, so each cell of a pair's majorants is computed once.
 
@@ -89,7 +89,7 @@ from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
 from .kinematics import rho, z_crossing, z_crossing_vec
 from .partition import SET_NAMES, sweep_pairs
-from .xreal import XReal, add_up, exp_neg_log, f64_up, fold_add_logs, mul_up, sci_strings
+from .xreal import add_up, exp_neg_log, f64_up, fold_add_logs, mul_up, sci_strings
 
 __all__ = [
     "PairResult",
@@ -433,10 +433,11 @@ class PairResult:
     mu3: float
     delta0: float
     flags: str
-    lhs_interacting: XReal
-    rhs_interacting: XReal
-    lhs_outgoing: XReal
-    rhs_outgoing: XReal
+    # the two sides of each inequality, as log magnitudes (-inf is zero)
+    lhs_interacting: float
+    rhs_interacting: float
+    lhs_outgoing: float
+    rhs_outgoing: float
     margin_log10: float
     passed: bool
     note: str = ""
@@ -473,8 +474,8 @@ def check_pair(
     (ValueError, see ``_layout_window``).  Both sides are assembled on
     log-magnitude floats: the left from the ``grid_majorant`` logs and
     the boundary terms with the upward ``xreal`` steps, the right by
-    ``bounds.pair_allowance``.  Only the four reported values are
-    wrapped as ``XReal``.
+    ``bounds.pair_allowance``.  The four reported values are those
+    log floats.
     """
     mv = cfg.mv
     r1 = cfg.r1
@@ -513,7 +514,7 @@ def check_pair(
     except ValueError as exc:
         return PairResult(
             set_name, index, mu1, mu2, mu3, delta0, "!solver",
-            XReal.zero(), XReal.zero(), XReal.zero(), XReal.zero(),
+            -_INF, -_INF, -_INF, -_INF,
             -math.inf, False, note=str(exc),
         )
 
@@ -607,7 +608,7 @@ def check_pair(
     passed = lhs1 <= rhs1 and lhs2 <= rhs2 and not flags
     return PairResult(
         set_name, index, mu1, mu2, mu3, delta0, "ok" if not flags else "|".join(flags),
-        XReal(lhs1), XReal(rhs1), XReal(lhs2), XReal(rhs2), margin, passed,
+        lhs1, rhs1, lhs2, rhs2, margin, passed,
     )
 
 
@@ -653,8 +654,7 @@ def csv_rows(results: Iterable[PairResult]) -> List[List[str]]:
     """
     results = list(results)
     sci = sci_strings([
-        v.log_mag
-        for r in results
+        v for r in results
         for v in (r.lhs_interacting, r.rhs_interacting, r.lhs_outgoing, r.rhs_outgoing)
     ])
     widths = np.array([w for r in results for w in (r.mu1, r.mu2, r.mu3)], dtype=np.float64)

@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     REGIMES,
+    calibrated_coefficients,
     interaction_probability,
     params_sweep,
     plateau_interval,
@@ -45,6 +46,7 @@ from .certify import CSV_COLUMNS, csv_rows, csv_text, sweep
 from .config import ExperimentConfig, get_config, parse_config_file
 from .fields import FieldModel, supnorm_constants
 from .partition import SET_NAMES
+from .xreal import sci_strings
 
 
 def _positive_float(text: str) -> float:
@@ -168,21 +170,22 @@ def _json_text(payload) -> str:
 
 def _cmd_eval(args, cfg: ExperimentConfig) -> int:
     rep = regime_bound(cfg, args.sigma, args.regime)
-    prob = interaction_probability(cfg, args.sigma)
+    # the four components and the probability, printed in one call
+    names = ("size_term", "spread_term", "additive", "total", "probability")
+    logs = [*rep._logs(), interaction_probability(cfg, args.sigma)]
+    rows = list(zip(names, sci_strings(logs)))
     if args.as_json:
         payload = {
             "sigma": args.sigma,
             "regime": args.regime,
             "poly_value": rep.poly_value,
-            "components": {k: v for k, v in rep.rows()},
-            "interaction_probability": prob.to_sci_string(),
+            "components": dict(rows[:4]),
+            "interaction_probability": rows[4][1],
         }
         _emit(args, _json_text(payload))
         return 0
     lines = [f"width sigma = {args.sigma:.6g} cm, regime = {args.regime}"]
-    for name, value in rep.rows():
-        lines.append(f"  {name:<12} {value}")
-    lines.append(f"  {'probability':<12} {prob.to_sci_string()}")
+    lines += [f"  {name:<12} {value}" for name, value in rows]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -204,6 +207,7 @@ def _cmd_verify(args, cfg: ExperimentConfig) -> int:
                 print(f"unknown set(s): {', '.join(bad)}", file=sys.stderr)
                 return 2
             sets = names
+    calibrated_coefficients(cfg)  # non-finite ones raise here, not as a --delta0 error
     start = time.perf_counter()
     try:
         results = sweep(cfg, sets, delta0=args.delta0, jobs=args.jobs)

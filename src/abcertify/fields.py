@@ -37,7 +37,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .config import _PI4, _SQRT_PI, ExperimentConfig
-from .xreal import XReal, exp_neg_log, f64_up, mul_up
+from .xreal import exp_neg_log, f64_up, mul_up
 
 __all__ = [
     "bump",
@@ -622,11 +622,11 @@ def coupling_constants(
     return (c_pp, c_ps, c_sp, c_ss)
 
 
-def ring_tail(cfg: ExperimentConfig, sigma: float, zeta: float, z_cap: float) -> XReal:
-    """Upper bound on the magnet-ring tail mass reaching past z_cap.
+def ring_tail(cfg: ExperimentConfig, sigma: float, zeta: float, z_cap: float) -> float:
+    """Log of an upper bound on the magnet-ring tail mass reaching past z_cap.
 
     Decays like exp(-(h - z_cap)^2 (sigma mv)^2 / (2 (sigma^2 mv)^2 + 2 zeta^2));
-    carried as an extended-range value because the exponent reaches 1e8.
+    carried as a log magnitude because the exponent reaches 1e8.
     """
     mv = cfg.mv
     smv = sigma * mv
@@ -636,4 +636,4 @@ def ring_tail(cfg: ExperimentConfig, sigma: float, zeta: float, z_cap: float) ->
     pref = (m5 / 2.0) * (den / smv) * _SQRT_PI
     gap = cfg.h(sigma) - z_cap
     expo = gap * gap * smv * smv / (2.0 * den * den)
-    return XReal(mul_up(f64_up(pref), exp_neg_log(expo)))
+    return mul_up(f64_up(pref), exp_neg_log(expo))

@@ -124,7 +124,7 @@ def z_crossing(
     algebraic root gets one Newton step, kept only when it does not
     increase |F| for F(z) = (z - zeta) rho(sigma, z) - omega_inv.  The
     result is a rounded float, not an enclosure: no bound on its
-    residual is enforced or proved (ROADMAP item 2 plans a proved one).
+    residual is enforced or proved (ROADMAP item 5 plans a proved one).
     """
     smv = sigma * mv
     if not 0.0 < omega_inv < smv:

@@ -17,9 +17,9 @@ directions share the one log-sum step ``_log_add`` (``add_up``, the
 hot path, writes it inline), widened by an absolute guard of a few
 2^-53 before the directed step, and ``fold_add_logs`` sums many terms
 in one guarded, upward-rounded log-sum-exp; both guards are proved
-next to ``_log_add``.  ``XReal`` is a value type: it wraps a log
-magnitude these functions built, for ordering (``XReal.cmp``) and
-printing, and does no arithmetic itself.
+next to ``_log_add``.  A certified value is such a float itself, and
+values order as floats; ``XReal`` is only the one-field record of a
+``bounds.BoundReport`` term.
 
 The certification boundary -- what the module takes as given rather
 than proves:
@@ -50,26 +50,27 @@ than proves:
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the
 like) stay in plain binary64 until their final nonnegative combination
-is lifted via ``f64_up``.  There are no operators: values combine
-through the named functions and order through ``XReal.cmp``.
+is lifted via ``f64_up``.  Values combine only through the named
+functions.
 
-Rendering (``sci_strings``, and ``XReal.to_sci_string`` for one value)
-certifies nothing; it prints each value's five significant digits.  It
-runs as one pass of numpy array operations over all the values: a
-double-double product gives log10 of each value to a few 1e-16, and the
-scaled mantissa is rounded half-even.  Only a mantissa within 1e-6 of a
-rounding tie, or |log_mag| >= 1e15, falls back to 50-digit ``Decimal``
-arithmetic, so each printed string is the ``Decimal`` one for every
-input.  A batch costs ~0.55 µs a value past a fixed ~55 µs a call, the
-string formatting most of it (the scalar float loop it replaced took
-~2-2.4 µs a value; ``Decimal`` takes ~60-80 µs).  So a table or a sweep
-renders its values in one call, and one value alone costs the fixed
-part.
+Rendering (``sci_strings``) certifies nothing; it prints each value's
+five significant digits.  It runs as one pass of numpy array operations
+over all the values: a double-double product gives log10 of each value
+to a few 1e-16, and the scaled mantissa is rounded half-even.  Only a
+mantissa within 1e-6 of a rounding tie, or |log_mag| >= 1e15, falls back
+to ``Decimal`` arithmetic with 50 digits past the exponent's, so each
+printed string is the ``Decimal`` one for every input.  A batch costs
+~0.55 µs a value past a fixed ~55 µs a call, the string formatting most
+of it (the scalar float loop it replaced took ~2-2.4 µs a value;
+``Decimal`` takes ~40-50 µs, ~1.3 ms at the 308-digit exponents of the
+largest floats).  So a table or a sweep renders its values in one call,
+and one value alone costs the fixed part.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from typing import List, Sequence, Union
 
@@ -90,11 +91,6 @@ __all__ = [
 
 _INF = math.inf
 
-# log10(e) to 80 digits, for the Decimal fallback of sci_strings.
-_DEC_LOG10_E = Decimal(
-    "0.43429448190325182765112891891660508229439700580366656611445378316586464920887"
-)
-
 # log10(e) as a double-double hi + lo, and hi split in two 26-bit
 # halves (Veltkamp), for the exact product in sci_strings.
 _LOG10_E_HI = 0.4342944819032518
@@ -109,10 +105,16 @@ _SCI_TIE_BAND = 1e-6
 
 
 def _sci_string_decimal(log_mag: float) -> str:
-    """One string of ``sci_strings`` in 50-digit decimal arithmetic."""
+    """One string of ``sci_strings`` in decimal arithmetic.
+
+    The precision is 50 digits past the integer digits of L·log10(e)
+    (at most those of L), and ln 10 is computed at it, so the fraction
+    keeps 50 digits for every float L.
+    """
+    lm = Decimal(log_mag)
     with localcontext() as ctx:
-        ctx.prec = 50
-        t = Decimal(log_mag) * _DEC_LOG10_E
+        ctx.prec = 50 + max(lm.adjusted() + 1, 0)
+        t = lm / Decimal(10).ln()
         e = int(t.to_integral_value(rounding=ROUND_FLOOR))
         mant = Decimal(10) ** (t - e)  # in [1, 10)
         mant = mant.quantize(Decimal("1.0000"), rounding=ROUND_HALF_EVEN)
@@ -249,57 +251,11 @@ def add_down(a: float, b: float) -> float:
     return math.nextafter(_log_add(a, b) - _LOG_ADD_GUARD, -_INF)
 
 
+@dataclass(frozen=True)
 class XReal:
-    """A nonnegative extended-range scalar, stored as a natural log.
+    """One term of a ``bounds.BoundReport``: a log magnitude (-inf is zero)."""
 
-    Instances are immutable; zero is ``log_mag == -inf``.  A value type:
-    it carries a log magnitude built by the module functions, orders by
-    ``cmp`` and prints by ``to_sci_string``, and does no arithmetic.
-    """
-
-    __slots__ = ("log_mag",)
-
-    def __init__(self, log_mag: float):
-        object.__setattr__(self, "log_mag", log_mag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XReal instances are immutable")
-
-    def __reduce__(self):
-        # immutability breaks the default slot-based pickling
-        return (XReal, (self.log_mag,))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == -_INF
-
-    @staticmethod
-    def zero() -> "XReal":
-        return _ZERO
-
-    @staticmethod
-    def from_log(log_mag: float) -> "XReal":
-        """The value exp(log_mag), exactly (no inflation); -inf is zero."""
-        if math.isnan(log_mag):
-            raise ValueError("log magnitude must not be NaN")
-        return XReal(float(log_mag))
-
-    @staticmethod
-    def cmp(a: "XReal", b: "XReal") -> int:
-        """-1, 0 or +1 as a <, ==, > b (by represented value)."""
-        return (a.log_mag > b.log_mag) - (a.log_mag < b.log_mag)
-
-    def to_sci_string(self) -> str:
-        """Decimal scientific form ``m.mmmm×10^±e``: ``sci_strings`` of this one value."""
-        return sci_strings([self.log_mag])[0]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "XReal.zero()"
-        return f"XReal.from_log({self.log_mag!r})"
-
-
-_ZERO = XReal(-_INF)
+    log_mag: float
 
 
 def sci_strings(logs: Union[Sequence[float], np.ndarray]) -> List[str]:
@@ -319,9 +275,9 @@ def sci_strings(logs: Union[Sequence[float], np.ndarray]) -> List[str]:
     1e5, far from a tie, so it rounds to 1.0000×10^round(t) on either
     side.
 
-    Ties and |L| >= 1e15 (and NaN) go to the 50-digit ``Decimal``
-    fallback, one value at a time in order, so each string is the
-    ``Decimal`` one for every input.
+    Ties and |L| >= 1e15 (and NaN) go to the ``Decimal`` fallback
+    (``_sci_string_decimal``), one value at a time in order, so each
+    string is the ``Decimal`` one for every input.
     """
     lm = np.asarray(logs, dtype=np.float64)
     fast = np.abs(lm) < _SCI_FAST_LIMIT  # False for +-inf and NaN

@@ -39,7 +39,7 @@ from abcertify.config import BEAMS, MAGNETS, apply_overrides, get_config
 from abcertify.fields import norm_bundle, ring_tail
 from abcertify.kinematics import z_of_sigma
 from abcertify.partition import SET_NAMES, sweep_pairs
-from abcertify.xreal import XReal, add_down, add_up, exp_neg_log, f64_up, mul_up
+from abcertify.xreal import add_down, add_up, exp_neg_log, f64_up, mul_up, sci_strings
 
 import published
 
@@ -58,8 +58,8 @@ def ulps(a: float, b: float) -> float:
 def test_ten_pow_brackets_truth():
     for k in (-456, -420, -101, -100, -3, 7):
         true_log = float(mpmath.mpf(k) * mpmath.log(10))
-        up = ten_pow(k).log_mag
-        down = ten_pow(k, "down").log_mag
+        up = ten_pow(k)
+        down = ten_pow(k, "down")
         assert down <= true_log <= up
         assert ulps(up, down) <= 8.0
 
@@ -249,9 +249,9 @@ def test_envelope_lhs_below_rhs(cfg):
     for regime in ("incoming", "interacting", "outgoing"):
         for s in widths.tolist():
             lhs, rhs = envelope_sides(cfg, regime, s)
-            assert XReal.cmp(lhs, rhs) <= 0, (regime, s)
+            assert lhs <= rhs, (regime, s)
     lhs, rhs = envelope_sides(cfg, "incoming", _TIGHTEST_INCOMING_WIDTH)
-    assert 0.0 < (rhs.log_mag - lhs.log_mag) / math.log(10.0) < 2e-7
+    assert 0.0 < (rhs - lhs) / math.log(10.0) < 2e-7
 
 
 def test_envelope_rhs_rounds_down(cfg):
@@ -264,7 +264,7 @@ def test_envelope_rhs_rounds_down(cfg):
             rate, p = cfg.rate_exponent(s), bounds._poly_nonneg(coeffs, s)
             with mpmath.workprec(200):
                 exact = mpmath.log(mpmath.exp(-mpmath.mpf(rate)) * p + mpmath.mpf(10) ** -420)
-                assert mpmath.mpf(rhs.log_mag) <= exact, (regime, s)
+                assert mpmath.mpf(rhs) <= exact, (regime, s)
 
 
 def test_pair_allowance_rounds_down(any_cfg):
@@ -294,9 +294,9 @@ def test_pair_allowance_rounds_down(any_cfg):
 
 def test_envelope_regimes_read_the_table(cfg):
     s = 1e-7
-    out = [v.log_mag for v in envelope_sides(cfg, "outgoing", s)]
+    out = envelope_sides(cfg, "outgoing", s)
     for alias in ("scattering", "uniform"):
-        assert [v.log_mag for v in envelope_sides(cfg, alias, s)] == out
+        assert envelope_sides(cfg, alias, s) == out
     with pytest.raises(ValueError, match="regime 'detailed' has no envelope certificate"):
         envelope_sides(cfg, "detailed", s)
     with pytest.raises(ValueError, match="unknown regime 'nope'"):
@@ -322,7 +322,7 @@ def test_envelope_sides_match_golden_digest():
                 for side in envelope_sides(cfg, family, s)
             ]
             parts += [ring_tail(cfg, s, z, z), ring_tail(cfg, s, 0.0, z)]
-            digest.update(" ".join(float.hex(v.log_mag) for v in parts).encode())
+            digest.update(" ".join(float.hex(v) for v in parts).encode())
     assert digest.hexdigest() == _GOLDEN_ENVELOPE_SHA256
 
 
@@ -472,9 +472,10 @@ _GOLDEN_BOUND_SHA256 = "c5670678511efa6a30e8c470baf8c04dbdab58020b5f2b8cc435d213
 
 
 def test_bounds_match_golden_digest():
-    def bits(x):
+    def bits(lm):
         # zero prints as it did when it was a flag beside a 0.0 log
-        return f"{x.is_zero}:{(0.0 if x.is_zero else x.log_mag).hex()}"
+        zero = lm == -math.inf
+        return f"{zero}:{(0.0 if zero else lm).hex()}"
 
     digest = hashlib.sha256()
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
@@ -483,7 +484,7 @@ def test_bounds_match_golden_digest():
             s = float(s)
             reports = [regime_bound(cfg, s, regime) for regime in REGIMES]
             for rep in reports + [final_bound(cfg, s)]:
-                parts = [rep.size_term, rep.spread_term, rep.additive_term, rep.total]
+                parts = list(rep._logs())
                 if rep.regime == "final":
                     parts.append(interaction_probability(cfg, s))
                 line = " ".join([rep.poly_value.hex()] + [bits(t) for t in parts])
@@ -536,7 +537,7 @@ def test_final_bound_structure(cfg):
     assert ulps(rep.size_term.log_mag, size_log) <= 2.0
     rate_log = -cfg.rate_exponent(s) + math.log(177e3)
     assert ulps(rep.spread_term.log_mag, rate_log) <= 2.0
-    assert rep.additive_term.log_mag == ten_pow(-100).log_mag
+    assert rep.additive_term.log_mag == ten_pow(-100)
     re = add_up(add_up(rep.size_term.log_mag, rep.spread_term.log_mag), rep.additive_term.log_mag)
     assert ulps(re, rep.total.log_mag) <= 2.0
 
@@ -563,7 +564,7 @@ def test_detailed_stays_below_headline(cfg):
     for s in np.geomspace(1.55e-9, cfg.sigma_max, 400):
         det = regime_bound(cfg, s, "detailed").total
         fin = final_bound(cfg, s).total
-        assert XReal.cmp(det, fin) <= 0
+        assert det.log_mag <= fin.log_mag
 
 
 def test_interaction_probability_is_squared_envelope(cfg):
@@ -571,9 +572,9 @@ def test_interaction_probability_is_squared_envelope(cfg):
         prob = interaction_probability(cfg, s)
         size = mul_up(exp_neg_log(cfg.r1**2 / (2.0 * s * s)), f64_up(7.0))
         spread = mul_up(exp_neg_log(cfg.rate_exponent(s)), f64_up(177001.0))
-        inner = add_up(add_up(size, spread), ten_pow(-100).log_mag)
-        assert ulps(prob.log_mag, mul_up(inner, inner)) <= 4.0
-    assert interaction_probability(cfg, 1e-7).log_mag <= -199.0 * math.log(10.0)
+        inner = add_up(add_up(size, spread), ten_pow(-100))
+        assert ulps(prob, mul_up(inner, inner)) <= 4.0
+    assert interaction_probability(cfg, 1e-7) <= -199.0 * math.log(10.0)
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 5e-324])
@@ -582,18 +583,18 @@ def test_bounds_where_the_width_squared_underflows(cfg, sigma):
     # 1e-160, where r1^2 / (2 sigma^2) overflows instead
     final = final_bound(cfg, sigma)
     assert final._logs() == final_bound(cfg, 1e-160)._logs()
-    assert final.size_term.is_zero and final.poly_value == 177e3
+    assert final.size_term.log_mag == -math.inf and final.poly_value == 177e3
     spread = mul_up(exp_neg_log(cfg.rate_exponent(sigma)), f64_up(177e3))
     assert final.spread_term.log_mag == spread
-    assert final.total.log_mag == add_up(spread, ten_pow(-100).log_mag)
+    assert final.total.log_mag == add_up(spread, ten_pow(-100))
     for regime in REGIMES:
         rep = regime_bound(cfg, sigma, regime)
-        assert rep.size_term.is_zero
+        assert rep.size_term.log_mag == -math.inf
         assert rep.total.log_mag >= max(rep.spread_term.log_mag, rep.additive_term.log_mag)
     inner = add_up(
-        mul_up(exp_neg_log(cfg.rate_exponent(sigma)), f64_up(177001.0)), ten_pow(-100).log_mag
+        mul_up(exp_neg_log(cfg.rate_exponent(sigma)), f64_up(177001.0)), ten_pow(-100)
     )
-    assert interaction_probability(cfg, sigma).log_mag == mul_up(inner, inner)
+    assert interaction_probability(cfg, sigma) == mul_up(inner, inner)
 
 
 def _reference_row_logs(cfg, sigma, row):
@@ -615,7 +616,7 @@ def _reference_row_logs(cfg, sigma, row):
     if scale:
         allowance = add_up(
             add_up(mul_up(size1, f64_up(4.0)), mul_up(rate, f64_up(scale * p))),
-            ten_pow(-101).log_mag,
+            ten_pow(-101),
         )
         total, additive = add_up(total, allowance), add_up(additive, allowance)
     return poly, size, spread, additive, total
@@ -647,11 +648,11 @@ def test_row_evaluator_matches_the_reference_formula(any_cfg):
 
 def test_threshold_round_trip(cfg):
     for s in np.geomspace(8.3e-6, 8.0e-5, 30):
-        target = final_bound(cfg, s).total
+        target = final_bound(cfg, s).total.log_mag
         back = threshold_sigma(cfg, target, "big")
         assert back == pytest.approx(s, rel=1e-5)
     for s in np.geomspace(2.4e-10, 1.0e-9, 30):
-        target = final_bound(cfg, s).total
+        target = final_bound(cfg, s).total.log_mag
         back = threshold_sigma(cfg, target, "small")
         assert back == pytest.approx(s, rel=1e-5)
 
@@ -762,8 +763,8 @@ def test_table_evaluates_each_width_once(any_cfg, bound_calls):
 def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
     # the search orders bounds by their log floats; at every width it
     # evaluates (secant steps, proofs of a region and walk steps alike)
-    # it reads the reported components, and its sign is XReal.cmp of the
-    # reported total
+    # it reads the reported components, and its sign is the reported
+    # total's order against the target
     visited = []
     real = bounds._bisect_log_sigma
 
@@ -782,16 +783,16 @@ def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
     cases += [(ten_pow(-99, "down"), branch, None) for branch in ("big", "small")]
     # a target equal to a bracket end's bound returns that end at once
     for branch, end in (("big", 1e-7), ("small", 1e-12)):
-        cases.append((final_bound(any_cfg, end).total, branch, end))
+        cases.append((final_bound(any_cfg, end).total.log_mag, branch, end))
     for target, branch, end in cases:
         visited.clear()
         s = threshold_sigma(any_cfg, target, branch)
         assert len(visited) >= 2
         for sigma, logs, sign in visited:
             rep = final_bound(any_cfg, sigma)
-            parts = (rep.size_term, rep.spread_term, rep.additive_term, rep.total)
-            assert logs == tuple(x.log_mag for x in parts)
-            assert sign == XReal.cmp(rep.total, target)
+            assert logs == rep._logs()
+            total = rep.total.log_mag
+            assert sign == (total > target) - (total < target)
         if end is not None:
             assert s == end and visited[0][::2] == (end, 0) and len(visited) == 2
 
@@ -817,7 +818,7 @@ def test_proves_sign_reads_the_far_corners_with_the_proved_margin():
     # h(U) - U = 11u|U| + 19u of any width inside to stay under t
     u = 2.0**-53
     rng = np.random.default_rng(12)
-    additive = ten_pow(-100).log_mag
+    additive = ten_pow(-100)
     for _ in range(2000):
         size1, size2 = sorted(rng.uniform(-400.0, 2.0, 2))
         spread2, spread1 = sorted(rng.uniform(-400.0, 12.0, 2))
@@ -847,13 +848,13 @@ def test_threshold_search_matches_full_loop_on_seeded_targets(any_cfg, monkeypat
         for k in (1, 5, 10):
             s = threshold_sigma(any_cfg, ten_pow(-k), branch)
             b = final_bound(any_cfg, s).total.log_mag
-            targets += [XReal(math.nextafter(b, d)) for d in (-math.inf, b, math.inf)]
+            targets += [math.nextafter(b, d) for d in (-math.inf, b, math.inf)]
         for target in targets:
             want = _full_loop_threshold(monkeypatch, any_cfg, target, branch)
             assert threshold_sigma(any_cfg, target, branch) == want
         # the bound at a bracket end returns that end after two evaluations
         for end in ends:
-            target = final_bound(any_cfg, end).total
+            target = final_bound(any_cfg, end).total.log_mag
             bound_calls.clear()
             assert threshold_sigma(any_cfg, target, branch) == end
             assert bound_calls == [ends[0], ends[1]]
@@ -863,7 +864,7 @@ def test_threshold_search_matches_full_loop_on_seeded_targets(any_cfg, monkeypat
 def test_threshold_degenerate_targets_raise(cfg, bound_calls, branch):
     # zero, an infinite log target, and targets under the 1e-100 floor
     # and over the largest bound: the two bracket ends show no crossing
-    for target in (XReal.zero(), XReal(math.inf), ten_pow(-300), ten_pow(6)):
+    for target in (-math.inf, math.inf, ten_pow(-300), ten_pow(6)):
         bound_calls.clear()
         with pytest.raises(ValueError, match="does not cross"):
             threshold_sigma(cfg, target, branch)
@@ -875,13 +876,13 @@ def test_threshold_nan_target_raises(cfg, bound_calls, branch):
     # a NaN target orders as equal to every width's bound: it is
     # rejected before the search instead of returning the left end
     with pytest.raises(ValueError, match="NaN"):
-        threshold_sigma(cfg, XReal(math.nan), branch)
+        threshold_sigma(cfg, math.nan, branch)
     assert bound_calls == []
 
 
 def test_threshold_requires_crossing(cfg):
     with pytest.raises(ValueError):
-        threshold_sigma(cfg, XReal(f64_up(10.0)), "big")
+        threshold_sigma(cfg, f64_up(10.0), "big")
 
 
 def test_plateau_interval(cfg):
@@ -936,8 +937,7 @@ def test_sweep_rows_structure(cfg):
     assert rows[0][0] == 1e-8 and rows[-1][0] == 1e-6
     for sigma, size_s, spread_s, add_s, total_s in rows:
         rep = final_bound(cfg, sigma)
-        assert total_s == rep.total.to_sci_string()
-        assert size_s == rep.size_term.to_sci_string()
+        assert [size_s, spread_s, add_s, total_s] == sci_strings(rep._logs())
     lin = sweep_rows(cfg, 1e-8, 1e-6, 3, scale="linear")
     assert lin[1][0] == pytest.approx(0.5 * (1e-8 + 1e-6), rel=1e-12)
     with pytest.raises(ValueError):

@@ -27,7 +27,8 @@ from abcertify.certify import (
 from abcertify.config import ExperimentConfig, get_config
 from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
-from abcertify.xreal import XReal, fold_add_logs, mul_up
+from abcertify import xreal
+from abcertify.xreal import fold_add_logs, mul_up
 from conftest import ALL_COMBOS, build_full_window, build_window
 from oracles import mp_sci_string, window_integral_quad
 from published import FROZEN_PAIR_COUNTS
@@ -637,21 +638,20 @@ def test_first_pair_certificate(cfg):
 
 
 def test_check_pair_wraps_only_its_four_reported_values(cfg, monkeypatch):
-    # the certificate runs on log floats: the only XReal a pair builds
-    # are its two left- and two right-hand sides
+    # the certificate runs on log floats end to end: a pair builds no
+    # XReal, and its two left- and two right-hand sides are floats
     built = []
-    init = XReal.__init__
+    init = xreal.XReal.__init__
 
     def counting(self, log_mag):
         built.append(log_mag)
         init(self, log_mag)
 
-    monkeypatch.setattr(XReal, "__init__", counting)
+    monkeypatch.setattr(xreal.XReal, "__init__", counting)
     for name in SET_NAMES:
-        built.clear()
         res = check_pair(cfg, *sweep_pairs(cfg, [name])[0])
         reported = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
-        assert built == [v.log_mag for v in reported], name
+        assert built == [] and all(type(v) is float for v in reported), name
 
 
 # the smallest margin of each set before the grid was truncated, and
@@ -709,7 +709,7 @@ def test_flag_solver(cfg):
     assert not res.passed
     assert res.margin_log10 == -math.inf
     assert "omega_inv" in res.note
-    assert res.lhs_interacting.is_zero and res.rhs_outgoing.is_zero
+    assert res.lhs_interacting == -math.inf and res.rhs_outgoing == -math.inf
     assert res.delta0 == 0.1  # mu1 * mv < 10 picks the fine grid
 
 
@@ -757,9 +757,9 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
 
     monkeypatch.setattr(certify, "grid_majorant", no_tail)
     cut_off = check_pair(cfg, *job)
-    assert res.lhs_interacting.log_mag > cut_off.lhs_interacting.log_mag + 1.0
-    assert res.lhs_outgoing.log_mag > cut_off.lhs_outgoing.log_mag + 1.0
-    assert res.rhs_interacting.log_mag == cut_off.rhs_interacting.log_mag
+    assert res.lhs_interacting > cut_off.lhs_interacting + 1.0
+    assert res.lhs_outgoing > cut_off.lhs_outgoing + 1.0
+    assert res.rhs_interacting == cut_off.rhs_interacting
 
 
 def _pair_windows(cfg, job, delta0, monkeypatch):
@@ -1040,6 +1040,8 @@ def test_pair_result_pickles(cfg):
     res = check_pair(cfg, set_name, index, mu1, mu2, mu3)
     back = pickle.loads(pickle.dumps(res))
     assert back.csv_row() == res.csv_row()
+    for field in ("lhs_interacting", "rhs_interacting", "lhs_outgoing", "rhs_outgoing"):
+        assert float.hex(getattr(back, field)) == float.hex(getattr(res, field)), field
     assert back.margin_log10 == res.margin_log10
     assert back.passed == res.passed
 
@@ -1099,7 +1101,7 @@ def _reference_csv(results):
         logs = (r.lhs_interacting, r.rhs_interacting, r.lhs_outgoing, r.rhs_outgoing)
         writer.writerow(
             [r.set_name, f"{r.mu1:.17g}", f"{r.mu2:.17g}", f"{r.mu3:.17g}", r.flags]
-            + ["0" if v.is_zero else mp_sci_string(v.log_mag) for v in logs]
+            + ["0" if v == -math.inf else mp_sci_string(v) for v in logs]
             + [f"{r.margin_log10:.6f}", "pass" if r.passed else "FAIL"]
         )
     return buf.getvalue().encode("utf-8")
@@ -1186,7 +1188,7 @@ def test_check_pair_matches_golden_bits(cfg):
         for i in picks:
             res = check_pair(cfg, *jobs[i])
             logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
-            bits = [float.hex(v.log_mag) for v in logs] + [float.hex(res.margin_log10)]
+            bits = [float.hex(v) for v in logs] + [float.hex(res.margin_log10)]
             lines.append(" ".join([name, str(i), *bits, res.flags]))
     assert len(lines) == 24
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_PAIR_BITS_SHA256
@@ -1278,7 +1280,7 @@ def test_check_pair_bits_for_every_config(magnet, energy):
         for i in sorted(picks):
             res = check_pair(cfg, *jobs[i])
             logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
-            bits = [float.hex(v.log_mag) for v in logs] + [float.hex(res.margin_log10)]
+            bits = [float.hex(v) for v in logs] + [float.hex(res.margin_log10)]
             lines.append(" ".join([name, str(i), *bits, res.flags]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _SIX_CONFIG_PAIR_BITS_SHA256[f"{magnet}/{energy}"]

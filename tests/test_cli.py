@@ -396,9 +396,9 @@ def test_power_of_ten_targets_parse_to_ten_pow_bits():
     # 10^K in any spelling is the target ten_pow(K), bit for bit, in and
     # out of the float range (1e-400 is 0.0 as a float)
     for k in range(-400, 401):
-        want = ten_pow(k).log_mag.hex()
+        want = ten_pow(k).hex()
         for text in (f"1e{k}", f"1E{k}", f"1e{k:+d}"):
-            assert ten_pow(cli._target_log10(text)).log_mag.hex() == want, text
+            assert ten_pow(cli._target_log10(text)).hex() == want, text
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +528,41 @@ def test_config_bad_key(capsys, tmp_path):
     )
     assert code == 2
     assert "configuration error" in err
+
+
+# eps_scale 1e-155 gives calibrated coefficients (inf, 3.3e162, -inf,
+# -1.3e152, 0): P(sigma) would be NaN, which max(0, P) reads as 0, so a
+# bound without its spread polynomial would be reported
+_NON_FINITE_COEFFICIENTS = "params.eps_scale = 1e-155\n"
+
+
+def test_eval_rejects_non_finite_coefficients(capsys, config_file):
+    argv = ["eval", "--sigma", "1e-9", "--config", config_file(_NON_FINITE_COEFFICIENTS)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: calibrated incoming coefficients are not finite: (inf, ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_rejects_non_finite_coefficients(capsys, config_file, jobs):
+    # not as a --delta0 error: the sweep does not start
+    argv = ["verify", "--set", "sigma10", "--jobs", jobs,
+            "--config", config_file(_NON_FINITE_COEFFICIENTS)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: calibrated incoming coefficients are not finite: (inf, ")
+    assert "checked" not in err
+
+
+def test_params_rejects_non_finite_coefficients(capsys):
+    code, out, err = run(
+        capsys, ["params", "--sweep", "--eps-scales", "1e-155,1", "--delta-scales", "1"]
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows[0][:3] == ["1e-155", "1", "rejected"]
+    assert rows[0][3].startswith("calibrated incoming coefficients are not finite: (inf, ")
+    assert rows[1][2] == "ok"
 
 
 def test_config_missing_file(capsys):

@@ -36,7 +36,6 @@ from abcertify.fields import (
     ring_tail,
     supnorm_constants,
 )
-from abcertify.xreal import XReal
 from oracles import (
     bump_integral_quad,
     fd_curl,
@@ -617,6 +616,6 @@ def test_coupling_csp_scales_inversely_below_floor(cfg):
 def test_ring_tail_basic(cfg):
     a = ring_tail(cfg, 1e-7, 1.1e-5, 0.2)
     b = ring_tail(cfg, 1e-7, 1.1e-5, 0.4)
-    assert isinstance(a, XReal) and not a.is_zero
+    assert isinstance(a, float) and a > -math.inf
     # pushing the cap outward only sheds tail mass
-    assert XReal.cmp(b, a) <= 0
+    assert b <= a

@@ -1,8 +1,10 @@
-"""Package surface: every module's ``__all__`` names what it exports."""
+"""Package surface: every module's ``__all__`` names what it exports, and README's example runs."""
 
 import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +39,14 @@ def test_public_names_imported_from_siblings_are_exported(name):
                 if not a.name.startswith("_") and a.name not in exported
             ]
     assert missing == []
+
+
+def test_readme_library_block_runs_and_prints_its_comment(capsys):
+    # README's Library block runs as written, and the headline total it
+    # prints is the value its comment gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    total_line = next(line for line in block.splitlines() if ".total" in line)
+    assert printed[0] == total_line.split("#", 1)[1].strip()

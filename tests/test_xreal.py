@@ -1,4 +1,4 @@
-"""Extended-range scalar: rounding direction, ordering, and rendering."""
+"""Log-magnitude arithmetic: rounding direction, the term record, and rendering."""
 
 import math
 import pickle
@@ -44,17 +44,8 @@ def ulp_gap(a: float, b: float) -> float:
 
 
 def test_zero_and_one():
-    z = XReal.zero()
-    o = XReal.from_log(0.0)
-    assert z.is_zero and not o.is_zero
-    assert z.log_mag == -math.inf
-    assert z.to_sci_string() == "0"
-    assert o.to_sci_string() == "1.0000×10^+0"
-
-
-def test_from_log_is_exact():
-    x = XReal.from_log(-123.456)
-    assert x.log_mag == -123.456 and not x.is_zero
+    # zero is the log -inf, one the log 0
+    assert sci_strings([-math.inf, 0.0]) == ["0", "1.0000×10^+0"]
 
 
 def test_from_f64_rounds_up():
@@ -71,32 +62,27 @@ def test_from_f64_rejects_negative():
 
 
 def test_exp_neg_is_exact():
-    x = XReal(exp_neg_log(230.2585093))
-    assert x.log_mag == -230.2585093
-    assert x.to_sci_string() == "1.0000×10^-100"
+    x = exp_neg_log(230.2585093)
+    assert x == -230.2585093
+    assert sci_strings([x]) == ["1.0000×10^-100"]
 
 
 def test_log_minus_inf_is_zero():
-    z = XReal.from_log(-math.inf)
-    assert z.is_zero
-    with pytest.raises(AttributeError):
-        z.is_zero = False
-    assert XReal.cmp(z, XReal.zero()) == 0 and XReal.cmp(XReal.zero(), z) == 0
-    assert XReal.cmp(z, XReal.from_log(-1e300)) == -1
     inf = math.inf
     assert add_up(-inf, -inf) == -inf
     assert mul_up(-inf, 0.0) == -inf and mul_up(f64_up(3.0), -inf) == -inf
-    assert z.to_sci_string() == "0"
+    assert sci_strings([-inf]) == ["0"]
     assert exp_neg_log(inf) == -inf
-    assert pickle.loads(pickle.dumps(z)).is_zero
 
 
 def test_immutable_and_picklable():
-    x = XReal(f64_up(2.0))
-    with pytest.raises(AttributeError):
-        x.log_mag = 0.0
-    y = pickle.loads(pickle.dumps(x))
-    assert y.log_mag == x.log_mag and y.is_zero == x.is_zero
+    # the term record of a BoundReport: one frozen float field
+    for lm in (f64_up(2.0), -math.inf):
+        x = XReal(lm)
+        with pytest.raises(AttributeError):
+            x.log_mag = 0.0
+        y = pickle.loads(pickle.dumps(x))
+        assert float.hex(y.log_mag) == float.hex(lm) and y == x
 
 
 # ----------------------------------------------------------------------
@@ -171,23 +157,6 @@ def test_add_and_mul_are_monotone(la, lb, lc, ld):
 
 
 # ----------------------------------------------------------------------
-# ordering
-# ----------------------------------------------------------------------
-
-
-def test_cmp_orders_by_value():
-    small = XReal.from_log(-500.0)
-    big = XReal.from_log(500.0)
-    z = XReal.zero()
-    assert XReal.cmp(small, big) == -1 and XReal.cmp(big, small) == 1
-    assert XReal.cmp(small, XReal.from_log(-500.0)) == 0
-    assert XReal.cmp(z, small) == -1 and XReal.cmp(small, z) == 1
-    assert XReal.cmp(z, XReal.zero()) == 0
-    assert XReal.cmp(small, big) != 0
-    assert XReal.cmp(XReal.from_log(1.0), XReal.from_log(1.0)) == 0
-
-
-# ----------------------------------------------------------------------
 # decimal rendering
 # ----------------------------------------------------------------------
 
@@ -207,7 +176,7 @@ sweep_log_mags = st.one_of(
 @settings(max_examples=400)
 @given(sweep_log_mags)
 def test_sci_string_matches_reference(lm):
-    assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+    assert sci_strings([lm]) == [mp_sci_string(lm)]
 
 
 def _ten_pow_neighbours():
@@ -215,7 +184,7 @@ def _ten_pow_neighbours():
     lms, want = [], []
     for k in range(-3000, 3001):
         for direction in ("up", "down"):
-            lm = ten_pow(k, direction).log_mag
+            lm = ten_pow(k, direction)
             lms += [lm, math.nextafter(lm, -math.inf), math.nextafter(lm, math.inf)]
             want += [f"1.0000×10^{k:+d}"] * 3
     return lms, want
@@ -256,7 +225,7 @@ def test_sci_string_around_large_powers_of_ten(k):
 def test_sci_string_below_a_power_of_ten(lm):
     # lm * log10(e) rounds onto an integer k while the exact value sits
     # 3e-6 to 0.035 below it: the mantissa is 9.2 to 9.9999 at k - 1
-    s = XReal.from_log(lm).to_sci_string()
+    [s] = sci_strings([lm])
     assert s == mp_sci_string(lm)
     assert s.startswith("9.")
 
@@ -268,7 +237,7 @@ def test_sci_string_near_tie_takes_decimal_fallback(decimal_calls):
         lm = float(mpmath.log(mpmath.mpf("1.23455e7")))
         m4 = mpmath.exp(mpmath.mpf(lm)) / 10**3
         assert abs(m4 - mpmath.mpf("12345.5")) < 1e-6
-    assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm)
+    assert sci_strings([lm]) == [mp_sci_string(lm)]
     assert decimal_calls == [lm]
 
 
@@ -281,15 +250,19 @@ def test_sci_string_ordinary_values_stay_on_float_path(decimal_calls):
 
 
 def test_sci_string_huge_magnitudes_take_decimal_fallback(decimal_calls):
-    for lm in (1e15, -2.5e16, 7e20):
-        assert XReal.from_log(lm).to_sci_string() == mp_sci_string(lm, dps=80)
-    assert decimal_calls == [1e15, -2.5e16, 7e20]
+    # up to the largest floats, whose exponents have 308 digits: the
+    # Decimal precision grows with them, so the mantissa stays exact
+    big = 1.7976931348623157e308
+    lms = [1e15, -2.5e16, 7e20, 1e45, -1e45, -3.3e49, 1e60, -1.5e302, big, -big]
+    for lm in lms:
+        assert sci_strings([lm]) == [mp_sci_string(lm, dps=400)]
+    assert decimal_calls == lms
 
 
 def test_sci_string_carry():
     # a mantissa of 9.99996 must round and carry into the exponent
     lm = math.log(9.99996e5)
-    s = XReal.from_log(lm).to_sci_string()
+    [s] = sci_strings([lm])
     assert s == "1.0000×10^+6"
     assert s == mp_sci_string(lm)
 
@@ -313,9 +286,9 @@ def test_sci_strings_batch_of_mixed_values(decimal_calls):
     want = ["0" if lm == -math.inf else "inf" if lm == math.inf else mp_sci_string(lm, dps=80)
             for lm in lms]
     assert got == want
-    # the one-value path is the same function
+    # each value alone prints as it does in the batch
     del decimal_calls[:]
-    assert [XReal(lm).to_sci_string() for lm in lms] == want
+    assert [sci_strings([lm])[0] for lm in lms] == want
     assert decimal_calls == [1e15, tie, -2.5e16, 7e20]
 
 
