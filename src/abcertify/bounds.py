@@ -402,12 +402,8 @@ class BoundReport:
     total: XReal
     poly_value: float  # signed polynomial before clamping/lifting
 
-    def rows(self) -> List[Tuple[str, str]]:
-        names = ("size_term", "spread_term", "additive", "total")
-        return list(zip(names, sci_strings(self._logs())))
-
     def _logs(self) -> Tuple[float, float, float, float]:
-        """The log magnitudes of the four reported components, in ``rows`` order."""
+        """The log magnitudes of the size, spread, additive and total terms."""
         return (self.size_term.log_mag, self.spread_term.log_mag,
                 self.additive_term.log_mag, self.total.log_mag)
 
@@ -851,27 +847,15 @@ def params_sweep(
     rows: List[Dict[str, object]] = []
     for es in eps_scales:
         for ds in delta_scales:
+            row: Dict[str, object] = {"eps_scale": float(es), "delta_scale": float(ds)}
             try:
-                trial = replace(cfg, eps_scale=float(es), delta_scale=float(ds))
+                trial = replace(cfg, **row)
                 logs = _row_logs(trial, uniform)
                 worst = max((logs(float(s))[4] for s in probe_sigmas), default=-math.inf)
-                rows.append(
-                    {
-                        "eps_scale": float(es),
-                        "delta_scale": float(ds),
-                        "status": "ok",
-                        "worst_bound": sci_strings([worst])[0],
-                        "worst_log10": worst / math.log(10.0),
-                    }
-                )
+                row.update(status="ok", worst_bound=sci_strings([worst])[0],
+                           worst_log10=worst / math.log(10.0))
             except ValueError as exc:
-                rows.append(
-                    {
-                        "eps_scale": float(es),
-                        "delta_scale": float(ds),
-                        "status": "rejected",
-                        "reason": str(exc),
-                    }
-                )
+                row.update(status="rejected", reason=str(exc))
                 log.info("parameter pair (%g, %g) rejected: %s", es, ds, exc)
+            rows.append(row)
     return rows

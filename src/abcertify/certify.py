@@ -99,6 +99,7 @@ __all__ = [
     "csv_rows",
     "csv_text",
     "CSV_COLUMNS",
+    "GridTooFine",
     "grid_majorant",
     "majorant_window",
 ]
@@ -141,6 +142,10 @@ _LOG_EXP_NEG_HALF = exp_neg_log(0.5)
 # the nodes and distances of every window that keeps none
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
+
+
+class GridTooFine(ValueError):
+    """A ``delta0`` so fine that a window's grid index overflows a float."""
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +206,7 @@ def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
     if win.one_cell <= _FLOOR_LOG or hi <= lo or hi <= 0.0:  # floored, degenerate or below every node
         return win, None
     if not math.isfinite(hi * hi / delta0):
-        raise ValueError(
+        raise GridTooFine(
             f"delta0={delta0!r} is too fine: the grid index of Z={hi:.6g} overflows a float"
         )
 

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, formats, exit codes, file output."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -79,6 +80,13 @@ def test_too_fine_delta0_exits_2_naming_the_flag(capsys):
     assert code == 2
     assert err.startswith("argument --delta0: delta0=1e-320 is too fine")
     assert out == ""
+
+
+def test_too_fine_delta0_in_a_worker_keeps_the_flag(capsys):
+    # the error crosses the process pool as itself, so it keeps its label
+    code, out, err = run(capsys, ["verify", "--set", "sigma6", "--delta0", "1e-320", "--jobs", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("argument --delta0: delta0=1e-320 is too fine")
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +253,15 @@ def test_verify_json(capsys):
     assert set(payload["rows"][0]) == set(CSV_COLUMNS)
 
 
+def test_verify_sweep_errors_do_not_blame_delta0(capsys, config_file):
+    # a beam this slow makes sigma11's widths reach past the hole radius:
+    # a configuration error, with no --delta0 given
+    argv = ["verify", "--set", "sigma11", "--config", config_file("beam.mv = 1e3\n")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: sigma=0.0045 must be below the hole radius 0.0001715\n"
+
+
 def test_verify_reports_failures_with_exit_1(capsys, monkeypatch, cfg):
     bad = check_pair(cfg, "x", 0, 4e-5, 8e-5, 1e-6)
     monkeypatch.setattr(cli, "sweep", lambda *a, **k: [bad])
@@ -269,6 +286,27 @@ def test_field_checks_pass(capsys, check):
     for ln in lines[1:]:
         cells = ln.split(",")
         assert abs(float(cells[4])) <= float(cells[5]) or check == "flux"
+
+
+def test_field_divergence_json(capsys):
+    # each check's value is a Python float and its verdict a Python bool
+    code, out, err = run(capsys, ["field", "--check", "divergence", "--json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["check"] == "divergence" and payload["ok"] is True
+    assert [row["quantity"] for row in payload["rows"]] == ["div_b_fd"] * 4
+
+
+def test_field_supnorms_with_zero_flux(capsys, config_file):
+    # flux 0 is a valid config in which every field vanishes: the
+    # flux-scaled sup-norms are 0, not a division by zero
+    argv = ["field", "--check", "supnorms", "--config", config_file("flux = 0\n")]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    rows = {r[3]: r for r in csv.reader(io.StringIO(out))}
+    for key in ("b", "b_perp", "b_axial", "a", "a_perp", "a_axial"):
+        assert float(rows[f"sup_{key}"][4]) == 0.0
+    assert float(rows["sup_chi"][4]) > 0.0
 
 
 def test_field_flux_rows(capsys):
@@ -436,10 +474,32 @@ def test_sweep_validation(capsys):
     )
     assert code == 2
     assert "need 0 < --from" in err
-    code, out, err = run(
-        capsys, ["sweep", "--from", "1e-8", "--to", "1e-6", "--points", "1"]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--from", "1e-8", "--to", "1e-6", "--points", "1"])
+    assert exc.value.code == 2
+    assert "argument --points: must be from 2 to 100000, got '1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [str(10**12), str(cli.MAX_POINTS + 1), "2.5", "-3"])
+def test_sweep_points_out_of_range_exit_2_before_the_work(capsys, monkeypatch, points):
+    monkeypatch.setattr(cli, "sweep_rows", lambda *a, **k: pytest.fail("sweep_rows ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--from", "1e-7", "--to", "1e-6", "--points", points])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --points: " in err and "Traceback" not in err
+
+
+def test_sweep_points_maximum_is_allowed_and_named_in_help(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "sweep_rows", lambda cfg, lo, hi, n, scale: calls.append(n) or [])
+    code, out, err = run(capsys, ["sweep", "--from", "1e-7", "--to", "1e-6",
+                                  "--points", str(cli.MAX_POINTS)])
+    assert (code, calls) == (0, [cli.MAX_POINTS])
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"2 to {cli.MAX_POINTS}" in capsys.readouterr().out
 
 
 def test_sweep_json(capsys):
@@ -580,3 +640,95 @@ def test_magnet_energy_selection(capsys):
     assert code == 0
     _, base, _ = run(capsys, ["eval", "--sigma", "1e-7", "--json"])
     assert json.loads(out)["poly_value"] != json.loads(base)["poly_value"]
+
+
+# ----------------------------------------------------------------------
+# every command's output, byte for byte
+# ----------------------------------------------------------------------
+
+
+# sha256 of the stdout of each command in text mode and with --json, all
+# exiting 0; recorded when each command body still wrote its own JSON and
+# CSV branch, so a shared writer must print the same bytes.  The one
+# exception is divergence --json, which raised a TypeError (a numpy bool
+# in the payload) and is recorded from its first working output.
+_PINNED_STDOUT_SHA256 = {
+    "eval --sigma 1e-7": (
+        "248464af3285c966935afc07480a51f4242d2a35ecb39543503833d3c78e3f3c",
+        "5ea5dd59febdfa0dedbbe1030ae213cd813423b8842a8e56c017efac1a85e2a2",
+    ),
+    "eval --sigma 3e-9 --regime detailed": (
+        "db3292d8d3872568f590b2b126319ce29766ecaf0c809262837cfc605a49755d",
+        "914a0a92876d08b261d0110089983319f9227170c1fb6a4ed4a67596e1d33cab",
+    ),
+    "verify --set sigma10": (
+        "5e4b1bde3ea54b279800d7cd604571457398ced821dec8a1fd1286a7f87800b5",
+        "0af237614bcea27b10b3cb0702a65b10407475a9877909f376dcf151eea08c37",
+    ),
+    "verify --set sigma9,sigma10 --magnet k1": (
+        "6c4c6254ef6e5a1439ec81dc74b1f86c726d54826356a59f6756b88980431eb2",
+        "40e99ea6ee5c50f9759580ad879a89dc5cfcb838ca5a04838e3364de5691ce31",
+    ),
+    "field --check flux": (
+        "299b584e49ffb6f5d04cb84e2f5f29a0c00f768f6e4247cc34246940fd453080",
+        "46cad2f2c362f3da81844b754b1ec62c426d51ea60da82f05321254bf3570980",
+    ),
+    "field --check divergence": (
+        "314a15cfc69253a816dd141d21b7c9fe24ca35502e32b60dd4d2f55c99ca73f6",
+        "6a3667b583733af057a6a620b2801656b67312124529e8fa39474ab2c8ddefbc",
+    ),
+    "field --check gauge": (
+        "dbbd94d9b21e5ef69ec34b7e2b8974e59e568b3c2e7952d331a5aedd801aa2f8",
+        "50acfde7d4175dbbdf2deaf9e80794c310aba8ccd16905d110b0784b313d87da",
+    ),
+    "field --check supnorms": (
+        "397cf71fafedf2a748eab5f4cc5387a928abf2d21779eabdd394b756ac66c91a",
+        "ed51be4ebf8df3638554bfad83608efd1861a35c01ae13366175ee3dbc474f0c",
+    ),
+    "table --which big-sigma": (
+        "ebf778a073c8ad18ba381d50dcce0b0d6dbbc8742d4e7e65f101e6ec798bd0d3",
+        "15a838b69c42b2c245ff9d95ce0da94a3ccef2cdca71323df4537c98e6d02b4a",
+    ),
+    "table --which small-sigma": (
+        "f549f57a725583d6c8f7e30920e51c7321574ccc91b56fbc12c5d6961bb364af",
+        "701be196d1c483a43ccf8db4581e97036fedb14dff80af3609217423ca0043eb",
+    ),
+    "table --which radius": (
+        "5403178de44925e2368b9157d862e29e629e5b7ae3298cccfd29a6f8e57e80d6",
+        "41a528d093bbde7c400f25187a66c5b80e930020704861e48bb8dd95d84b2f03",
+    ),
+    "table --which angle --magnet k1": (
+        "6f27a4f8607e74d593c7bde855ce20a28a8afe76177fe1bf2e1e3b4cca1bf9d5",
+        "fb1144058031ef99e3112007d78916f171d22f8f7017d9a15af03ee76213980e",
+    ),
+    "threshold --target 1e-7 --branch big": (
+        "dc18031d72705133313f3e801cde3918752192f74c5c822ac43b479918fe3d6c",
+        "6ded223de6f50c689f34b8f087424bc015ecc223f667c1253f86a6d836dcc3d5",
+    ),
+    "sweep --from 1e-8 --to 1e-6 --points 5": (
+        "ce3b5658fb1dcd57d394661cac3d9961576dfd42aa0d46a29802ed2608feff35",
+        "d6b867605a81a520c59abb5f42e27aa6095f86d0e29a10ec9c5b4b456827d4d8",
+    ),
+    "sweep --from 1e-8 --to 1e-6 --points 5 --scale linear": (
+        "c3924c6d2918e4f37200f17f0e596f4e45d2e974ced2e1f8e7665a5f4776eb1c",
+        "d061f4b143c377448cf2a70cfe36daa5df7c5c19e6d969626e9a8db645c820a1",
+    ),
+    "params --sweep": (
+        "fae4a01cc0b077a549efaabd4767d4dd18e119c406a981b0452b3fa2b19897eb",
+        "c876d80083adc044ec3b779e455fbae2de108e7b7f4a6a236ee9ece2b53ecfc9",
+    ),
+    "params --sweep --eps-scales 1e-300,1": (
+        "5dc98acf2d2d579455ed76c38b2cc5cd71718e67fe6ccaa5157c7a7b3238a58b",
+        "43b6d1f1bcc8f3700ea4d84aae3493f8336e6b060feb24cd5e9d102081057307",
+    ),
+}
+
+
+def test_every_command_keeps_its_pinned_output(capsys):
+    got, want = {}, {}
+    for argv, digests in _PINNED_STDOUT_SHA256.items():
+        for mode, sha in zip(("", " --json"), digests):
+            code, out, _ = run(capsys, (argv + mode).split())
+            got[argv + mode] = (code, hashlib.sha256(out.encode()).hexdigest())
+            want[argv + mode] = (0, sha)
+    assert got == want
