@@ -617,12 +617,16 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> float:
 #   u|U + M| >= U + 30u|U| + 120u >= h(U), so F < t at every sigma in
 #   [s1, s2]: the sign there is -1.
 # * The walk compares the float math.exp(lmid) it would evaluate the
-#   bound at with s1 and s2, so math.exp's rounding needs no margin.
+#   bound at with s1 and s2, so math.exp's rounding needs no margin.  Its
+#   shortcut orders those floats by lmid, which needs math.exp to rise
+#   (see _bisect_log_sigma).
 _SIGN_MARGIN = 2.0**-48
 # at most this many secant steps before the walk, and bisection steps
-# in it
+# in it; and the most floats between the proved regions that the search
+# decides one by one instead of walking
 _SECANT_STEPS = 16
 _BISECT_STEPS = 80
+_GAP_FLOATS = 8
 
 
 def _proves_sign(sign, size1, spread1, size2, spread2, additive, t) -> bool:
@@ -647,15 +651,40 @@ def _bisect_log_sigma(
     them from the headline row's :func:`_row_logs`.  A step's sign is
     (total > t) - (total < t): +1 above the target, -1 below.
 
-    The walk is the plain bisection: at most ``_BISECT_STEPS`` steps,
-    stopping early once a step leaves the bracket unchanged (the sign is
-    deterministic, so every later step would repeat it).  What changes
-    is which steps evaluate the bound.  A secant search first finds
-    widths a < b such that every width in [lo, a] provably has lo's sign
-    and every one in [b, hi] the other (the proof is next to
-    ``_SIGN_MARGIN``).  A midpoint in one of those regions takes the
-    region's sign; only the ones strictly between a and b call
-    ``bound``.  So the result is the full loop's, bit for bit.
+    The result is the plain bisection's (:func:`_walk`): midpoints lmid
+    of [log lo, log hi], each deciding whether the sign at
+    math.exp(lmid) is lo's.  What changes is how the search gets there.
+    A secant search first finds widths a < b such that every width in
+    [lo, a] provably has lo's sign and every one in [b, hi] the other
+    (the proof is next to ``_SIGN_MARGIN``).  Every float L inside
+    (log lo, log hi) then has the walk's decision: the proved region's
+    sign, or else the evaluated one.
+
+    Lemma: a float bisection whose decisions are monotone, true up to a
+    float L* and false above it, ends at the one adjacent pair (L*, the
+    next float) where they switch, if that pair lies inside the bracket.
+    The midpoint of two floats of one sign with a float between them
+    lies strictly between them (fl(x + y) rounds past 2x and short of
+    2y), so each step keeps L* in [llo, lhi) and shrinks the bracket
+    until it is that pair; the next step leaves it unchanged.  So the
+    search decides only the floats whose widths lie between a and b, at
+    most ``_GAP_FLOATS`` (their own proofs often move b down and end the
+    scan early), checks that their decisions are monotone and returns
+    the walk's end, exp(0.5 (L* + next)), without a walk step.
+
+    It walks instead when the decisions are not monotone, when more
+    floats lie between a and b, when the switch is at a bracket end, or
+    when the walk may not close within ``_BISECT_STEPS``
+    (:func:`_walk_closes`).  The walk takes the region's sign at a
+    midpoint in [lo, a] or [b, hi] and calls ``bound`` only between a and
+    b.  Either way the result is the full loop's, bit for bit.
+
+    Trusted: that the floats L of [lo, a], of the gap and of [b, hi]
+    follow each other in that order needs math.exp to rise on the
+    bracket's floats.  math.exp is taken to be faithful (error under 1
+    ulp, as ``xreal``'s boundary list states); where every log of the
+    bracket is 8 or more in magnitude, one float step in the log moves
+    the width by 8 ulps or more, so faithful rounding keeps the order.
 
     The secant runs on g = log(e^size + e^spread) - log(e^t -
     e^additive), through the last two widths evaluated, against
@@ -684,23 +713,22 @@ def _bisect_log_sigma(
     a, g_a = lo, add_up(size_lo, spread_lo) - t_terms
     b, g_b = hi, add_up(size_hi, spread_hi) - t_terms
 
-    def sign_at(s: float) -> Tuple[int, float]:
-        """The sign and g at s; widens [lo, a] or [b, hi] to s when s proves it."""
-        nonlocal a, b, g_a, g_b
+    def sign_at(s: float) -> Tuple[int, float, float]:
+        """The sign, size and spread at s; widens [lo, a] or [b, hi] to s when s proves it."""
+        nonlocal a, b
         size, spread, _, total = bound(s)
         f = (total > t) - (total < t)
-        g = add_up(size, spread) - t_terms
         if f == flo and s > a and _proves_sign(f, size_lo, spread_lo, size, spread, additive, t):
-            a, g_a = s, g
+            a = s
         elif f == -flo and s < b and _proves_sign(f, size, spread, size_hi, spread_hi, additive, t):
-            b, g_b = s, g
-        return f, g
+            b = s
+        return f, size, spread
 
     p = -2.0 if flo < 0 else 2.0
     last = [(lo**p, g_a), (hi**p, g_b)]  # the last two widths evaluated, as (v, g)
     aim = 2.0 * _SIGN_MARGIN * (abs(t) + 4.0)
     for _ in range(_SECANT_STEPS):
-        # both ends within a few aims: the walk evaluates a handful
+        # both ends within a few aims: a handful of floats lie between
         if abs(g_a) <= 8.0 * aim and abs(g_b) <= 8.0 * aim:
             break
         side = flo if abs(g_a) > abs(g_b) else -flo
@@ -714,19 +742,85 @@ def _bisect_log_sigma(
         s = v ** (1.0 / p)
         if not a < s < b:
             break
-        last = [last[1], (s**p, sign_at(s)[1])]
+        _, size, spread = sign_at(s)
+        g = add_up(size, spread) - t_terms
+        if s == a:
+            g_a = g
+        elif s == b:
+            g_b = g
+        last = [last[1], (s**p, g)]
 
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(_BISECT_STEPS):
-        lmid = 0.5 * (llo + lhi)
+    def same_as_lo(lmid: float) -> bool:
+        """The walk's decision at lmid: the proved region's sign, or else the evaluated one."""
         s = math.exp(lmid)
         if lo <= s <= a:
-            same = True
-        elif b <= s <= hi:
-            same = False
-        else:
-            same = sign_at(s)[0] == flo
-        if same:
+            return True
+        if b <= s <= hi:
+            return False
+        return sign_at(s)[0] == flo
+
+    llo, lhi = math.log(lo), math.log(hi)
+    # the least and the greatest float inside (llo, lhi)
+    inner_lo, inner_hi = math.nextafter(llo, math.inf), math.nextafter(lhi, -math.inf)
+
+    def switch_float() -> Optional[float]:
+        """L*, if the decisions of the floats whose widths lie between a
+        and b are at most ``_GAP_FLOATS`` and monotone; else None."""
+        L = max(math.log(a), inner_lo)  # to the first float whose width is past a
+        while L > inner_lo and math.exp(L) > a:
+            L = math.nextafter(L, -math.inf)
+        while math.exp(L) <= a:
+            L = math.nextafter(L, math.inf)
+        switch, switched, n = math.nextafter(L, -math.inf), False, 0
+        while L < lhi and (s := math.exp(L)) < b:  # b moves down as s proves it
+            if n == _GAP_FLOATS:
+                return None
+            n += 1
+            if sign_at(s)[0] != flo:
+                switched = True
+            elif switched:
+                return None
+            else:
+                switch = L
+            L = math.nextafter(L, math.inf)
+        return switch
+
+    if _walk_closes(llo, lhi) and lo <= math.exp(inner_lo) and math.exp(inner_hi) <= hi:
+        switch = switch_float()
+        if switch is not None and inner_lo <= switch < inner_hi:
+            return math.exp(0.5 * (switch + math.nextafter(switch, math.inf)))
+    return _walk(same_as_lo, llo, lhi)
+
+
+@lru_cache(maxsize=64)
+def _walk_closes(llo: float, lhi: float) -> bool:
+    """Whether the walk on [llo, lhi] reaches an adjacent pair of floats
+    within ``_BISECT_STEPS`` and ``math.exp`` rises on its floats, which
+    the shortcut of :func:`_bisect_log_sigma` needs.
+
+    Every log has magnitude 8 or more, so all of one sign, and one float
+    step in the log moves the width by 8 ulps or more.  A midpoint
+    misses the exact one by at most half the spacing at the larger end,
+    so after k steps the bracket is under W 2^-k plus that spacing; once
+    W 2^-k is under the least spacing, each further step drops a float.
+    """
+    if not (lhi <= -8.0 or llo >= 8.0):
+        return False
+    small, big = sorted((abs(llo), abs(lhi)))
+    spacing = math.ulp(small) / 2.0  # no two floats in the bracket are closer
+    halvings = math.ceil(math.log2((lhi - llo) / spacing)) + 1
+    return halvings + math.ulp(big) / spacing + 2 <= _BISECT_STEPS
+
+
+def _walk(same_as_lo: Callable[[float], bool], llo: float, lhi: float) -> float:
+    """The plain bisection on log(sigma) in [llo, lhi]: at most
+    ``_BISECT_STEPS`` steps, each moving the end on lo's side when
+    ``same_as_lo(lmid)`` and else the other, stopping early once a step
+    leaves the bracket unchanged (the decision is deterministic, so every
+    later step would repeat it)."""
+    for _ in range(_BISECT_STEPS):
+        lmid = 0.5 * (llo + lhi)
+        if same_as_lo(lmid):
             if lmid == llo:
                 break
             llo = lmid

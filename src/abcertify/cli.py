@@ -174,17 +174,33 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return get_config(magnet, energy, overrides)
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it, at any depth of dicts and
+    lists, made None: strict JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_report(args: argparse.Namespace, report: dict, text: str) -> None:
-    """Write ``report`` as JSON under ``--json``, else ``text``, to the --out file or stdout."""
+    """Write ``report`` as strict JSON under ``--json`` (a non-finite float
+    as null), else ``text``, to the --out file or stdout."""
     if args.as_json:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        report = _finite_or_null(report)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     args.stream.write(text)
 
 
 def _write_rows(args: argparse.Namespace, header: Sequence[str], rows, **meta) -> None:
-    """Write string ``rows`` as CSV, or under ``--json`` as ``{**meta, "rows": [...]}``."""
+    """Write string ``rows`` as CSV, or under ``--json`` as ``{**meta, "rows": [...]}``
+    in strict JSON: only ``meta`` can hold a float, so only it is walked for nulls."""
     if args.as_json:
-        _write_report(args, {**meta, "rows": [dict(zip(header, row)) for row in rows]}, "")
+        report = {**_finite_or_null(meta), "rows": [dict(zip(header, row)) for row in rows]}
+        args.stream.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         args.stream.write(csv_text(header, rows))
 

@@ -9,8 +9,7 @@ built in; every number can be overridden through a config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -45,12 +44,17 @@ _FLOAT_OPS = (min, max, math.sqrt, bool)
 _OPS = {np.ndarray: (np.minimum, np.maximum, np.sqrt, np.any)}
 
 
-def _require_finite(obj) -> None:
-    """Reject a NaN or infinite float field of a config dataclass."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+def _require_finite(obj, names) -> None:
+    """Reject a NaN or infinite float among the named fields of a config dataclass."""
+    for name in names:
+        value = getattr(obj, name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _derived():
+    """A constant that ``__post_init__`` computes: no argument, no repr, no comparison."""
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class Magnet:
     h_tilde: float   # half the ring thickness along the beam axis, cm
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, ("r1_tilde", "r2_tilde", "h_tilde"))
         if not (0.0 < self.r1_tilde < self.r2_tilde):
             raise ValueError(
                 f"need 0 < r1_tilde < r2_tilde, got {self.r1_tilde!r}, {self.r2_tilde!r}"
@@ -82,7 +86,7 @@ class Beam:
     mv: float  # relativistic momentum, 1/cm
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, ("energy_kev", "v", "mv"))
         if self.v <= 0.0 or self.mv <= 0.0:
             raise ValueError("beam speed and momentum must be positive")
 
@@ -108,9 +112,10 @@ class ExperimentConfig:
     Derived smoothing widths follow the standard selections
     (``eps_tilde`` = 0.5% of the ring's radial extent, ``delta_tilde`` =
     1% of its half-height, ``eps`` = 2% of the hole radius); the
-    ``*_scale`` knobs let parameter sweeps stretch them.  The derived
-    constants are cached on first read; a changed config is a new one
-    (``dataclasses.replace``), with its own cache.
+    ``*_scale`` knobs let parameter sweeps stretch them.  The nine
+    derived constants are computed once, when the config is built, and
+    are plain attributes: not arguments, not compared or hashed.  A
+    changed config is a new one (``dataclasses.replace``), with its own.
     """
 
     magnet: Magnet
@@ -119,47 +124,41 @@ class ExperimentConfig:
     eps_scale: float = 1.0         # multiplies eps (fattening of the ring)
     delta_scale: float = 1.0       # multiplies delta(sigma) (axial cutoff width)
 
+    # fixed smoothing widths
+    eps_tilde: float = _derived()    # radial smoothing width of the field profile
+    delta_tilde: float = _derived()  # axial smoothing width of the field profile
+    eps: float = _derived()          # radial fattening of the magnet used by the space cutoff
+    # fattened-magnet geometry
+    r1: float = _derived()  # inner radius of the fattened magnet (effective hole radius)
+    r2: float = _derived()  # outer radius of the fattened magnet
+    # beam-dependent constants
+    mv: float = _derived()
+    sigma0: float = _derived()     # width at which the tail-rate cap 2000 starts to bind
+    sigma_min: float = _derived()  # smallest width covered by the sweep certificates
+    sigma_max: float = _derived()  # largest width covered by the sweep certificates
+
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, ("flux", "eps_scale", "delta_scale"))
         if not abs(self.flux) < 2.0 * math.pi:
             raise ValueError(f"|flux| must be < 2*pi, got {self.flux!r}")
         if self.eps_scale <= 0.0 or self.delta_scale <= 0.0:
             raise ValueError("eps_scale and delta_scale must be positive")
-        if self.eps >= self.magnet.r1_tilde:
+        m, mv = self.magnet, self.beam.mv
+        d = vars(self)  # a frozen dataclass: the constants go into its dict
+        d["eps_tilde"] = (m.r2_tilde - m.r1_tilde) / 200.0
+        d["delta_tilde"] = m.h_tilde / 100.0
+        d["eps"] = eps = self.eps_scale * m.r1_tilde / 50.0
+        d["r1"] = m.r1_tilde - eps
+        d["r2"] = m.r2_tilde + eps
+        d["mv"] = mv
+        d["sigma0"] = math.sqrt(34.0 / 33.0) * _SQRT_2000 / mv
+        d["sigma_min"] = 4.5 / mv
+        d["sigma_max"] = m.r1_tilde / 2.0
+        if eps >= m.r1_tilde:
             raise ValueError(
-                f"eps={self.eps:g} swallows the hole (r1_tilde="
-                f"{self.magnet.r1_tilde:g}); reduce eps_scale"
+                f"eps={eps:g} swallows the hole (r1_tilde="
+                f"{m.r1_tilde:g}); reduce eps_scale"
             )
-
-    # -- fixed smoothing widths -------------------------------------
-
-    @cached_property
-    def eps_tilde(self) -> float:
-        """Radial smoothing width of the field profile."""
-        m = self.magnet
-        return (m.r2_tilde - m.r1_tilde) / 200.0
-
-    @cached_property
-    def delta_tilde(self) -> float:
-        """Axial smoothing width of the field profile."""
-        return self.magnet.h_tilde / 100.0
-
-    @cached_property
-    def eps(self) -> float:
-        """Radial fattening of the magnet used by the space cutoff."""
-        return self.eps_scale * self.magnet.r1_tilde / 50.0
-
-    # -- fattened-magnet geometry ------------------------------------
-
-    @cached_property
-    def r1(self) -> float:
-        """Inner radius of the fattened magnet (effective hole radius)."""
-        return self.magnet.r1_tilde - self.eps
-
-    @cached_property
-    def r2(self) -> float:
-        """Outer radius of the fattened magnet."""
-        return self.magnet.r2_tilde + self.eps
 
     # width formulas: sigma is a float or an array (see _OPS)
 
@@ -171,27 +170,6 @@ class ExperimentConfig:
     def h(self, sigma: float) -> float:
         """Half-height of the fattened magnet for width sigma."""
         return self.magnet.h_tilde + self.delta(sigma)
-
-    # -- beam-dependent derived quantities ---------------------------
-
-    @cached_property
-    def mv(self) -> float:
-        return self.beam.mv
-
-    @cached_property
-    def sigma0(self) -> float:
-        """Width at which the tail-rate cap 2000 starts to bind."""
-        return math.sqrt(34.0 / 33.0) * _SQRT_2000 / self.beam.mv
-
-    @cached_property
-    def sigma_min(self) -> float:
-        """Smallest width covered by the sweep certificates."""
-        return 4.5 / self.beam.mv
-
-    @cached_property
-    def sigma_max(self) -> float:
-        """Largest width covered by the sweep certificates."""
-        return self.magnet.r1_tilde / 2.0
 
     def omega_inv(self, sigma: float) -> float:
         """Capped tail-cut parameter (an inverse width along the axis)."""

@@ -12,15 +12,15 @@ algebraically exact, not approximate.
 
 On a ramp the plateau is F((z-a)/eps) - F((z-b)/eps), with F the CDF of
 psi, and a profile mass is eps times a difference of G, the integral of
-F.  F and G are Chebyshev series on the left half [-1, 0], built once at
-import from a degree-128 interpolant of the bump and summed by a scalar
-Clenshaw loop; the right half follows from F(t) = 1 - F(-t).  Their
-error is ~1e-16 (``tests/test_fields.py`` holds them to 1e-14 against
-30-digit mpmath at 401 points, and the table's own mass to iota), so no
-pointwise evaluator runs a quadrature.  iota, which enters every
-certified constant, is scipy's quadrature of the bump frozen to the
-bit, so nothing in the package imports scipy; only the tests use it,
-as an independent check.
+F.  F and G are Chebyshev series on the left half [-1, 0], from a
+degree-128 interpolant of the bump, frozen as hex literals and summed by
+a scalar Clenshaw loop; the right half follows from F(t) = 1 - F(-t).
+Their error is ~1e-16 (``tests/test_fields.py`` rebuilds them and holds
+the literals and the rebuild to 1e-14 against 30-digit mpmath at 401
+points, and the table's own mass to iota), so no pointwise evaluator
+runs a quadrature.  iota, which enters every certified constant, is
+scipy's quadrature of the bump frozen to the bit, so nothing in the
+package imports scipy; only the tests use it, as an independent check.
 
 Alongside the pointwise evaluators this module carries the closed-form
 sup-norm constants of the field, potential and cutoff, the derived
@@ -114,34 +114,93 @@ def _psi_d1(t: float) -> float:
 # the tabulated bump CDF
 # ----------------------------------------------------------------------
 
-_CDF_DEGREE = 128
 _Table = Tuple[float, List[float]]  # c0, then the rest highest first
 
+# F's (130 floats) and G's (131) left-half tables and the bump's mass, as
+# the degree-128 Chebyshev interpolant built them with numpy 2.4's X86_V4
+# np.exp: each table is c0, then the rest highest first, the order
+# Clenshaw's recurrence takes them.  They are frozen so that no CPU
+# kernel numpy picks moves a field value; tests/test_fields.py rebuilds
+# them and holds both to 30-digit mpmath.
+_F_HEX = """
+    0x1.81fa144ac36eep-3 -0x1.8d5ba5fc96784p-59 0x1.47e539d44a382p-57 -0x1.37a2a733670d8p-58
+    0x1.d85e95597a601p-59 -0x1.407975edd503fp-60 -0x1.884b8f42a22a5p-58 0x1.698ed92308cd4p-57
+    -0x1.0095009517847p-56 0x1.9b3db20125441p-56 -0x1.aa6f98324b6f4p-56 0x1.131d19be88ff5p-55
+    -0x1.09599987d5a84p-55 0x1.ca0090488743ap-56 -0x1.7298a8062e8e3p-56 0x1.fbfac54a66537p-59
+    0x1.02b4187f67fe9p-56 -0x1.7f68c595540ecp-55 0x1.56941b2bee848p-54 -0x1.000afada17851p-53
+    0x1.592a62737d451p-53 -0x1.a3b88179aff44p-53 0x1.e10392774c55ep-53 -0x1.e66922a373255p-53
+    0x1.b7b54caf11f77p-53 -0x1.2d6eda40326bcp-53 0x1.b26cf169d86b8p-56 0x1.33f08fd8cb581p-53
+    -0x1.8ff27066f1485p-52 0x1.5d9d27f1d82dfp-51 -0x1.02d097f177901p-50 0x1.57451d771be27p-50
+    -0x1.9ff85fa67bef8p-50 0x1.ccb40aa9f6ba9p-50 -0x1.c5d1199237e4fp-50 0x1.78a14c6b94dbfp-50
+    -0x1.9063489882fedp-51 -0x1.6b8c95884fb81p-52 0x1.fe3a5cfec29cdp-50 -0x1.07749ab8a8208p-48
+    0x1.a797ee32be2c1p-48 -0x1.28fc7e2d811f3p-47 0x1.781482480f979p-47 -0x1.b0458b2a94786p-47
+    0x1.bc87ca4307bebp-47 -0x1.8422e3f4496cbp-47 0x1.d93696b79b0e2p-48 0x1.0798156bc9201p-50
+    -0x1.b438bdf4c7895p-47 0x1.e6182924df242p-46 -0x1.940c6ef5037a9p-45 0x1.20bf98801a5a3p-44
+    -0x1.71390074d9f8bp-44 0x1.a93a02b5d50aep-44 -0x1.b0e65a8feff8ep-44 0x1.6c13d8c36fa37p-44
+    -0x1.7aa8685aba66fp-45 -0x1.d4831b65816e7p-46 0x1.1d005d51053f9p-43 -0x1.22e0c1c5a9376p-42
+    0x1.d107a84161475p-42 -0x1.4266651156148p-41 0x1.8e69f7fe6707cp-41 -0x1.b4c211a9e1b87p-41
+    0x1.9726e5a34ce8ep-41 -0x1.13537b5432560p-41 0x1.004a7b14410efp-46 0x1.a310b04e7efc9p-41
+    -0x1.f8f39fc703741p-40 0x1.b18bec66083c1p-39 -0x1.39f8552d44160p-38 0x1.8fccd28e4e141p-38
+    -0x1.bf27200f7e564p-38 0x1.a43b520c35617p-38 -0x1.1561406d9b39bp-38 -0x1.69eba9264ad97p-42
+    0x1.fdd760732455fp-38 -0x1.28e994e2ae025p-36 0x1.f730b6fbb63ddp-36 -0x1.67209a993ae75p-35
+    0x1.bde7ddb72eb76p-35 -0x1.da4f3c09766d5p-35 0x1.8b61fdf472305p-35 -0x1.343ec2bd4b8ddp-36
+    -0x1.2b467efa33e97p-35 0x1.ef58cfb71b9aap-34 -0x1.d9d9fda3a47f9p-33 0x1.6b219a7320947p-32
+    -0x1.da2cfaf679fcbp-32 0x1.05f2bc43da220p-31 -0x1.c047fdab9bd84p-32 0x1.5728d2e0e2f09p-33
+    0x1.7a0a335864d8dp-32 -0x1.35fba2ba609dcp-30 0x1.2935625bf1cfap-29 -0x1.c4de7181de623p-29
+    0x1.207c7e6e1516bp-28 -0x1.298f8a4833e7cp-28 0x1.947eb78babfc9p-29 0x1.c151cf8732ab6p-31
+    -0x1.072d488e90067p-27 0x1.2fd4cb7fdc589p-26 -0x1.fe309a2b41636p-26 0x1.5a6c42f2bc244p-25
+    -0x1.73530f8134dc5p-25 0x1.ee2ccc618702bp-26 0x1.ff1e551f7bca8p-27 -0x1.a4e738e306a43p-24
+    0x1.dc055678dfd4ap-23 -0x1.87c0d250eede8p-22 0x1.f5a5a402f16dep-22 -0x1.ba97ceb3d0e20p-22
+    0x1.961dfb1209f1fp-26 0x1.e2c1574624b8dp-21 -0x1.4affa88159815p-19 0x1.2a750bdc7b270p-18
+    -0x1.88d50b46e770ap-18 0x1.274d2b2e9de11p-18 0x1.00454a4187ac8p-18 -0x1.8a4846c6e373ep-16
+    0x1.d5efb205b1012p-15 -0x1.71a451249cc7dp-14 0x1.1e729c45bcc7fp-14 0x1.0d9cf2b41670cp-13
+    -0x1.772c5bbb6c56bp-11 0x1.c8bbe2592d5d6p-10 -0x1.0cecb314b28ddp-9 -0x1.5294e40bfc2f2p-7
+    0x1.06e3436856672p-4 0x1.08c52249a1325p-2
+"""
+_G_HEX = """
+    0x1.9f34607d82494p-5 -0x1.873eab4f5913fp-68 0x1.455a84cab4ce8p-66 -0x1.c3d350d46f458p-69
+    -0x1.a6e8faf1bab5ap-67 0x1.d6621bdf611d8p-68 -0x1.41c81da9a9a71p-66 0x1.9e929cc6fb480p-66
+    -0x1.49e7421e0a5b4p-66 0x1.e397a6af7b852p-66 -0x1.675c3a6c54740p-66 0x1.2881143b929f2p-66
+    -0x1.c09930e5a5218p-67 -0x1.9029d12966f74p-67 0x1.5e4ff524132a4p-66 -0x1.b350ca9e0b8e8p-65
+    0x1.5e3812195eea2p-64 -0x1.d2246df041a1ap-64 0x1.3acadaac448d7p-63 -0x1.6e265ec1bc956p-63
+    0x1.91031223cd496p-63 -0x1.7cec4744e06dcp-63 0x1.3f0e88415001ep-63 -0x1.3c28e911d63e0p-64
+    -0x1.8b4cc6e314470p-65 0x1.bebd0f6d4a340p-63 -0x1.d5d3b9e9dc8afp-62 0x1.76ffa3c09c29cp-61
+    -0x1.0961b51ecb10dp-60 0x1.561f645eed9b8p-60 -0x1.9292f7ff51b8fp-60 0x1.af43ef5784983p-60
+    -0x1.9661b1aab5f96p-60 0x1.32c3b9fd0234ap-60 -0x1.8f88fc866e690p-62 -0x1.c063f6a209f8cp-61
+    0x1.55b934ea643d5p-59 -0x1.3e4f48094ccaep-58 0x1.e8e47a0213584p-58 -0x1.4eef0d0b5249cp-57
+    0x1.a06728b856884p-57 -0x1.d6119bec96ebep-57 0x1.d88ba19a6ec26p-57 -0x1.898eb16bdb322p-57
+    0x1.92d5844c534a8p-58 0x1.06c26678d0a50p-58 -0x1.391bda350c5fcp-56 0x1.40d3bbe8f5c39p-55
+    -0x1.036756de4bfa0p-54 0x1.6e885104c9cfbp-54 -0x1.d2297a6b2b9b4p-54 0x1.0b8f49f16a81ep-53
+    -0x1.0ee7591400603p-53 0x1.bfedab5b0243cp-54 -0x1.a76967c4ba2f8p-55 -0x1.9bf3a15382b90p-55
+    0x1.9fb1bfcdc74a2p-53 -0x1.a02d831fd67bcp-52 0x1.4cdb9645e04e4p-51 -0x1.d10f38fec91d4p-51
+    0x1.22bb050b99d44p-50 -0x1.4395f90494fa3p-50 0x1.33c12ffbc1a72p-50 -0x1.ae864d89953c0p-51
+    0x1.0b188df53d440p-54 0x1.391488681dd64p-50 -0x1.89008f8c78fc8p-49 0x1.5b3215d158a94p-48
+    -0x1.028476b47c2cep-47 0x1.5362d70abe707p-47 -0x1.89ee02960f27dp-47 0x1.8675094b48734p-47
+    -0x1.20f05d092bef4p-47 0x1.68b958219b670p-50 0x1.7d3e97e04ed8ep-47 -0x1.fa1dc5478b7eep-46
+    0x1.ca05052a5386cp-45 -0x1.5931a8956e083p-44 0x1.c5b62ef03687ap-44 -0x1.03499dbaf11b4p-43
+    0x1.e7ae740354518p-44 -0x1.26ddc63e09050p-44 -0x1.07f4e4a0950a8p-45 0x1.aaea78e3c0ddep-43
+    -0x1.d8f5704b55db0p-42 0x1.8e326f952b792p-41 -0x1.1bc1aedbcc758p-40 0x1.5c10951f0e140p-40
+    -0x1.611dbeb9888a4p-40 0x1.e9f367dd2fce0p-41 0x1.435d86c6273d0p-43 -0x1.19da7279023c9p-39
+    0x1.5300e62906d91p-38 -0x1.29290b0576b92p-37 0x1.b05a227e16d76p-37 -0x1.08c7aacb45668p-36
+    0x1.ff918f8b5fc14p-37 -0x1.0bc4f6b1f3a08p-37 -0x1.4e80866d8fe2ap-37 0x1.61b9c4391a3d3p-35
+    -0x1.780d617d66375p-34 0x1.351bfcd0ad9d0p-33 -0x1.a1c45ec697964p-33 0x1.bc968be1d6c91p-33
+    -0x1.1381ccd9135b8p-33 -0x1.e9092b1d65984p-34 0x1.3f6d36433fe0ap-31 -0x1.6af6f2a79aedep-30
+    0x1.34ec2231538b2p-29 -0x1.a0c4630be4aacp-29 0x1.91bb62b49497cp-29 -0x1.455fe8df40168p-31
+    -0x1.9110a5525efefp-28 0x1.38e9712ab0846p-26 -0x1.3a83a9d9df9b7p-25 0x1.dc39c1e76d1fdp-25
+    -0x1.e4fa0efc38eedp-25 -0x1.cda4f5a303680p-31 0x1.8f72aaca1cfe4p-23 -0x1.3812610c5c9d7p-21
+    0x1.3e797ab85d1fbp-20 -0x1.b1b6cbeb06448p-20 0x1.6e13a569e589cp-22 0x1.c66f1b4664d4ap-18
+    -0x1.d5b0c84ddfed6p-16 0x1.1a0582ac71b4ep-14 -0x1.1835c6a2f259dp-14 -0x1.8bac605721dadp-11
+    0x1.69b8e156a54f7p-8 0x1.1359c96a0113dp-5 0x1.40414370add52p-4
+"""
+BUMP_CDF_MASS = float.fromhex("0x1.c6a650a045c5dp-2")
 
-def _left_half_tables() -> Tuple[_Table, _Table, float]:
-    """Chebyshev series of F and G = int F on the left half t in [-1, 0].
 
-    x = 2t + 1 maps the half onto [-1, 1].  The bump is interpolated
-    there (its Chebyshev points stay inside (-1, 1), so 1 - t^2 > 0),
-    integrated from t = -1 and divided by its own mass, twice the half
-    mass since the bump is even: that is F.  Integrating once more gives
-    G.  The tables are stored in the order Clenshaw's recurrence takes
-    the coefficients.
-    """
-    cheb = np.polynomial.chebyshev
+def _table(text: str) -> _Table:
+    c0, *rest = map(float.fromhex, text.split())
+    return c0, rest
 
-    def half_bump(x: np.ndarray) -> np.ndarray:
-        t = (x - 1.0) / 2.0
-        return np.exp(-1.0 / (1.0 - t * t))
 
-    mass_left = cheb.chebint(cheb.chebinterpolate(half_bump, _CDF_DEGREE), lbnd=-1, scl=0.5)
-    mass = 2.0 * float(cheb.chebval(1.0, mass_left))
-    f_coef = mass_left / mass
-    g_coef = cheb.chebint(f_coef, lbnd=-1, scl=0.5)
-    f_table, g_table = (
-        (float(c[0]), [float(v) for v in c[:0:-1]]) for c in (f_coef, g_coef)
-    )
-    return f_table, g_table, mass
+_F_TABLE, _G_TABLE = _table(_F_HEX), _table(_G_HEX)
 
 
 def _clenshaw(table: _Table, s: float) -> float:
@@ -182,8 +241,6 @@ def bump_cdf_integral(t: float) -> float:
     # G(t) = G(0) + int_0^t (1 - F(-s)) ds = t + G(-t)
     return t + _clenshaw(_G_TABLE, -t)
 
-
-_F_TABLE, _G_TABLE, BUMP_CDF_MASS = _left_half_tables()
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import add_down, add_up, exp_neg_log, f64_up, mul_up, sci_strings
 
 import published
+from golden import golden_widths as _golden_widths
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -301,15 +302,6 @@ def test_envelope_regimes_read_the_table(cfg):
         envelope_sides(cfg, "detailed", s)
     with pytest.raises(ValueError, match="unknown regime 'nope'"):
         tail_payload("nope", 0.3, s, cfg)
-
-
-def _golden_widths(lo: float, hi: float, n: int = 40) -> list:
-    """``n`` widths from lo to hi, evenly spaced in log, in Python float arithmetic.
-
-    ``np.geomspace``'s bits depend on the CPU kernel numpy picks for
-    ``np.power``, so a golden digest over its widths would move with it.
-    """
-    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n - 1)] + [hi]
 
 
 # sha256 over the bits of both sides of envelope_sides for the three
@@ -744,11 +736,13 @@ def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch, bound_call
 
 def test_threshold_search_call_budget(bound_calls):
     # the 288 bisections of the golden threshold outputs; evaluating
-    # every step of the walk (with its early exit) takes 15,789 calls;
-    # each table and plateau evaluates a width once
+    # every step of the walk (with its early exit) takes 15,789 calls,
+    # and walking between the proved regions took 1,595; deciding every
+    # float between them instead evaluates a few more widths and takes
+    # no walk step; each table and plateau evaluates a width once
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
         _threshold_outputs(get_config(magnet, beam))
-    assert len(bound_calls) == 1595
+    assert len(bound_calls) == 1630
 
 
 def test_table_evaluates_each_width_once(any_cfg, bound_calls):
@@ -865,6 +859,85 @@ def test_threshold_search_matches_full_loop_on_seeded_targets(any_cfg, monkeypat
             bound_calls.clear()
             assert threshold_sigma(any_cfg, target, branch) == end
             assert bound_calls == [ends[0], ends[1]]
+
+
+def _counting(monkeypatch, name):
+    """The argument tuples of each call of ``bounds.<name>``, which still runs."""
+    calls = []
+    real = getattr(bounds, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, name, counting)
+    return calls
+
+
+def test_golden_searches_take_no_walk_step(monkeypatch):
+    # each of the 288 searches decides the floats between its proved
+    # regions and returns the walk's end without walking
+    searches = _counting(monkeypatch, "_bisect_log_sigma")
+    walks = _counting(monkeypatch, "_walk")
+    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
+        _threshold_outputs(get_config(magnet, beam))
+    assert len(searches) == 288 and walks == []
+
+
+def test_exp_rises_on_the_threshold_brackets(any_cfg):
+    # the search's trusted step: one float step in the log of a width in
+    # either bracket moves math.exp by 8 ulps or more, so a faithful exp
+    # rises there; sampled, each step moves it by at least 6
+    rng = np.random.default_rng(31)
+    for lo, hi in ((1e-7, 0.999 * any_cfg.r1), (1e-12, 1e-7)):
+        llo, lhi = math.log(lo), math.log(hi)
+        assert bounds._walk_closes(llo, lhi)
+        for L in [*rng.uniform(llo, lhi, 2000).tolist(), llo, math.nextafter(lhi, -math.inf)]:
+            s, s_next = math.exp(L), math.exp(math.nextafter(L, math.inf))
+            assert s_next - s >= 6.0 * math.ulp(s)
+
+
+def _lying_bound(lie_floats: int, log_cross: float = -20.0):
+    """A synthetic bound for the search at t = 0 whose decisions are not monotone.
+
+    Its size, the only finite component, rises through 0 at the width
+    e^log_cross as 10 (1 - (s_c / s)^2) does, and is flat at -1e-15, which
+    no region proof can place under 0, on the 2 lie_floats floats of the
+    log width below the crossing.  Its total is the size but on the
+    lower half of those floats, where it reads +1e-15: the decisions
+    there are the upper end's, then lo's again.  The region proofs stay
+    sound, as every width they cover has total = size.
+    """
+    u = math.ulp(log_cross)
+    s_lo, s_mid, s_cross = (math.exp(log_cross - k * lie_floats * u) for k in (2, 1, 0))
+
+    def bound(s):
+        if s < s_lo:
+            size = 10.0 * (1.0 - (s_lo / s) ** 2) - 1e-15
+        elif s < s_cross:
+            size = -1e-15
+        else:
+            size = 10.0 * (1.0 - (s_cross / s) ** 2) + 1e-15
+        total = 1e-15 if s_lo <= s < s_mid else size
+        return size, -math.inf, -math.inf, total
+
+    return bound
+
+
+def test_non_monotone_decisions_fall_back_to_the_walk(monkeypatch):
+    # no gap counts as too long here, so only the decisions force the walk
+    monkeypatch.setattr(bounds, "_GAP_FLOATS", 1000)
+    walks = _counting(monkeypatch, "_walk")
+    for lie_floats in (0, 1, 2, 3):
+        walks.clear()
+        bound = _lying_bound(lie_floats)
+        assert bounds._bisect_log_sigma(bound, 0.0, 1e-12, 1e-7) == _full_loop(bound, 0.0, 1e-12, 1e-7)
+        assert len(walks) == (lie_floats > 0)
+    # a bracket whose logs are under 8 in magnitude is walked too
+    walks.clear()
+    bound = _lying_bound(0, log_cross=-3.0)
+    assert bounds._bisect_log_sigma(bound, 0.0, 1e-3, 0.5) == _full_loop(bound, 0.0, 1e-3, 0.5)
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("branch", ["big", "small"])

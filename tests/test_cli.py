@@ -253,6 +253,32 @@ def test_verify_json(capsys):
     assert set(payload["rows"][0]) == set(CSV_COLUMNS)
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_json_is_strict_when_every_margin_is_minus_inf(capsys, config_file):
+    # a beam this slow fails every sigma10 pair with a margin of -inf: the
+    # worst margin is written as null, not as the -Infinity token
+    argv = ["verify", "--set", "sigma10", "--config", config_file("beam.mv = 1e3\n"), "--json"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    payload = _strict_json(out)
+    assert payload["worst_margin_log10"] is None
+    assert payload["failures"] == payload["pairs"] == len(payload["rows"]) > 0
+    assert {row["margin"] for row in payload["rows"]} == {"-inf"}
+
+
+def test_reports_write_non_finite_floats_as_null():
+    report = {"a": [1.0, math.inf, (math.nan, -math.inf)], "b": {"c": -0.0, "d": "inf"}, "e": 3}
+    assert cli._finite_or_null(report) == {"a": [1.0, None, [None, None]], "b": {"c": -0.0, "d": "inf"}, "e": 3}
+
+
 def test_verify_sweep_errors_do_not_blame_delta0(capsys, config_file):
     # a beam this slow makes sigma11's widths reach past the hole radius:
     # a configuration error, with no --delta0 given

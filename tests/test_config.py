@@ -270,3 +270,68 @@ def test_pickled_config_keeps_equality_hash_and_constants():
         copy = pickle.loads(pickle.dumps(cfg))
         assert copy == cfg and hash(copy) == hash(cfg)
         assert _derived(copy) == _derived(cfg)
+
+
+def _formulas(cfg):
+    """The nine derived constants by the expressions the config documents."""
+    m, mv = cfg.magnet, cfg.beam.mv
+    eps = cfg.eps_scale * m.r1_tilde / 50.0
+    return {
+        "eps_tilde": (m.r2_tilde - m.r1_tilde) / 200.0,
+        "delta_tilde": m.h_tilde / 100.0,
+        "eps": eps,
+        "r1": m.r1_tilde - eps,
+        "r2": m.r2_tilde + eps,
+        "mv": mv,
+        "sigma0": math.sqrt(34.0 / 33.0) * math.sqrt(2000.0) / mv,
+        "sigma_min": 4.5 / mv,
+        "sigma_max": m.r1_tilde / 2.0,
+    }
+
+
+def _hex(values):
+    return {name: value.hex() for name, value in values.items()}
+
+
+def test_derived_constants_match_their_formulas_bit_for_bit():
+    base = get_config("k2", "e1")
+    configs = [get_config(m, e) for m in sorted(MAGNETS) for e in sorted(BEAMS)]
+    configs.append(get_config("k1", "e2", {
+        "params.eps_scale": "1.7", "beam.mv": "1.3e10", "magnet.r2_tilde": "3e-4",
+    }))
+    configs.append(replace(base, eps_scale=0.3, magnet=replace(base.magnet, r1_tilde=1.6e-4)))
+    for cfg in configs:
+        want = _hex(_formulas(cfg))
+        assert _hex(_derived(cfg)) == want
+        # a --jobs worker gets its config pickled
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert _hex(_derived(copy)) == want
+        assert copy == cfg and hash(copy) == hash(cfg)
+    # plain attributes: no argument, and no part of the repr or equality
+    with pytest.raises(TypeError):
+        ExperimentConfig(base.magnet, base.beam, r1=1.0)
+    with pytest.raises(ValueError):
+        replace(base, r1=1.0)
+    assert repr(base) == (
+        f"ExperimentConfig(magnet={base.magnet!r}, beam={base.beam!r}, "
+        "flux=3.141592653589793, eps_scale=1.0, delta_scale=1.0)"
+    )
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"flux": 7.0}, "|flux| must be < 2*pi, got 7.0"),
+    ({"flux": math.nan}, "flux must be finite, got nan"),
+    ({"eps_scale": math.inf, "delta_scale": math.nan}, "eps_scale must be finite, got inf"),
+    ({"delta_scale": -math.inf}, "delta_scale must be finite, got -inf"),
+    ({"eps_scale": 0.0}, "eps_scale and delta_scale must be positive"),
+    ({"delta_scale": -1.0}, "eps_scale and delta_scale must be positive"),
+    ({"eps_scale": 51.0}, "eps=0.0001785 swallows the hole (r1_tilde=0.000175); reduce eps_scale"),
+])
+def test_invalid_configs_keep_their_messages(kwargs, message):
+    base = get_config("k2", "e1")
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(base.magnet, base.beam, **kwargs)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        replace(base, **kwargs)
+    assert str(exc.value) == message

@@ -16,6 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from abcertify import fields
 from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import (
     BUMP_CDF_MASS,
@@ -46,6 +47,9 @@ from oracles import (
 )
 
 import published
+from golden import CHI_SIGMAS as _CHI_SIGMAS
+from golden import evaluator_record as _evaluator_record
+from golden import golden_points as _golden_points
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +125,64 @@ def test_bump_cdf_tables_match_mpmath():
             assert abs(bump_cdf_integral(t) - float((tm * cdf - moment) / mass)) <= 1e-14
         assert iota() == pytest.approx(float(mass), rel=1e-15)
     assert BUMP_CDF_MASS == pytest.approx(iota(), rel=1e-14)
+
+
+def _left_half_tables():
+    """Rebuild ``fields``' frozen tables: the Chebyshev series of F and
+    G = int F on the left half t in [-1, 0], and the bump's mass.
+
+    x = 2t + 1 maps the half onto [-1, 1].  The bump is interpolated
+    there at degree 128 (its Chebyshev points stay inside (-1, 1), so
+    1 - t^2 > 0), integrated from t = -1 and divided by its own mass,
+    twice the half mass since the bump is even: that is F.  Integrating
+    once more gives G.  Each table is c0, then the rest highest first,
+    the order Clenshaw's recurrence takes them.  The package's literals
+    are this build on numpy 2.4's X86_V4 np.exp; another kernel moves
+    some coefficients by an ulp or so.
+    """
+    cheb = np.polynomial.chebyshev
+
+    def half_bump(x):
+        t = (x - 1.0) / 2.0
+        return np.exp(-1.0 / (1.0 - t * t))
+
+    mass_left = cheb.chebint(cheb.chebinterpolate(half_bump, 128), lbnd=-1, scl=0.5)
+    mass = 2.0 * float(cheb.chebval(1.0, mass_left))
+    f_coef = mass_left / mass
+    g_coef = cheb.chebint(f_coef, lbnd=-1, scl=0.5)
+    f_table, g_table = (
+        (float(c[0]), [float(v) for v in c[:0:-1]]) for c in (f_coef, g_coef)
+    )
+    return f_table, g_table, mass
+
+
+def test_frozen_bump_cdf_tables_and_their_rebuild_match_mpmath():
+    # the literals and a fresh build on the running kernel, each held to
+    # 1e-14 against 30-digit mpmath at the left-half points of the 401
+    # Chebyshev-Lobatto points the evaluators are held to above
+    f_new, g_new, mass_new = _left_half_tables()
+    f_lit, g_lit = fields._F_TABLE, fields._G_TABLE
+    assert (len(f_lit[1]), len(g_lit[1])) == (len(f_new[1]), len(g_new[1])) == (129, 130)
+    assert mass_new == pytest.approx(fields.BUMP_CDF_MASS, rel=1e-15)
+    for lit, new in ((f_lit, f_new), (g_lit, g_new)):
+        assert lit[0] == pytest.approx(new[0], abs=1e-16)
+        assert max(abs(a - b) for a, b in zip(lit[1], new[1])) <= 1e-16
+    with mpmath.workdps(30):
+        psi = lambda s: mpmath.exp(-1 / (1 - s * s))
+        mass = mpmath.quad(psi, [-1, 0, 1])
+        prev = mpmath.mpf(-1)
+        cdf = moment = mpmath.mpf(0)
+        for k in range(201):
+            t = -math.cos(math.pi * k / 400)
+            tm = mpmath.mpf(t)
+            if k:
+                cdf += mpmath.quadgl(psi, [prev, tm])
+                moment += mpmath.quadgl(lambda s: s * psi(s), [prev, tm])
+            prev = tm
+            want_f, want_g = float(cdf / mass), float((tm * cdf - moment) / mass)
+            for f_table, g_table in ((f_lit, g_lit), (f_new, g_new)):
+                assert abs(fields._clenshaw(f_table, t) - want_f) <= 1e-14
+                assert abs(fields._clenshaw(g_table, t) - want_g) <= 1e-14
 
 
 def _ramp_profiles():
@@ -387,91 +449,6 @@ def test_curl_of_potential_is_field(field_model, cfg):
         curl = fd_curl(field_model.a_potential, x, h)
         assert np.abs(curl - bvec).max() <= 1e-3 * np.linalg.norm(bvec)
         checked += 1
-
-
-_CHI_SIGMAS = (1e-8, 1e-7, 1e-6)
-
-
-def _around(v):
-    """v and the floats one ulp either side of it."""
-    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
-
-
-def _golden_points(cfg):
-    """Seeded points, every ramp breakpoint and the floats one ulp either
-    side, points inside a radial and an axial ramp at once, r = 0 and
-    points off the body.
-
-    A breakpoint is computed as :func:`plateau` computes it (a - eps,
-    a + eps, b - eps, b + eps), and each ramp's a, b and the support
-    ends count as breakpoints too.  Breakpoint radii sit on the x1 or
-    the x2 axis, where hypot returns them exactly.
-    """
-    m, e, d = cfg.magnet, cfg.eps_tilde, cfg.delta_tilde
-    model = FieldModel(cfg)
-
-    def ends(a, b, eps):
-        return (a - eps, a + eps, b - eps, b + eps, a, b)
-
-    radii = ends(m.r1_tilde + e, m.r2_tilde - e, e) + (m.r1_tilde, m.r2_tilde)
-    heights = ends(-m.h_tilde + d, m.h_tilde - d, d) + (-m.h_tilde, m.h_tilde)
-    chi_radii, chi_heights = [], []
-    # profile pairs whose ramps take a grid of points inside both
-    inside = [((m.r1_tilde + e, m.r2_tilde - e, e), (-m.h_tilde + d, m.h_tilde - d, d))]
-    for sigma in _CHI_SIGMAS:
-        rad, ax = model._chi_profiles(sigma)
-        chi_radii += ends(*rad)
-        chi_heights += ends(*ax)
-        inside.append((rad, ax))
-    r_mid = 0.5 * (m.r1_tilde + m.r2_tilde)
-    pts = []
-    for r in itertools.chain.from_iterable(map(_around, radii + tuple(chi_radii))):
-        pts += [(r, 0.0, 0.0), (0.0, r, 0.3 * m.h_tilde), (r, 0.0, m.h_tilde - d)]
-    for z in itertools.chain.from_iterable(map(_around, heights + tuple(chi_heights))):
-        pts += [(r_mid, 0.0, z), (0.0, 0.5 * m.r1_tilde, z), (0.0, 0.0, z)]
-    for rad, ax in inside:
-        for f, g in itertools.product((0.1, 0.35, 0.6, 0.85), repeat=2):
-            pts += [
-                (r * math.cos(0.7), r * math.sin(0.7), z)
-                for r in (rad[0] - rad[2] * (1.0 - 2.0 * f), rad[1] + rad[2] * (1.0 - 2.0 * f))
-                for z in (ax[0] - ax[2] * (1.0 - 2.0 * g), ax[1] + ax[2] * (1.0 - 2.0 * g))
-            ]
-    pts += [(0.0, 0.0, z) for z in (0.0, 0.5 * m.h_tilde, 2.0 * m.h_tilde, -3.0 * m.h_tilde)]
-    pts += [
-        (1.3 * m.r2_tilde, 0.0, 0.0),
-        (0.0, -2.0 * m.r2_tilde, 0.5 * m.h_tilde),
-        (r_mid, 0.0, 1.5 * m.h_tilde),
-        (-r_mid, 0.0, -1.5 * m.h_tilde),
-    ]
-    rng = np.random.default_rng(53)
-    for r, phi, z in zip(
-        rng.uniform(0.0, 1.4 * m.r2_tilde, 40).tolist(),
-        rng.uniform(0.0, 2.0 * math.pi, 40).tolist(),
-        rng.uniform(-1.5 * m.h_tilde, 1.5 * m.h_tilde, 40).tolist(),
-    ):
-        pts.append((r * math.cos(phi), r * math.sin(phi), z))
-    return model, pts
-
-
-def _evaluator_record(model, x):
-    """float.hex of every evaluator output at x, one string."""
-    out = [
-        *model.b_field(x).tolist(),
-        *model.b_partials(x).ravel().tolist(),
-        model.a3(x),
-        *model.a_potential(x).tolist(),
-        *model.a3_partials(x).tolist(),
-        model.flux_linked(math.hypot(float(x[0]), float(x[1]))),
-    ]
-    for sigma in _CHI_SIGMAS:
-        out += [model.chi(x, sigma), *model.chi_partials(x, sigma).tolist()]
-        out.append(model.chi_curvature(x, sigma))
-    words = [float.hex(float(v)) for v in out]
-    try:
-        words.append(float.hex(model.lambda_gauge(x)))
-    except ValueError:
-        words.append("no-gauge")
-    return " ".join(words)
 
 
 # sha256 over _evaluator_record at _golden_points for the six configs,
