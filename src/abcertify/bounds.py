@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
-from .kinematics import opening_angle_deg, packet_radius, z_of_sigma
+from .kinematics import opening_angle_deg, packet_radius, z_crossing_vec, z_of_sigma
 from .xreal import (
     XReal, add_down, add_up, exp_neg_log, f64_down, f64_up, mul_down, mul_up, sci_strings,
 )
@@ -326,9 +326,9 @@ def interval_certificates(
       5. crossing distance within [134.99, 136.82] half-thicknesses
          below the crossover.
 
-    Both grids are one array pass: the crossings of all their widths
-    come from one call, and the crossover scales and slab heights of
-    the upper grid from one call each, bit-identical to the scalar
+    Both grids are one array pass: the slab heights and the crossings
+    of all their widths come from one call each, and the crossover
+    scales of the upper grid from one call, bit-identical to the scalar
     :func:`~abcertify.kinematics.z_crossing` and config calls at every
     width.  Each certificate writes its margins and their scales into
     one row of two (5, n) arrays, which are tested in one pass.
@@ -341,7 +341,9 @@ def interval_certificates(
         (_geomspace(cfg.sigma0, cfg.sigma_max, n), _geomspace(cfg.sigma_min, cfg.sigma0, n))
     )
     hi_grid = grids[:n]
-    z_hi, z_lo = z_of_sigma(grids, cfg).reshape(2, n)
+    mv = cfg.mv
+    h = cfg.h(grids)
+    z_hi, z_lo = z_crossing_vec(cfg.omega_inv(grids), grids, mv, h).reshape(2, n)
     margins = np.empty((len(_CERT_NAMES), n))
     scales = np.empty_like(margins)
 
@@ -352,10 +354,9 @@ def interval_certificates(
     scales[1] = s1_vals
     np.minimum(s1_vals - 0.0042, 303.8306 - s1_vals, out=margins[1])
 
-    mv = cfg.mv
     smv = hi_grid * mv
     ring = np.sqrt(
-        cfg.h(hi_grid) * cfg.r2 ** 2 * smv ** 3 / np.maximum(z_hi, s1_vals),
+        h[:n] * cfg.r2 ** 2 * smv ** 3 / np.maximum(z_hi, s1_vals),
         out=scales[2],
     )
     np.subtract(2.9127e5, ring, out=margins[2])
@@ -616,17 +617,9 @@ def interaction_probability(cfg: ExperimentConfig, sigma: float) -> float:
 #   fl(|U| + 4)) >= 32u(|U| + 4)(1 - u), has fl(U + M) >= U + M -
 #   u|U + M| >= U + 30u|U| + 120u >= h(U), so F < t at every sigma in
 #   [s1, s2]: the sign there is -1.
-# * The walk compares the float math.exp(lmid) it would evaluate the
-#   bound at with s1 and s2, so math.exp's rounding needs no margin.  Its
-#   shortcut orders those floats by lmid, which needs math.exp to rise
-#   (see _bisect_log_sigma).
 _SIGN_MARGIN = 2.0**-48
-# at most this many secant steps before the walk, and bisection steps
-# in it; and the most floats between the proved regions that the search
-# decides one by one instead of walking
+# at most this many secant steps before the bisection
 _SECANT_STEPS = 16
-_BISECT_STEPS = 80
-_GAP_FLOATS = 8
 
 
 def _proves_sign(sign, size1, spread1, size2, spread2, additive, t) -> bool:
@@ -651,40 +644,28 @@ def _bisect_log_sigma(
     them from the headline row's :func:`_row_logs`.  A step's sign is
     (total > t) - (total < t): +1 above the target, -1 below.
 
-    The result is the plain bisection's (:func:`_walk`): midpoints lmid
-    of [log lo, log hi], each deciding whether the sign at
-    math.exp(lmid) is lo's.  What changes is how the search gets there.
-    A secant search first finds widths a < b such that every width in
-    [lo, a] provably has lo's sign and every one in [b, hi] the other
-    (the proof is next to ``_SIGN_MARGIN``).  Every float L inside
-    (log lo, log hi) then has the walk's decision: the proved region's
-    sign, or else the evaluated one.
+    The plain bisection takes midpoints lmid of [log lo, log hi], each
+    deciding whether the sign at math.exp(lmid) is lo's, and returns
+    exp(0.5 (llo + lhi)) of the pair of floats it ends at.  This search
+    calls ``bound`` at far fewer widths.  A secant search first finds
+    widths a < b such that every width in [lo, a] provably has lo's sign
+    and every one in [b, hi] the other (the proof is next to
+    ``_SIGN_MARGIN``).  The bisection then runs between L, the greatest
+    log float at or below log a whose width lies in [lo, a] (log lo at
+    the latest), and H, the least at or above log b whose width lies in
+    [b, hi] (log hi at the latest).  It evaluates each midpoint and
+    stops when 0.5 (L + H) equals an end.  So it ends at an adjacent
+    pair of floats whose two decisions, proved or evaluated, differ,
+    whatever order math.exp gives their widths.
 
     Lemma: a float bisection whose decisions are monotone, true up to a
     float L* and false above it, ends at the one adjacent pair (L*, the
-    next float) where they switch, if that pair lies inside the bracket.
-    The midpoint of two floats of one sign with a float between them
-    lies strictly between them (fl(x + y) rounds past 2x and short of
-    2y), so each step keeps L* in [llo, lhi) and shrinks the bracket
-    until it is that pair; the next step leaves it unchanged.  So the
-    search decides only the floats whose widths lie between a and b, at
-    most ``_GAP_FLOATS`` (their own proofs often move b down and end the
-    scan early), checks that their decisions are monotone and returns
-    the walk's end, exp(0.5 (L* + next)), without a walk step.
-
-    It walks instead when the decisions are not monotone, when more
-    floats lie between a and b, when the switch is at a bracket end, or
-    when the walk may not close within ``_BISECT_STEPS``
-    (:func:`_walk_closes`).  The walk takes the region's sign at a
-    midpoint in [lo, a] or [b, hi] and calls ``bound`` only between a and
-    b.  Either way the result is the full loop's, bit for bit.
-
-    Trusted: that the floats L of [lo, a], of the gap and of [b, hi]
-    follow each other in that order needs math.exp to rise on the
-    bracket's floats.  math.exp is taken to be faithful (error under 1
-    ulp, as ``xreal``'s boundary list states); where every log of the
-    bracket is 8 or more in magnitude, one float step in the log moves
-    the width by 8 ulps or more, so faithful rounding keeps the order.
+    next float) where they switch.  The midpoint of two floats of one
+    sign with a float between them lies strictly between them (fl(x + y)
+    rounds past 2x and short of 2y), so each step keeps L* in [L, H) and
+    shrinks the bracket until it is that pair.  L and H lie on either
+    side of L*, so where the decisions are monotone the search ends
+    where the plain bisection does, bit for bit.
 
     The secant runs on g = log(e^size + e^spread) - log(e^t -
     e^additive), through the last two widths evaluated, against
@@ -713,17 +694,6 @@ def _bisect_log_sigma(
     a, g_a = lo, add_up(size_lo, spread_lo) - t_terms
     b, g_b = hi, add_up(size_hi, spread_hi) - t_terms
 
-    def sign_at(s: float) -> Tuple[int, float, float]:
-        """The sign, size and spread at s; widens [lo, a] or [b, hi] to s when s proves it."""
-        nonlocal a, b
-        size, spread, _, total = bound(s)
-        f = (total > t) - (total < t)
-        if f == flo and s > a and _proves_sign(f, size_lo, spread_lo, size, spread, additive, t):
-            a = s
-        elif f == -flo and s < b and _proves_sign(f, size, spread, size_hi, spread_hi, additive, t):
-            b = s
-        return f, size, spread
-
     p = -2.0 if flo < 0 else 2.0
     last = [(lo**p, g_a), (hi**p, g_b)]  # the last two widths evaluated, as (v, g)
     aim = 2.0 * _SIGN_MARGIN * (abs(t) + 4.0)
@@ -742,93 +712,29 @@ def _bisect_log_sigma(
         s = v ** (1.0 / p)
         if not a < s < b:
             break
-        _, size, spread = sign_at(s)
+        # s widens [lo, a] or [b, hi] to itself when it proves that region
+        size, spread, _, total = bound(s)
+        f = (total > t) - (total < t)
         g = add_up(size, spread) - t_terms
-        if s == a:
-            g_a = g
-        elif s == b:
-            g_b = g
+        if f == flo and _proves_sign(f, size_lo, spread_lo, size, spread, additive, t):
+            a, g_a = s, g
+        elif f == -flo and _proves_sign(f, size, spread, size_hi, spread_hi, additive, t):
+            b, g_b = s, g
         last = [last[1], (s**p, g)]
 
-    def same_as_lo(lmid: float) -> bool:
-        """The walk's decision at lmid: the proved region's sign, or else the evaluated one."""
-        s = math.exp(lmid)
-        if lo <= s <= a:
-            return True
-        if b <= s <= hi:
-            return False
-        return sign_at(s)[0] == flo
-
     llo, lhi = math.log(lo), math.log(hi)
-    # the least and the greatest float inside (llo, lhi)
-    inner_lo, inner_hi = math.nextafter(llo, math.inf), math.nextafter(lhi, -math.inf)
-
-    def switch_float() -> Optional[float]:
-        """L*, if the decisions of the floats whose widths lie between a
-        and b are at most ``_GAP_FLOATS`` and monotone; else None."""
-        L = max(math.log(a), inner_lo)  # to the first float whose width is past a
-        while L > inner_lo and math.exp(L) > a:
-            L = math.nextafter(L, -math.inf)
-        while math.exp(L) <= a:
-            L = math.nextafter(L, math.inf)
-        switch, switched, n = math.nextafter(L, -math.inf), False, 0
-        while L < lhi and (s := math.exp(L)) < b:  # b moves down as s proves it
-            if n == _GAP_FLOATS:
-                return None
-            n += 1
-            if sign_at(s)[0] != flo:
-                switched = True
-            elif switched:
-                return None
-            else:
-                switch = L
-            L = math.nextafter(L, math.inf)
-        return switch
-
-    if _walk_closes(llo, lhi) and lo <= math.exp(inner_lo) and math.exp(inner_hi) <= hi:
-        switch = switch_float()
-        if switch is not None and inner_lo <= switch < inner_hi:
-            return math.exp(0.5 * (switch + math.nextafter(switch, math.inf)))
-    return _walk(same_as_lo, llo, lhi)
-
-
-@lru_cache(maxsize=64)
-def _walk_closes(llo: float, lhi: float) -> bool:
-    """Whether the walk on [llo, lhi] reaches an adjacent pair of floats
-    within ``_BISECT_STEPS`` and ``math.exp`` rises on its floats, which
-    the shortcut of :func:`_bisect_log_sigma` needs.
-
-    Every log has magnitude 8 or more, so all of one sign, and one float
-    step in the log moves the width by 8 ulps or more.  A midpoint
-    misses the exact one by at most half the spacing at the larger end,
-    so after k steps the bracket is under W 2^-k plus that spacing; once
-    W 2^-k is under the least spacing, each further step drops a float.
-    """
-    if not (lhi <= -8.0 or llo >= 8.0):
-        return False
-    small, big = sorted((abs(llo), abs(lhi)))
-    spacing = math.ulp(small) / 2.0  # no two floats in the bracket are closer
-    halvings = math.ceil(math.log2((lhi - llo) / spacing)) + 1
-    return halvings + math.ulp(big) / spacing + 2 <= _BISECT_STEPS
-
-
-def _walk(same_as_lo: Callable[[float], bool], llo: float, lhi: float) -> float:
-    """The plain bisection on log(sigma) in [llo, lhi]: at most
-    ``_BISECT_STEPS`` steps, each moving the end on lo's side when
-    ``same_as_lo(lmid)`` and else the other, stopping early once a step
-    leaves the bracket unchanged (the decision is deterministic, so every
-    later step would repeat it)."""
-    for _ in range(_BISECT_STEPS):
-        lmid = 0.5 * (llo + lhi)
-        if same_as_lo(lmid):
-            if lmid == llo:
-                break
-            llo = lmid
+    L, H = max(math.log(a), llo), min(math.log(b), lhi)
+    while L > llo and not lo <= math.exp(L) <= a:
+        L = math.nextafter(L, -math.inf)
+    while H < lhi and not b <= math.exp(H) <= hi:
+        H = math.nextafter(H, math.inf)
+    while (mid := 0.5 * (L + H)) != L and mid != H:
+        total = bound(math.exp(mid))[3]
+        if (total > t) - (total < t) == flo:
+            L = mid
         else:
-            if lmid == lhi:
-                break
-            lhi = lmid
-    return math.exp(0.5 * (llo + lhi))
+            H = mid
+    return math.exp(0.5 * (L + H))
 
 
 def _headline_logs(cfg: ExperimentConfig) -> Callable[[float], Tuple[float, float, float, float]]:
@@ -852,19 +758,26 @@ def threshold_sigma(cfg: ExperimentConfig, target: float, branch: str, *, _bound
     Each step compares the headline row's total log magnitude (from
     :func:`_row_logs`) with ``target`` as floats, so it orders the
     widths as the reported totals of :func:`final_bound` would, without
-    a :class:`BoundReport`.  A NaN target raises ValueError.
-    The search (:func:`_bisect_log_sigma`) skips the steps whose sign the
-    monotone terms prove and returns the full bisection's width, bit for
-    bit.  ``_bound`` (private) is a table's shared :func:`_headline_logs`.
+    a :class:`BoundReport`.  A NaN target, and a hole radius so small
+    that the big branch's bracket is empty, raise ValueError before any
+    evaluation.  The search (:func:`_bisect_log_sigma`) skips the steps
+    whose sign the monotone terms prove and, where its decisions are
+    monotone, returns the full bisection's width, bit for bit.
+    ``_bound`` (private) is a table's shared :func:`_headline_logs`.
     """
-    bound = _bound or _headline_logs(cfg)
     if math.isnan(target):  # every sign against NaN would read 0
         raise ValueError("target must not be NaN")
     if branch == "big":
-        return _bisect_log_sigma(bound, target, 1e-7, 0.999 * cfg.r1)
-    if branch == "small":
-        return _bisect_log_sigma(bound, target, 1e-12, 1e-7)
-    raise ValueError(f"branch must be 'big' or 'small', got {branch!r}")
+        lo, hi = 1e-7, 0.999 * cfg.r1
+        if not lo < hi:
+            raise ValueError(
+                f"the big branch's bracket [1e-7, 0.999 r1] = [1e-7, {hi:.6g}] is empty"
+            )
+    elif branch == "small":
+        lo, hi = 1e-12, 1e-7
+    else:
+        raise ValueError(f"branch must be 'big' or 'small', got {branch!r}")
+    return _bisect_log_sigma(_bound or _headline_logs(cfg), target, lo, hi)
 
 
 def plateau_interval(cfg: ExperimentConfig, exponent: int = -99) -> Tuple[float, float]:

@@ -46,12 +46,6 @@ than proves:
   step per operation, which does not cover a relative ulp of rho in
   the b4/b6 weight (r1^2/2) rho^2 when that weight is large.
 * ``math.fsum`` returns the correctly rounded sum of its floats.
-* ``bounds._bisect_log_sigma`` orders the widths ``math.exp(L)`` of the
-  threshold searches by their float logs L: being faithful (error under
-  1 ulp, as above), ``math.exp`` rises strictly on the floats of both
-  threshold brackets, whose logs are all 8 or more in magnitude, so one
-  float step in L moves the width by at least 8 ulps.  The search
-  returns the walk's end only on such brackets (``bounds._walk_closes``).
 
 Negative quantities never enter: bounds are nonnegative by
 construction, and signed intermediates (polynomial coefficients and the

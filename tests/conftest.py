@@ -1,10 +1,10 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from abcertify.config import BEAMS, MAGNETS, get_config
+from golden import build_full_window, build_window  # noqa: F401 (imported from here by the tests)
 
 settings.register_profile(
     "suite",
@@ -69,26 +69,3 @@ def decimal_calls(monkeypatch):
 
     monkeypatch.setattr(xreal, "_sci_string_decimal", counting)
     return calls
-
-
-def build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
-    """One window of ``certify._build_windows``: a batch of one span."""
-    from abcertify import certify
-    from abcertify.kinematics import rho
-
-    rho_at = {z: rho(sigma, mv, z) for z in (s, z_cap)}
-    return certify._build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1, rho_at)[0]
-
-
-def build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
-    """The same window with no floor and no stop test: its whole grid.
-
-    Every node of the window is solved and kept, so its grid is the
-    reference a floored or truncated window is checked against.
-    """
-    from abcertify import certify
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "_STOP_LOG", -math.inf)
-        mp.setattr(certify, "_FLOOR_LOG", -math.inf)
-        return build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)

@@ -1,16 +1,18 @@
 """The inputs of the golden digests, and the digests themselves.
 
-The field digest and the two bound digests (``tests/test_fields.py``,
-``tests/test_bounds.py``) read their points and widths from here.  This
-module imports only numpy and the package, so a fresh interpreter with
-a lower numpy CPU kernel forced recomputes the three digests quickly:
+The field digest (``tests/test_fields.py``), the bound, envelope and
+threshold digests (``tests/test_bounds.py``) and the sigma*mv edge
+window digest (``tests/test_certify.py``) read their points, widths,
+targets and windows from here.  This module imports only numpy and the
+package, so a fresh interpreter with a lower numpy CPU kernel forced
+recomputes the five digests quickly:
 
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src:tests python tests/golden.py
 
 prints the kernel of float64 ``np.exp`` and ``np.log``, whether the
-package imported ``numpy.polynomial``, and the three digests, as JSON.
-The digest functions run the loops of those three tests without the
+package imported ``numpy.polynomial``, and the five digests, as JSON.
+The digest functions run the loops of those five tests without the
 tests' extra checks; ``tests/test_kernels.py`` compares what they print
 with the tests' golden constants.
 """
@@ -23,10 +25,14 @@ import sys
 
 import numpy as np
 
-from abcertify.bounds import REGIMES, envelope_sides, final_bound, interaction_probability, regime_bound
+from abcertify import certify
+from abcertify.bounds import (
+    REGIMES, angle_table, envelope_sides, final_bound, interaction_probability, plateau_interval,
+    radius_table, regime_bound, size_table,
+)
 from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import FieldModel, ring_tail
-from abcertify.kinematics import z_of_sigma
+from abcertify.kinematics import rho, z_crossing, z_of_sigma
 
 COMBOS = list(itertools.product(sorted(MAGNETS), sorted(BEAMS)))
 
@@ -183,6 +189,88 @@ def envelope_digest() -> str:
     return _sha256(_envelope_lines())
 
 
+TABLE_TARGETS = [*range(1, 11), 1.5, 7.25]
+
+
+def threshold_outputs(cfg):
+    """Both size tables at ``TABLE_TARGETS``, the plateaus at -99 and -50,
+    and the angle and radius tables."""
+    return (
+        size_table(cfg, "big", TABLE_TARGETS),
+        size_table(cfg, "small", TABLE_TARGETS),
+        [plateau_interval(cfg, -99)],
+        [plateau_interval(cfg, -50)],
+        angle_table(cfg),
+        radius_table(cfg),
+    )
+
+
+def threshold_digest() -> str:
+    """The float.hex of every threshold output for the six configs."""
+    return _sha256(
+        " ".join([magnet, beam, name] + [float(x).hex() for x in row])
+        for magnet, beam in COMBOS
+        for name, rows in zip(
+            ("big", "small", "plateau-99", "plateau-50", "angle", "radius"),
+            threshold_outputs(get_config(magnet, beam)),
+        )
+        for row in rows
+    )
+
+
+def build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+    """One window of ``certify._build_windows``: a batch of one span."""
+    rho_at = {z: rho(sigma, mv, z) for z in (s, z_cap)}
+    return certify._build_windows(sigma, mv, zeta, delta0, [(s, z_cap, kind)], r1, rho_at)[0]
+
+
+def build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind):
+    """The same window with no floor and no stop test: its whole grid.
+
+    Every node of the window is solved and kept, so its grid is the
+    reference a floored or truncated window is checked against.
+    """
+    saved = certify._STOP_LOG, certify._FLOOR_LOG
+    certify._STOP_LOG = certify._FLOOR_LOG = -math.inf
+    try:
+        return build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
+    finally:
+        certify._STOP_LOG, certify._FLOOR_LOG = saved
+
+
+# windows (sigma, mv, zeta, s, z_cap, delta0) with zeta < 0 whose
+# rescaled range [lo, hi] holds sigma*mv, where no crossing exists: their
+# nodes end below it (the first at 0.99499, the last with no node left)
+EDGE_WINDOWS = [
+    (1.0, 1.0, -0.1, 0.0, 10.0, 0.01),
+    (1.0, 1.0, -0.1, 0.0, 10.0, 3e-4),
+    (2.0, 0.75, -0.3, 0.2, 30.0, 0.05),
+    (1.0, 1.0, -0.1, z_crossing(0.9, 1.0, 1.0, -0.1), 10.0, 0.5),
+]
+
+
+def edge_window_record(win) -> str:
+    """float.hex of a window's nodes, distances, grid and every kind's majorant."""
+    arrays = [win.nodes, win.x] + ([] if win.grid is None else [win.grid])
+    bits = [" ".join(map(float.hex, a.ravel().tolist())) for a in arrays]
+    bits += [float.hex(certify.grid_majorant(win, k)) for k in ("b3", "b4", "b5", "b6")]
+    return " | ".join(bits)
+
+
+def edge_window_digest() -> str:
+    """``edge_window_record`` of each of ``EDGE_WINDOWS``, as a full grid
+    and built for b4, b5 and b3 (r1 = 2)."""
+    builds = (
+        (build_full_window, "b4"), (build_window, "b4"), (build_window, "b5"), (build_window, "b3"),
+    )
+    lines = [
+        edge_window_record(build(sigma, mv, zeta, s, z_cap, delta0, 2.0, kind))
+        for sigma, mv, zeta, s, z_cap, delta0 in EDGE_WINDOWS
+        for build, kind in builds
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main() -> None:
     from numpy.lib.introspect import opt_func_info
 
@@ -193,6 +281,8 @@ def main() -> None:
         "field": field_digest(),
         "bound": bound_digest(),
         "envelope": envelope_digest(),
+        "threshold": threshold_digest(),
+        "edge_windows": edge_window_digest(),
     }))
 
 

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from abcertify import bounds, kinematics
+from abcertify import bounds
 from abcertify.bounds import (
     POWERS,
     REGIMES,
@@ -35,14 +35,18 @@ from abcertify.bounds import (
     ten_pow,
     threshold_sigma,
 )
-from abcertify.config import BEAMS, MAGNETS, apply_overrides, get_config
+from abcertify.config import (
+    BEAMS, MAGNETS, ExperimentConfig, apply_overrides, get_config, parse_config_file,
+)
 from abcertify.fields import norm_bundle, ring_tail
 from abcertify.kinematics import z_of_sigma
 from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import add_down, add_up, exp_neg_log, f64_up, mul_up, sci_strings
 
 import published
+from golden import TABLE_TARGETS as _TABLE_TARGETS
 from golden import golden_widths as _golden_widths
+from golden import threshold_outputs as _threshold_outputs
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -368,13 +372,13 @@ def test_interval_certificates_grids_are_geomspace_bits(monkeypatch):
     # the grids are np.geomspace's, built from np.logspace without its
     # sign and dtype handling; a numpy whose two disagree must fail here
     seen = []
-    solve = bounds.z_of_sigma
+    solve = bounds.z_crossing_vec
 
-    def capturing(sigma, c):
+    def capturing(omega_inv, sigma, *args):
         seen.append(sigma.copy())
-        return solve(sigma, c)
+        return solve(omega_inv, sigma, *args)
 
-    monkeypatch.setattr(bounds, "z_of_sigma", capturing)
+    monkeypatch.setattr(bounds, "z_crossing_vec", capturing)
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
         c = get_config(magnet, beam)
         for n in (2, 3, 400, 517, 600, 10_000):
@@ -388,17 +392,17 @@ def test_interval_certificates_grids_are_geomspace_bits(monkeypatch):
 
 
 def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
-    real = bounds.z_of_sigma
+    real = bounds.z_crossing_vec
 
-    def poisoned(sigma, c):
+    def poisoned(*args):
         # one call solves both grids: poison elements 1 and 2 of each half
-        z = real(sigma, c).copy()
+        z = real(*args).copy()
         halves = z.reshape(2, -1)
         halves[:, 1] = math.nan
         halves[:, 2] = math.inf
         return z
 
-    monkeypatch.setattr(bounds, "z_of_sigma", poisoned)
+    monkeypatch.setattr(bounds, "z_crossing_vec", poisoned)
     with np.errstate(invalid="ignore"):  # inf - inf in the spread ratio
         out = interval_certificates(cfg, n=50)
     assert out["crossing_range_above"]["violations"] == 2
@@ -408,13 +412,26 @@ def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
 
 def test_interval_certificates_solve_both_grids_in_one_call(cfg, monkeypatch):
     sizes = []
-    solve = kinematics.z_crossing_vec
+    solve = bounds.z_crossing_vec
 
     def counting(omega_inv, *args):
         sizes.append(np.size(omega_inv))
         return solve(omega_inv, *args)
 
-    monkeypatch.setattr(kinematics, "z_crossing_vec", counting)
+    monkeypatch.setattr(bounds, "z_crossing_vec", counting)
+    interval_certificates(cfg, n=517)
+    assert sizes == [2 * 517]
+
+
+def test_interval_certificates_compute_each_slab_height_once(cfg, monkeypatch):
+    sizes = []
+    h = ExperimentConfig.h
+
+    def counting(self, sigma):
+        sizes.append(np.size(sigma))
+        return h(self, sigma)
+
+    monkeypatch.setattr(ExperimentConfig, "h", counting)
     interval_certificates(cfg, n=517)
     assert sizes == [2 * 517]
 
@@ -661,18 +678,6 @@ def test_threshold_round_trip(cfg):
 # -50, and the angle and radius tables, re-recorded with the guarded
 # add_up (3 of the 552 outputs moved, by at most 3.7e-15 relative)
 _GOLDEN_THRESHOLD_SHA256 = "0cfc09b6a4bd0ba14908ae38ba480c105dcf23a06e375335336cb32753284e03"
-_TABLE_TARGETS = [*range(1, 11), 1.5, 7.25]
-
-
-def _threshold_outputs(cfg):
-    return (
-        size_table(cfg, "big", _TABLE_TARGETS),
-        size_table(cfg, "small", _TABLE_TARGETS),
-        [plateau_interval(cfg, -99)],
-        [plateau_interval(cfg, -50)],
-        angle_table(cfg),
-        radius_table(cfg),
-    )
 
 
 def _bisect_80(f, lo, hi, iters=80):
@@ -736,13 +741,12 @@ def test_bisection_early_exit_matches_full_loop(any_cfg, monkeypatch, bound_call
 
 def test_threshold_search_call_budget(bound_calls):
     # the 288 bisections of the golden threshold outputs; evaluating
-    # every step of the walk (with its early exit) takes 15,789 calls,
-    # and walking between the proved regions took 1,595; deciding every
-    # float between them instead evaluates a few more widths and takes
-    # no walk step; each table and plateau evaluates a width once
+    # every step of the plain bisection (with its early exit) takes
+    # 15,789 calls, bisecting only the gap between the proved regions
+    # 1,522; each table and plateau evaluates a width once
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
         _threshold_outputs(get_config(magnet, beam))
-    assert len(bound_calls) == 1630
+    assert len(bound_calls) == 1522
 
 
 def test_table_evaluates_each_width_once(any_cfg, bound_calls):
@@ -763,7 +767,7 @@ def test_table_evaluates_each_width_once(any_cfg, bound_calls):
 
 def test_bisection_sign_matches_reported_bound(any_cfg, monkeypatch):
     # the search orders bounds by their log floats; at every width it
-    # evaluates (secant steps, proofs of a region and walk steps alike)
+    # evaluates (secant steps, proofs of a region and bisection steps alike)
     # it reads the reported components, and its sign is the reported
     # total's order against the target
     visited = []
@@ -861,42 +865,6 @@ def test_threshold_search_matches_full_loop_on_seeded_targets(any_cfg, monkeypat
             assert bound_calls == [ends[0], ends[1]]
 
 
-def _counting(monkeypatch, name):
-    """The argument tuples of each call of ``bounds.<name>``, which still runs."""
-    calls = []
-    real = getattr(bounds, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(bounds, name, counting)
-    return calls
-
-
-def test_golden_searches_take_no_walk_step(monkeypatch):
-    # each of the 288 searches decides the floats between its proved
-    # regions and returns the walk's end without walking
-    searches = _counting(monkeypatch, "_bisect_log_sigma")
-    walks = _counting(monkeypatch, "_walk")
-    for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
-        _threshold_outputs(get_config(magnet, beam))
-    assert len(searches) == 288 and walks == []
-
-
-def test_exp_rises_on_the_threshold_brackets(any_cfg):
-    # the search's trusted step: one float step in the log of a width in
-    # either bracket moves math.exp by 8 ulps or more, so a faithful exp
-    # rises there; sampled, each step moves it by at least 6
-    rng = np.random.default_rng(31)
-    for lo, hi in ((1e-7, 0.999 * any_cfg.r1), (1e-12, 1e-7)):
-        llo, lhi = math.log(lo), math.log(hi)
-        assert bounds._walk_closes(llo, lhi)
-        for L in [*rng.uniform(llo, lhi, 2000).tolist(), llo, math.nextafter(lhi, -math.inf)]:
-            s, s_next = math.exp(L), math.exp(math.nextafter(L, math.inf))
-            assert s_next - s >= 6.0 * math.ulp(s)
-
-
 def _lying_bound(lie_floats: int, log_cross: float = -20.0):
     """A synthetic bound for the search at t = 0 whose decisions are not monotone.
 
@@ -924,20 +892,61 @@ def _lying_bound(lie_floats: int, log_cross: float = -20.0):
     return bound
 
 
-def test_non_monotone_decisions_fall_back_to_the_walk(monkeypatch):
-    # no gap counts as too long here, so only the decisions force the walk
-    monkeypatch.setattr(bounds, "_GAP_FLOATS", 1000)
-    walks = _counting(monkeypatch, "_walk")
-    for lie_floats in (0, 1, 2, 3):
-        walks.clear()
+def _ends_a_switch_pair(bound, t, lo, result):
+    """Whether ``result`` is exp of one end of an adjacent pair of log
+    floats whose decisions (the sign at lo's, then not) switch there.
+
+    The midpoint of two adjacent floats rounds to one of them, so the
+    search's width is exp of its left or its right end."""
+    flo = (bound(lo)[3] > t) - (bound(lo)[3] < t)
+
+    def same_as_lo(L):
+        total = bound(math.exp(L))[3]
+        return (total > t) - (total < t) == flo
+
+    end = math.log(result)
+    end = next(e for e in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf))
+               if math.exp(e) == result)
+    below, above = math.nextafter(end, -math.inf), math.nextafter(end, math.inf)
+    return (same_as_lo(below) and not same_as_lo(end)) or (same_as_lo(end) and not same_as_lo(above))
+
+
+def test_non_monotone_decisions_end_at_a_switch_pair():
+    # whatever the decisions, the search ends between two adjacent logs
+    # whose decisions differ; with monotone ones it ends where the plain
+    # bisection does
+    for lie_floats in (0, 1, 2, 3, 40):
         bound = _lying_bound(lie_floats)
-        assert bounds._bisect_log_sigma(bound, 0.0, 1e-12, 1e-7) == _full_loop(bound, 0.0, 1e-12, 1e-7)
-        assert len(walks) == (lie_floats > 0)
-    # a bracket whose logs are under 8 in magnitude is walked too
-    walks.clear()
+        result = bounds._bisect_log_sigma(bound, 0.0, 1e-12, 1e-7)
+        assert _ends_a_switch_pair(bound, 0.0, 1e-12, result)
+        if lie_floats == 0:
+            assert result == _full_loop(bound, 0.0, 1e-12, 1e-7)
+    # a bracket whose logs are under 8 in magnitude, where one log step
+    # moves the width by less than 8 ulps
     bound = _lying_bound(0, log_cross=-3.0)
-    assert bounds._bisect_log_sigma(bound, 0.0, 1e-3, 0.5) == _full_loop(bound, 0.0, 1e-3, 0.5)
-    assert len(walks) == 1
+    result = bounds._bisect_log_sigma(bound, 0.0, 1e-3, 0.5)
+    assert _ends_a_switch_pair(bound, 0.0, 1e-3, result)
+    assert result == _full_loop(bound, 0.0, 1e-3, 0.5)
+
+
+def test_large_hole_radius_thresholds_match_full_loop(monkeypatch, config_file):
+    # r1 ~ 1e-3 cm: the big bracket's logs are under 8 in magnitude, so
+    # one log step there moves the width by fewer than 8 ulps
+    path = config_file("magnet.r1_tilde = 1e-3\nmagnet.r2_tilde = 1.1e-3\n")
+    cfg = get_config("k2", "e1", parse_config_file(path))
+    assert abs(math.log(0.999 * cfg.r1)) < 8.0
+    fast = _threshold_outputs(cfg)
+    monkeypatch.setattr(bounds, "_bisect_log_sigma", _full_loop)
+    assert _threshold_outputs(cfg) == fast
+
+
+def test_threshold_rejects_an_empty_big_bracket(bound_calls):
+    # a hole radius under 1e-7 cm leaves no width in [1e-7, 0.999 r1]:
+    # the search is refused before it evaluates anything
+    cfg = apply_overrides(get_config(), {"magnet.r1_tilde": "5e-8", "magnet.r2_tilde": "1e-7"})
+    with pytest.raises(ValueError, match=r"bracket \[1e-7, 0\.999 r1\] = \[1e-7, 4\.\d+e-08\] is empty"):
+        threshold_sigma(cfg, ten_pow(-5), "big")
+    assert bound_calls == []
 
 
 @pytest.mark.parametrize("branch", ["big", "small"])

@@ -30,6 +30,7 @@ from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify import xreal
 from abcertify.xreal import fold_add_logs, mul_up
 from conftest import ALL_COMBOS, build_full_window, build_window
+from golden import EDGE_WINDOWS as _EDGE_WINDOWS
 from oracles import mp_sci_string, window_integral_quad
 from published import FROZEN_PAIR_COUNTS
 
@@ -881,17 +882,9 @@ def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
     assert long == 2
 
 
-# windows (sigma, mv, zeta, s, z_cap, delta0) with zeta < 0 whose
-# rescaled range [lo, hi] holds sigma*mv, where no crossing exists: their
-# nodes end below it (the first at 0.99499, the last with no node left)
-_EDGE_WINDOWS = [
-    (1.0, 1.0, -0.1, 0.0, 10.0, 0.01),
-    (1.0, 1.0, -0.1, 0.0, 10.0, 3e-4),
-    (2.0, 0.75, -0.3, 0.2, 30.0, 0.05),
-    (1.0, 1.0, -0.1, z_crossing(0.9, 1.0, 1.0, -0.1), 10.0, 0.5),
-]
-# sha256 over float.hex of their nodes, distances, grids and every
-# kind's majorant, as full grids and built for b4, b5 and b3 (r1 = 2);
+# sha256 over float.hex of the nodes, distances, grids and every kind's
+# majorant of golden.EDGE_WINDOWS, as full grids and built for b4, b5
+# and b3 (r1 = 2);
 # recorded when the lattice, not the layout, ended the nodes there
 _GOLDEN_EDGE_SHA256 = "9bf7f12690b02659667d6de8235997ab8f73adf41ab64dfd1f4c3dad4ee8a9e6"
 

@@ -456,6 +456,16 @@ def test_threshold_normal_targets_keep_their_bits(capsys):
         assert json.loads(out)["sigma"].hex() == want.hex()
 
 
+def test_threshold_names_an_empty_big_bracket(capsys, config_file):
+    # a hole radius under 1e-7 cm leaves the big branch no bracket
+    path = config_file("magnet.r1_tilde = 5e-8\nmagnet.r2_tilde = 1e-7\n")
+    code, out, err = run(capsys, ["--config", path, "threshold", "--branch", "big", "--target", "5e0"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "threshold search failed: the big branch's bracket [1e-7, 0.999 r1] = [1e-7, 4.8951e-08] is empty\n"
+    )
+
+
 def test_power_of_ten_targets_parse_to_ten_pow_bits():
     # 10^K in any spelling is the target ten_pow(K), bit for bit, in and
     # out of the float range (1e-400 is 0.0 as a float)

@@ -1,8 +1,9 @@
 """The golden digests on each numpy CPU kernel below the current one.
 
 numpy picks a kernel for each ufunc at import; NPY_DISABLE_CPU_FEATURES,
-read only by a starting process, forces a lower one.  The field digest
-and the two bound digests must not move with it.
+read only by a starting process, forces a lower one.  The field digest,
+the bound, envelope and threshold digests and the sigma*mv edge window
+digest must not move with it.
 """
 
 import json
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
-from test_bounds import _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256
+from test_bounds import _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256, _GOLDEN_THRESHOLD_SHA256
+from test_certify import _GOLDEN_EDGE_SHA256
 from test_fields import _GOLDEN_EVALUATOR_SHA256
 
 _GOLDEN = Path(__file__).with_name("golden.py")
@@ -51,6 +53,8 @@ def test_golden_digests_hold_on_every_lower_kernel():
         got = json.loads(proc.stdout)
         assert kernel in got["kernels"].values(), (kernel, got["kernels"])
         assert got["numpy.polynomial"] is False
-        assert (got["field"], got["bound"], got["envelope"]) == (
+        names = ("field", "bound", "envelope", "threshold", "edge_windows")
+        assert tuple(got[name] for name in names) == (
             _GOLDEN_EVALUATOR_SHA256, _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256,
+            _GOLDEN_THRESHOLD_SHA256, _GOLDEN_EDGE_SHA256,
         ), kernel
