@@ -759,24 +759,29 @@ def threshold_sigma(cfg: ExperimentConfig, target: float, branch: str, *, _bound
     :func:`_row_logs`) with ``target`` as floats, so it orders the
     widths as the reported totals of :func:`final_bound` would, without
     a :class:`BoundReport`.  A NaN target, and a hole radius so small
-    that the big branch's bracket is empty, raise ValueError before any
-    evaluation.  The search (:func:`_bisect_log_sigma`) skips the steps
-    whose sign the monotone terms prove and, where its decisions are
-    monotone, returns the full bisection's width, bit for bit.
-    ``_bound`` (private) is a table's shared :func:`_headline_logs`.
+    that 0.999 r1 <= 1e-7, raise ValueError before any evaluation: the
+    two brackets meet at 1e-7, so the big one is then empty and the
+    small one reaches past the hole.  The search
+    (:func:`_bisect_log_sigma`) skips the steps whose sign the monotone
+    terms prove and, where its decisions are monotone, returns the full
+    bisection's width, bit for bit.  ``_bound`` (private) is a table's
+    shared :func:`_headline_logs`.
     """
     if math.isnan(target):  # every sign against NaN would read 0
         raise ValueError("target must not be NaN")
+    edge = 0.999 * cfg.r1
     if branch == "big":
-        lo, hi = 1e-7, 0.999 * cfg.r1
-        if not lo < hi:
-            raise ValueError(
-                f"the big branch's bracket [1e-7, 0.999 r1] = [1e-7, {hi:.6g}] is empty"
-            )
+        lo, hi = 1e-7, edge
     elif branch == "small":
         lo, hi = 1e-12, 1e-7
     else:
         raise ValueError(f"branch must be 'big' or 'small', got {branch!r}")
+    if not 1e-7 < edge:
+        if branch == "big":
+            raise ValueError(f"the big branch's bracket [1e-7, 0.999 r1] = [1e-7, {edge:.6g}] is empty")
+        raise ValueError(
+            f"the small branch's bracket [1e-12, 1e-7] reaches past the hole: 0.999 r1 = {edge:.6g}"
+        )
     return _bisect_log_sigma(_bound or _headline_logs(cfg), target, lo, hi)
 
 

@@ -34,11 +34,15 @@ left-hand side larger, never invalid.
 
 * Floor first: the majorant with no interior nodes is the one cell
   [s, z_cap] of the cell formula ``_cell_logs``, and needs only the
-  window's ends, so it is computed before any node is solved and kept
-  on the window.  When it already sits below 1e-500 -- hundreds of
-  orders below every right-hand side -- the window keeps no nodes,
-  nothing is solved or folded, and ``grid_majorant`` returns the kept
-  value.
+  window's ends, so it is computed on the window's end floats
+  (``_window_ends``) before any node is solved or any object built.
+  When it already sits below 1e-500 -- hundreds of orders below every
+  right-hand side -- the window keeps no nodes and nothing is solved or
+  folded.  A width whose windows all keep none (74% of the full
+  sweep's widths: 45,133 of k2/e1's 61,112) takes its majorants
+  straight from those floats (``_width_majorants``) and makes no
+  ``majorant_window``; a window of any other width keeps the value,
+  and ``grid_majorant`` returns it.
 * Truncation: the grid ends at the first node Z_J whose remaining cell
   [x_J, z_cap], bounded by (z_cap - x_J) e^{-Z_J^2/2} times the
   weight's sup at z_cap, is below 2^-60 of the sum of the cells up to
@@ -155,7 +159,11 @@ class GridTooFine(ValueError):
 
 @dataclass(slots=True)
 class majorant_window:
-    """Precomputed geometry of one majorant window.
+    """Precomputed geometry of one majorant window of a width that solves nodes.
+
+    A width whose windows are all floored or empty makes none
+    (``_width_majorants``): its majorants come from the windows' end
+    floats.
 
     ``sigma`` is the spreading width of the integrand, [s, z_cap] the
     integration interval, lo/hi the induced window in the rescaled
@@ -189,21 +197,44 @@ class majorant_window:
     cells: Optional[np.ndarray] = None
 
 
-def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
-    """A window before any node is solved, and its node range n_start..n_end.
+def _window_ends(zeta, s, z_cap, rho_s, rho_cap, r1, kind):
+    """A window's floats before any node is solved or any object built.
 
     ``rho_s`` and ``rho_cap`` are ``kinematics.rho`` at s and z_cap.
-    None for an empty interval; the range is None when the window keeps
-    no nodes (floored, degenerate, or no grid node inside it).
+    Returns (lo, hi, decay0, one_cell), with ``one_cell`` the log of
+    ``kind``'s majorant on the one cell [s, z_cap] (``_one_cell``), the
+    floor test's value; None for an empty interval (z_cap <= s).
     """
     if z_cap <= s:
-        return None, None
+        return None
     lo = (s - zeta) * rho_s
     hi = (z_cap - zeta) * rho_cap
     decay0 = lo * lo / 2.0 if lo >= 0.0 else _NEG_DECAY  # exp(-decay0): the tail's sup over Z >= lo
-    win = majorant_window(sigma, mv, s, z_cap, lo, hi, decay0, rho_cap, r1, kind, _EMPTY, _EMPTY)
-    win.one_cell = _one_cell(win, kind)  # the floor test's value, kept for grid_majorant
-    if win.one_cell <= _FLOOR_LOG or hi <= lo or hi <= 0.0:  # floored, degenerate or below every node
+    return lo, hi, decay0, _one_cell(z_cap - s, decay0, rho_cap, hi, r1, kind)
+
+
+def _keeps_no_node(ends):
+    """True when the window of the ``_window_ends`` floats ``ends`` is floored,
+    degenerate or below every node."""
+    lo, hi, _, one_cell = ends
+    return one_cell <= _FLOOR_LOG or hi <= lo or hi <= 0.0
+
+
+def _layout_window(sigma, mv, s, z_cap, rho_cap, delta0, r1, kind, ends):
+    """The window of its ``_window_ends`` floats ``ends``, and its node range n_start..n_end.
+
+    None for an empty interval; the range is None when the window keeps
+    no nodes (floored, degenerate, or no grid node inside it).  Only a
+    width with a window that may keep nodes lays out window objects;
+    ``_width_majorants`` reads a fully floored width off its floats.
+    """
+    if ends is None:
+        return None, None
+    lo, hi, decay0, one_cell = ends
+    win = majorant_window(
+        sigma, mv, s, z_cap, lo, hi, decay0, rho_cap, r1, kind, _EMPTY, _EMPTY, one_cell=one_cell
+    )
+    if _keeps_no_node(ends):
         return win, None
     if not math.isfinite(hi * hi / delta0):
         raise GridTooFine(
@@ -231,19 +262,22 @@ def _layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, delta0, r1, kind):
     return win, ((n_start, n_end) if n_end >= n_start else None)
 
 
-def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at):
+def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at, ends=None):
     """The windows (s, z_cap, kind) of one width at r1, in order; None for an empty one.
 
     ``rho_at`` maps each window end to the width's ``kinematics.rho``
-    there.  The windows' nodes are slices of one lattice Z_k =
+    there; ``ends`` are the spans' ``_window_ends`` floats, when the
+    caller has them.  The windows' nodes are slices of one lattice Z_k =
     sqrt((n0 + stride k) delta0) over the union of their node ranges,
     grown pass by pass.  A pass solves, in one ``z_crossing_vec`` call,
     the lattice nodes that its windows' prefixes reach and the earlier
     passes did not, and builds each window on its prefix: first up to
     its predicted stop, then on twice as many until its test fires or it ends.
     """
-    laid = [_layout_window(sigma, mv, zeta, s, z, rho_at[s], rho_at[z], delta0, r1, kind)
-            for s, z, kind in spans]
+    if ends is None:
+        ends = [_window_ends(zeta, s, z, rho_at[s], rho_at[z], r1, kind) for s, z, kind in spans]
+    laid = [_layout_window(sigma, mv, s, z, rho_at[z], delta0, r1, kind, e)
+            for (s, z, kind), e in zip(spans, ends)]
     ranged = [(win, n) for win, n in laid if n is not None]
     if not ranged:
         return [win for win, _ in laid]
@@ -375,15 +409,15 @@ def _cell_formula(nextafter, sqrt, gaps, decay, rho_right, w_right, r1, kind):
     return L
 
 
-def _one_cell(win: majorant_window, kind: str) -> float:
-    """Upward-rounded log of ``kind``'s majorant on the one cell [s, z_cap], prefactor included.
+def _one_cell(gap, decay0, rho_cap, hi, r1, kind):
+    """Upward-rounded log of ``kind``'s majorant on one cell [s, z_cap], prefactor included.
 
-    The b5 momentum weight is taken at max(hi, 0): at Z <= 0 the
-    weighted tail is at most sqrt(2) times its bound at Z = 0, which
-    ``_NEG_DECAY`` covers.
+    ``gap`` is z_cap - s, and ``decay0``, ``rho_cap`` and ``hi`` are the
+    window's (``majorant_window``).  The b5 momentum weight is taken at
+    max(hi, 0): at Z <= 0 the weighted tail is at most sqrt(2) times its
+    bound at Z = 0, which ``_NEG_DECAY`` covers.
     """
-    w = win.hi if win.hi > 0.0 else 0.0
-    L = _cell_logs(win.z_cap - win.s, win.decay0, win.rho_cap, w, win.r1, kind)
+    L = _cell_logs(gap, decay0, rho_cap, hi if hi > 0.0 else 0.0, r1, kind)
     return mul_up(L, _PREFACTOR[kind])
 
 
@@ -405,9 +439,51 @@ def grid_majorant(win: Optional[majorant_window], kind: str) -> float:
         return -_INF
     kept = kind == win.kind
     if not win.nodes.size:
-        return win.one_cell if kept else _one_cell(win, kind)
+        if kept:
+            return win.one_cell
+        return _one_cell(win.z_cap - win.s, win.decay0, win.rho_cap, win.hi, win.r1, kind)
     L = fold_add_logs(win.cells if kept else _cell_logs(*win.grid, win.r1, kind))
     return mul_up(L, _PREFACTOR[kind])
+
+
+def _width_majorants(sigma, mv, zeta, delta0, spans, r1, rho_at):
+    """One width's four majorant logs at r1: (b4, b5, b6, b3 tail), -inf for zero.
+
+    ``spans`` are the width's windows (s, z_cap, kind): b4 and b5, then,
+    when the pair scale cuts the window, b6 and its b3 tail; without the
+    cut b6 is taken on the b4 window and the tail is zero.  ``rho_at``
+    maps each window end to the width's ``kinematics.rho`` there.
+
+    Each window is laid out on floats first (``_window_ends``).  When no
+    window can keep a node -- each is empty, floored, degenerate or
+    below every node -- each log is its window's one cell, and the width
+    builds no ``majorant_window``, plans no lattice and folds nothing.
+    That is 74% of the full sweep's widths (45,133 of k2/e1's 61,112).
+    Otherwise ``_build_windows`` builds the windows from those floats
+    and solves them on the width's lattice, and ``grid_majorant`` reads
+    their logs: the same floats either way.
+    """
+    ends = [_window_ends(zeta, s, z, rho_at[s], rho_at[z], r1, kind) for s, z, kind in spans]
+    logs = []
+    for e in ends:
+        if e is None:
+            logs.append(-_INF)
+        elif _keeps_no_node(e):
+            logs.append(e[3])
+        else:  # a window that may keep nodes: the width's lattice
+            win4, win5, *cut = _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at, ends)
+            # uncut, the b4 grid also serves b6: its extra r1*rho factor
+            # is smallest in the last cell, so b4's stop test covers b6
+            win6, tail = cut or (win4, None)
+            return [
+                grid_majorant(win4, "b4"), grid_majorant(win5, "b5"),
+                grid_majorant(win6, "b6"), grid_majorant(tail, "b3") if cut else -_INF,
+            ]
+    if len(logs) == 2:  # b6 on the b4 window's one cell, and no tail
+        (s, z_cap, _), e4 = spans[0], ends[0]
+        b6 = -_INF if e4 is None else _one_cell(z_cap - s, e4[2], rho_at[z_cap], e4[1], r1, "b6")
+        logs += [b6, -_INF]
+    return logs
 
 
 # ----------------------------------------------------------------------
@@ -477,10 +553,12 @@ def check_pair(
 
     The one exception is a user ``delta0`` too fine to index the grid
     (ValueError, see ``_layout_window``).  Both sides are assembled on
-    log-magnitude floats: the left from the ``grid_majorant`` logs and
-    the boundary terms with the upward ``xreal`` steps, the right by
-    ``bounds.pair_allowance``.  The four reported values are those
-    log floats.
+    log-magnitude floats: the left from the majorant logs of the widths
+    nu and mu3 (``_width_majorants``; a width whose windows are all
+    floored or empty, 74% of the full sweep's, makes no window object)
+    and the boundary terms with the upward ``xreal`` steps, the right by
+    ``bounds.pair_allowance``.  The four reported values are those log
+    floats.
     """
     mv = cfg.mv
     r1 = cfg.r1
@@ -555,17 +633,11 @@ def check_pair(
         spans += [(z2, b6_end, "b6"), (b6_end, z_cap, "b3")]
         rho_at[nu][b6_end], rho_at[mu3][b6_end] = rho(nu, mv, b6_end), rho(mu3, mv, b6_end)
     for m in (nu, mu3):
-        win4, win5, *cut = _build_windows(m, mv, h2, delta0, spans, r1, rho_at[m])
-        int_b4 = add_up(int_b4, grid_majorant(win4, "b4"))
-        if not cut:
-            # the b4 grid also serves b6: its extra r1*rho factor is
-            # smallest in the last cell, so b4's stop test covers b6
-            int_b6 = add_up(int_b6, grid_majorant(win4, "b6"))
-        else:
-            win6, tail = cut
-            int_b6 = add_up(int_b6, grid_majorant(win6, "b6"))
-            int_b3_tail = add_up(int_b3_tail, grid_majorant(tail, "b3"))
-        int_b5 = add_up(int_b5, grid_majorant(win5, "b5"))
+        b4, b5, b6, b3_tail = _width_majorants(m, mv, h2, delta0, spans, r1, rho_at[m])
+        int_b4 = add_up(int_b4, b4)
+        int_b6 = add_up(int_b6, b6)
+        int_b3_tail = add_up(int_b3_tail, b3_tail)
+        int_b5 = add_up(int_b5, b5)
 
     # ---- boundary terms ----------------------------------------------
     w_z2 = _max_weight(*rho_z2, r1)

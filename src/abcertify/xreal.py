@@ -45,6 +45,15 @@ than proves:
   widens a cell for them: each cell's log takes only its one upward
   step per operation, which does not cover a relative ulp of rho in
   the b4/b6 weight (r1^2/2) rho^2 when that weight is large.
+  numpy picks a kernel for each ufunc at import; the measurements
+  above are on X86_V4, the default kernel of float64 ``np.log`` and
+  ``np.exp`` on an AVX-512 x86-64.  ``tests/test_kernels.py`` runs each
+  kernel below the current one (on such a CPU X86_V3 and baseline) in
+  a fresh interpreter and checks that the golden digests and
+  the pair bits keep their bits, and that ``np.log`` on a Python float
+  (a single cell, as a window's one cell and every majorant of a fully
+  floored width take it) has the bits of the same cell in an array
+  call.
 * ``math.fsum`` returns the correctly rounded sum of its floats.
 
 Negative quantities never enter: bounds are nonnegative by

@@ -1,20 +1,23 @@
 """The inputs of the golden digests, and the digests themselves.
 
 The field digest (``tests/test_fields.py``), the bound, envelope and
-threshold digests (``tests/test_bounds.py``) and the sigma*mv edge
-window digest (``tests/test_certify.py``) read their points, widths,
-targets and windows from here.  This module imports only numpy and the
-package, so a fresh interpreter with a lower numpy CPU kernel forced
-recomputes the five digests quickly:
+threshold digests (``tests/test_bounds.py``), and the sigma*mv edge
+window and pair bits digests (``tests/test_certify.py``) read their
+points, widths, targets, windows and pairs from here, and so does the
+check that a single cell on floats has the bits of the same cell in an
+array call.  This module imports only numpy and the package, so a
+fresh interpreter with a lower numpy CPU kernel forced recomputes them
+quickly:
 
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src:tests python tests/golden.py
 
 prints the kernel of float64 ``np.exp`` and ``np.log``, whether the
-package imported ``numpy.polynomial``, and the five digests, as JSON.
-The digest functions run the loops of those five tests without the
-tests' extra checks; ``tests/test_kernels.py`` compares what they print
-with the tests' golden constants.
+package imported ``numpy.polynomial``, the six digests and the cells
+whose scalar bits differ, as JSON.  The digest functions run the loops
+of those tests without the tests' extra checks;
+``tests/test_kernels.py`` compares what they print with the tests'
+golden constants.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from abcertify.bounds import (
 from abcertify.config import BEAMS, MAGNETS, get_config
 from abcertify.fields import FieldModel, ring_tail
 from abcertify.kinematics import rho, z_crossing, z_of_sigma
+from abcertify.partition import SET_NAMES, sweep_pairs
 
 COMBOS = list(itertools.product(sorted(MAGNETS), sorted(BEAMS)))
 
@@ -271,6 +275,64 @@ def edge_window_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+# the interior pairs of sigma1-3 with those sets' smallest margins
+INTERIOR_WORST = {"sigma1": 2670, "sigma2": 2368, "sigma3": 15129}
+
+
+def pair_bits_lines():
+    """One line per pair: the first and last pair of every k2/e1 set and
+    ``INTERIOR_WORST``, with the set, the index, float.hex of the pair's
+    four logs and margin, and its flags."""
+    cfg = get_config("k2", "e1")
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        for i in sorted({0, len(jobs) - 1, INTERIOR_WORST.get(name, 0)}):
+            res = certify.check_pair(cfg, *jobs[i])
+            logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
+            bits = [float.hex(v) for v in logs] + [float.hex(res.margin_log10)]
+            yield " ".join([name, str(i), *bits, res.flags])
+
+
+def pair_bits_digest() -> str:
+    """sha256 of ``pair_bits_lines``, joined by newlines."""
+    return hashlib.sha256("\n".join(pair_bits_lines()).encode()).hexdigest()
+
+
+CELL_KINDS = ("b3", "b4", "b5", "b6")
+CELL_R1 = 0.5
+
+
+def scalar_cell_inputs():
+    """Seeded cells (gaps, decay, rho_right, w_right) across many
+    magnitudes, 5% of them with a zero gap; small decays keep a one-ulp
+    change of a log visible."""
+    rng = np.random.default_rng(29)
+    h = 10_000
+    gaps = np.concatenate([10.0 ** rng.uniform(-14.0, 3.0, h), rng.uniform(0.05, 20.0, h)])
+    gaps[rng.random(2 * h) < 0.05] = 0.0
+    decay = np.concatenate([rng.uniform(0.0, 1.0, h), 10.0 ** rng.uniform(-3.0, 8.0, h)])
+    rho_right = 10.0 ** rng.uniform(-6.0, 2.0, 2 * h)
+    w_right = 10.0 ** rng.uniform(-2.0, 4.0, 2 * h)
+    return gaps, decay, rho_right, w_right
+
+
+def scalar_cell_mismatches() -> list:
+    """(kind, index) of each ``scalar_cell_inputs`` cell whose log on
+    floats -- ``certify._cell_formula`` on ``math.nextafter`` and
+    ``math.sqrt`` -- differs in its bits from the same cell in one array
+    call, at r1 = ``CELL_R1``."""
+    gaps, decay, rho_right, w_right = scalar_cell_inputs()
+    cells = list(zip(gaps.tolist(), decay.tolist(), rho_right.tolist(), w_right.tolist()))
+    out = []
+    for kind in CELL_KINDS:
+        array = certify._cell_logs(gaps, decay, rho_right, w_right, CELL_R1, kind).tolist()
+        out += [
+            (kind, i) for i, (args, want) in enumerate(zip(cells, array))
+            if float.hex(certify._cell_logs(*args, CELL_R1, kind)) != float.hex(want)
+        ]
+    return out
+
+
 def main() -> None:
     from numpy.lib.introspect import opt_func_info
 
@@ -283,6 +345,8 @@ def main() -> None:
         "envelope": envelope_digest(),
         "threshold": threshold_digest(),
         "edge_windows": edge_window_digest(),
+        "pair_bits": pair_bits_digest(),
+        "scalar_cell_mismatches": scalar_cell_mismatches(),
     }))
 
 

@@ -949,6 +949,28 @@ def test_threshold_rejects_an_empty_big_bracket(bound_calls):
     assert bound_calls == []
 
 
+def test_threshold_rejects_a_small_bracket_past_the_hole(bound_calls):
+    # the same hole radius: the small branch's bracket [1e-12, 1e-7]
+    # ends past 0.999 r1, so the search, the small-sigma and angle tables
+    # and the plateau are refused before any evaluation, naming the radius
+    cfg = apply_overrides(get_config(), {"magnet.r1_tilde": "5e-8", "magnet.r2_tilde": "1e-7"})
+    message = r"small branch's bracket \[1e-12, 1e-7\] reaches past the hole: 0\.999 r1 = 4\.8951e-08$"
+    for search in (
+        lambda: threshold_sigma(cfg, ten_pow(-5), "small"),
+        lambda: size_table(cfg, "small"),
+        lambda: angle_table(cfg),
+        lambda: plateau_interval(cfg),
+    ):
+        with pytest.raises(ValueError, match=message):
+            search()
+    assert bound_calls == []
+    # a radius whose 0.999 r1 is just past 1e-7 keeps both brackets
+    edge = apply_overrides(get_config(), {"magnet.r1_tilde": "1.2e-7", "magnet.r2_tilde": "2e-7"})
+    assert 1e-7 < 0.999 * edge.r1
+    target = final_bound(edge, 1e-10).total.log_mag
+    assert threshold_sigma(edge, target, "small") == pytest.approx(1e-10, rel=1e-12)
+
+
 @pytest.mark.parametrize("branch", ["big", "small"])
 def test_threshold_degenerate_targets_raise(cfg, bound_calls, branch):
     # zero, an infinite log target, and targets under the 1e-100 floor

@@ -30,6 +30,7 @@ from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify import xreal
 from abcertify.xreal import fold_add_logs, mul_up
 from conftest import ALL_COMBOS, build_full_window, build_window
+import golden
 from golden import EDGE_WINDOWS as _EDGE_WINDOWS
 from oracles import mp_sci_string, window_integral_quad
 from published import FROZEN_PAIR_COUNTS
@@ -250,6 +251,11 @@ def test_one_cell_keeps_scalar_rho_bits():
         assert got == [float.fromhex(e) for e in expect]
 
 
+def _window_one_cell(win, kind):
+    """``kind``'s one-cell majorant log on a window's [s, z_cap]."""
+    return certify._one_cell(win.z_cap - win.s, win.decay0, win.rho_cap, win.hi, win.r1, kind)
+
+
 def _np_hypot_rho(sigma, mv, z):
     """rho(sigma, mv, z) with np.hypot, as the interior cell ends take it."""
     return sigma * mv / np.hypot(sigma * sigma * mv, z)
@@ -441,15 +447,8 @@ def test_window_grid_matches_cells_rebuilt_from_nodes(built_for):
 def test_scalar_cell_logs_match_array_call(kind):
     # one cell on floats (math.nextafter/math.sqrt) against the same
     # cell in a numpy call, across many magnitudes and zero gaps
-    rng = np.random.default_rng(29)
-    h = 10_000
-    gaps = np.concatenate([10.0 ** rng.uniform(-14.0, 3.0, h), rng.uniform(0.05, 20.0, h)])
-    gaps[rng.random(2 * h) < 0.05] = 0.0
-    # small decays keep a one-ulp change of a log visible
-    decay = np.concatenate([rng.uniform(0.0, 1.0, h), 10.0 ** rng.uniform(-3.0, 8.0, h)])
-    rho_right = 10.0 ** rng.uniform(-6.0, 2.0, 2 * h)
-    w_right = 10.0 ** rng.uniform(-2.0, 4.0, 2 * h)
-    r1 = 0.5
+    gaps, decay, rho_right, w_right = golden.scalar_cell_inputs()
+    r1 = golden.CELL_R1
     array = certify._cell_logs(gaps, decay, rho_right, w_right, r1, kind)
     cells = zip(gaps.tolist(), decay.tolist(), rho_right.tolist(), w_right.tolist())
     for i, args in enumerate(cells):
@@ -568,7 +567,7 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
     lm = grid_majorant(win, kind)
     assert lm <= -500.0 * math.log(10.0)
     # the kept floor value is the one-cell majorant, computed afresh
-    assert certify._one_cell(win, kind) == lm
+    assert _window_one_cell(win, kind) == lm
     # without the floor the same window solves its whole grid
     full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert sum(calls) == full.nodes.size > 0
@@ -610,7 +609,7 @@ def test_window_that_starts_before_zeta_dominates_quadrature(kind, delta0):
     # the one cell [s, z_cap] alone, and a window that ends before zeta
     # (hi = -0.995 < -sqrt(pi)/2: no nodes, its one cell only, whose b5
     # weight sqrt(Z + sqrt(pi)/2) is taken at Z = 0)
-    assert certify._one_cell(win, kind) >= truth
+    assert _window_one_cell(win, kind) >= truth
     z_left = 0.5
     r1 = 2.0 / rho(sigma, mv, z_left)
     left = build_full_window(sigma, mv, zeta, s, z_left, delta0, r1, kind)
@@ -729,14 +728,14 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     # the crossover scale S1 is pinned halfway into the b4 window: the
     # b6 window must end there and a b3 window carry the rest.
     job = sweep_pairs(cfg, ["sigma10"])[0]
-    windows = []  # (sigma, s, z_cap, kind) of every window built
-    build = certify._build_windows
+    windows = []  # (sigma, s, z_cap, kind) of every window laid out
+    majorants = certify._width_majorants
 
     def recording(sigma, mv, zeta, delta0, spans, r1, rho_at):
         windows.extend((sigma, s, z_cap, kind) for s, z_cap, kind in spans)
-        return build(sigma, mv, zeta, delta0, spans, r1, rho_at)
+        return majorants(sigma, mv, zeta, delta0, spans, r1, rho_at)
 
-    monkeypatch.setattr(certify, "_build_windows", recording)
+    monkeypatch.setattr(certify, "_width_majorants", recording)
     base = check_pair(cfg, *job)
     assert "b3" not in [w[3] for w in windows]
     z2, z_cap = next((w[1], w[2]) for w in windows if w[3] == "b4")
@@ -751,12 +750,10 @@ def test_pair_scale_tail_branch(cfg, monkeypatch):
     assert res.margin_log10 < base.margin_log10
 
     # zeroing the b3 tail drops the e^{-1/2} tail term from both sides
-    majorant = certify.grid_majorant
+    def no_tail(*args):
+        return [*majorants(*args)[:3], -math.inf]
 
-    def no_tail(win, kind):
-        return -math.inf if kind == "b3" else majorant(win, kind)
-
-    monkeypatch.setattr(certify, "grid_majorant", no_tail)
+    monkeypatch.setattr(certify, "_width_majorants", no_tail)
     cut_off = check_pair(cfg, *job)
     assert res.lhs_interacting > cut_off.lhs_interacting + 1.0
     assert res.lhs_outgoing > cut_off.lhs_outgoing + 1.0
@@ -768,14 +765,42 @@ def _pair_windows(cfg, job, delta0, monkeypatch):
     built = []
     build = certify._build_windows
 
-    def recording(sigma, mv, zeta, d0, spans, r1, rho_at):
-        wins = build(sigma, mv, zeta, d0, spans, r1, rho_at)
+    def recording(sigma, mv, zeta, d0, spans, r1, rho_at, *ends):
+        wins = build(sigma, mv, zeta, d0, spans, r1, rho_at, *ends)
         built.append(((sigma, mv, zeta, d0, r1), spans, wins))
         return wins
 
     monkeypatch.setattr(certify, "_build_windows", recording)
     check_pair(cfg, *job, delta0)
     monkeypatch.setattr(certify, "_build_windows", build)
+    return built
+
+
+def _width_calls(cfg, job, delta0, monkeypatch):
+    """check_pair's per-width calls of one pair, floored widths included:
+    (the ``_width_majorants`` arguments, the four logs it returned) per width."""
+    calls = []
+    majorants = certify._width_majorants
+
+    def recording(*args):
+        logs = majorants(*args)
+        calls.append((args, logs))
+        return logs
+
+    monkeypatch.setattr(certify, "_width_majorants", recording)
+    check_pair(cfg, *job, delta0)
+    monkeypatch.setattr(certify, "_width_majorants", majorants)
+    return calls
+
+
+def _width_windows(cfg, job, delta0, monkeypatch):
+    """Like :func:`_pair_windows`, but for every width of the pair: each
+    width's windows are built afterwards by ``_build_windows`` on the
+    spans check_pair laid out."""
+    built = []
+    for (sigma, mv, zeta, d0, spans, r1, rho_at), _ in _width_calls(cfg, job, delta0, monkeypatch):
+        wins = certify._build_windows(sigma, mv, zeta, d0, spans, r1, rho_at)
+        built.append(((sigma, mv, zeta, d0, r1), spans, wins))
     return built
 
 
@@ -786,11 +811,12 @@ def _window_bits(win):
     return [a.tobytes() for a in arrays] + [float.hex(win.one_cell), win.lo, win.hi]
 
 
-def _check_shared_windows(cfg, job, delta0, monkeypatch):
+def _check_shared_windows(cfg, job, delta0, monkeypatch, widths=_pair_windows):
     """Each window of a shared lattice equals the window built alone; returns
-    the largest node count seen and the kinds built."""
+    the largest node count seen and the kinds built.  ``widths`` gives the
+    pair's windows per width (:func:`_pair_windows` or :func:`_width_windows`)."""
     most, kinds = 0, set()
-    for (sigma, mv, zeta, d0, r1), spans, wins in _pair_windows(cfg, job, delta0, monkeypatch):
+    for (sigma, mv, zeta, d0, r1), spans, wins in widths(cfg, job, delta0, monkeypatch):
         assert len(wins) == len(spans)
         for (s, z_cap, kind), win in zip(spans, wins):
             alone = build_window(sigma, mv, zeta, s, z_cap, d0, r1, kind)
@@ -826,12 +852,124 @@ def test_shared_lattice_with_pair_scale_cut(cfg, monkeypatch):
     # the b6 window and its b3 tail share the lattice too
     job = sweep_pairs(cfg, ["sigma10"])[0]
     z2, z_cap = next(
-        (spans[0][0], spans[0][1]) for _, spans, _ in _pair_windows(cfg, job, None, monkeypatch)
+        (spans[0][0], spans[0][1]) for _, spans, _ in _width_windows(cfg, job, None, monkeypatch)
     )
     monkeypatch.setattr(ExperimentConfig, "s1", lambda self, sigma: 0.5 * (z2 + z_cap))
     for delta0 in (None, 0.1):
-        _, kinds = _check_shared_windows(cfg, job, delta0, monkeypatch)
+        _, kinds = _check_shared_windows(cfg, job, delta0, monkeypatch, _width_windows)
         assert kinds == {"b3", "b4", "b5", "b6"}
+
+
+def _windows_logs(sigma, mv, zeta, d0, spans, r1, rho_at):
+    """A width's four logs (b4, b5, b6, b3 tail) as ``_build_windows`` and
+    ``grid_majorant`` give them for the same spans."""
+    win4, win5, *cut = certify._build_windows(sigma, mv, zeta, d0, spans, r1, rho_at)
+    win6, tail = cut or (win4, None)
+    wins = ((win4, "b4"), (win5, "b5"), (win6, "b6"), (tail, "b3"))
+    return [float.hex(grid_majorant(win, kind)) for win, kind in wins]
+
+
+def _check_width_logs(cfg, job, delta0, monkeypatch):
+    """Each width's ``_width_majorants`` logs equal ``_windows_logs``, as
+    float.hex; returns, per width, (sigma, kinds laid out, keeps a node)."""
+    out = []
+    for args, logs in _width_calls(cfg, job, delta0, monkeypatch):
+        assert [float.hex(v) for v in logs] == _windows_logs(*args), (job, delta0)
+        wins = certify._build_windows(*args)
+        keeps = any(w is not None and w.nodes.size for w in wins)
+        out.append((args[0], tuple(kind for _, _, kind in args[4]), keeps))
+    return out
+
+
+@pytest.mark.parametrize("magnet, energy", ALL_COMBOS, ids=[f"{m}-{e}" for m, e in ALL_COMBOS])
+def test_width_majorants_match_built_windows(magnet, energy, monkeypatch):
+    # seeded pairs of every set: a floored width's logs from its window-end
+    # floats, and a node width's from its lattice, are bit for bit the
+    # logs of the windows built for the same spans
+    cfg = get_config(magnet, energy)
+    rng = random.Random(13)
+    keeps = []
+    for name in SET_NAMES:
+        jobs = sweep_pairs(cfg, [name])
+        for i in sorted({0, len(jobs) - 1, *rng.sample(range(len(jobs)), min(3, len(jobs)))}):
+            keeps += [k for _, _, k in _check_width_logs(cfg, jobs[i], None, monkeypatch)]
+    assert 0 < sum(keeps) < len(keeps)
+
+
+def test_width_majorants_cover_floored_node_cut_and_empty_widths(cfg, monkeypatch):
+    # k2/e1: every width of sigma1, 2, 9 and 10 and the anchor width of
+    # sigma4-8 is floored; sigma3's worst pair and the first pairs of
+    # sigma6 and sigma11 have node widths
+    def widths(name, index=0, delta0=None):
+        return _check_width_logs(cfg, sweep_pairs(cfg, [name])[index], delta0, monkeypatch)
+
+    for name in ("sigma1", "sigma2", "sigma9", "sigma10"):
+        assert [k for _, _, k in widths(name)] == [False, False], name
+    for name in ("sigma4", "sigma5", "sigma6", "sigma7", "sigma8"):
+        (nu, _, nu_keeps), (anchor, _, anchor_keeps) = widths(name)
+        assert nu_keeps and not anchor_keeps and anchor == 1e-6, name
+    for name, index in (("sigma3", 15129), ("sigma6", 0), ("sigma11", 0)):
+        assert any(k for _, _, k in widths(name, index)), name
+    # a finer grid: the same floats on both paths
+    for name in ("sigma1", "sigma6", "sigma11"):
+        assert [k for _, _, k in widths(name, 0, 0.01)] == [k for _, _, k in widths(name)]
+
+    # S1 pinned halfway into the b4 window (as in the tail-branch test):
+    # b6 and its b3 tail; the tail carries no hole weight, so it is not
+    # floored and the width takes its lattice
+    for name in ("sigma10", "sigma6"):
+        job = sweep_pairs(cfg, [name])[0]
+        (args, _), _ = _width_calls(cfg, job, None, monkeypatch)
+        z2, z_cap, _ = args[4][0]
+        with monkeypatch.context() as m:
+            m.setattr(ExperimentConfig, "s1", lambda self, sigma: 0.5 * (z2 + z_cap))
+            got = _check_width_logs(cfg, job, None, monkeypatch)
+        assert all(kinds == ("b4", "b5", "b6", "b3") for _, kinds, _ in got)
+        assert any(k for _, _, k in got)
+
+    # empty spans, on a floored and on a node width: a window whose
+    # z_cap <= s is zero on both paths; a cut at z_cap leaves an empty
+    # tail, and a floored width's four windows then build none
+    built = []
+    build = certify._build_windows
+    monkeypatch.setattr(certify, "_build_windows", lambda *a: built.append(a) or build(*a))
+    for name in ("sigma1", "sigma6"):
+        for args, _ in _width_calls(cfg, sweep_pairs(cfg, [name])[0], None, monkeypatch):
+            sigma, mv, zeta, d0, spans, r1, rho_at = args
+            (z2, z_cap, _), (z23, _, _) = spans
+            for empty in (
+                [(z2, z_cap, "b4"), (z_cap, z23, "b5")],
+                [(z_cap, z2, "b4"), (z23, z_cap, "b5")],
+                [(z2, z_cap, "b4"), (z23, z_cap, "b5"), (z2, z2, "b6"), (z2, z_cap, "b3")],
+                [(z2, z_cap, "b4"), (z23, z_cap, "b5"), (z2, z_cap, "b6"), (z_cap, z_cap, "b3")],
+            ):
+                built.clear()
+                got = certify._width_majorants(sigma, mv, zeta, d0, empty, r1, rho_at)
+                floats = not built
+                assert [float.hex(v) for v in got] == _windows_logs(sigma, mv, zeta, d0, empty, r1, rho_at)
+                assert -math.inf in got
+                if name == "sigma1" and empty[-1][2] == "b3":
+                    assert floats == (empty[-1][0] == z_cap)
+
+
+def test_floored_pair_builds_no_window(cfg, monkeypatch):
+    # sigma1's first pair: both widths floored, so the pair builds no
+    # majorant_window and makes no _build_windows, grid_majorant or
+    # z_crossing_vec call; floored widths never index a grid, so at
+    # delta0 = 1e-300 the four logs of each width are the default's
+    job = sweep_pairs(cfg, ["sigma1"])[0]
+    calls = []
+    for name in ("majorant_window", "_build_windows", "grid_majorant", "z_crossing_vec"):
+        real = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    base = _width_calls(cfg, job, None, monkeypatch)
+    fine = _width_calls(cfg, job, 1e-300, monkeypatch)
+    assert calls == []
+    assert len(base) == 2
+    assert [[float.hex(v) for v in logs] for _, logs in fine] == [[float.hex(v) for v in logs] for _, logs in base]
+    a, b = check_pair(cfg, *job), check_pair(cfg, *job, 1e-300)
+    assert (a.lhs_interacting, a.lhs_outgoing) == (b.lhs_interacting, b.lhs_outgoing)
+    assert calls == []
 
 
 def test_one_crossing_solve_per_width(cfg, monkeypatch):
@@ -875,7 +1013,8 @@ def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
     for (sigma, mv, zeta, d0, r1), spans, wins in built:
         for (s, z_cap, kind), win in zip(spans, wins):
             rho_s, rho_cap = rho(sigma, mv, s), rho(sigma, mv, z_cap)
-            _, n = certify._layout_window(sigma, mv, zeta, s, z_cap, rho_s, rho_cap, d0, r1, kind)
+            ends = certify._window_ends(zeta, s, z_cap, rho_s, rho_cap, r1, kind)
+            _, n = certify._layout_window(sigma, mv, s, z_cap, rho_cap, d0, r1, kind, ends)
             if n is not None and n[1] - n[0] + 1 > 19_000:
                 long += 1
                 assert 128 < win.nodes.size < 2048
@@ -1165,24 +1304,16 @@ def test_write_csv_matches_golden_digest(cfg, tmp_path, decimal_calls, sets):
 
 
 # sha256 over float.hex of each listed pair's four logs and margin, and
-# its flags: the first and last pair of every set and the interior worst
-# pairs of sigma1-3, re-recorded when the cells were summed by one
-# guarded log-sum-exp and the allowance's sums took one guarded step
-# down instead of two (no margin fell; the CSV bytes did not change)
+# its flags (golden.pair_bits_lines): the first and last pair of every
+# set and the interior worst pairs of sigma1-3, re-recorded when the
+# cells were summed by one guarded log-sum-exp and the allowance's sums
+# took one guarded step down instead of two (no margin fell; the CSV
+# bytes did not change)
 _GOLDEN_PAIR_BITS_SHA256 = "79e23bdad8c812e937727dce2afcc3c157168b9185c8d13859eeabbf6f66c6a8"
-_INTERIOR_WORST = {"sigma1": 2670, "sigma2": 2368, "sigma3": 15129}
 
 
-def test_check_pair_matches_golden_bits(cfg):
-    lines = []
-    for name in SET_NAMES:
-        jobs = sweep_pairs(cfg, [name])
-        picks = sorted({0, len(jobs) - 1, _INTERIOR_WORST.get(name, 0)})
-        for i in picks:
-            res = check_pair(cfg, *jobs[i])
-            logs = (res.lhs_interacting, res.rhs_interacting, res.lhs_outgoing, res.rhs_outgoing)
-            bits = [float.hex(v) for v in logs] + [float.hex(res.margin_log10)]
-            lines.append(" ".join([name, str(i), *bits, res.flags]))
+def test_check_pair_matches_golden_bits():
+    lines = list(golden.pair_bits_lines())
     assert len(lines) == 24
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _GOLDEN_PAIR_BITS_SHA256
 

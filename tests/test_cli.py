@@ -466,6 +466,16 @@ def test_threshold_names_an_empty_big_bracket(capsys, config_file):
     )
 
 
+def test_small_branch_names_the_hole_its_bracket_reaches_past(capsys, config_file):
+    # the same hole radius: the small branch's bracket ends past 0.999 r1
+    path = config_file("magnet.r1_tilde = 5e-8\nmagnet.r2_tilde = 1e-7\n")
+    reason = "the small branch's bracket [1e-12, 1e-7] reaches past the hole: 0.999 r1 = 4.8951e-08\n"
+    code, out, err = run(capsys, ["--config", path, "threshold", "--branch", "small", "--target", "1e-5"])
+    assert (code, out, err) == (2, "", "threshold search failed: " + reason)
+    code, out, err = run(capsys, ["--config", path, "table", "--which", "small-sigma"])
+    assert (code, out, err) == (2, "", "error: " + reason)
+
+
 def test_power_of_ten_targets_parse_to_ten_pow_bits():
     # 10^K in any spelling is the target ten_pow(K), bit for bit, in and
     # out of the float range (1e-400 is 0.0 as a float)

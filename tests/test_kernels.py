@@ -2,8 +2,10 @@
 
 numpy picks a kernel for each ufunc at import; NPY_DISABLE_CPU_FEATURES,
 read only by a starting process, forces a lower one.  The field digest,
-the bound, envelope and threshold digests and the sigma*mv edge window
-digest must not move with it.
+the bound, envelope and threshold digests, the sigma*mv edge window
+digest and the pair bits digest must not move with it, and a single
+cell on floats must keep the bits of the same cell in an array call:
+a floored width's majorants are such cells.
 """
 
 import json
@@ -16,7 +18,7 @@ import numpy as np
 from numpy.lib.introspect import opt_func_info
 
 from test_bounds import _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256, _GOLDEN_THRESHOLD_SHA256
-from test_certify import _GOLDEN_EDGE_SHA256
+from test_certify import _GOLDEN_EDGE_SHA256, _GOLDEN_PAIR_BITS_SHA256
 from test_fields import _GOLDEN_EVALUATOR_SHA256
 
 _GOLDEN = Path(__file__).with_name("golden.py")
@@ -53,8 +55,9 @@ def test_golden_digests_hold_on_every_lower_kernel():
         got = json.loads(proc.stdout)
         assert kernel in got["kernels"].values(), (kernel, got["kernels"])
         assert got["numpy.polynomial"] is False
-        names = ("field", "bound", "envelope", "threshold", "edge_windows")
+        names = ("field", "bound", "envelope", "threshold", "edge_windows", "pair_bits")
         assert tuple(got[name] for name in names) == (
             _GOLDEN_EVALUATOR_SHA256, _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256,
-            _GOLDEN_THRESHOLD_SHA256, _GOLDEN_EDGE_SHA256,
+            _GOLDEN_THRESHOLD_SHA256, _GOLDEN_EDGE_SHA256, _GOLDEN_PAIR_BITS_SHA256,
         ), kernel
+        assert got["scalar_cell_mismatches"] == [], kernel
