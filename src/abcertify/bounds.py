@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import _PI4, _RATE, _RATE_CAP, _SQRT_PI, ExperimentConfig
 from .fields import norm_bundle, potential_ratio, ring_tail
-from .kinematics import opening_angle_deg, packet_radius, z_crossing_vec, z_of_sigma
+from .kinematics import opening_angle_deg, packet_radius, z_crossing, z_of_sigma
 from .xreal import (
     XReal, add_down, add_up, exp_neg_log, f64_down, f64_up, mul_down, mul_up, sci_strings,
 )
@@ -327,12 +327,13 @@ def interval_certificates(
          below the crossover.
 
     Both grids are one array pass: the slab heights and the crossings
-    of all their widths come from one call each, and the crossover
-    scales of the upper grid from one call, bit-identical to the scalar
-    :func:`~abcertify.kinematics.z_crossing` and config calls at every
-    width.  Each certificate writes its margins and their scales into
-    one row of two (5, n) arrays, which are tested in one pass.
-    A non-finite margin counts as a violation.
+    of all their widths come from one call each (one array
+    :func:`~abcertify.kinematics.z_crossing` call for the crossings),
+    and the crossover scales of the upper grid from one call, each
+    bit-identical to the float calls at every width.  Each certificate
+    writes its margins and their scales into one row of two (5, n)
+    arrays, which are tested in one pass.  A non-finite margin counts
+    as a violation.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise ValueError(f"n must be an integer of at least 2, got {n!r}")
@@ -343,7 +344,7 @@ def interval_certificates(
     hi_grid = grids[:n]
     mv = cfg.mv
     h = cfg.h(grids)
-    z_hi, z_lo = z_crossing_vec(cfg.omega_inv(grids), grids, mv, h).reshape(2, n)
+    z_hi, z_lo = z_crossing(cfg.omega_inv(grids), grids, mv, h).reshape(2, n)
     margins = np.empty((len(_CERT_NAMES), n))
     scales = np.empty_like(margins)
 
@@ -848,7 +849,12 @@ def params_sweep(
     """Worst uniform-regime bound over probe widths for each scale pair.
 
     Infeasible geometry combinations are reported with status
-    "rejected" instead of aborting the sweep.
+    "rejected" instead of aborting the sweep.  The uniform row's
+    coefficients are calibrated at the axial floor delta =
+    ``magnet.h_tilde`` (``_floor_norms``) whatever ``delta_scale`` is,
+    and no other term of the row reads it: rows that differ only in
+    ``delta_scale`` give the same bound, and ``delta_scale`` can only
+    reject a row.
     """
     if probe_sigmas is None:
         # stay inside the plateau-like region where the bound is

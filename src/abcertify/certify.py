@@ -68,7 +68,7 @@ nodes are sub-ranges of one lattice Z_n = sqrt(n delta0) and their
 crossings are the same floats.  A window's node range ends below
 sigma*mv, where no crossing exists, so every laid-out node has one.
 ``_build_windows`` grows that lattice pass by pass: the first pass
-solves every window's first prefix in one ``z_crossing_vec`` call, and
+solves every window's first prefix in one array ``z_crossing`` call, and
 a later pass (only after a stop predicted too early) solves, in one
 more call, the nodes that the doubled prefixes reach past it.  Each
 window slices its own n-range and clips it to its own [s, z_cap].  A
@@ -91,7 +91,7 @@ import numpy as np
 from .bounds import pair_allowance
 from .config import _PI4, _SQRT_PI, ExperimentConfig
 from .fields import coupling_constants
-from .kinematics import rho, z_crossing, z_crossing_vec
+from .kinematics import rho, z_crossing
 from .partition import SET_NAMES, sweep_pairs
 from .xreal import add_up, exp_neg_log, f64_up, fold_add_logs, mul_up, sci_strings
 
@@ -269,7 +269,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at, ends=None):
     there; ``ends`` are the spans' ``_window_ends`` floats, when the
     caller has them.  The windows' nodes are slices of one lattice Z_k =
     sqrt((n0 + stride k) delta0) over the union of their node ranges,
-    grown pass by pass.  A pass solves, in one ``z_crossing_vec`` call,
+    grown pass by pass.  A pass solves, in one array ``z_crossing`` call,
     the lattice nodes that its windows' prefixes reach and the earlier
     passes did not, and builds each window on its prefix: first up to
     its predicted stop, then on twice as many until its test fires or it ends.
@@ -299,7 +299,7 @@ def _build_windows(sigma, mv, zeta, delta0, spans, r1, rho_at, ends=None):
         k = np.arange(nodes.size, max(k1 for _, _, k1, _ in plans), dtype=np.float64)
         if k.size:
             new = np.sqrt((n0 + stride * k) * delta0)
-            solved = (new, z_crossing_vec(new, sigma, mv, zeta), new * new / 2.0)
+            solved = (new, z_crossing(new, sigma, mv, zeta), new * new / 2.0)
             if nodes.size:  # a later pass: append to the earlier passes' nodes
                 solved = [np.concatenate(pair) for pair in zip((nodes, x, decays), solved)]
             nodes, x, decays = solved

@@ -89,10 +89,14 @@ def iota() -> float:
 
 @lru_cache(maxsize=1)
 def curvature_constant() -> float:
-    """Peak of |iota * psi'|/2 ... closed form 2 e^-q q^2 sqrt(1-1/q).
+    """Peak of |iota * psi'| = |bump'|: closed form 2 e^-q q^2 sqrt(1-1/q).
 
     q = 3/2 + sqrt(3/4) maximises the derivative of the bump; the
-    constant enters every second-derivative bound of the plateaus.
+    constant enters every second-derivative bound of the plateaus.  Its
+    float, 0.7984297518335995, is the one nearest the peak
+    0.79842975183359954417 (40-digit mpmath, at t* = 0.75983568565)
+    and 5.6e-19 below it: not yet lifted to an upper bound (ROADMAP
+    item 15).
     """
     q = 1.5 + math.sqrt(0.75)
     return 2.0 * math.exp(-q) * q * q * math.sqrt(1.0 - 1.0 / q)

@@ -28,7 +28,6 @@ __all__ = [
     "gaussian_window",
     "weighted_window",
     "z_crossing",
-    "z_crossing_vec",
     "z_of_sigma",
     "packet_radius",
     "opening_angle_deg",
@@ -94,127 +93,100 @@ def weighted_window(
 # ----------------------------------------------------------------------
 
 
-def _crossing_closed_form(omega_inv, smv, s2, zeta):
-    """Root of (z - zeta) * rho(sigma, z) = omega_inv (an array).
-
-    (A zeta + smv omega_inv sqrt(s2 D + zeta^2)) / D with smv = sigma mv,
-    s2 = sigma^2, A = smv^2 and D = A - omega_inv^2, each step the float
-    :func:`z_crossing` computes; from the square root on, the steps run
-    in place in the result's buffer.
-    """
-    A = smv * smv
-    D = A - omega_inv * omega_inv
-    if not (D > 0.0).all():  # (sigma*mv)^2 underflowed somewhere
-        raise ValueError("thresholds too close to sigma*mv: (sigma*mv)^2 underflowed")
-    z = s2 * D + zeta * zeta
-    np.sqrt(z, out=z)
-    z *= smv * omega_inv
-    z += A * zeta
-    z /= D
-    return z
+# the type that selects z_crossing's array branch (an exact match, as in
+# config's _OPS)
+_ARRAY = np.ndarray
 
 
-def z_crossing(
-    omega_inv: float, sigma: float, mv: float, zeta: float
-) -> float:
+def _sqrt_in_place(a):
+    """np.sqrt written into its argument, a temporary of the array branch."""
+    return np.sqrt(a, out=a)
+
+
+def z_crossing(omega_inv, sigma, mv, zeta):
     """Distance z > zeta at which (z - zeta) * rho(sigma, z) = omega_inv.
 
     Requires 0 < omega_inv < sigma*mv (the product approaches sigma*mv
-    from below as z grows, so larger targets are never reached).  The
-    algebraic root gets one Newton step, kept only when it does not
+    from below as z grows, so larger targets are never reached); a NaN
+    threshold, or a (sigma*mv)^2 that underflows, is rejected too
+    (ValueError).  The algebraic root (A zeta + smv omega_inv sqrt(s2 D
+    + zeta^2)) / D, with smv = sigma mv, s2 = sigma^2, A = smv^2 and D =
+    A - omega_inv^2, gets one Newton step, kept only when it does not
     increase |F| for F(z) = (z - zeta) rho(sigma, z) - omega_inv.  The
     result is a rounded float, not an enclosure: no bound on its
     residual is enforced or proved (ROADMAP item 5 plans a proved one).
+
+    The arguments are floats, or arrays and floats that broadcast
+    together.  Floats give a float.  An ``np.ndarray`` among
+    ``omega_inv``, ``sigma`` and ``zeta`` gives an array of at least one
+    element, element i of which is the float call at element i, bit for
+    bit: the one body runs the same operations in the same order, its
+    augmented assignments and square roots in place on the array
+    branch's own temporaries (never on an input).  The branches differ
+    only at the step's guard and the final choice of z or z1, an ``if``
+    on floats and ``where`` on arrays.
     """
+    arrays = type(omega_inv) is _ARRAY or type(sigma) is _ARRAY or type(zeta) is _ARRAY
+    if arrays:
+        omega_inv = np.array(omega_inv, dtype=np.float64, copy=None, ndmin=1)
+        sqrt = _sqrt_in_place
+    else:
+        zeta = float(zeta)
+        sqrt = math.sqrt
     smv = sigma * mv
-    if not 0.0 < omega_inv < smv:
+    ok = (0.0 < omega_inv) & (omega_inv < smv)
+    if not (ok.all() if arrays else ok):
         raise ValueError(
             f"need 0 < omega_inv < sigma*mv, got omega_inv={omega_inv!r}, "
             f"sigma*mv={smv!r}"
         )
-    # the operations of _crossing_closed_form and _newton_polish, in the
-    # same order, on Python floats: bit-identical to z_crossing_vec
-    zeta = float(zeta)
     A = smv * smv
     D = A - omega_inv * omega_inv
-    if not D > 0.0:  # (sigma*mv)^2 underflowed
+    ok = D > 0.0
+    if not (ok.all() if arrays else ok):  # (sigma*mv)^2 underflowed
         raise ValueError(f"omega_inv={omega_inv!r} too close to sigma*mv={smv!r}")
     s2 = sigma * sigma
-    z = (A * zeta + smv * omega_inv * math.sqrt(s2 * D + zeta * zeta)) / D
-    s2mv = s2 * mv
-    den2 = s2mv * s2mv + z * z
-    r = smv / math.sqrt(den2)
-    f0 = (z - zeta) * r - omega_inv
-    fp = r * (1.0 - (z - zeta) * z / den2)
-    if not fp > 0.0:
-        return float(z)
-    z1 = z - f0 / fp
-    f1 = (z1 - zeta) * (smv / math.sqrt(s2mv * s2mv + z1 * z1)) - omega_inv
-    return float(z1 if abs(f1) <= abs(f0) else z)
-
-
-def _newton_polish(z, omega_inv, smv, s2, mv, zeta):
-    """One Newton step on F(z) = (z - zeta) rho(z) - omega_inv (on arrays).
-
-    The operations of :func:`z_crossing`'s step, in its order, written
-    into four buffers of z's shape (out= and in place): each value is
-    the float the scalar solver computes.  ``smv`` and ``s2`` are the
-    widths' sigma mv and sigma^2, shared with the closed form.  ``z``
-    and the inputs are not modified.
-    """
+    z = sqrt(s2 * D + zeta * zeta)
+    z *= smv * omega_inv
+    z += A * zeta
+    z /= D
+    # the Newton step, on g = ((z - zeta) z / den2 - 1) r = -F'(z): g -= 1
+    # runs in place, 1 - g would not; negation is exact, so z + F/g is
+    # z - F/F' bit for bit
     s2mv = s2 * mv
     q = s2mv * s2mv
     dz = z - zeta
     den2 = z * z
     den2 += q
-    fp = dz * z
-    fp /= den2
-    np.subtract(1.0, fp, out=fp)
-    r = np.sqrt(den2, out=den2)
-    np.divide(smv, r, out=r)
-    fp *= r  # F'(z)
-    f0 = np.multiply(dz, r, out=r)
-    f0 -= omega_inv  # F(z)
-    # z1 = z - F/F', or z itself where the step is skipped (no warning there)
-    step = fp > 0.0
-    np.divide(f0, fp, out=fp, where=step)
-    z1 = z.copy()
-    np.subtract(z, fp, out=z1, where=step)
-    den2b = np.multiply(z1, z1, out=fp)
-    den2b += q
-    np.sqrt(den2b, out=den2b)
-    np.divide(smv, den2b, out=den2b)
-    f1 = np.subtract(z1, zeta, out=dz)
-    f1 *= den2b
+    g = dz * z
+    g /= den2
+    g -= 1.0
+    r = smv / sqrt(den2)
+    g *= r
+    f0 = dz  # F(z), in dz's buffer on arrays (dz is not read again)
+    f0 *= r
+    f0 -= omega_inv
+    if arrays:  # z1 is z itself where the step is skipped (no warning there)
+        step = g < 0.0
+        z1 = z.copy()
+        np.add(z, np.divide(f0, g, out=g, where=step), out=z1, where=step)
+    elif not g < 0.0:
+        return float(z)
+    else:
+        z1 = z + f0 / g
+    f1 = z1 * z1
+    f1 += q
+    f1 = smv / sqrt(f1)
+    f1 *= z1 - zeta
     f1 -= omega_inv  # F(z1)
-    return np.where(np.abs(f1, out=f1) <= np.abs(f0, out=f0), z1, z)
-
-
-def z_crossing_vec(omega_inv, sigma, mv: float, zeta) -> np.ndarray:
-    """Vectorised :func:`z_crossing`, elementwise bit-identical to it.
-
-    ``omega_inv``, ``sigma`` and ``zeta`` are arrays or floats that
-    broadcast together; the result is an array of at least one element.
-    Every element must pass the scalar solver's checks (a NaN threshold
-    fails them), else ValueError.
-    """
-    omega_inv = np.array(omega_inv, dtype=np.float64, copy=None, ndmin=1)
-    smv = sigma * mv
-    if not ((0.0 < omega_inv) & (omega_inv < smv)).all():
-        raise ValueError("thresholds must lie strictly inside (0, sigma*mv)")
-    s2 = sigma * sigma
-    z0 = _crossing_closed_form(omega_inv, smv, s2, zeta)
-    return _newton_polish(z0, omega_inv, smv, s2, mv, zeta)
+    if arrays:
+        return np.where(np.abs(f1, out=f1) <= np.abs(f0, out=f0), z1, z)
+    return float(z1 if abs(f1) <= abs(f0) else z)
 
 
 def z_of_sigma(sigma, cfg: ExperimentConfig):
-    """Capped-threshold crossing distance for a width or an array of widths.
-
-    An array runs :func:`z_crossing_vec` once and gives, point by point,
-    the float the scalar :func:`z_crossing` gives for one width.
-    """
-    solve = z_crossing_vec if isinstance(sigma, np.ndarray) else z_crossing
-    return solve(cfg.omega_inv(sigma), sigma, cfg.mv, cfg.h(sigma))
+    """Capped-threshold crossing distance for a width or an array of widths."""
+    return z_crossing(cfg.omega_inv(sigma), sigma, cfg.mv, cfg.h(sigma))
 
 
 # ----------------------------------------------------------------------

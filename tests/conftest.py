@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -17,6 +18,22 @@ settings.load_profile("suite")
 
 
 ALL_COMBOS = list(itertools.product(sorted(MAGNETS), sorted(BEAMS)))
+
+
+def record_array_crossings(monkeypatch, module):
+    """Wrap ``module.z_crossing``: every call goes through, and the list
+    returned collects the arguments of each array call (an array
+    threshold), not the float calls."""
+    calls = []
+    solve = module.z_crossing
+
+    def recording(omega_inv, *args):
+        if isinstance(omega_inv, np.ndarray):
+            calls.append((omega_inv, *args))
+        return solve(omega_inv, *args)
+
+    monkeypatch.setattr(module, "z_crossing", recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -3,18 +3,20 @@
 The field digest (``tests/test_fields.py``), the bound, envelope and
 threshold digests (``tests/test_bounds.py``), and the sigma*mv edge
 window and pair bits digests (``tests/test_certify.py``) read their
-points, widths, targets, windows and pairs from here, and so does the
-check that a single cell on floats has the bits of the same cell in an
-array call.  This module imports only numpy and the package, so a
-fresh interpreter with a lower numpy CPU kernel forced recomputes them
-quickly:
+points, widths, targets, windows and pairs from here, and so do the
+checks that a single cell, and a crossing, on floats has the bits of
+the same element of an array call, and the one-ulp checks of the cell
+ufuncs and of the fold's ``np.exp``.  This module imports only numpy,
+mpmath and the package, so a fresh interpreter with a lower numpy CPU
+kernel forced recomputes them quickly:
 
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
         PYTHONPATH=src:tests python tests/golden.py
 
 prints the kernel of float64 ``np.exp`` and ``np.log``, whether the
-package imported ``numpy.polynomial``, the six digests and the cells
-whose scalar bits differ, as JSON.  The digest functions run the loops
+package imported ``numpy.polynomial``, the six digests, the cells and
+the crossings whose float bits differ, and the worst ulps of ``np.log``
+and ``np.exp``, as JSON.  The digest functions run the loops
 of those tests without the tests' extra checks;
 ``tests/test_kernels.py`` compares what they print with the tests'
 golden constants.
@@ -26,6 +28,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 
 from abcertify import certify
@@ -333,6 +336,83 @@ def scalar_cell_mismatches() -> list:
     return out
 
 
+def crossing_draws():
+    """The seeded draws of the crossing bit tests: 3,000 (omegas, sigma,
+    mv, zeta), widths, momenta and offsets over the sweep's magnitudes
+    and beyond, with up to four thresholds in (0, sigma*mv) each."""
+    rng = np.random.default_rng(33)
+    for _ in range(3000):
+        sigma = 10.0 ** rng.uniform(-10.0, 0.5)
+        mv = 10.0 ** rng.uniform(0.0, 12.0)
+        zeta = 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
+        omegas = rng.uniform(1e-6, 1.0 - 1e-9, 4) * sigma * mv
+        yield omegas[(omegas > 0.0) & (omegas < sigma * mv)], sigma, mv, float(zeta)
+
+
+def crossing_mismatches() -> list:
+    """Index of each ``crossing_draws`` threshold whose float
+    ``z_crossing`` call differs in its bits from the same element of one
+    array call over all the draws' thresholds, widths, momenta and
+    offsets."""
+    draws = list(crossing_draws())
+    counts = [omegas.size for omegas, *_ in draws]
+    omegas = np.concatenate([omegas for omegas, *_ in draws])
+    sigma, mv, zeta = (np.repeat([d[k] for d in draws], counts) for k in (1, 2, 3))
+    array = z_crossing(omegas, sigma, mv, zeta).tolist()
+    floats = zip(omegas.tolist(), sigma.tolist(), mv.tolist(), zeta.tolist())
+    return [i for i, (args, want) in enumerate(zip(floats, array)) if float.hex(z_crossing(*args)) != float.hex(want)]
+
+
+# The arguments of the cell ufuncs over every pair of `verify --set all`
+# for k2/e1 and k1/e3, widened a little: the cell widths (np.log), w +
+# sqrt(pi)/2 (np.sqrt, then np.log; b5), r1 rho (np.log; b6), and the
+# legs sigma^2 mv and z of np.hypot (interior cell ends) and math.hypot
+# (rho, window ends).
+CELL_LOG_RANGES = ((4e-22, 4e-3), (1.95, 5026.0))
+CELL_SQRT_RANGE = (2.1, 3805.0)
+HYPOT_LEG_RANGES = ((1e-9, 152.0), (2e-6, 4.8e-3))
+
+
+def cell_ufunc_samples():
+    """Seeded arguments of the cell ufuncs, 1,000 log-uniform over each
+    range: ``np.log``'s (its two ranges, then the square roots of
+    ``np.sqrt``'s range), ``np.sqrt``'s, and the two legs of ``np.hypot``."""
+    rng = np.random.default_rng(31)
+
+    def sample(lo, hi, n=1000):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+    roots = np.sqrt(sample(*CELL_SQRT_RANGE))
+    logs = [*(sample(*r) for r in CELL_LOG_RANGES), roots]
+    return logs, sample(*CELL_SQRT_RANGE), [sample(*r) for r in HYPOT_LEG_RANGES]
+
+
+def fold_shifts():
+    """Seeded shifts L - M of ``xreal.fold_add_logs``' terms: 3,000
+    uniform over its whole range [-1000, 0] and 3,000 over [-40, 0],
+    where the terms that move a sum lie."""
+    rng = np.random.default_rng(41)
+    return np.concatenate([rng.uniform(-1000.0, 0.0, 3000), rng.uniform(-40.0, 0.0, 3000)])
+
+
+def worst_ulps(got, exact) -> float:
+    """The largest |got - exact| over the samples, in ulps of the exact value."""
+    return max(float(abs(mpmath.mpf(g) - e) / math.ulp(float(e))) for g, e in zip(got.tolist(), exact))
+
+
+def ufunc_ulps() -> dict:
+    """The worst error, in ulps against 200-bit mpmath, of float64
+    ``np.log`` on ``cell_ufunc_samples``' log arguments and of ``np.exp``
+    on ``fold_shifts``."""
+    x = np.concatenate(cell_ufunc_samples()[0])
+    d = fold_shifts()
+    with mpmath.workprec(200):
+        return {
+            "log": worst_ulps(np.log(x), [mpmath.log(v) for v in x.tolist()]),
+            "exp": worst_ulps(np.exp(d), [mpmath.exp(v) for v in d.tolist()]),
+        }
+
+
 def main() -> None:
     from numpy.lib.introspect import opt_func_info
 
@@ -347,6 +427,8 @@ def main() -> None:
         "edge_windows": edge_window_digest(),
         "pair_bits": pair_bits_digest(),
         "scalar_cell_mismatches": scalar_cell_mismatches(),
+        "crossing_mismatches": crossing_mismatches(),
+        "ulps": ufunc_ulps(),
     }))
 
 

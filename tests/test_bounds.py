@@ -44,6 +44,7 @@ from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify.xreal import add_down, add_up, exp_neg_log, f64_up, mul_up, sci_strings
 
 import published
+from conftest import record_array_crossings
 from golden import TABLE_TARGETS as _TABLE_TARGETS
 from golden import golden_widths as _golden_widths
 from golden import threshold_outputs as _threshold_outputs
@@ -371,38 +372,31 @@ def test_interval_certificates_reject_vacuous_grids(cfg, n):
 def test_interval_certificates_grids_are_geomspace_bits(monkeypatch):
     # the grids are np.geomspace's, built from np.logspace without its
     # sign and dtype handling; a numpy whose two disagree must fail here
-    seen = []
-    solve = bounds.z_crossing_vec
-
-    def capturing(omega_inv, sigma, *args):
-        seen.append(sigma.copy())
-        return solve(omega_inv, sigma, *args)
-
-    monkeypatch.setattr(bounds, "z_crossing_vec", capturing)
+    calls = record_array_crossings(monkeypatch, bounds)
     for magnet, beam in itertools.product(sorted(MAGNETS), sorted(BEAMS)):
         c = get_config(magnet, beam)
         for n in (2, 3, 400, 517, 600, 10_000):
-            seen.clear()
+            calls.clear()
             interval_certificates(c, n=n)
             want = np.concatenate(
                 (np.geomspace(c.sigma0, c.sigma_max, n), np.geomspace(c.sigma_min, c.sigma0, n))
             )
-            assert len(seen) == 1
-            assert seen[0].tobytes() == want.tobytes(), (magnet, beam, n)
+            assert len(calls) == 1
+            assert calls[0][1].tobytes() == want.tobytes(), (magnet, beam, n)
 
 
 def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
-    real = bounds.z_crossing_vec
+    real = bounds.z_crossing
 
     def poisoned(*args):
-        # one call solves both grids: poison elements 1 and 2 of each half
+        # one array call solves both grids: poison elements 1 and 2 of each half
         z = real(*args).copy()
         halves = z.reshape(2, -1)
         halves[:, 1] = math.nan
         halves[:, 2] = math.inf
         return z
 
-    monkeypatch.setattr(bounds, "z_crossing_vec", poisoned)
+    monkeypatch.setattr(bounds, "z_crossing", poisoned)
     with np.errstate(invalid="ignore"):  # inf - inf in the spread ratio
         out = interval_certificates(cfg, n=50)
     assert out["crossing_range_above"]["violations"] == 2
@@ -411,16 +405,9 @@ def test_interval_certificates_count_non_finite_margins(cfg, monkeypatch):
 
 
 def test_interval_certificates_solve_both_grids_in_one_call(cfg, monkeypatch):
-    sizes = []
-    solve = bounds.z_crossing_vec
-
-    def counting(omega_inv, *args):
-        sizes.append(np.size(omega_inv))
-        return solve(omega_inv, *args)
-
-    monkeypatch.setattr(bounds, "z_crossing_vec", counting)
+    calls = record_array_crossings(monkeypatch, bounds)
     interval_certificates(cfg, n=517)
-    assert sizes == [2 * 517]
+    assert [omega_inv.size for omega_inv, *_ in calls] == [2 * 517]
 
 
 def test_interval_certificates_compute_each_slab_height_once(cfg, monkeypatch):

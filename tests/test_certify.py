@@ -29,7 +29,7 @@ from abcertify.kinematics import rho, z_crossing
 from abcertify.partition import SET_NAMES, sweep_pairs
 from abcertify import xreal
 from abcertify.xreal import fold_add_logs, mul_up
-from conftest import ALL_COMBOS, build_full_window, build_window
+from conftest import ALL_COMBOS, build_full_window, build_window, record_array_crossings
 import golden
 from golden import EDGE_WINDOWS as _EDGE_WINDOWS
 from oracles import mp_sci_string, window_integral_quad
@@ -146,17 +146,11 @@ def test_build_window_node_cap(cfg, monkeypatch):
 
 def test_fine_user_delta0_chunks_stay_within_cap(cfg, monkeypatch):
     # delta0 = 1e-9 would put ~1e9 nodes in a window; the fixed cap
-    # strides the grid so no solver call sees more than NODE_CAP nodes
-    chunks = []
-    solve = certify.z_crossing_vec
-
-    def counting(*args):
-        chunks.append(np.size(args[0]))
-        return solve(*args)
-
-    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    # strides the grid so no array solver call sees more than NODE_CAP nodes
+    calls = record_array_crossings(monkeypatch, certify)
     set_name, index, mu1, mu2, mu3 = sweep_pairs(cfg, ["sigma6"])[0]
     res = check_pair(cfg, set_name, index, mu1, mu2, mu3, delta0=1e-9)
+    chunks = [omega_inv.size for omega_inv, *_ in calls]
     assert chunks
     assert max(chunks) <= certify.NODE_CAP
     assert res.passed
@@ -512,35 +506,20 @@ def test_node_window_pass_makes_one_cell_call(kind, monkeypatch):
     assert passes > len(windows)  # some windows take more than one pass
 
 
-# The arguments of the cell ufuncs over every pair of `verify --set all`
-# for k2/e1 and k1/e3, widened a little: the cell widths (np.log), w +
-# sqrt(pi)/2 (np.sqrt, then np.log; b5), r1 rho (np.log; b6), and the
-# legs sigma^2 mv and z of np.hypot (interior cell ends) and math.hypot
-# (rho, window ends).
-_CELL_LOG_RANGES = ((4e-22, 4e-3), (1.95, 5026.0))
-_CELL_SQRT_RANGE = (2.1, 3805.0)
-_HYPOT_LEG_RANGES = ((1e-9, 152.0), (2e-6, 4.8e-3))
-
-
 def test_cell_ufuncs_within_one_ulp():
     # xreal's certification boundary takes these as within one ulp;
-    # check that on seeded samples against 200-bit mpmath
-    rng = np.random.default_rng(31)
-
-    def sample(lo, hi, n=1000):
-        return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    # check that on seeded samples (golden.cell_ufunc_samples: the
+    # arguments of the full sweeps' cells) against 200-bit mpmath
+    logs, sqrt_args, legs = golden.cell_ufunc_samples()
 
     def assert_within_one_ulp(got, exact):
         for g, e in zip(got.tolist(), exact):
             assert abs(mpmath.mpf(g) - e) <= math.ulp(float(e)), (g, e)
 
     with mpmath.workprec(200):
-        roots = np.sqrt(sample(*_CELL_SQRT_RANGE))
-        for x in (*(sample(*r) for r in _CELL_LOG_RANGES), roots):
+        for x in logs:
             assert_within_one_ulp(np.log(x), [mpmath.log(v) for v in x.tolist()])
-        x = sample(*_CELL_SQRT_RANGE)
-        assert_within_one_ulp(np.sqrt(x), [mpmath.sqrt(v) for v in x.tolist()])
-        legs = [sample(*r) for r in _HYPOT_LEG_RANGES]
+        assert_within_one_ulp(np.sqrt(sqrt_args), [mpmath.sqrt(v) for v in sqrt_args.tolist()])
         exact = [mpmath.sqrt(mpmath.mpf(a) ** 2 + mpmath.mpf(b) ** 2) for a, b in zip(*legs)]
         assert_within_one_ulp(np.hypot(*legs), exact)
         assert_within_one_ulp(np.array(list(map(math.hypot, *legs))), exact)
@@ -553,14 +532,7 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
     s = z_crossing(50.0, sigma, mv, zeta)
     z_cap = z_crossing(80.0, sigma, mv, zeta)
     r1 = 1.5 / rho(sigma, mv, z_cap)
-    calls = []
-    solve = certify.z_crossing_vec
-
-    def counting(*args):
-        calls.append(np.size(args[0]))
-        return solve(*args)
-
-    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    calls = record_array_crossings(monkeypatch, certify)
     win = build_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
     assert calls == []
     assert win.nodes.size == 0 and win.x.size == 0
@@ -570,7 +542,7 @@ def test_floored_window_solves_no_node(kind, monkeypatch):
     assert _window_one_cell(win, kind) == lm
     # without the floor the same window solves its whole grid
     full = build_full_window(sigma, mv, zeta, s, z_cap, delta0, r1, kind)
-    assert sum(calls) == full.nodes.size > 0
+    assert sum(omega_inv.size for omega_inv, *_ in calls) == full.nodes.size > 0
 
 
 def test_refinement_approaches_truth():
@@ -955,35 +927,30 @@ def test_width_majorants_cover_floored_node_cut_and_empty_widths(cfg, monkeypatc
 def test_floored_pair_builds_no_window(cfg, monkeypatch):
     # sigma1's first pair: both widths floored, so the pair builds no
     # majorant_window and makes no _build_windows, grid_majorant or
-    # z_crossing_vec call; floored widths never index a grid, so at
+    # array z_crossing call; floored widths never index a grid, so at
     # delta0 = 1e-300 the four logs of each width are the default's
     job = sweep_pairs(cfg, ["sigma1"])[0]
     calls = []
-    for name in ("majorant_window", "_build_windows", "grid_majorant", "z_crossing_vec"):
+    for name in ("majorant_window", "_build_windows", "grid_majorant"):
         real = getattr(certify, name)
         monkeypatch.setattr(certify, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k))
+    crossings = record_array_crossings(monkeypatch, certify)
     base = _width_calls(cfg, job, None, monkeypatch)
     fine = _width_calls(cfg, job, 1e-300, monkeypatch)
-    assert calls == []
+    assert calls == [] and crossings == []
     assert len(base) == 2
     assert [[float.hex(v) for v in logs] for _, logs in fine] == [[float.hex(v) for v in logs] for _, logs in base]
     a, b = check_pair(cfg, *job), check_pair(cfg, *job, 1e-300)
     assert (a.lhs_interacting, a.lhs_outgoing) == (b.lhs_interacting, b.lhs_outgoing)
-    assert calls == []
+    assert calls == [] and crossings == []
 
 
 def test_one_crossing_solve_per_width(cfg, monkeypatch):
     # sigma6's first pair: a width whose windows keep nodes solves its
-    # lattice in one z_crossing_vec call, however many windows use it
-    solved = []
-    solve = certify.z_crossing_vec
-
-    def counting(omega_inv, sigma, mv, zeta):
-        solved.append(sigma)
-        return solve(omega_inv, sigma, mv, zeta)
-
-    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    # lattice in one array z_crossing call, however many windows use it
+    calls = record_array_crossings(monkeypatch, certify)
     built = _pair_windows(cfg, sweep_pairs(cfg, ["sigma6"])[0], None, monkeypatch)
+    solved = [sigma for _, sigma, *_ in calls]
     with_nodes = [
         (args[0], sum(w.nodes.size > 0 for w in wins if w is not None))
         for args, _, wins in built
@@ -999,15 +966,9 @@ def test_doubling_prefixes_solve_few_nodes_of_long_windows(cfg, monkeypatch):
     # ~20,000 nodes each and stop after ~900, so the prefixes up to the
     # predicted stop solve ~1,000 crossings; solving a window's whole
     # grid would solve ~20,000
-    solved = []
-    solve = certify.z_crossing_vec
-
-    def counting(omega_inv, sigma, mv, zeta):
-        solved.append(np.size(omega_inv))
-        return solve(omega_inv, sigma, mv, zeta)
-
-    monkeypatch.setattr(certify, "z_crossing_vec", counting)
+    calls = record_array_crossings(monkeypatch, certify)
     built = _pair_windows(cfg, sweep_pairs(cfg, ["sigma6"])[0], 0.1, monkeypatch)
+    solved = [omega_inv.size for omega_inv, *_ in calls]
     assert 0 < sum(solved) < 2048
     long = 0
     for (sigma, mv, zeta, d0, r1), spans, wins in built:
@@ -1087,13 +1048,11 @@ def test_every_node_window_takes_one_pass(cfg, monkeypatch):
     # window's last node: on the first, last and worst pair of every set
     # at both grid steps, and on sigma6's first pair at delta0 = 0.01,
     # each node window is solved in one pass and each width's lattice in
-    # one z_crossing_vec call
-    solved, crossed = [], []
-    solve, crossings = certify._solve_window, certify.z_crossing_vec
+    # one array z_crossing call
+    solved = []
+    solve = certify._solve_window
     monkeypatch.setattr(certify, "_solve_window", lambda win, *a: solved.append(win) or solve(win, *a))
-    monkeypatch.setattr(
-        certify, "z_crossing_vec", lambda om, sigma, *a: crossed.append(sigma) or crossings(om, sigma, *a)
-    )
+    calls = record_array_crossings(monkeypatch, certify)
     worst = {name: index for name, index, _ in PARENT_WORST_PAIRS}
     cases = [(sweep_pairs(cfg, ["sigma6"])[0], 0.01)]
     for name in SET_NAMES:
@@ -1102,11 +1061,11 @@ def test_every_node_window_takes_one_pass(cfg, monkeypatch):
     windows = 0
     for job, delta0 in cases:
         solved.clear()
-        crossed.clear()
+        calls.clear()
         built = _pair_windows(cfg, job, delta0, monkeypatch)
         per_width = [[w for w in wins if w is not None and w.nodes.size] for _, _, wins in built]
         assert [id(w) for w in solved] == [id(w) for wins in per_width for w in wins], (job, delta0)
-        assert crossed == [args[0] for (args, _, _), wins in zip(built, per_width) if wins]
+        assert [sigma for _, sigma, *_ in calls] == [args[0] for (args, _, _), wins in zip(built, per_width) if wins]
         windows += len(solved)
     assert windows >= 50
 

@@ -3,9 +3,12 @@
 numpy picks a kernel for each ufunc at import; NPY_DISABLE_CPU_FEATURES,
 read only by a starting process, forces a lower one.  The field digest,
 the bound, envelope and threshold digests, the sigma*mv edge window
-digest and the pair bits digest must not move with it, and a single
-cell on floats must keep the bits of the same cell in an array call:
-a floored width's majorants are such cells.
+digest and the pair bits digest must not move with it; a single cell
+on floats must keep the bits of the same cell in an array call (a
+floored width's majorants are such cells), and so must each float
+crossing of ``kinematics.z_crossing``; and ``np.log`` on the cell
+arguments and ``np.exp`` on the fold's shifts must stay within one ulp
+of 200-bit mpmath, as ``xreal``'s certification boundary takes them.
 """
 
 import json
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
+import golden
 from test_bounds import _GOLDEN_BOUND_SHA256, _GOLDEN_ENVELOPE_SHA256, _GOLDEN_THRESHOLD_SHA256
 from test_certify import _GOLDEN_EDGE_SHA256, _GOLDEN_PAIR_BITS_SHA256
 from test_fields import _GOLDEN_EVALUATOR_SHA256
@@ -61,3 +65,10 @@ def test_golden_digests_hold_on_every_lower_kernel():
             _GOLDEN_THRESHOLD_SHA256, _GOLDEN_EDGE_SHA256, _GOLDEN_PAIR_BITS_SHA256,
         ), kernel
         assert got["scalar_cell_mismatches"] == [], kernel
+        assert got["crossing_mismatches"] == [], kernel
+        assert got["ulps"]["log"] <= 1.0 and got["ulps"]["exp"] <= 1.0, (kernel, got["ulps"])
+
+
+def test_log_and_exp_within_one_ulp_on_current_kernel():
+    ulps = golden.ufunc_ulps()
+    assert ulps["log"] <= 1.0 and ulps["exp"] <= 1.0, ulps

@@ -14,9 +14,9 @@ from abcertify.kinematics import (
     rho,
     weighted_window,
     z_crossing,
-    z_crossing_vec,
     z_of_sigma,
 )
+import golden
 from oracles import (
     gaussian_window_quad,
     rho_ref,
@@ -116,7 +116,7 @@ def test_crossing_monotone_in_omega():
         mv = rng.uniform(1.0, 12.0)
         zeta = rng.uniform(0.0, 1.0)
         omegas = np.sort(rng.uniform(1e-4, 0.999, 8)) * sigma * mv
-        zs = z_crossing_vec(omegas, sigma, mv, zeta)
+        zs = z_crossing(omegas, sigma, mv, zeta)
         assert all(b > a for a, b in zip(zs, zs[1:]))
 
 
@@ -127,10 +127,17 @@ def test_crossing_small_omega_limit():
 
 
 def test_crossing_vec_matches_scalar():
+    # an array call ("vec") and float calls ("scalar") of the one solver
     omegas = np.array([0.5, 1.5, 2.0, 7.0])
-    vec = z_crossing_vec(omegas, 2.0, 5.0, 0.3)
-    scal = [z_crossing(w, 2.0, 5.0, 0.3) for w in omegas]
+    vec = z_crossing(omegas, 2.0, 5.0, 0.3)
+    scal = [z_crossing(w, 2.0, 5.0, 0.3) for w in omegas.tolist()]
+    assert all(type(z) is float for z in scal)
     assert np.array_equal(vec, np.array(scal))
+    # a 0-d threshold gives one element; a float threshold broadcasts
+    # over array widths
+    assert z_crossing(np.array(1.5), 2.0, 5.0, 0.3).tolist() == [scal[1]]
+    widths = np.array([2.0, 3.0])
+    assert z_crossing(1.5, widths, 5.0, 0.3).tolist() == [scal[1], z_crossing(1.5, 3.0, 5.0, 0.3)]
 
 
 def test_crossing_domain_errors():
@@ -151,10 +158,10 @@ def test_crossing_vec_rejects_what_scalar_rejects():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
-                z_crossing_vec(np.array([omega]), sigma, mv, zeta)
+                z_crossing(np.array([omega]), sigma, mv, zeta)
             # one bad element among good ones, with array widths and offsets
             with pytest.raises(ValueError):
-                z_crossing_vec(
+                z_crossing(
                     np.array([0.5, omega]), np.array([2.0, sigma]), mv, np.array([0.3, zeta])
                 )
 
@@ -165,14 +172,14 @@ def test_crossing_vec_broadcasts_widths_and_offsets():
     mv = 1.98e10
     zeta = 10.0 ** rng.uniform(-9.0, 0.0, 2000)
     omegas = rng.uniform(1e-6, 1.0 - 1e-9, 2000) * sigma * mv
-    vec = z_crossing_vec(omegas, sigma, mv, zeta)
+    vec = z_crossing(omegas, sigma, mv, zeta)
     for i in range(sigma.size):
         want = z_crossing(float(omegas[i]), float(sigma[i]), mv, float(zeta[i]))
         assert vec[i].hex() == want.hex(), i
 
 
 def test_crossing_vec_leaves_inputs_unchanged():
-    # the Newton step writes into its own buffers, never into an input
+    # the array branch writes into its own buffers, never into an input
     rng = np.random.default_rng(35)
     sigma = 10.0 ** rng.uniform(-8.0, 0.0, 300)
     mv = 1.98e10
@@ -181,7 +188,7 @@ def test_crossing_vec_leaves_inputs_unchanged():
     scalar_width = rng.uniform(1e-6, 1.0 - 1e-9, 50) * 2e-6 * mv
     for args in ((omegas, sigma, mv, zeta), (scalar_width, 2e-6, mv, zeta[:50])):
         before = [np.copy(a) for a in args]
-        z = z_crossing_vec(*args)
+        z = z_crossing(*args)
         for a, b in zip(args, before):
             assert np.asarray(a).tobytes() == b.tobytes()
         assert not any(np.shares_memory(z, a) for a in args)
@@ -213,20 +220,17 @@ def test_array_width_formulas_match_scalar_bits(any_cfg):
 
 
 def test_scalar_crossing_bit_identical_to_vec():
-    # widths, momenta and offsets over the sweep's magnitudes and beyond
-    rng = np.random.default_rng(33)
+    # float calls against one array call per width (a float sigma, mv
+    # and zeta), and against one array call over every width
+    # (golden.crossing_mismatches: arrays of all four)
     checked = 0
-    for _ in range(3000):
-        sigma = 10.0 ** rng.uniform(-10.0, 0.5)
-        mv = 10.0 ** rng.uniform(0.0, 12.0)
-        zeta = 10.0 ** rng.uniform(-9.0, 0.0) * rng.choice([-1.0, 1.0])
-        omegas = rng.uniform(1e-6, 1.0 - 1e-9, 4) * sigma * mv
-        omegas = omegas[(omegas > 0.0) & (omegas < sigma * mv)]
-        vec = z_crossing_vec(omegas, sigma, mv, zeta)
-        for w, zv in zip(omegas, vec):
-            assert z_crossing(float(w), sigma, mv, zeta) == zv, (w, sigma, mv, zeta)
+    for omegas, sigma, mv, zeta in golden.crossing_draws():
+        vec = z_crossing(omegas, sigma, mv, zeta)
+        for w, zv in zip(omegas.tolist(), vec.tolist()):
+            assert z_crossing(w, sigma, mv, zeta).hex() == zv.hex(), (w, sigma, mv, zeta)
             checked += 1
     assert checked >= 10_000
+    assert golden.crossing_mismatches() == []
 
 
 def test_crossing_envelope_in_sigma():
